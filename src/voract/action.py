@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GeometryError, OptClass, PointSet, Polytope, cell_frame, _as_vector
-from .potential import batch_field, batch_field_light
+from .potential import batch_field
 
 __all__ = [
     "ActionError",
@@ -128,17 +128,10 @@ class Shape:
 
 @dataclass(frozen=True)
 class Path:
-    """Uniform-time node chain on [0, delta].
-
-    The endpoint-fixed flags record the boundary conditions carried by the
-    chain; every solver in this module requires both to be set (free
-    endpoints are unsupported).
-    """
+    """Uniform-time node chain on [0, delta]."""
 
     delta: float
     nodes: np.ndarray
-    fixed_start: bool = True
-    fixed_end: bool = True
 
     def __post_init__(self):
         nodes = np.atleast_2d(np.array(self.nodes, dtype=float))
@@ -180,7 +173,7 @@ class Path:
         out = np.empty((2 * m + 1, self.dim))
         out[::2] = self.nodes
         out[1::2] = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        return Path(self.delta, out, self.fixed_start, self.fixed_end)
+        return Path(self.delta, out)
 
 
 @dataclass(frozen=True)
@@ -242,20 +235,10 @@ class MinimizeResult:
 # Evaluation and gradient
 
 
-def _slope_sq(nodes: np.ndarray, kset: PointSet):
-    return batch_field(nodes, kset)
-
-
-def evaluate_action(path: Path, kset: PointSet, shape: Shape) -> ActionBreakdown:
-    """Discrete action of the path: forward-difference kinetic terms plus
-    trapezoid potential terms on node values."""
-    if path.dim != kset.dim:
-        raise ActionError("path/point-set dimension mismatch")
-    dt = path.dt
-    diffs = np.diff(path.nodes, axis=0)
+def _breakdown(nodes: np.ndarray, dt: float, hvals: np.ndarray) -> ActionBreakdown:
+    """Forward-difference kinetic terms plus trapezoid terms of the node potentials."""
+    diffs = np.diff(nodes, axis=0)
     kin = np.einsum("ij,ij->i", diffs, diffs) / dt
-    _, _, s = _slope_sq(path.nodes, kset)
-    hvals = shape.h(s)
     pot = dt * 0.5 * (hvals[:-1] + hvals[1:])
     return ActionBreakdown(
         kinetic=float(np.sum(kin)),
@@ -264,6 +247,15 @@ def evaluate_action(path: Path, kset: PointSet, shape: Shape) -> ActionBreakdown
         kinetic_terms=kin,
         potential_terms=pot,
     )
+
+
+def evaluate_action(path: Path, kset: PointSet, shape: Shape) -> ActionBreakdown:
+    """Discrete action of the path: forward-difference kinetic terms plus
+    trapezoid potential terms on node values."""
+    if path.dim != kset.dim:
+        raise ActionError("path/point-set dimension mismatch")
+    _, s, _, _ = batch_field(path.nodes, kset)
+    return _breakdown(path.nodes, path.dt, shape.h(s))
 
 
 def _interior_gradient(nodes: np.ndarray, etas: np.ndarray, slope_sq: np.ndarray,
@@ -282,15 +274,13 @@ def action_gradient(path: Path, kset: PointSet, shape: Shape) -> np.ndarray:
     deterministic subgradient choice is the cell of the lexicographically
     smallest class, i.e. the singleton of the smallest site index.
     """
-    classes, etas, s = _slope_sq(path.nodes, kset)
-    etas = etas.copy()
-    s = s.copy()
-    for k, cls in enumerate(classes):
+    etas, s, _, groups = batch_field(path.nodes, kset)
+    for cls, rows in groups:
         if len(cls) >= 2:
             p = kset.points[cls[0]]
-            etas[k] = p
-            diff = path.nodes[k] - p
-            s[k] = float(diff @ diff)
+            etas[rows] = p
+            diff = path.nodes[rows] - p
+            s[rows] = np.einsum("ij,ij->i", diff, diff)
     return _interior_gradient(path.nodes, etas, s, path.dt, shape)
 
 
@@ -322,7 +312,7 @@ class _Descent:
         dt = self.delta / (nodes.shape[0] - 1)
         diffs = np.diff(nodes, axis=0)
         kin = float(np.sum(np.einsum("ij,ij->i", diffs, diffs))) / dt
-        _, s, _, _ = batch_field_light(nodes, self.kset, self._etas)
+        _, s, _, _ = batch_field(nodes, self.kset, self._etas)
         h = self.shape.h(s)
         pot = dt * (0.5 * h[0] + float(np.sum(h[1:-1])) + 0.5 * h[-1])
         return kin + pot
@@ -348,10 +338,12 @@ class _Descent:
     def _state(self, nodes: np.ndarray):
         dt = self.delta / (nodes.shape[0] - 1)
         n_int = nodes.shape[0] - 2
-        etas, s, tie_mask, groups = batch_field_light(nodes, self.kset, self._etas)
+        etas, s, _, groups = batch_field(nodes, self.kset, self._etas)
         g = _interior_gradient(nodes, etas, s, dt, self.shape)
         pin_groups = []
         for cls, rows in groups:
+            if len(cls) < 2:
+                continue
             interior = rows[(rows >= 1) & (rows <= n_int)] - 1
             if interior.size:
                 pin_groups.append((cls, interior))
@@ -451,8 +443,8 @@ class _Descent:
         n_total = nodes.shape[0]
         moved_any = False
         for _ in range(64):
-            _, _, tie_mask, groups = batch_field_light(nodes, self.kset, self._etas)
-            tie_classes = {int(r): cls for cls, rows in groups for r in rows}
+            _, _, tie_mask, groups = batch_field(nodes, self.kset, self._etas)
+            tie_classes = {int(r): cls for cls, rows in groups if len(cls) >= 2 for r in rows}
             candidates = []
             for k in range(1, n_total - 1):
                 for nb in (k - 1, k + 1):
@@ -537,6 +529,15 @@ def seed_grid_spec(x0, xdelta, delta: float, kset: PointSet) -> "GridSpec":
                     vmax=4.0 * v_scale, snap_axes=tuple(snap))
 
 
+def _mesh_schedule(cfg: SolverConfig) -> list[int]:
+    """Mesh sizes of the doubling stages, coarsest first, ending at ``cfg.M``."""
+    m0 = max(cfg.M >> cfg.refinements, 4)
+    meshes = [m0 * (1 << i) for i in range(cfg.refinements + 1)]
+    if meshes[-1] != cfg.M:
+        meshes = sorted(set(meshes + [cfg.M]))
+    return meshes
+
+
 def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
              cfg: SolverConfig = SolverConfig()) -> MinimizeResult:
     """Multi-start minimization of the discrete action with mesh doubling.
@@ -552,10 +553,8 @@ def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     b = _as_vector(xdelta, kset.dim)
     if delta <= 0:
         raise ActionError("delta must be positive")
-    m0 = max(cfg.M >> cfg.refinements, 4)
-    meshes = [m0 * (1 << i) for i in range(cfg.refinements + 1)]
-    if meshes[-1] != cfg.M:
-        meshes = sorted(set(meshes + [cfg.M]))
+    meshes = _mesh_schedule(cfg)
+    m0 = meshes[0]
 
     starts: list[tuple[str, np.ndarray]] = []
     chord = Path.from_line(a, b, delta, m0).nodes.copy()
@@ -699,7 +698,7 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
 
     mesh = np.meshgrid(*axes, indexing="ij")
     grid_pts = np.stack([m.ravel() for m in mesh], axis=1)
-    _, _, s = batch_field(grid_pts, kset)
+    _, s, _, _ = batch_field(grid_pts, kset)
     h_grid = shape.h(s).reshape(shape_g)
 
     def nearest_index(x):
@@ -797,11 +796,8 @@ def constrained_minimize(x0, xdelta, delta: float, polytope: Polytope, psi_cente
         h, _, _ = psi_and_grad(nodes)
         return kin + dt * (0.5 * h[0] + float(np.sum(h[1:-1])) + 0.5 * h[-1]), kin
 
-    m0 = max(cfg.M >> cfg.refinements, 4)
-    meshes = [m0 * (1 << i) for i in range(cfg.refinements + 1)]
-    if meshes[-1] != cfg.M:
-        meshes = sorted(set(meshes + [cfg.M]))
-    nodes = Path.from_line(a, b, delta, m0).nodes.copy()
+    meshes = _mesh_schedule(cfg)
+    nodes = Path.from_line(a, b, delta, meshes[0]).nodes.copy()
     nodes[1:-1] = polytope.project(nodes[1:-1], tol=1e-10)
 
     converged = False
@@ -844,16 +840,6 @@ def constrained_minimize(x0, xdelta, delta: float, polytope: Polytope, psi_cente
                 break
 
     path = Path(delta, nodes)
-    dt = path.dt
-    diffs = np.diff(nodes, axis=0)
-    kin = np.einsum("ij,ij->i", diffs, diffs) / dt
     h, _, _ = psi_and_grad(nodes)
-    pot = dt * 0.5 * (h[:-1] + h[1:])
-    breakdown = ActionBreakdown(
-        kinetic=float(np.sum(kin)),
-        potential=float(np.sum(pot)),
-        total=float(np.sum(kin) + np.sum(pot)),
-        kinetic_terms=kin,
-        potential_terms=pot,
-    )
+    breakdown = _breakdown(nodes, path.dt, h)
     return ConstrainedResult(path=path, breakdown=breakdown, converged=converged, pg_norm=pg_norm)

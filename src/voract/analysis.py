@@ -30,7 +30,7 @@ import numpy as np
 
 from .action import Path, Shape
 from .geometry import GeometryError, OptClass, PointSet, cell_frame
-from .potential import ETA_DEDUP_TOL, batch_field
+from .potential import ETA_DEDUP_TOL, batch_field, row_classes
 
 __all__ = [
     "AnalysisError",
@@ -109,7 +109,7 @@ def energy_profile(path: Path, kset: PointSet, shape: Shape) -> EnergyProfile:
     dt = path.dt
     diffs = np.diff(path.nodes, axis=0)
     speed_sq = np.einsum("ij,ij->i", diffs, diffs) / dt**2
-    _, _, s = batch_field(path.nodes, kset)
+    _, s, _, _ = batch_field(path.nodes, kset)
     values = speed_sq - shape.h(s[:-1])
     constant = float(np.median(values))
     return EnergyProfile(values=values, constant=constant, deviations=values - constant)
@@ -173,7 +173,8 @@ def detect_shocks(path: Path, kset: PointSet, window: int = 2) -> list[ShockEven
         raise AnalysisError("window must be at least 2")
     if window >= path.m_intervals:
         raise AnalysisError("window exceeds the path length")
-    classes, etas, _ = batch_field(path.nodes, kset)
+    etas, _, _, groups = batch_field(path.nodes, kset)
+    classes = row_classes(etas.shape[0], groups)
     runs = _class_runs(classes)
     dt = path.dt
     times = path.times
@@ -313,7 +314,7 @@ def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2,
     if slack is None:
         slack = 20.0 * dt
     nodes = path.nodes
-    _, etas, s = batch_field(nodes, kset)
+    etas, s, _, _ = batch_field(nodes, kset)
 
     nondeg_nodes = [ev.node_index for ev in events if ev.kind != "degenerate"]
     excluded = np.zeros(nodes.shape[0], dtype=bool)

@@ -65,15 +65,11 @@ def write_trajectory_csv(path, traj: Path, kset: PointSet, shape: Shape):
     appearance along the path). Action density at a node is the forward
     difference speed squared (backward at the last node) plus h(slope_sq).
     """
-    classes, _, s = batch_field(traj.nodes, kset)
-    registry: list[tuple[int, ...]] = []
-    ids = []
-    seen: dict[tuple[int, ...], int] = {}
-    for cls in classes:
-        if cls not in seen:
-            seen[cls] = len(registry)
-            registry.append(cls)
-        ids.append(seen[cls])
+    _, s, _, groups = batch_field(traj.nodes, kset)
+    registry = [cls for cls, _ in groups]
+    ids = np.empty(traj.nodes.shape[0], dtype=int)
+    for i, (_, rows) in enumerate(groups):
+        ids[rows] = i
     dt = traj.dt
     diffs = np.diff(traj.nodes, axis=0)
     speed_sq = np.einsum("ij,ij->i", diffs, diffs) / dt**2
@@ -148,7 +144,7 @@ def report_payload(report: RegularityReport, breakdown: ActionBreakdown | None =
 def write_standard_plots(outdir, traj: Path, kset: PointSet, shape: Shape,
                          report: RegularityReport) -> list[str]:
     times = traj.times
-    _, _, s = batch_field(traj.nodes, kset)
+    _, s, _, _ = batch_field(traj.nodes, kset)
     written = []
     pos = os.path.join(outdir, "position.svg")
     polyline_chart(pos, times,

@@ -13,6 +13,9 @@ Subcommands:
 - ``stability``  solve a sequence of scenarios and report their actions.
 - ``preset``     run a named acceptance preset.
 
+Exit codes: 0 when the command succeeded, 1 when it ran but a check
+failed, 2 for invalid input or usage (an ``error:`` line on stderr).
+
 Configuration is strict JSON: unknown fields are rejected so presets and
 configs stay honest test fixtures. All artifacts are deterministic for a
 fixed config and seed; wall-clock timing is only logged, never stored.
@@ -30,6 +33,7 @@ import numpy as np
 
 from . import artifacts
 from .action import (
+    ActionError,
     GridSpec,
     Shape,
     SolverConfig,
@@ -37,9 +41,9 @@ from .action import (
     evaluate_action,
     minimize,
 )
-from .analysis import detect_shocks, regularity_report
+from .analysis import AnalysisError, detect_shocks, regularity_report
 from .geometry import GeometryError, PointSet, load_point_set
-from .mag import build_mag, default_window, particle_paths, window_certificate
+from .mag import MagError, build_mag, default_window, particle_paths, window_certificate
 from .potential import zone_table
 from .presets import PRESET_NAMES, run_preset
 
@@ -397,8 +401,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("analyze", help="re-analyze a trajectory CSV")
     p.add_argument("--trajectory", required=True)
-    p.add_argument("--points", default=None, help="point-set file (d N header)")
-    p.add_argument("--inline", default=None, help="inline JSON point list")
+    sites = p.add_mutually_exclusive_group(required=True)
+    sites.add_argument("--points", default=None, help="point-set file (d N header)")
+    sites.add_argument("--inline", default=None, help="inline JSON point list")
     p.add_argument("--shape", default=None, help="shape JSON, e.g. '{\"kind\":\"identity\"}'")
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--window", type=int, default=2)
@@ -408,8 +413,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("zones", help="zone table of a site set as JSON")
-    p.add_argument("--points", default=None)
-    p.add_argument("--inline", default=None)
+    sites = p.add_mutually_exclusive_group(required=True)
+    sites.add_argument("--points", default=None)
+    sites.add_argument("--inline", default=None)
     p.add_argument("--box-lo", required=True, help="JSON vector")
     p.add_argument("--box-hi", required=True, help="JSON vector")
     p.add_argument("--probes", type=int, default=2000)
@@ -446,7 +452,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GeometryError, json.JSONDecodeError, OSError) as exc:
+    except (ConfigError, GeometryError, ActionError, MagError, AnalysisError,
+            json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .action import MinimizeResult, Shape, SolverConfig, Path, minimize
 from .geometry import PointSet, _as_vector
-from .potential import batch_field
+from .potential import KERNEL_CHUNK_ROW_SITES, _pair_probes, batch_field
 
 __all__ = [
     "MagError",
@@ -137,13 +137,9 @@ def window_certificate(system: MagSystem, path: Path) -> bool:
     """
     if path.dim != system.dim:
         raise MagError("path dimension does not match the lifted configuration space")
-    classes, _, _ = batch_field(path.nodes, system.kset)
+    _, _, _, groups = batch_field(path.nodes, system.kset)
     shell = system.window
-    for cls in classes:
-        for idx in cls:
-            if system.translate_sup(idx) >= shell:
-                return False
-    return True
+    return all(system.translate_sup(idx) < shell for cls, _ in groups for idx in cls)
 
 
 def particle_paths(system: MagSystem, path: Path):
@@ -175,35 +171,24 @@ def interior_balance_verdict(system: MagSystem, probe_count: int = 2000, seed: i
     rng = np.random.default_rng(seed)
     lo = np.full(d, -0.25)
     hi = np.full(d, 1.25)
-    probes = [lo + rng.random((probe_count, d)) * (hi - lo)]
+    uniform = lo + rng.random((probe_count, d)) * (hi - lo)
 
-    inert_sites = [i for i in range(k.n) if system.translate_sup(i) < system.window]
-    pts = k.points[inert_sites]
+    inert = np.array([system.translate_sup(i) < system.window for i in range(k.n)])
+    pts = k.points[inert]
+    pairs = np.stack(np.triu_indices(pts.shape[0], 1), axis=1)
+    a, b = pts[pairs[:, 0]], pts[pairs[:, 1]]
+    mids = 0.5 * (a + b)
     period = np.max(np.linalg.norm(system.base_points, axis=1)) + 1.0
-    for i in range(len(inert_sites)):
-        for j in range(i + 1, len(inert_sites)):
-            pi, pj = pts[i], pts[j]
-            mid = 0.5 * (pi + pj)
-            if np.any(mid < lo) or np.any(mid > hi):
-                continue
-            gap = pj - pi
-            span = float(np.linalg.norm(gap))
-            if span > period:
-                continue
-            probes.append(mid[None, :])
-            basis = np.linalg.svd((gap / span)[None, :], full_matrices=True)[2][1:]
-            for t in (0.05, 0.15, 0.35):
-                step = 0.5 * t * span
-                probes.append(mid[None, :] + step * basis)
-                probes.append(mid[None, :] - step * basis)
+    near = np.all((mids >= lo) & (mids <= hi), axis=1) & (np.linalg.norm(b - a, axis=1) <= period)
+    probes = np.vstack([uniform, *_pair_probes(pts, pairs[near])])
 
-    shell = system.window
     cell_eta: dict[tuple[int, ...], np.ndarray] = {}
-    for block in probes:
-        classes, etas, _ = batch_field(block, k)
-        for cls, eta in zip(classes, etas):
-            if cls not in cell_eta and all(system.translate_sup(i) < shell for i in cls):
-                cell_eta[cls] = eta
+    chunk = max(1, KERNEL_CHUNK_ROW_SITES // k.n)
+    for start in range(0, probes.shape[0], chunk):
+        etas, _, _, groups = batch_field(probes[start:start + chunk], k)
+        for cls, rows in groups:
+            if cls not in cell_eta and inert[list(cls)].all():
+                cell_eta[cls] = etas[rows[0]]
 
     seen: list[tuple[np.ndarray, tuple[int, ...]]] = []
     for cls in sorted(cell_eta):

@@ -8,6 +8,13 @@ functionals in :mod:`voract.action`. This module computes:
   ``g(x) = f(x) + |x|^2/2``.
 - ``extended_gradient``: nearest-site class, its hull projection
   ``eta(x)``, the gradient ``eta(x) - x`` and the squared slope.
+- ``batch_field``: the same data for a stack of points, the one field
+  kernel behind the action, the shock and zone diagnostics and the
+  particle-lattice verdict. It returns ``(etas, slope_sq, tie_mask,
+  groups)``, where ``groups`` holds one ``(class, rows)`` entry for every
+  distinct class (singletons included), ordered by first row, with rows
+  ascending. Callers that stream probes cut them into blocks of at most
+  ``KERNEL_CHUNK_ROW_SITES`` rows x sites.
 - ``slope_sup_oracle``: an independent sampled estimate of the slope via
   difference quotients, used to cross-validate the gradient formula.
 - ``zone_table``: sampled discovery of the distinct ``eta`` values (the
@@ -47,10 +54,13 @@ __all__ = [
     "zone_table",
     "in_p_eta",
     "batch_field",
-    "batch_field_light",
+    "row_classes",
 ]
 
 ETA_DEDUP_TOL = 1e-7  # absolute dedup radius for discovered zone values
+# Bound on rows x sites per kernel call when streaming probes: the distance
+# matrix and tie mask cost about 9 bytes per row-site.
+KERNEL_CHUNK_ROW_SITES = 1_000_000
 
 
 def f_eval(x, kset: PointSet) -> float:
@@ -126,56 +136,23 @@ def extended_gradient(x, kset: PointSet) -> GradientInfo:
     )
 
 
-def batch_field(nodes: np.ndarray, kset: PointSet):
+def batch_field(nodes: np.ndarray, kset: PointSet, eta_cache: dict | None = None):
     """Vectorized class/eta/slope data for a stack of query points.
 
-    Returns ``(classes, etas, slope_sq)`` where ``classes`` is a list of
-    sorted index tuples, ``etas`` an (n, d) array and ``slope_sq`` an (n,)
-    array. Multi-site classes are resolved through the same projection
-    used by :func:`extended_gradient`; the projection is cached per class
-    (it does not depend on the query point within a cell).
-    """
-    pts = kset.points
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    n = nodes.shape[0]
-    sq_pts = np.einsum("ij,ij->i", pts, pts)
-    d2 = np.maximum(
-        np.einsum("ij,ij->i", nodes, nodes)[:, None] + sq_pts[None, :] - 2.0 * nodes @ pts.T,
-        0.0,
-    )
-    dmin = np.min(d2, axis=1)
-    ties = d2 <= (1.0 + kset.tie_tolerance) * dmin[:, None]
-    tie_counts = np.sum(ties, axis=1)
-    nearest = np.argmin(d2, axis=1)
+    Returns ``(etas, slope_sq, tie_mask, groups)``: ``etas`` is an (n, d)
+    array of hull projections, ``slope_sq`` an (n,) array of squared
+    extended gradients, ``tie_mask`` flags rows whose class has several
+    sites, and ``groups`` lists ``(class_tuple, rows)`` for every distinct
+    class, singletons included. Groups are ordered by their first row and
+    ``rows`` ascend, so iterating the groups meets each class in order of
+    first appearance; :func:`row_classes` expands them per row.
 
-    etas = pts[nearest].copy()
-    classes: list[tuple[int, ...]] = [None] * n  # type: ignore[list-item]
-    single = tie_counts == 1
-    for k in np.flatnonzero(single):
-        classes[k] = (int(nearest[k]),)
-    multi_rows = np.flatnonzero(~single)
-    if multi_rows.size:
-        patterns, inverse = np.unique(ties[multi_rows], axis=0, return_inverse=True)
-        for pi in range(patterns.shape[0]):
-            idx = tuple(int(i) for i in np.flatnonzero(patterns[pi]))
-            rows = multi_rows[inverse == pi]
-            eta = _eta_for_class(idx, nodes[rows[0]], kset)
-            etas[rows] = eta
-            for r in rows:
-                classes[int(r)] = idx
-    diff = etas - nodes
-    slope_sq = np.einsum("ij,ij->i", diff, diff)
-    return classes, etas, slope_sq
-
-
-def batch_field_light(nodes: np.ndarray, kset: PointSet, eta_cache: dict | None = None):
-    """Lean variant of :func:`batch_field` for solver inner loops.
-
-    Returns ``(etas, slope_sq, tie_mask, groups)`` where ``tie_mask``
-    flags nodes whose class has several sites and ``groups`` lists
-    ``(class_tuple, row_indices)`` per distinct tie class. Hull
-    projections are class-determined, so callers may pass a persistent
-    ``eta_cache`` (class tuple -> projection) to amortize them.
+    A multi-site class is projected once, at its first row, through the
+    same projection as :func:`extended_gradient`; callers may pass a
+    persistent ``eta_cache`` (class tuple -> projection) to amortize
+    projections across calls. The distance matrix has one entry per
+    row-site, so callers streaming many probes cut them into blocks of at
+    most :data:`KERNEL_CHUNK_ROW_SITES` row-sites.
     """
     pts = kset.points
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
@@ -189,23 +166,46 @@ def batch_field_light(nodes: np.ndarray, kset: PointSet, eta_cache: dict | None 
     tie_mask = np.sum(ties, axis=1) >= 2
     nearest = np.argmin(d2, axis=1)
     etas = pts[nearest].copy()
-    groups: list[tuple[tuple[int, ...], np.ndarray]] = []
+
+    single_rows = np.flatnonzero(~tie_mask)
+    groups = [((int(nearest[rows[0]]),), rows)
+              for rows in _split_by_key(single_rows, nearest[single_rows])]
     tie_rows = np.flatnonzero(tie_mask)
-    if tie_rows.size:
-        patterns, inverse = np.unique(ties[tie_rows], axis=0, return_inverse=True)
-        for pi in range(patterns.shape[0]):
-            idx = tuple(int(i) for i in np.flatnonzero(patterns[pi]))
-            rows = tie_rows[inverse == pi]
-            eta = None if eta_cache is None else eta_cache.get(idx)
-            if eta is None:
-                eta = _eta_for_class(idx, nodes[rows[0]], kset)
-                if eta_cache is not None:
-                    eta_cache[idx] = eta
-            etas[rows] = eta
-            groups.append((idx, rows))
+    packed = np.packbits(ties[tie_rows], axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    for rows in _split_by_key(tie_rows, keys):
+        idx = tuple(np.flatnonzero(ties[rows[0]]).tolist())
+        eta = None if eta_cache is None else eta_cache.get(idx)
+        if eta is None:
+            eta = _eta_for_class(idx, nodes[rows[0]], kset)
+            if eta_cache is not None:
+                eta_cache[idx] = eta
+        etas[rows] = eta
+        groups.append((idx, rows))
+    groups.sort(key=lambda group: group[1][0])
     diff = etas - nodes
     slope_sq = np.einsum("ij,ij->i", diff, diff)
     return etas, slope_sq, tie_mask, groups
+
+
+def _split_by_key(rows: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
+    """Split ``rows`` into runs of equal key, each run in ascending row order."""
+    if rows.size == 0:
+        return []
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    cuts = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist()
+    sorted_rows = rows[order]
+    return [sorted_rows[a:b] for a, b in zip([0] + cuts, cuts + [rows.size])]
+
+
+def row_classes(n: int, groups) -> list[tuple[int, ...]]:
+    """Per-row class tuples of ``n`` rows from :func:`batch_field` groups."""
+    classes: list[tuple[int, ...]] = [()] * n
+    for cls, rows in groups:
+        for r in rows.tolist():
+            classes[r] = cls
+    return classes
 
 
 def slope_sup_oracle(x, kset: PointSet, sample_count: int = 400, seed: int = 0) -> float:
@@ -278,13 +278,28 @@ class ZoneTable:
         return len(self.cell_to_zone)
 
 
-def _bisector_basis(direction: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to ``direction``."""
-    d = direction.shape[0]
-    u = direction / np.linalg.norm(direction)
-    basis = np.linalg.svd(u[None, :], full_matrices=True)[2][1:]
-    assert basis.shape == (d - 1, d)
-    return basis
+def _pair_probes(points: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints of site pairs and offsets along their bisector hyperplanes.
+
+    ``pairs`` is an (P, 2) index array into ``points``. Returns the (P, d)
+    midpoints and, per pair in order, the points ``mid +/- t * |gap|/2 * b``
+    for ``t`` in (0.05, 0.15, 0.35) and each vector ``b`` of an orthonormal
+    basis of the bisector hyperplane: 6 (d - 1) rows per pair. The offsets
+    witness the positive-codimension pair cells that midpoints alone miss.
+    """
+    a = points[pairs[:, 0]]
+    b = points[pairs[:, 1]]
+    mids = 0.5 * (a + b)
+    gaps = b - a
+    # matmul takes each norm as the 1-D dot product np.linalg.norm(gap) uses;
+    # a row sum can round differently and move the probes by an ulp.
+    norms = np.sqrt((gaps[:, None, :] @ gaps[:, :, None]).reshape(-1))
+    basis = np.linalg.svd((gaps / norms[:, None])[:, None, :], full_matrices=True)[2][:, 1:]
+    steps = np.array([0.05, 0.15, 0.35])[None, :] * (0.5 * norms)[:, None]
+    shifts = steps[:, :, None, None] * basis[:, None]  # (P, t, d - 1, d)
+    centers = mids[:, None, None, :]
+    offsets = np.stack([centers + shifts, centers - shifts], axis=2)
+    return mids, offsets.reshape(-1, points.shape[1])
 
 
 def _circumcenter(pts: np.ndarray) -> np.ndarray | None:
@@ -329,27 +344,15 @@ def zone_table(
     sources.append(("sites", kset.points.copy()))
 
     n = kset.n
-    pair_idx = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(pair_idx) > max_pairs:
-        keep = rng.choice(len(pair_idx), size=max_pairs, replace=False)
-        pair_idx = [pair_idx[k] for k in sorted(keep)]
-    mids = []
-    offsets = []
-    for i, j in pair_idx:
-        pi, pj = kset.points[i], kset.points[j]
-        mid = 0.5 * (pi + pj)
-        mids.append(mid)
-        if d > 1:
-            basis = _bisector_basis(pj - pi)
-            span = 0.5 * float(np.linalg.norm(pj - pi))
-            for t in (0.05, 0.15, 0.35):
-                step = t * span
-                offsets.extend([mid + step * b for b in basis])
-                offsets.extend([mid - step * b for b in basis])
-    if mids:
-        sources.append(("midpoints", np.array(mids)))
-    if offsets:
-        sources.append(("bisector_offsets", np.array(offsets)))
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    if pairs.shape[0] > max_pairs:
+        keep = rng.choice(pairs.shape[0], size=max_pairs, replace=False)
+        pairs = pairs[np.sort(keep)]
+    if pairs.shape[0]:
+        mids, offsets = _pair_probes(kset.points, pairs)
+        sources.append(("midpoints", mids))
+        if offsets.shape[0]:
+            sources.append(("bisector_offsets", offsets))
 
     if d >= 2 and n <= max_triple_sites:
         centers = []
@@ -378,14 +381,14 @@ def zone_table(
         inside = np.all((pts >= lo[None, :] - 1e-12) & (pts <= hi[None, :] + 1e-12), axis=1)
         pts = pts[inside]
         coverage[name] = coverage.get(name, 0) + pts.shape[0]
-        chunk = max(1, 20_000_000 // max(kset.n, 1))
+        chunk = max(1, KERNEL_CHUNK_ROW_SITES // kset.n)
         for start in range(0, pts.shape[0], chunk):
             block = pts[start:start + chunk]
-            classes, eta_arr, _ = batch_field(block, kset)
-            for cls, eta, x in zip(classes, eta_arr, block):
+            eta_arr, _, _, groups = batch_field(block, kset)
+            for cls, rows in groups:
                 if cls not in cell_to_zone:
-                    cell_to_zone[cls] = zone_index(eta)
-                    class_witness[cls] = x.copy()
+                    cell_to_zone[cls] = zone_index(eta_arr[rows[0]])
+                    class_witness[cls] = block[rows[0]].copy()
 
     for name, pts in sources:
         absorb(name, pts)

@@ -148,6 +148,31 @@ def test_config_error_exit_code(tmp_path):
     assert main(["solve", "--config", bad]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["zones", "--box-lo", "[0]", "--box-hi", "[1]"],
+    ["analyze", "--trajectory", "missing.csv"],
+])
+def test_missing_site_set_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+MAG_ARGS = ["mag", "--base", "[[0.0],[0.5]]", "--n", "1", "--m", "2",
+            "--start", "[0.2,0.3]", "--end", "[0.3,0.2]"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--mesh", "8", "--refinements", "3"],  # ActionError: coarse mesh below 4
+    ["--delta", "-1"],                       # ActionError: nonpositive horizon
+    ["--m", "6"],                            # MagError: 6 particles, 2 base points
+])
+def test_mag_input_errors_exit_2(extra, tmp_path, capsys):
+    assert main(MAG_ARGS + extra + ["--out", str(tmp_path / "mag")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_points_file_config(tmp_path):
     pts = tmp_path / "points.txt"
     pts.write_text("1 2\n-1.0\n1.0\n")

@@ -93,7 +93,8 @@ def test_union_of_permuted_lattices_balanced_on_interior():
     sys = build_mag([[0.0, 0.0], [0.5, 0.5]], n=2, m=2, window=2)
     balanced, witness, cells = interior_balance_verdict(sys, probe_count=1200, seed=0)
     assert balanced, f"witness: {witness}"
-    assert cells > 10
+    assert witness is None
+    assert cells == 473
 
 
 def test_stability_run_constant_sequence(line_k):

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voract import (
     GeometryError,
+    PointSet,
     extended_gradient,
     f_eval,
     g_eval,
@@ -10,7 +14,7 @@ from voract import (
     slope_sup_oracle,
     zone_table,
 )
-from voract.potential import batch_field, batch_field_light
+from voract.potential import _circumcenter, batch_field, row_classes
 
 
 def test_field_values(line_k):
@@ -54,18 +58,50 @@ def test_gradient_invariants_random(grid3_k):
             assert info.slope_sq == pytest.approx(-2.0 * info.f_value, abs=1e-9)
 
 
+def _assert_kernel_matches_scalar(probes, kset):
+    etas, s, tie_mask, groups = batch_field(probes, kset)
+    n = probes.shape[0]
+    firsts = [int(rows[0]) for _, rows in groups]
+    assert firsts == sorted(firsts)
+    assert len({cls for cls, _ in groups}) == len(groups)
+    assert all(np.all(np.diff(rows) > 0) for _, rows in groups)
+    assert np.array_equal(np.sort(np.concatenate([rows for _, rows in groups])), np.arange(n))
+    classes = row_classes(n, groups)
+    for k in range(n):
+        info = extended_gradient(probes[k], kset)
+        assert classes[k] == info.opt.indices
+        assert np.allclose(etas[k], info.eta, rtol=0.0, atol=1e-9)
+        assert s[k] == pytest.approx(info.slope_sq, rel=0.0, abs=1e-9)
+        assert tie_mask[k] == (len(classes[k]) >= 2)
+
+
 def test_batch_matches_scalar(triangle_k):
     rng = np.random.default_rng(4)
     probes = rng.normal(size=(60, 2)) * 1.5
     probes = np.vstack([probes, [[0.0, -0.5], [0.0, 0.0]]])
-    classes, etas, s = batch_field(probes, triangle_k)
-    etas2, s2, tie_mask, groups = batch_field_light(probes, triangle_k)
-    assert np.allclose(etas, etas2) and np.allclose(s, s2)
-    for k in range(probes.shape[0]):
-        info = extended_gradient(probes[k], triangle_k)
-        assert classes[k] == info.opt.indices
-        assert np.allclose(etas[k], info.eta, atol=1e-9)
-        assert tie_mask[k] == (len(info.opt) >= 2)
+    _assert_kernel_matches_scalar(probes, triangle_k)
+
+
+@st.composite
+def _sites_and_probes(draw):
+    d = draw(st.integers(1, 3))
+    quarter = st.integers(-16, 16)  # multiples of 1/4 in [-4, 4]
+    cells = draw(st.lists(st.tuples(*[quarter] * d), min_size=2, max_size=7, unique=True))
+    sites = np.array(cells, dtype=float) / 4.0
+    coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+    randoms = draw(st.lists(st.tuples(*[coord] * d), max_size=12))
+    probes = [sites, 0.5 * (sites[:, None, :] + sites[None, :, :]).reshape(-1, d)]
+    centers = [_circumcenter(sites[list(t)]) for t in itertools.combinations(range(len(sites)), 3)]
+    probes.append(np.array([c for c in centers if c is not None]).reshape(-1, d))
+    probes.append(np.array(randoms, dtype=float).reshape(-1, d))
+    return PointSet(sites), np.vstack(probes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sites_and_probes())
+def test_batch_field_matches_scalar_property(case):
+    kset, probes = case
+    _assert_kernel_matches_scalar(probes, kset)
 
 
 def test_slope_sup_examples(line_k):
