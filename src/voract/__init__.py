@@ -18,6 +18,7 @@ from .geometry import (
     PointSet,
     Polytope,
     PolytopeError,
+    VoractError,
     cell_frame,
     load_point_set,
     load_polytope,
@@ -78,7 +79,7 @@ __all__ = [
     "PointSet", "OptClass", "CellFrame", "Polytope",
     "opt_class", "min_norm_point", "cell_frame", "polytope_distance_ratio",
     "load_point_set", "save_point_set", "load_polytope",
-    "GeometryError", "MinNormError", "FrameError", "PolytopeError",
+    "VoractError", "GeometryError", "MinNormError", "FrameError", "PolytopeError",
     "GradientInfo", "ZoneTable",
     "f_eval", "g_eval", "extended_gradient", "slope_sup_oracle", "zone_table", "in_p_eta",
     "Shape", "Path", "ActionBreakdown", "SolverConfig", "GridSpec",

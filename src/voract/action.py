@@ -16,6 +16,16 @@ plus a short relaxation, accepted only on strict objective decrease) let
 boundary-riding segments shrink or grow across the potential jump, which
 no smooth line search can cross.
 
+One descent engine (`_Descent`) does all of this on stacks of paths.
+The Newton-like direction of a whole stack is one LAPACK ``?ptsv`` solve
+of a block-tridiagonal system whose coupling is zero between paths and
+around fully pinned nodes (a block-coordinate view of projected Newton,
+Bertsekas 1982). A start's descent is a stack of one; the candidates of
+a trial-move round relax together in lockstep, one field-kernel call per
+iteration and per line-search halving, in blocks of at most
+``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths. Paths in a stack never
+interact, so results do not depend on the block size.
+
 A layered-graph dynamic program (`dp_oracle`) provides an independent
 lower-fidelity solution used both as a solver seed and as a
 cross-validation oracle, and `constrained_minimize` solves the smooth
@@ -28,9 +38,11 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solveh_banded
 
-from .geometry import GeometryError, OptClass, PointSet, Polytope, cell_frame, _as_vector
-from .potential import batch_field
+from .geometry import (GeometryError, OptClass, PointSet, Polytope, VoractError, cell_frame,
+                       _as_vector)
+from .potential import KERNEL_CHUNK_ROW_SITES, batch_field
 
 __all__ = [
     "ActionError",
@@ -51,7 +63,7 @@ __all__ = [
 ]
 
 
-class ActionError(ValueError):
+class ActionError(VoractError):
     """Invalid solver input or failed action computation."""
 
 
@@ -261,9 +273,9 @@ def evaluate_action(path: Path, kset: PointSet, shape: Shape) -> ActionBreakdown
 def _interior_gradient(nodes: np.ndarray, etas: np.ndarray, slope_sq: np.ndarray,
                        dt: float, shape: Shape) -> np.ndarray:
     """Gradient of the discrete action at interior nodes, eta frozen per node."""
-    kin = 2.0 * (2.0 * nodes[1:-1] - nodes[:-2] - nodes[2:]) / dt
-    hp = shape.h_prime(slope_sq[1:-1])
-    pot = dt * hp[:, None] * 2.0 * (nodes[1:-1] - etas[1:-1])
+    kin = 2.0 * (2.0 * nodes[..., 1:-1, :] - nodes[..., :-2, :] - nodes[..., 2:, :]) / dt
+    hp = shape.h_prime(slope_sq[..., 1:-1])
+    pot = dt * hp[..., None] * 2.0 * (nodes[..., 1:-1, :] - etas[..., 1:-1, :])
     return kin + pot
 
 
@@ -289,7 +301,17 @@ def action_gradient(path: Path, kset: PointSet, shape: Shape) -> np.ndarray:
 
 
 class _Descent:
-    """Preconditioned descent on the interior nodes of one mesh.
+    """Preconditioned descent on the interior nodes of a stack of paths.
+
+    Every method acts on a stack ``(B, n, d)`` of independent paths that
+    share one mesh; the outer descent of a start is a stack of one. The
+    paths advance in lockstep: one field-kernel call per iteration
+    evaluates the state of every live path, one call per line-search
+    halving evaluates the paths still searching, and a path leaves the
+    stack exactly when its own loop would have returned. The paths share
+    only the engine's caches of cell frames and class projections, so each
+    path's iterates, step sizes and iteration count are those it would
+    have on its own.
 
     Pinned nodes (tie classes) move only along their boundary's
     equidistance directions; release/capture trial moves handle the
@@ -308,14 +330,15 @@ class _Descent:
 
     # -- objective pieces ---------------------------------------------------
 
-    def value(self, nodes: np.ndarray) -> float:
-        dt = self.delta / (nodes.shape[0] - 1)
-        diffs = np.diff(nodes, axis=0)
-        kin = float(np.sum(np.einsum("ij,ij->i", diffs, diffs))) / dt
-        _, s, _, _ = batch_field(nodes, self.kset, self._etas)
-        h = self.shape.h(s)
-        pot = dt * (0.5 * h[0] + float(np.sum(h[1:-1])) + 0.5 * h[-1])
-        return kin + pot
+    def value(self, stack: np.ndarray) -> np.ndarray:
+        """Discrete action of every path of the stack, shape ``(B,)``."""
+        b, n, d = stack.shape
+        dt = self.delta / (n - 1)
+        diffs = np.diff(stack, axis=1)
+        kin = np.sum(np.einsum("bij,bij->bi", diffs, diffs), axis=1) / dt
+        _, s, _, _ = batch_field(stack.reshape(-1, d), self.kset, self._etas)
+        h = self.shape.h(s).reshape(b, n)
+        return kin + dt * (0.5 * h[:, 0] + np.sum(h[:, 1:-1], axis=1) + 0.5 * h[:, -1])
 
     def _tangent(self, cls: tuple[int, ...]) -> np.ndarray:
         basis = self._frames.get(cls)
@@ -326,7 +349,8 @@ class _Descent:
         return basis
 
     def _project_pinned(self, arr: np.ndarray, pin_groups) -> np.ndarray:
-        """Project the rows of pinned interior nodes onto their tangent spaces."""
+        """Project the pinned rows of the stacked interior rows ``arr`` (N, d)
+        onto their tangent spaces."""
         for cls, rows in pin_groups:
             basis = self._tangent(cls)
             if basis.shape[0]:
@@ -335,112 +359,131 @@ class _Descent:
                 arr[rows] = 0.0
         return arr
 
-    def _state(self, nodes: np.ndarray):
-        dt = self.delta / (nodes.shape[0] - 1)
-        n_int = nodes.shape[0] - 2
-        etas, s, _, groups = batch_field(nodes, self.kset, self._etas)
-        g = _interior_gradient(nodes, etas, s, dt, self.shape)
+    def _state(self, stack: np.ndarray):
+        """Field slopes ``(B, n)``, projected interior gradients ``(B, n - 2, d)``
+        and pinned groups ``(class, rows)`` of the stack.
+
+        Pinned rows index the stacked interior rows: node ``k`` of path ``b``
+        is row ``b * (n - 2) + k - 1``.
+        """
+        b, n, d = stack.shape
+        dt = self.delta / (n - 1)
+        etas, s, _, groups = batch_field(stack.reshape(-1, d), self.kset, self._etas)
+        s = s.reshape(b, n)
+        g = _interior_gradient(stack, etas.reshape(b, n, d), s, dt, self.shape)
         pin_groups = []
         for cls, rows in groups:
             if len(cls) < 2:
                 continue
-            interior = rows[(rows >= 1) & (rows <= n_int)] - 1
-            if interior.size:
-                pin_groups.append((cls, interior))
-        g_eff = self._project_pinned(g.copy(), pin_groups)
-        return s, g_eff, pin_groups, dt
+            k = rows % n
+            rows = rows[(k >= 1) & (k <= n - 2)]
+            if rows.size:
+                pin_groups.append((cls, rows - 2 * (rows // n) - 1))
+        self._project_pinned(g.reshape(-1, d), pin_groups)
+        return s, g, pin_groups, dt
 
     def _direction(self, g_eff: np.ndarray, pin_groups, s: np.ndarray, dt: float) -> np.ndarray:
-        """Newton-like step: tridiagonal solve, then tangent projection.
+        """Newton-like step for the whole stack: one tridiagonal solve, then
+        tangent projection.
 
-        Pinned rows with a nontrivial tangent stay coupled (Newton along
-        boundary-riding valleys; the post-projected solve remains a
+        The stacked interior rows form one symmetric positive definite
+        tridiagonal system (diagonal ``4/dt + 2 dt h'``, coupling ``-2/dt``)
+        that LAPACK ``?ptsv`` solves for all paths and coordinates at once.
+        The coupling is zero across every path boundary, so the paths do not
+        interact. Pinned rows with a nontrivial tangent stay coupled (Newton
+        along boundary-riding valleys; the post-projected solve remains a
         descent direction for the projected gradient). Fully pinned rows
-        (zero-dimensional tangent) cannot move at all and are decoupled,
-        so their free neighbors see them as Dirichlet data.
+        (zero-dimensional tangent) cannot move at all and are decoupled, so
+        their free neighbors see them as Dirichlet data.
         """
-        n = g_eff.shape[0]
-        diag = np.full(n, 4.0 / dt) + 2.0 * dt * np.maximum(self.shape.h_prime(s[1:-1]), 0.0) + 1e-12
-        lower = np.full(n, -2.0 / dt)
-        upper = np.full(n, -2.0 / dt)
-        lower[0] = 0.0
-        upper[-1] = 0.0
+        b, n_int, d = g_eff.shape
+        band = np.empty((2, b * n_int))
+        band[0] = (4.0 / dt + 2.0 * dt * np.maximum(self.shape.h_prime(s[:, 1:-1]), 0.0)
+                   + 1e-12).ravel()
+        band[1] = -2.0 / dt
+        band[1, n_int - 1::n_int] = 0.0
         fixed = [rows for cls, rows in pin_groups if self._tangent(cls).shape[0] == 0]
         if fixed:
             idx = np.concatenate(fixed)
-            lower[idx] = 0.0
-            upper[idx] = 0.0
-            after = idx[idx + 1 < n] + 1
-            lower[after] = 0.0
-            before = idx[idx - 1 >= 0] - 1
-            upper[before] = 0.0
-        # Thomas algorithm, vectorized over coordinates.
-        rhs = g_eff.copy()
-        cp = np.empty(n)
-        cp[0] = upper[0] / diag[0]
-        rhs[0] = rhs[0] / diag[0]
-        for i in range(1, n):
-            denom = diag[i] - lower[i] * cp[i - 1]
-            cp[i] = upper[i] / denom
-            rhs[i] = (rhs[i] - lower[i] * rhs[i - 1]) / denom
-        for i in range(n - 2, -1, -1):
-            rhs[i] -= cp[i] * rhs[i + 1]
-        return self._project_pinned(rhs, pin_groups)
+            band[1, idx] = 0.0
+            band[1, idx[idx > 0] - 1] = 0.0
+        step = solveh_banded(band, g_eff.reshape(-1, d), lower=True, check_finite=False)
+        return self._project_pinned(step, pin_groups).reshape(b, n_int, d)
 
     # -- main loop ------------------------------------------------------------
 
-    def solve(self, nodes: np.ndarray, max_iters: int, allow_moves: bool = True):
-        nodes = nodes.copy()
-        f0 = self.value(nodes)
-        alpha = self.cfg.step_init
-        grad_norm = np.inf
-        it = 0
-        while it < max_iters:
-            it += 1
-            s, g_eff, pin_groups, dt = self._state(nodes)
-            grad_norm = float(np.max(np.linalg.norm(g_eff, axis=1), initial=0.0))
-            if grad_norm <= self.cfg.grad_tol:
-                if allow_moves:
-                    moved, nodes, f0 = self._trial_moves(nodes, f0)
-                    if moved:
-                        continue
-                return nodes, True, grad_norm, it
-            direction = self._direction(g_eff, pin_groups, s, dt)
-            slope = float(np.sum(g_eff * direction))
-            if slope <= 0:
-                direction = g_eff
-                slope = float(np.sum(g_eff * g_eff))
-            accepted = False
-            step = alpha
+    def solve(self, stack: np.ndarray, max_iters: int, allow_moves: bool = True):
+        """Descend every path of the stack in lockstep.
+
+        Returns ``(nodes, values, converged, grad_norm)``, one entry per
+        path. A path stops when its gradient meets ``grad_tol``, when its
+        line search fails, or after ``max_iters`` iterations; with
+        ``allow_moves`` it first tries release/capture moves and continues
+        if one is accepted.
+        """
+        stack = stack.copy()
+        f = self.value(stack)
+        alpha = np.full(stack.shape[0], self.cfg.step_init)
+        grad_norm = np.full(stack.shape[0], np.inf)
+        tol = self.cfg.grad_tol
+        live = np.arange(stack.shape[0])
+        for _ in range(max_iters):
+            if not live.size:
+                break
+            s, g_eff, pin_groups, dt = self._state(stack[live])
+            grad_norm[live] = np.max(np.linalg.norm(g_eff, axis=2), axis=1, initial=0.0)
+            small = grad_norm[live] <= tol
+            keep = np.ones(live.size, dtype=bool)
+            for j in np.flatnonzero(small):
+                keep[j] = allow_moves and self._move(stack, f, live[j])
+            search = np.flatnonzero(~small)
+            direction = self._direction(g_eff, pin_groups, s, dt)[search]
+            g_eff = g_eff[search]
+            slope = np.sum(g_eff * direction, axis=(1, 2))
+            flat = slope <= 0
+            direction[flat] = g_eff[flat]
+            slope[flat] = np.sum(g_eff[flat] * g_eff[flat], axis=(1, 2))
+            step = alpha[live[search]]
             for _ in range(45):
-                trial = nodes.copy()
-                trial[1:-1] -= step * direction
-                f_trial = self.value(trial)
-                if f_trial <= f0 - 1e-4 * step * slope:
-                    nodes, f0 = trial, f_trial
-                    alpha = min(step * 1.6, 16.0)
-                    accepted = True
+                if not search.size:
                     break
-                step *= 0.5
-            if not accepted:
-                if allow_moves:
-                    moved, nodes, f0 = self._trial_moves(nodes, f0)
-                    if moved:
-                        alpha = self.cfg.step_init
-                        continue
-                return nodes, grad_norm <= self.cfg.grad_tol, grad_norm, it
-        return nodes, grad_norm <= self.cfg.grad_tol, grad_norm, it
+                paths = live[search]
+                trial = stack[paths]
+                trial[:, 1:-1] -= step[:, None, None] * direction
+                f_trial = self.value(trial)
+                ok = f_trial <= f[paths] - 1e-4 * step * slope
+                stack[paths[ok]], f[paths[ok]] = trial[ok], f_trial[ok]
+                alpha[paths[ok]] = np.minimum(step[ok] * 1.6, 16.0)
+                search, step, slope = search[~ok], step[~ok] * 0.5, slope[~ok]
+                direction = direction[~ok]
+            for j in search:
+                keep[j] = allow_moves and self._move(stack, f, live[j])
+                if keep[j]:
+                    alpha[live[j]] = self.cfg.step_init
+            live = live[keep]
+        return stack, f, grad_norm <= tol, grad_norm
 
     # -- release / capture ------------------------------------------------------
+
+    def _move(self, stack: np.ndarray, f: np.ndarray, b: int) -> bool:
+        """Run trial moves on path ``b`` in place; true if one was accepted."""
+        moved, stack[b], f[b] = self._trial_moves(stack[b], f[b])
+        return moved
 
     def _trial_moves(self, nodes, f0):
         """Try boundary release/capture moves; keep the best strict improvement.
 
         Each candidate moves one node across the potential jump and then
-        relaxes briefly with moves disabled; the loop is monotone in the
-        objective by construction.
+        relaxes for up to ``RELAX_ITERS`` iterations with moves disabled.
+        All candidates of a round relax together as one lockstep stack, in
+        blocks of at most ``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths
+        (at least one) to bound the kernel's distance matrix. The paths of a
+        stack do not interact, so the block size never changes a result.
+        The best strict improvement wins, ties going to the earlier
+        candidate; the loop is monotone in the objective by construction.
         """
         n_total = nodes.shape[0]
+        block = max(1, KERNEL_CHUNK_ROW_SITES // (n_total * self.kset.n))
         moved_any = False
         for _ in range(64):
             _, _, tie_mask, groups = batch_field(nodes, self.kset, self._etas)
@@ -468,13 +511,16 @@ class _Descent:
             if not candidates:
                 return moved_any, nodes, f0
             best = None
-            for k, pos in candidates:
-                trial = nodes.copy()
-                trial[k] = pos
-                relaxed, _, _, _ = self.solve(trial, self.RELAX_ITERS, allow_moves=False)
-                f_trial = self.value(relaxed)
-                if f_trial < f0 - 1e-12 * (1.0 + abs(f0)) and (best is None or f_trial < best[0]):
-                    best = (f_trial, relaxed)
+            threshold = f0 - 1e-12 * (1.0 + abs(f0))
+            for lo in range(0, len(candidates), block):
+                chunk = candidates[lo:lo + block]
+                trials = np.repeat(nodes[None], len(chunk), axis=0)
+                for j, (k, pos) in enumerate(chunk):
+                    trials[j, k] = pos
+                relaxed, values, _, _ = self.solve(trials, self.RELAX_ITERS, allow_moves=False)
+                for f_trial, path in zip(values, relaxed):
+                    if f_trial < threshold and (best is None or f_trial < best[0]):
+                        best = (f_trial, path)
             if best is None:
                 return moved_any, nodes, f0
             f0, nodes = best
@@ -577,6 +623,7 @@ def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
 
     engine = _Descent(kset, shape, delta, cfg)
     results = []
+    actions = []
     for label, nodes in starts:
         prev_nodes = None
         converged = False
@@ -585,14 +632,16 @@ def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
             if nodes.shape[0] != m + 1:
                 nodes = _interp_to_mesh(nodes, delta, m)
             nodes[0], nodes[-1] = a, b
-            nodes, converged, gnorm, _ = engine.solve(nodes, cfg.max_iters)
+            out, values, conv, gnorms = engine.solve(nodes[None], cfg.max_iters)
+            nodes, action = out[0], float(values[0])
+            converged, gnorm = bool(conv[0]), float(gnorms[0])
             if mi == len(meshes) - 2:
                 prev_nodes = nodes.copy()
         if prev_nodes is None:
             prev_nodes = nodes.copy()
         results.append((label, nodes, prev_nodes, converged, gnorm))
+        actions.append(action)
 
-    actions = [engine.value(r[1]) for r in results]
     order = sorted(range(len(results)), key=lambda i: (actions[i], i))
     best = order[0]
     label, nodes, prev_nodes, converged, gnorm = results[best]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import Path, Shape
-from .geometry import GeometryError, OptClass, PointSet, cell_frame
+from .geometry import GeometryError, OptClass, PointSet, VoractError, cell_frame
 from .potential import ETA_DEDUP_TOL, batch_field, row_classes
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-class AnalysisError(ValueError):
+class AnalysisError(VoractError):
     """Invalid analysis input (window too large, wrong event kind, ...)."""
 
 

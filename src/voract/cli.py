@@ -33,7 +33,6 @@ import numpy as np
 
 from . import artifacts
 from .action import (
-    ActionError,
     GridSpec,
     Shape,
     SolverConfig,
@@ -41,16 +40,16 @@ from .action import (
     evaluate_action,
     minimize,
 )
-from .analysis import AnalysisError, detect_shocks, regularity_report
-from .geometry import GeometryError, PointSet, load_point_set
-from .mag import MagError, build_mag, default_window, particle_paths, window_certificate
+from .analysis import detect_shocks, regularity_report
+from .geometry import PointSet, VoractError, load_point_set
+from .mag import build_mag, default_window, particle_paths, window_certificate
 from .potential import zone_table
 from .presets import PRESET_NAMES, run_preset
 
 __all__ = ["main", "ConfigError", "load_run_config", "execute_run"]
 
 
-class ConfigError(ValueError):
+class ConfigError(VoractError):
     """Malformed or unknown configuration fields."""
 
 
@@ -452,8 +451,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GeometryError, ActionError, MagError, AnalysisError,
-            json.JSONDecodeError, OSError) as exc:
+    except (VoractError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

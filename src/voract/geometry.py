@@ -31,6 +31,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 __all__ = [
+    "VoractError",
     "GeometryError",
     "MinNormError",
     "FrameError",
@@ -49,7 +50,11 @@ __all__ = [
 ]
 
 
-class GeometryError(ValueError):
+class VoractError(ValueError):
+    """Base of every error the library raises for invalid input or a failed computation."""
+
+
+class GeometryError(VoractError):
     """Base error for geometric precondition or convergence failures."""
 
 

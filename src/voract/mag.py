@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import MinimizeResult, Shape, SolverConfig, Path, minimize
-from .geometry import PointSet, _as_vector
+from .geometry import PointSet, VoractError, _as_vector
 from .potential import KERNEL_CHUNK_ROW_SITES, _pair_probes, batch_field
 
 __all__ = [
@@ -41,7 +41,7 @@ SITE_BUDGET = 1_000_000
 MAX_PARTICLES = 5
 
 
-class MagError(ValueError):
+class MagError(VoractError):
     """Invalid model construction or budget overflow."""
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from voract import action as action_module
 from voract import (
     ActionError,
     GridSpec,
@@ -10,11 +11,13 @@ from voract import (
     Shape,
     SolverConfig,
     action_gradient,
+    build_mag,
     constrained_minimize,
     dp_oracle,
     evaluate_action,
     minimize,
 )
+from voract.action import _Descent
 
 QUICK = SolverConfig(M=128, refinements=2, starts=3, seed=0, max_iters=2000)
 
@@ -205,6 +208,97 @@ def test_minimize_deterministic(line_k, identity_shape):
     r2 = minimize([-0.2], [0.2], 1.0, line_k, identity_shape, QUICK)
     assert np.array_equal(r1.path.nodes, r2.path.nodes)
     assert r1.breakdown.total == r2.breakdown.total
+
+
+# ---------------------------------------------------------------------------
+# stacked descent engine
+
+
+def test_descent_direction_matches_dense_solve(triangle_k):
+    # Two stacked paths of 7 interior rows; rows 0, 3 (path 0) and 10, 13
+    # (path 1) sit at the circumcenter class, whose tangent is a point.
+    engine = _Descent(triangle_k, Shape.power(2.0), 1.0, QUICK)
+    engine._project_pinned = lambda arr, pin_groups: arr  # compare before projection
+    b, n_int, d = 2, 7, 2
+    dt = 1.0 / (n_int + 1)
+    rng = np.random.default_rng(3)
+    s = rng.uniform(0.1, 2.0, (b, n_int + 2))
+    g = rng.standard_normal((b, n_int, d))
+    fixed = np.array([0, 3, n_int + 3, 2 * n_int - 1])
+    step = engine._direction(g, [((0, 1, 2), fixed)], s, dt)
+
+    size = b * n_int
+    dense = np.diag(4.0 / dt + 2.0 * dt * 2.0 * s[:, 1:-1].ravel() + 1e-12)
+    for i in range(size - 1):
+        if (i + 1) % n_int and i not in fixed and i + 1 not in fixed:
+            dense[i, i + 1] = dense[i + 1, i] = -2.0 / dt
+    expected = np.linalg.solve(dense, g.reshape(size, d))
+    np.testing.assert_allclose(step.reshape(size, d), expected, rtol=0.0, atol=1e-12)
+
+
+def _candidate_stack(engine, x0, x1, m):
+    """A converged path, copies with one node moved onto a neighbor, the
+    chord and two noisy chords: paths that leave the stack at different
+    iterations, after different step-size histories."""
+    chord = Path.from_line(x0, x1, 1.0, m).nodes
+    nodes = engine.solve(chord[None], 400)[0][0]
+    stack = [nodes, chord]
+    for k in (1, m // 4, m // 2, m - 1):
+        moved = nodes.copy()
+        moved[k] = nodes[k + 1]
+        stack.append(moved)
+    rng = np.random.default_rng(1)
+    for amp in (0.05, 0.3):
+        noisy = chord + amp * rng.standard_normal(chord.shape)
+        noisy[0], noisy[-1] = chord[0], chord[-1]
+        stack.append(noisy)
+    return np.array(stack)
+
+
+@pytest.mark.parametrize("case", ["line", "mag"])
+def test_lockstep_relaxation_matches_single_paths(case, line_k):
+    # h(s) = s^2 makes the line searches halve differently per path.
+    if case == "line":
+        kset, x0, x1 = line_k, [-0.2], [0.2]
+    else:
+        kset, x0, x1 = build_mag([[0.0], [0.5]], 1, 2, 1).kset, [0.2, 0.3], [0.3, 0.2]
+    engine = _Descent(kset, Shape.power(2.0), 1.0, QUICK)
+    stack = _candidate_stack(engine, x0, x1, 32)
+    nodes, values, converged, grad_norm = engine.solve(stack, _Descent.RELAX_ITERS,
+                                                       allow_moves=False)
+    for j in range(stack.shape[0]):
+        one = engine.solve(stack[j:j + 1], _Descent.RELAX_ITERS, allow_moves=False)
+        assert np.array_equal(one[0][0], nodes[j])
+        assert one[1][0] == values[j]
+        assert one[2][0] == converged[j] and one[3][0] == grad_norm[j]
+
+
+def test_nan_gradient_ends_descent_like_a_failed_search(line_k):
+    # h'(0) is infinite for p < 1, so node 2, which sits on the site -1,
+    # has a NaN gradient: the path must take the failed-search exit (trial
+    # moves, then return), not idle until max_iters.
+    engine = _Descent(line_k, Shape.power(0.5), 1.0, QUICK)
+    calls = []
+    engine._trial_moves = lambda nodes, f0: (calls.append(1), (False, nodes, f0))[1]
+    nodes = Path.from_line([-1.5], [0.5], 1.0, 8).nodes
+    assert nodes[2, 0] == -1.0
+    with np.errstate(invalid="ignore"):
+        _, _, converged, grad_norm = engine.solve(nodes[None], 100)
+    assert calls == [1]
+    assert np.isnan(grad_norm[0]) and not converged[0]
+
+
+@pytest.mark.parametrize("bound", [1, 2 * 129 * 2])
+def test_minimize_independent_of_relaxation_blocks(bound, line_k, identity_shape, monkeypatch):
+    # The QUICK solve relaxes six candidates per round; bound 1 relaxes them
+    # one by one, bound 516 in blocks of two at M = 128.
+    ref = minimize([-0.2], [0.2], 1.0, line_k, identity_shape, QUICK)
+    monkeypatch.setattr(action_module, "KERNEL_CHUNK_ROW_SITES", bound)
+    res = minimize([-0.2], [0.2], 1.0, line_k, identity_shape, QUICK)
+    assert np.array_equal(res.path.nodes, ref.path.nodes)
+    assert np.array_equal(res.prev_path.nodes, ref.prev_path.nodes)
+    assert res.starts == ref.starts
+    assert res.grad_norm == ref.grad_norm
 
 
 @pytest.mark.parametrize("shape,sites,endpoints", [

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from voract import ActionError, AnalysisError, GeometryError, MagError, VoractError
 from voract.artifacts import read_trajectory_csv
 from voract.cli import ConfigError, load_run_config, main
 
@@ -171,6 +172,12 @@ MAG_ARGS = ["mag", "--base", "[[0.0],[0.5]]", "--n", "1", "--m", "2",
 def test_mag_input_errors_exit_2(extra, tmp_path, capsys):
     assert main(MAG_ARGS + extra + ["--out", str(tmp_path / "mag")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_error_classes_share_one_base():
+    for cls in (GeometryError, ActionError, AnalysisError, MagError, ConfigError):
+        assert issubclass(cls, VoractError)
+    assert issubclass(VoractError, ValueError)
 
 
 def test_points_file_config(tmp_path):
