@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voract import action as action_module
 from voract import (
@@ -18,6 +21,7 @@ from voract import (
     minimize,
 )
 from voract.action import _Descent
+from voract.potential import batch_field
 
 QUICK = SolverConfig(M=128, refinements=2, starts=3, seed=0, max_iters=2000)
 
@@ -273,10 +277,19 @@ def test_lockstep_relaxation_matches_single_paths(case, line_k):
         assert one[2][0] == converged[j] and one[3][0] == grad_norm[j]
 
 
-def test_nan_gradient_ends_descent_like_a_failed_search(line_k):
-    # h'(0) is infinite for p < 1, so node 2, which sits on the site -1,
-    # has a NaN gradient: the path must take the failed-search exit (trial
-    # moves, then return), not idle until max_iters.
+def test_nan_gradient_ends_descent_like_a_failed_search(line_k, monkeypatch):
+    # A NaN gradient at node 2, which sits on the site -1, must make the
+    # path take the failed-search exit (trial moves, then return), not idle
+    # until max_iters. The gradient itself no longer yields NaN there, so
+    # the NaN is injected.
+    interior_gradient = action_module._interior_gradient
+
+    def nan_on_sites(nodes, etas, slope_sq, dt, shape):
+        g = interior_gradient(nodes, etas, slope_sq, dt, shape)
+        g[slope_sq[..., 1:-1] == 0.0] = np.nan
+        return g
+
+    monkeypatch.setattr(action_module, "_interior_gradient", nan_on_sites)
     engine = _Descent(line_k, Shape.power(0.5), 1.0, QUICK)
     calls = []
     engine._trial_moves = lambda nodes, f0: (calls.append(1), (False, nodes, f0))[1]
@@ -286,6 +299,19 @@ def test_nan_gradient_ends_descent_like_a_failed_search(line_k):
         _, _, converged, grad_norm = engine.solve(nodes[None], 100)
     assert calls == [1]
     assert np.isnan(grad_norm[0]) and not converged[0]
+
+
+def test_gradient_on_a_site_is_finite_for_power_below_one():
+    # h'(0) is infinite for p < 1; a node on its own site takes the zero
+    # potential term, so the descent converges without numeric warnings.
+    kset = build_mag([[0.0], [0.5]], 1, 2, 1).kset
+    res = minimize([0.2, 0.3], [0.3, 0.2], 1.0, kset, Shape.power(0.5),
+                   SolverConfig(M=32, refinements=1, starts=2))
+    assert res.converged
+    assert res.grad_norm <= 1e-5
+    g = action_gradient(Path.from_line([-1.5], [0.5], 1.0, 8), PointSet([[-1.0], [1.0]]),
+                        Shape.power(0.5))
+    assert np.all(np.isfinite(g)) and g[1, 0] == 0.0
 
 
 @pytest.mark.parametrize("bound", [1, 2 * 129 * 2])
@@ -386,6 +412,145 @@ def test_minimize_dominates_oracle(line_k, identity_shape):
                               line_k, identity_shape).total
     slack = 10.0 * 0.01 * max(1.0, 0.4)  # resolution times a speed-scale bound
     assert res.breakdown.total <= dp_cost + slack
+
+
+@pytest.mark.parametrize("x0,x1,delta,kset,grid", [
+    ([-3.0], [0.2], 1.0, None, {}),                          # start outside the box
+    ([-0.2], [1.6], 1.0, None, {}),                          # end outside the box
+    ([-0.2, 0.0], [0.2, 0.0], 1.0, PointSet([[-1.0, 0.0], [1.0, 0.0]]), {}),  # 1-d grid
+    ([-0.2], [0.2], 1.0, None, {"snap_axes": ((0.5,), (0.5,))}),  # 2-d snap axes
+    ([-0.2], [0.2], 0.0, None, {}),                          # delta = 0
+    ([-0.2], [0.2], -1.0, None, {}),
+])
+def test_dp_rejects_inconsistent_inputs(x0, x1, delta, kset, grid, line_k, identity_shape):
+    gs = GridSpec(**{"lo": np.array([-1.5]), "hi": np.array([1.5]), "resolution": 0.05,
+                     "time_slices": 20, **grid})
+    with pytest.raises(ActionError):
+        dp_oracle(x0, x1, delta, kset or line_k, identity_shape, gs)
+
+
+@pytest.mark.parametrize("fields", [
+    {"lo": [-1.5, -1.5], "hi": [1.5]},
+    {"vmax": 0.0},
+    {"vmax": -1.0},
+    {"vmax": float("inf")},
+    {"vmax": float("nan")},
+])
+def test_grid_spec_rejects_invalid_fields(fields):
+    with pytest.raises(ActionError):
+        GridSpec(**{"lo": [-1.5], "hi": [1.5], "resolution": 0.05, "time_slices": 20,
+                    **fields})
+
+
+def _reference_dp(x0, x1, delta, kset, shape, gs):
+    """Full-offset relaxation: every step of the (2k+1)^d box, every slice.
+
+    Returns ``(optimal cost, nodes, axes, k)``, with ``nodes`` None when
+    the goal is unreachable.
+    """
+    a, b = np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)
+    d = kset.dim
+    dt = delta / gs.time_slices
+    snap_axes = gs.snap_axes or tuple(() for _ in range(d))
+    axes = [action_module._axis_coords(float(gs.lo[ax]), float(gs.hi[ax]), gs.resolution,
+                                       tuple(snap_axes[ax]) + (float(a[ax]), float(b[ax])))
+            for ax in range(d)]
+    shape_g = tuple(len(c) for c in axes)
+    vmax = 4.0 * max(1.0, float(np.linalg.norm(b - a)) / delta) if gs.vmax is None else gs.vmax
+    k = max(1, int(np.ceil(vmax * dt / gs.resolution)))
+    offsets = list(itertools.product(range(-k, k + 1), repeat=d))
+    grid_pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    h = shape.h(batch_field(grid_pts, kset)[1]).reshape(shape_g)
+    start = tuple(int(np.argmin(np.abs(axes[ax] - a[ax]))) for ax in range(d))
+    goal = tuple(int(np.argmin(np.abs(axes[ax] - b[ax]))) for ax in range(d))
+
+    def slices_for(off):
+        src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(off, shape_g))
+        dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(off, shape_g))
+        return src, dst
+
+    cost = np.full(shape_g, np.inf)
+    cost[start] = 0.0
+    parents = np.zeros((gs.time_slices,) + shape_g, dtype=np.int32)
+    for t in range(gs.time_slices):
+        new = np.full(shape_g, np.inf)
+        for oid, off in enumerate(offsets):
+            if any(abs(o) >= n for o, n in zip(off, shape_g)):
+                continue  # reaches no grid point
+            src, dst = slices_for(off)
+            kin = sum(((axes[ax][dst[ax]] - axes[ax][src[ax]]) ** 2).reshape(
+                [-1 if i == ax else 1 for i in range(d)]) for ax in range(d)) / dt
+            cand = cost[src] + kin + dt * 0.5 * (h[src] + h[dst])
+            better = cand < new[dst]
+            new[dst] = np.where(better, cand, new[dst])
+            parents[t][dst] = np.where(better, oid, parents[t][dst])
+        cost = new
+    if not np.isfinite(cost[goal]):
+        return np.inf, None, axes, k
+    idx = goal
+    rev = [idx]
+    for t in range(gs.time_slices - 1, -1, -1):
+        idx = tuple(i - o for i, o in zip(idx, offsets[int(parents[t][idx])]))
+        rev.append(idx)
+    nodes = np.array([[axes[ax][i[ax]] for ax in range(d)] for i in reversed(rev)])
+    return float(cost[goal]), nodes, axes, k
+
+
+@pytest.mark.parametrize("x0,x1,delta,grid", [
+    ([-1.0], [-1.0], 0.5, dict(resolution=0.05, time_slices=20)),
+    ([-0.2], [0.2], 1.0, dict(resolution=0.01, time_slices=100, vmax=4.0)),
+    ([-0.2], [0.2], 1.0, dict(lo=np.array([-1.6]), hi=np.array([1.6]), resolution=0.02,
+                              time_slices=50, vmax=4.0)),
+])
+def test_dp_matches_full_offset_reference_on_test_grids(x0, x1, delta, grid, line_k,
+                                                        identity_shape):
+    gs = GridSpec(**{"lo": np.array([-1.5]), "hi": np.array([1.5]), **grid})
+    _, ref_nodes, _, _ = _reference_dp(x0, x1, delta, line_k, identity_shape, gs)
+    path = dp_oracle(x0, x1, delta, line_k, identity_shape, gs)
+    assert np.array_equal(path.nodes, ref_nodes)
+
+
+@st.composite
+def _dp_problems(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    res = draw(st.sampled_from({1: [0.1, 0.25], 2: [0.25, 0.5], 3: [0.5]}[d]))
+    lo = np.array([draw(st.integers(-4, 0)) * 0.5 for _ in range(d)])
+    hi = lo + np.array([draw(st.integers(1, {1: 6, 2: 4, 3: 3}[d])) * 0.5 for _ in range(d)])
+    lattice = [np.linspace(l, h, int(round((h - l) / res)) + 1) for l, h in zip(lo, hi)]
+    x0 = [draw(st.sampled_from(c.tolist())) for c in lattice]
+    x1 = [draw(st.sampled_from(c.tolist())) for c in lattice]
+    quarter = st.integers(-10, 6).map(lambda i: 0.25 * i)
+    sites = draw(st.lists(st.tuples(*[quarter] * d), min_size=1, max_size=5, unique=True))
+    snap = draw(st.one_of(st.none(), st.lists(st.lists(quarter, max_size=3).map(tuple),
+                                              min_size=d, max_size=d).map(tuple)))
+    vmax = draw(st.sampled_from([2.5, None, 0.3, 1.0, 6.0]))
+    gs = GridSpec(lo=lo, hi=hi, resolution=res, time_slices=draw(st.integers(2, 6)),
+                  vmax=vmax, snap_axes=snap)
+    shape = draw(st.sampled_from([Shape.identity(), Shape.power(0.5), Shape.power(2.0),
+                                  Shape.affine(2.0, 0.5)]))
+    delta = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return x0, x1, delta, PointSet(sites, tie_tolerance=1e-9), shape, gs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_dp_problems())
+def test_dp_separable_relaxation_matches_full_offset_reference(problem):
+    x0, x1, delta, kset, shape, gs = problem
+    ref_cost, ref_nodes, axes, k = _reference_dp(*problem)
+    if ref_nodes is None:
+        with pytest.raises(ActionError, match="unreachable"):
+            dp_oracle(*problem)
+        return
+    path = dp_oracle(*problem)
+    nodes = path.nodes
+    assert np.array_equal(nodes[0], x0) and np.array_equal(nodes[-1], x1)
+    for ax, coords in enumerate(axes):
+        idx = np.searchsorted(coords, nodes[:, ax])
+        assert np.array_equal(coords[idx], nodes[:, ax])
+        assert np.max(np.abs(np.diff(idx))) <= k
+    tol = 1e-12 * max(1.0, ref_cost)
+    assert abs(evaluate_action(path, kset, shape).total - ref_cost) <= tol
+    assert abs(evaluate_action(Path(delta, ref_nodes), kset, shape).total - ref_cost) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,19 @@ def test_mag_input_errors_exit_2(extra, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("grid", [
+    {"lo": [-0.1], "hi": [1.5]},  # start -0.2 outside the box
+    {"vmax": 0.0},
+])
+def test_oracle_input_errors_exit_2(grid, tmp_path, capsys):
+    payload = dict(BASE_CONFIG)
+    payload["oracle_grid"] = {"lo": [-1.5], "hi": [1.5], "resolution": 0.05,
+                              "time_slices": 20, "vmax": 4.0, **grid}
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "orc")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_error_classes_share_one_base():
     for cls in (GeometryError, ActionError, AnalysisError, MagError, ConfigError):
         assert issubclass(cls, VoractError)
