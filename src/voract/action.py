@@ -31,8 +31,8 @@ lower-fidelity solution used both as a solver seed and as a
 cross-validation oracle. Its edge cost is separable over the axes, so
 each time slice relaxes one axis at a time, ``d(2k + 1)`` shifted array
 operations instead of one per offset of the ``(2k + 1)^d`` step box.
-`constrained_minimize` solves the smooth convex-constrained companion
-problem by projected descent.
+`constrained_minimize` runs the same engine on the convex-constrained
+companion problem, with nodes on active polytope faces pinned like ties.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solveh_banded
+from scipy.optimize import nnls
 
 from .geometry import (GeometryError, OptClass, PointSet, Polytope, VoractError, cell_frame,
                        _as_vector)
-from .potential import KERNEL_CHUNK_ROW_SITES, batch_field
+from .potential import KERNEL_CHUNK_ROW_SITES, _split_by_mask, batch_field
 
 __all__ = [
     "ActionError",
@@ -249,11 +250,16 @@ class MinimizeResult:
 # Evaluation and gradient
 
 
-def _breakdown(nodes: np.ndarray, dt: float, hvals: np.ndarray) -> ActionBreakdown:
-    """Forward-difference kinetic terms plus trapezoid terms of the node potentials."""
-    diffs = np.diff(nodes, axis=0)
-    kin = np.einsum("ij,ij->i", diffs, diffs) / dt
-    pot = dt * 0.5 * (hvals[:-1] + hvals[1:])
+def evaluate_action(path: Path, kset: PointSet, shape: Shape) -> ActionBreakdown:
+    """Discrete action of the path: forward-difference kinetic terms plus
+    trapezoid potential terms on node values."""
+    if path.dim != kset.dim:
+        raise ActionError("path/point-set dimension mismatch")
+    _, s, _, _ = batch_field(path.nodes, kset)
+    hvals = shape.h(s)
+    diffs = np.diff(path.nodes, axis=0)
+    kin = np.einsum("ij,ij->i", diffs, diffs) / path.dt
+    pot = path.dt * 0.5 * (hvals[:-1] + hvals[1:])
     return ActionBreakdown(
         kinetic=float(np.sum(kin)),
         potential=float(np.sum(pot)),
@@ -261,15 +267,6 @@ def _breakdown(nodes: np.ndarray, dt: float, hvals: np.ndarray) -> ActionBreakdo
         kinetic_terms=kin,
         potential_terms=pot,
     )
-
-
-def evaluate_action(path: Path, kset: PointSet, shape: Shape) -> ActionBreakdown:
-    """Discrete action of the path: forward-difference kinetic terms plus
-    trapezoid potential terms on node values."""
-    if path.dim != kset.dim:
-        raise ActionError("path/point-set dimension mismatch")
-    _, s, _, _ = batch_field(path.nodes, kset)
-    return _breakdown(path.nodes, path.dt, shape.h(s))
 
 
 def _interior_gradient(nodes: np.ndarray, etas: np.ndarray, slope_sq: np.ndarray,
@@ -306,6 +303,9 @@ def action_gradient(path: Path, kset: PointSet, shape: Shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Descent engine
 
+FACE_EPS = 1e-9  # slack within which a node counts as on a polytope face
+PROJECT_TOL = 1e-10  # Dykstra tolerance of the constrained companion's projections
+
 
 class _Descent:
     """Preconditioned descent on the interior nodes of a stack of paths.
@@ -322,17 +322,20 @@ class _Descent:
 
     Pinned nodes (tie classes) move only along their boundary's
     equidistance directions; release/capture trial moves handle the
-    discontinuous jumps. Deterministic throughout.
+    discontinuous jumps. With a ``polytope``, iterates are projected onto
+    it and nodes on active faces are pinned the same way. Deterministic.
     """
 
     RELAX_ITERS = 60
 
-    def __init__(self, kset: PointSet, shape: Shape, delta: float, cfg: SolverConfig):
+    def __init__(self, kset: PointSet, shape: Shape, delta: float, cfg: SolverConfig,
+                 polytope: Polytope | None = None):
         self.kset = kset
         self.shape = shape
         self.delta = delta
         self.cfg = cfg
-        self._frames: dict[tuple[int, ...], np.ndarray] = {}
+        self.polytope = polytope
+        self._frames: dict[tuple, np.ndarray] = {}
         self._etas: dict[tuple[int, ...], np.ndarray] = {}
 
     # -- objective pieces ---------------------------------------------------
@@ -347,19 +350,25 @@ class _Descent:
         h = self.shape.h(s).reshape(b, n)
         return kin + dt * (0.5 * h[:, 0] + np.sum(h[:, 1:-1], axis=1) + 0.5 * h[:, -1])
 
-    def _tangent(self, cls: tuple[int, ...]) -> np.ndarray:
-        basis = self._frames.get(cls)
+    def _tangent(self, key: tuple) -> np.ndarray:
+        """Moves of a pinned group: a tie class's equidistance directions, or
+        the null space of the faces of a ``("faces", i, ...)`` key."""
+        basis = self._frames.get(key)
         if basis is None:
-            frame = cell_frame(OptClass(cls, self.kset.points[cls[0]]), self.kset)
-            basis = frame.basis_b
-            self._frames[cls] = basis
+            if key[0] == "faces":
+                _, sing, vt = np.linalg.svd(self.polytope.normals[list(key[1:])],
+                                            full_matrices=True)
+                basis = vt[int(np.sum(sing > 1e-10 * sing[0])):]
+            else:
+                basis = cell_frame(OptClass(key, self.kset.points[key[0]]), self.kset).basis_b
+            self._frames[key] = basis
         return basis
 
     def _project_pinned(self, arr: np.ndarray, pin_groups) -> np.ndarray:
         """Project the pinned rows of the stacked interior rows ``arr`` (N, d)
         onto their tangent spaces."""
-        for cls, rows in pin_groups:
-            basis = self._tangent(cls)
+        for key, rows in pin_groups:
+            basis = self._tangent(key)
             if basis.shape[0]:
                 arr[rows] = (arr[rows] @ basis.T) @ basis
             else:
@@ -368,10 +377,11 @@ class _Descent:
 
     def _state(self, stack: np.ndarray):
         """Field slopes ``(B, n)``, projected interior gradients ``(B, n - 2, d)``
-        and pinned groups ``(class, rows)`` of the stack.
+        and pinned groups ``(key, rows)`` of the stack.
 
         Pinned rows index the stacked interior rows: node ``k`` of path ``b``
-        is row ``b * (n - 2) + k - 1``.
+        is row ``b * (n - 2) + k - 1``. With a polytope the groups also hold
+        the rows pinned to polytope faces (:meth:`_face_groups`).
         """
         b, n, d = stack.shape
         dt = self.delta / (n - 1)
@@ -386,8 +396,32 @@ class _Descent:
             rows = rows[(k >= 1) & (k <= n - 2)]
             if rows.size:
                 pin_groups.append((cls, rows - 2 * (rows // n) - 1))
+        if self.polytope is not None:
+            pin_groups += self._face_groups(stack[:, 1:-1].reshape(-1, d), g.reshape(-1, d))
         self._project_pinned(g.reshape(-1, d), pin_groups)
         return s, g, pin_groups, dt
+
+    def _face_groups(self, inner: np.ndarray, g: np.ndarray) -> list:
+        """Groups ``(("faces", i, ...), rows)`` of the stacked interior rows
+        ``inner`` pinned to polytope faces, given their gradients ``g``.
+
+        A row is pinned to the faces it lies on (``n_i·x >= b_i - FACE_EPS``)
+        that carry a positive multiplier in the projection of ``-g`` onto
+        their tangent cone: the active set of projected Newton (Bertsekas
+        1982). On one face that means ``n_i·g < 0``; on several, the
+        multipliers are a nonnegative least-squares fit of ``-g`` by the
+        normals, since ``-g`` can leave an obtuse corner through two faces
+        and still slide along one.
+        """
+        normals = self.polytope.normals
+        on = inner @ normals.T >= self.polytope.offsets - FACE_EPS
+        active = on & (g @ normals.T < 0.0)
+        for r in np.flatnonzero(np.sum(on, axis=1) >= 2):
+            faces = np.flatnonzero(on[r])
+            active[r, faces] = nnls(normals[faces].T, -g[r])[0] > 0.0
+        rows = np.flatnonzero(np.any(active, axis=1))
+        return [(("faces", *np.flatnonzero(active[grp[0]]).tolist()), grp)
+                for grp in _split_by_mask(rows, active)]
 
     def _direction(self, g_eff: np.ndarray, pin_groups, s: np.ndarray, dt: float) -> np.ndarray:
         """Newton-like step for the whole stack: one tridiagonal solve, then
@@ -409,13 +443,21 @@ class _Descent:
                    + 1e-12).ravel()
         band[1] = -2.0 / dt
         band[1, n_int - 1::n_int] = 0.0
-        fixed = [rows for cls, rows in pin_groups if self._tangent(cls).shape[0] == 0]
+        fixed = [rows for key, rows in pin_groups if self._tangent(key).shape[0] == 0]
         if fixed:
             idx = np.concatenate(fixed)
             band[1, idx] = 0.0
             band[1, idx[idx > 0] - 1] = 0.0
         step = solveh_banded(band, g_eff.reshape(-1, d), lower=True, check_finite=False)
         return self._project_pinned(step, pin_groups).reshape(b, n_int, d)
+
+    def _feasible(self, stack: np.ndarray) -> np.ndarray:
+        """Project the interior nodes of the stack onto the polytope, in place."""
+        if self.polytope is not None:
+            b, n, d = stack.shape
+            inner = stack[:, 1:-1].reshape(-1, d)
+            stack[:, 1:-1] = self.polytope.project(inner, tol=PROJECT_TOL).reshape(b, n - 2, d)
+        return stack
 
     # -- main loop ------------------------------------------------------------
 
@@ -428,7 +470,7 @@ class _Descent:
         ``allow_moves`` it first tries release/capture moves and continues
         if one is accepted.
         """
-        stack = stack.copy()
+        stack = self._feasible(stack.copy())
         f = self.value(stack)
         alpha = np.full(stack.shape[0], self.cfg.step_init)
         grad_norm = np.full(stack.shape[0], np.inf)
@@ -457,7 +499,7 @@ class _Descent:
                 paths = live[search]
                 trial = stack[paths]
                 trial[:, 1:-1] -= step[:, None, None] * direction
-                f_trial = self.value(trial)
+                f_trial = self.value(self._feasible(trial))
                 ok = f_trial <= f[paths] - 1e-4 * step * slope
                 stack[paths[ok]], f[paths[ok]] = trial[ok], f_trial[ok]
                 alpha[paths[ok]] = np.minimum(step[ok] * 1.6, 16.0)
@@ -542,10 +584,7 @@ class _Descent:
 def _interp_to_mesh(path_nodes: np.ndarray, delta: float, m_target: int) -> np.ndarray:
     t_src = np.linspace(0.0, delta, path_nodes.shape[0])
     t_dst = np.linspace(0.0, delta, m_target + 1)
-    out = np.empty((m_target + 1, path_nodes.shape[1]))
-    for j in range(path_nodes.shape[1]):
-        out[:, j] = np.interp(t_dst, t_src, path_nodes[:, j])
-    return out
+    return np.stack([np.interp(t_dst, t_src, col) for col in path_nodes.T], axis=1)
 
 
 def seed_grid_spec(x0, xdelta, delta: float, kset: PointSet) -> "GridSpec":
@@ -591,6 +630,20 @@ def _mesh_schedule(cfg: SolverConfig) -> list[int]:
     return meshes
 
 
+def _descend_stages(engine: _Descent, nodes: np.ndarray, a, b, meshes: list[int]):
+    """Descend one start through the mesh stages. Returns the nodes after
+    each stage and the last stage's action, converged flag and gradient norm."""
+    stages = []
+    for m in meshes:
+        if nodes.shape[0] != m + 1:
+            nodes = _interp_to_mesh(nodes, engine.delta, m)
+        nodes[0], nodes[-1] = a, b
+        out, values, conv, gnorms = engine.solve(nodes[None], engine.cfg.max_iters)
+        nodes = out[0]
+        stages.append(nodes)
+    return stages, float(values[0]), bool(conv[0]), float(gnorms[0])
+
+
 def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
              cfg: SolverConfig = SolverConfig()) -> MinimizeResult:
     """Multi-start minimization of the discrete action with mesh doubling.
@@ -629,41 +682,20 @@ def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
         starts.append((f"perturb{i}", chord + scale * t_env * noise))
 
     engine = _Descent(kset, shape, delta, cfg)
-    results = []
-    actions = []
-    for label, nodes in starts:
-        prev_nodes = None
-        converged = False
-        gnorm = np.inf
-        for mi, m in enumerate(meshes):
-            if nodes.shape[0] != m + 1:
-                nodes = _interp_to_mesh(nodes, delta, m)
-            nodes[0], nodes[-1] = a, b
-            out, values, conv, gnorms = engine.solve(nodes[None], cfg.max_iters)
-            nodes, action = out[0], float(values[0])
-            converged, gnorm = bool(conv[0]), float(gnorms[0])
-            if mi == len(meshes) - 2:
-                prev_nodes = nodes.copy()
-        if prev_nodes is None:
-            prev_nodes = nodes.copy()
-        results.append((label, nodes, prev_nodes, converged, gnorm))
-        actions.append(action)
-
-    order = sorted(range(len(results)), key=lambda i: (actions[i], i))
-    best = order[0]
-    label, nodes, prev_nodes, converged, gnorm = results[best]
-    best_path = Path(delta, nodes)
-    prev_path = Path(delta, prev_nodes)
-    summaries = []
-    for i, (lab, nds, _, conv, _) in enumerate(results):
-        dev = float(np.max(np.linalg.norm(_interp_to_mesh(nds, delta, meshes[-1]) - nodes, axis=1)))
-        summaries.append(StartSummary(label=lab, action=actions[i], converged=conv, dev_from_best=dev))
+    results = [(label, *_descend_stages(engine, nodes, a, b, meshes)) for label, nodes in starts]
+    _, stages, _, converged, gnorm = min(results, key=lambda r: r[2])
+    best_path = Path(delta, stages[-1])
+    prev_path = Path(delta, stages[max(len(stages) - 2, 0)])
+    summaries = tuple(
+        StartSummary(label=lab, action=act, converged=conv,
+                     dev_from_best=float(np.max(np.linalg.norm(st[-1] - stages[-1], axis=1))))
+        for lab, st, act, conv, _ in results)
     return MinimizeResult(
         path=best_path,
         breakdown=evaluate_action(best_path, kset, shape),
         converged=converged,
         grad_norm=gnorm,
-        starts=tuple(summaries),
+        starts=summaries,
         prev_path=prev_path,
         prev_breakdown=evaluate_action(prev_path, kset, shape),
     )
@@ -709,13 +741,14 @@ EDGE_BUDGET = 400_000_000
 
 
 def _axis_coords(lo: float, hi: float, res: float, snap) -> np.ndarray:
+    """Uniform axis with its nearest points replaced by the in-box snap values,
+    each also added, so two values nearest one point both stay."""
     n = max(int(round((hi - lo) / res)) + 1, 2)
     coords = np.linspace(lo, hi, n)
-    if snap:
-        for s in snap:
-            if lo <= s <= hi:
-                coords[int(np.argmin(np.abs(coords - s)))] = s
-    return np.unique(coords)
+    inside = [s for s in snap if lo <= s <= hi]
+    for s in inside:
+        coords[int(np.argmin(np.abs(coords - s)))] = s
+    return np.unique(np.concatenate([coords, inside]))
 
 
 def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
@@ -855,74 +888,32 @@ class ConstrainedResult:
 
 def constrained_minimize(x0, xdelta, delta: float, polytope: Polytope, psi_center,
                          shape: Shape, cfg: SolverConfig = SolverConfig()) -> ConstrainedResult:
-    """Projected descent for the smooth potential ``h(|x - psi_center|^2)``
-    constrained to a polytope.
+    """Minimize the action of the smooth potential ``h(|x - psi_center|^2)``
+    over paths whose nodes lie in a polytope.
 
-    Every accepted step projects all interior nodes back onto the
-    polytope; convergence is measured by the gradient mapping at a fixed
-    dt/4 step (max nodal norm <= grad_tol).
+    The potential is that of the one-site set ``{psi_center}``, so the
+    chord start runs through :func:`minimize`'s engine and mesh stages with
+    the polytope as constraint: iterates are projected onto it, and nodes
+    on faces the gradient points out of are pinned like tie classes. The
+    single start leaves ``cfg.starts`` and ``cfg.seed`` unused. Convergence
+    is the gradient mapping of the final path at a fixed dt/4 step (max
+    nodal norm <= grad_tol).
     """
     a = _as_vector(x0, polytope.dim)
     b = _as_vector(xdelta, polytope.dim)
     center = _as_vector(psi_center, polytope.dim)
     if not (polytope.contains(a) and polytope.contains(b)):
         raise ActionError("endpoints must lie in the constraint polytope")
-
-    def psi_and_grad(nodes):
-        rel = nodes - center[None, :]
-        s = np.einsum("ij,ij->i", rel, rel)
-        return shape.h(s), 2.0 * shape.h_prime(s)[:, None] * rel, s
-
-    def value(nodes, dt):
-        diffs = np.diff(nodes, axis=0)
-        kin = float(np.sum(np.einsum("ij,ij->i", diffs, diffs))) / dt
-        h, _, _ = psi_and_grad(nodes)
-        return kin + dt * (0.5 * h[0] + float(np.sum(h[1:-1])) + 0.5 * h[-1]), kin
-
+    kset = PointSet(center[None, :])
     meshes = _mesh_schedule(cfg)
-    nodes = Path.from_line(a, b, delta, meshes[0]).nodes.copy()
-    nodes[1:-1] = polytope.project(nodes[1:-1], tol=1e-10)
-
-    converged = False
-    pg_norm = np.inf
-    for m in meshes:
-        if nodes.shape[0] != m + 1:
-            nodes = _interp_to_mesh(nodes, delta, m)
-            nodes[1:-1] = polytope.project(nodes[1:-1], tol=1e-10)
-        nodes[0], nodes[-1] = a, b
-        dt = delta / m
-        alpha = cfg.step_init
-        f0, _ = value(nodes, dt)
-        for _ in range(cfg.max_iters):
-            h, gpsi, s = psi_and_grad(nodes)
-            g = (2.0 * (2.0 * nodes[1:-1] - nodes[:-2] - nodes[2:]) / dt
-                 + dt * gpsi[1:-1])
-            ref = 0.25 * dt
-            mapped = nodes[1:-1] - polytope.project(nodes[1:-1] - ref * g, tol=1e-10)
-            pg_norm = float(np.max(np.linalg.norm(mapped, axis=1), initial=0.0)) / ref
-            if pg_norm <= cfg.grad_tol:
-                converged = True
-                break
-            diag = 4.0 / dt + 2.0 * dt * np.maximum(shape.h_prime(s[1:-1]), 0.0)
-            direction = g / diag[:, None]
-            accepted = False
-            aa = alpha
-            for _ in range(45):
-                trial = nodes.copy()
-                trial[1:-1] = polytope.project(nodes[1:-1] - aa * direction, tol=1e-10)
-                f_trial, _ = value(trial, dt)
-                step_sq = float(np.sum((trial[1:-1] - nodes[1:-1]) ** 2))
-                if f_trial <= f0 - 1e-4 * step_sq / max(aa, 1e-30):
-                    nodes, f0 = trial, f_trial
-                    alpha = min(aa * 1.6, 16.0)
-                    accepted = True
-                    break
-                aa *= 0.5
-            if not accepted:
-                converged = pg_norm <= cfg.grad_tol
-                break
-
+    engine = _Descent(kset, shape, delta, cfg, polytope)
+    chord = Path.from_line(a, b, delta, meshes[0]).nodes.copy()
+    nodes = _descend_stages(engine, chord, a, b, meshes)[0][-1]
     path = Path(delta, nodes)
-    h, _, _ = psi_and_grad(nodes)
-    breakdown = _breakdown(nodes, path.dt, h)
-    return ConstrainedResult(path=path, breakdown=breakdown, converged=converged, pg_norm=pg_norm)
+    ref = 0.25 * path.dt
+    inner = nodes[1:-1]
+    mapped = inner - polytope.project(inner - ref * action_gradient(path, kset, shape),
+                                      tol=PROJECT_TOL)
+    pg_norm = float(np.max(np.linalg.norm(mapped, axis=1), initial=0.0)) / ref
+    return ConstrainedResult(path=path, breakdown=evaluate_action(path, kset, shape),
+                             converged=pg_norm <= cfg.grad_tol, pg_norm=pg_norm)

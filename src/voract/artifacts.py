@@ -25,6 +25,7 @@ __all__ = [
     "events_payload",
     "report_payload",
     "write_standard_plots",
+    "write_path_artifacts",
 ]
 
 
@@ -159,3 +160,15 @@ def write_standard_plots(outdir, traj: Path, kset: PointSet, shape: Shape,
     polyline_chart(sl, times, [("slope_sq", s)], "squared slope vs time")
     written.append(sl)
     return written
+
+
+def write_path_artifacts(outdir, traj: Path, kset: PointSet, shape: Shape,
+                         report: RegularityReport, breakdown: ActionBreakdown,
+                         plots: bool = True) -> list[tuple[int, ...]]:
+    """Trajectory CSV, events, report and (optionally) plots of a solved path."""
+    registry = write_trajectory_csv(os.path.join(outdir, "trajectory.csv"), traj, kset, shape)
+    write_json(os.path.join(outdir, "events.json"), events_payload(report.events))
+    write_json(os.path.join(outdir, "report.json"), report_payload(report, breakdown))
+    if plots:
+        write_standard_plots(outdir, traj, kset, shape, report)
+    return registry

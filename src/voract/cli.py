@@ -34,13 +34,14 @@ import numpy as np
 from . import artifacts
 from .action import (
     GridSpec,
+    Path,
     Shape,
     SolverConfig,
     dp_oracle,
     evaluate_action,
     minimize,
 )
-from .analysis import detect_shocks, regularity_report
+from .analysis import regularity_report
 from .geometry import PointSet, VoractError, load_point_set
 from .mag import build_mag, default_window, particle_paths, window_certificate
 from .potential import zone_table
@@ -158,7 +159,6 @@ def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
                       cfg["solver"])
     elapsed = time.perf_counter() - t0
     kset, shape = cfg["kset"], cfg["shape"]
-    events = detect_shocks(result.path, kset)
     report = regularity_report(result.path, kset, shape)
 
     check_results = {}
@@ -177,11 +177,8 @@ def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
         }
     ok = result.converged and all(c["passed"] for c in check_results.values())
 
-    registry = artifacts.write_trajectory_csv(
-        os.path.join(outdir, "trajectory.csv"), result.path, kset, shape)
-    artifacts.write_json(os.path.join(outdir, "events.json"), artifacts.events_payload(events))
-    artifacts.write_json(os.path.join(outdir, "report.json"),
-                         artifacts.report_payload(report, result.breakdown))
+    registry = artifacts.write_path_artifacts(outdir, result.path, kset, shape, report,
+                                              result.breakdown, cfg["plots"])
     summary = {
         "scenario": cfg["scenario"],
         "converged": result.converged,
@@ -202,8 +199,6 @@ def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
         "exit_ok": ok,
     }
     artifacts.write_json(os.path.join(outdir, "summary.json"), summary)
-    if cfg["plots"]:
-        artifacts.write_standard_plots(outdir, result.path, kset, shape, report)
     if not ok:
         artifacts.write_json(os.path.join(outdir, "failure.json"), {
             "scenario": cfg["scenario"],
@@ -250,18 +245,16 @@ def _cmd_analyze(args) -> int:
         kset = PointSet(np.asarray(json.loads(args.inline), dtype=float),
                         tie_tolerance=args.tie_tolerance)
     shape = _parse_shape(json.loads(args.shape) if args.shape else None)
-    from .action import Path
-
     traj = Path(delta if args.delta is None else args.delta, nodes)
-    events = detect_shocks(traj, kset, window=args.window)
     report = regularity_report(traj, kset, shape, window=args.window)
     outdir = args.out or "analysis-output"
     os.makedirs(outdir, exist_ok=True)
-    artifacts.write_json(os.path.join(outdir, "events.json"), artifacts.events_payload(events))
+    artifacts.write_json(os.path.join(outdir, "events.json"),
+                         artifacts.events_payload(report.events))
     artifacts.write_json(os.path.join(outdir, "report.json"), artifacts.report_payload(report))
     if args.plots:
         artifacts.write_standard_plots(outdir, traj, kset, shape, report)
-    print(f"[analyze] events={len(events)} "
+    print(f"[analyze] events={len(report.events)} "
           f"energy_std={report.energy_std_away_from_shocks!r} "
           f"violations={len(report.second_diff_violations)}")
     return 0
@@ -310,13 +303,9 @@ def _cmd_mag(args) -> int:
     cert = window_certificate(system, result.path)
     outdir = args.out or "mag-output"
     os.makedirs(outdir, exist_ok=True)
-    events = detect_shocks(result.path, system.kset)
     report = regularity_report(result.path, system.kset, shape)
-    artifacts.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
-                                   result.path, system.kset, shape)
-    artifacts.write_json(os.path.join(outdir, "events.json"), artifacts.events_payload(events))
-    artifacts.write_json(os.path.join(outdir, "report.json"),
-                         artifacts.report_payload(report, result.breakdown))
+    artifacts.write_path_artifacts(outdir, result.path, system.kset, shape, report,
+                                   result.breakdown, plots=False)
     lifted, torus = particle_paths(system, result.path)
     times = result.path.times
     for i, (lift, tor) in enumerate(zip(lifted, torus)):
@@ -335,10 +324,10 @@ def _cmd_mag(args) -> int:
         "window_certificate": cert,
         "action": result.breakdown.total,
         "converged": result.converged,
-        "events": len(events),
+        "events": len(report.events),
     })
     print(f"[mag] sites={system.kset.n} action={result.breakdown.total!r} "
-          f"certificate={cert} events={len(events)}")
+          f"certificate={cert} events={len(report.events)}")
     if not cert:
         print("[mag] window certificate FAILED: raise the window and rerun", file=sys.stderr)
         return 1

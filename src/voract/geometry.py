@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 
+MIN_NORM_TOL = 1e-10  # Wolfe optimality gap, relative to 1 + max squared vertex distance
+DYKSTRA_MAX_SWEEPS = 50_000  # sweep cap of Polytope.project
+SAMPLE_MAX_DRAWS = 10_000_000  # rejection-sampling budget of Polytope.sample
+
+
 class VoractError(ValueError):
     """Base of every error the library raises for invalid input or a failed computation."""
 
@@ -240,7 +245,7 @@ def _project_exhaustive(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
     return best
 
 
-def _project_wolfe(vertices: np.ndarray, x: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _project_wolfe(vertices: np.ndarray, x: np.ndarray, max_iter: int) -> np.ndarray:
     """Wolfe's minimum-norm-point algorithm on the translated vertex set."""
     q = vertices - x[None, :]
     norms2 = np.einsum("ij,ij->i", q, q)
@@ -254,7 +259,7 @@ def _project_wolfe(vertices: np.ndarray, x: np.ndarray, tol: float, max_iter: in
         scores = q @ z
         j = int(np.argmin(scores))
         zz = float(z @ z)
-        if zz - float(scores[j]) <= tol * scale:
+        if zz - float(scores[j]) <= MIN_NORM_TOL * scale:
             return z + x
         if j in corral:
             # No progress possible: the optimality gap is pure roundoff.
@@ -289,7 +294,7 @@ def _project_wolfe(vertices: np.ndarray, x: np.ndarray, tol: float, max_iter: in
     raise MinNormError(f"Wolfe iteration cap ({max_iter}) exceeded")
 
 
-def min_norm_point(vertices, x, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
+def min_norm_point(vertices, x) -> np.ndarray:
     """Unique projection of ``x`` onto the convex hull of ``vertices``.
 
     Uses exhaustive face enumeration when there are at most d+1 vertices,
@@ -301,11 +306,10 @@ def min_norm_point(vertices, x, tol: float = 1e-10, max_iter: int | None = None)
     verts = _as_points(vertices)
     xv = _as_vector(x, verts.shape[1])
     m, d = verts.shape
-    cap = max_iter if max_iter is not None else 10 * (m + d)
     if m <= d + 1:
         p = _project_exhaustive(verts, xv)
     else:
-        p = _project_wolfe(verts, xv, tol, cap)
+        p = _project_wolfe(verts, xv, 10 * (m + d))
     scale = 1.0 + float(np.max(np.abs(verts - xv[None, :]))) ** 2
     resid = float(np.min((verts - p[None, :]) @ (p - xv)))
     if resid < -1e-9 * scale:
@@ -456,7 +460,7 @@ class Polytope:
         ok = np.all(pts @ self.normals.T <= self.offsets[None, :] + tol * scale, axis=1)
         return bool(ok[0]) if np.asarray(x).ndim == 1 else ok
 
-    def project(self, x, tol: float = 1e-8, max_sweeps: int = 50000) -> np.ndarray:
+    def project(self, x, tol: float = 1e-8) -> np.ndarray:
         """Dykstra projection onto the polytope (batched over rows of x)."""
         single = np.asarray(x).ndim == 1
         pts = np.atleast_2d(np.asarray(x, dtype=float)).copy()
@@ -464,7 +468,7 @@ class Polytope:
         m = self.normals.shape[0]
         corr = np.zeros((m, n, d))
         prev = pts.copy()
-        for _ in range(max_sweeps):
+        for _ in range(DYKSTRA_MAX_SWEEPS):
             for i in range(m):
                 y = pts + corr[i]
                 viol = y @ self.normals[i] - self.offsets[i]
@@ -479,13 +483,13 @@ class Polytope:
             prev = pts.copy()
         raise PolytopeError("Dykstra projection failed to converge")
 
-    def distance(self, x, tol: float = 1e-8) -> np.ndarray | float:
-        proj = self.project(x, tol=tol)
+    def distance(self, x) -> np.ndarray | float:
+        proj = self.project(x)
         if np.asarray(x).ndim == 1:
             return float(np.linalg.norm(np.asarray(x, dtype=float) - proj))
         return np.linalg.norm(np.atleast_2d(np.asarray(x, dtype=float)) - proj, axis=1)
 
-    def sample(self, count: int, rng: np.random.Generator, max_draws: int = 10_000_000) -> np.ndarray:
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """First ``count`` accepted rejection samples, uniform on the polytope.
 
         The accepted stream is a prefix-stable function of the generator
@@ -496,7 +500,7 @@ class Polytope:
         drawn = 0
         width = self.hi - self.lo
         while sum(len(o) for o in out) < count:
-            if drawn > max_draws:
+            if drawn > SAMPLE_MAX_DRAWS:
                 raise PolytopeError("rejection sampling budget exceeded (thin polytope?)")
             block = self.lo + rng.random((max(256, count), self.dim)) * width
             drawn += block.shape[0]

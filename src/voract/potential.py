@@ -61,6 +61,7 @@ ETA_DEDUP_TOL = 1e-7  # absolute dedup radius for discovered zone values
 # Bound on rows x sites per kernel call when streaming probes: the distance
 # matrix and tie mask cost about 9 bytes per row-site.
 KERNEL_CHUNK_ROW_SITES = 1_000_000
+TRIPLE_MAX_SITES = 40  # zone_table skips triple circumcenters above this many sites
 
 
 def f_eval(x, kset: PointSet) -> float:
@@ -170,10 +171,7 @@ def batch_field(nodes: np.ndarray, kset: PointSet, eta_cache: dict | None = None
     single_rows = np.flatnonzero(~tie_mask)
     groups = [((int(nearest[rows[0]]),), rows)
               for rows in _split_by_key(single_rows, nearest[single_rows])]
-    tie_rows = np.flatnonzero(tie_mask)
-    packed = np.packbits(ties[tie_rows], axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    for rows in _split_by_key(tie_rows, keys):
+    for rows in _split_by_mask(np.flatnonzero(tie_mask), ties):
         idx = tuple(np.flatnonzero(ties[rows[0]]).tolist())
         eta = None if eta_cache is None else eta_cache.get(idx)
         if eta is None:
@@ -197,6 +195,13 @@ def _split_by_key(rows: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
     cuts = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist()
     sorted_rows = rows[order]
     return [sorted_rows[a:b] for a, b in zip([0] + cuts, cuts + [rows.size])]
+
+
+def _split_by_mask(rows: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
+    """Split ``rows`` into runs of equal boolean rows ``mask[rows]``, keyed
+    by their packed bits, each run in ascending row order."""
+    packed = np.packbits(mask[rows], axis=1)
+    return _split_by_key(rows, packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
 
 
 def row_classes(n: int, groups) -> list[tuple[int, ...]]:
@@ -318,7 +323,6 @@ def zone_table(
     probe_count: int = 2000,
     seed: int = 0,
     max_pairs: int = 20000,
-    max_triple_sites: int = 40,
 ) -> ZoneTable:
     """Probe the zone structure of ``kset`` inside ``probe_box``.
 
@@ -326,7 +330,7 @@ def zone_table(
     pairwise midpoints, offsets from each midpoint along the pair's
     bisector hyperplane (these witness the positive-codimension pair
     cells that midpoints alone miss), circumcenters of site triples
-    (d >= 2, skipped above ``max_triple_sites`` sites), and the frame
+    (d >= 2, skipped above ``TRIPLE_MAX_SITES`` sites), and the frame
     pivots of all witnessed classes. Candidates outside the box are
     dropped, so the verdict is scoped to the probed region.
     """
@@ -354,7 +358,7 @@ def zone_table(
         if offsets.shape[0]:
             sources.append(("bisector_offsets", offsets))
 
-    if d >= 2 and n <= max_triple_sites:
+    if d >= 2 and n <= TRIPLE_MAX_SITES:
         centers = []
         for i in range(n):
             for j in range(i + 1, n):

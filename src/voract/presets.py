@@ -31,7 +31,7 @@ from .action import (
     evaluate_action,
     minimize,
 )
-from .analysis import detect_shocks, jump_residual, regularity_report
+from .analysis import RegularityReport, detect_shocks, jump_residual, regularity_report
 from .geometry import PointSet, Polytope, min_norm_point, polytope_distance_ratio
 from .mag import MagSystem, build_mag, default_window, stability_run, window_certificate
 from .potential import extended_gradient, slope_sup_oracle, zone_table
@@ -139,10 +139,13 @@ def _scenario(name: str) -> SolveScenario:
 class SolveRecord:
     scenario: SolveScenario
     result: MinimizeResult
-    events: list
-    report: object
+    report: RegularityReport
     prev_events: list
     runtime: float
+
+    @property
+    def events(self) -> list:
+        return self.report.events
 
 
 def _solve_record(name: str) -> SolveRecord:
@@ -151,10 +154,9 @@ def _solve_record(name: str) -> SolveRecord:
         t0 = time.perf_counter()
         res = minimize(sc.x0, sc.x1, sc.delta, sc.kset, sc.shape, sc.cfg)
         runtime = time.perf_counter() - t0
-        events = detect_shocks(res.path, sc.kset)
         prev_events = detect_shocks(res.prev_path, sc.kset)
         report = regularity_report(res.path, sc.kset, sc.shape)
-        return SolveRecord(sc, res, events, report, prev_events, runtime)
+        return SolveRecord(sc, res, report, prev_events, runtime)
 
     return _cached(f"solve:{name}", build)
 
@@ -513,11 +515,6 @@ def run_preset(name: str, outdir: str | None = None) -> PresetOutcome:
         if name in SOLVE_PRESETS:
             rec = _solve_record(name)
             sc = rec.scenario
-            artifacts.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
-                                           rec.result.path, sc.kset, sc.shape)
-            artifacts.write_json(os.path.join(outdir, "events.json"),
-                                 artifacts.events_payload(rec.events))
-            artifacts.write_json(os.path.join(outdir, "report.json"),
-                                 artifacts.report_payload(rec.report, rec.result.breakdown))
-            artifacts.write_standard_plots(outdir, rec.result.path, sc.kset, sc.shape, rec.report)
+            artifacts.write_path_artifacts(outdir, rec.result.path, sc.kset, sc.shape, rec.report,
+                                           rec.result.breakdown)
     return outcome

@@ -395,6 +395,14 @@ def test_dp_unreachable_endpoint(line_k, identity_shape):
         dp_oracle([-1.0], [1.0], 1.0, line_k, identity_shape, gs)
 
 
+def test_dp_keeps_endpoints_nearest_one_grid_point(line_k, identity_shape):
+    # 0.001 and 0.003 are both nearest the grid point 0.0; both must stay
+    # on the axis, so the path starts at x0 and ends at x1.
+    gs = GridSpec(lo=[-1.5], hi=[1.5], resolution=0.01, time_slices=20, vmax=4.0)
+    path = dp_oracle([0.001], [0.003], 1.0, line_k, identity_shape, gs)
+    assert path.nodes[0, 0] == 0.001 and path.nodes[-1, 0] == 0.003
+
+
 def test_dp_budget_guard(line_k, identity_shape):
     from voract import GridBudgetError
 
@@ -649,3 +657,120 @@ def test_constrained_rejects_infeasible_endpoints(identity_shape):
     box = Polytope.from_box([0.0], [1.0])
     with pytest.raises(ActionError):
         constrained_minimize([2.0], [0.5], 1.0, box, [0.0], identity_shape, QUICK)
+
+
+def _reference_constrained(x0, x1, delta, polytope, center, shape, cfg):
+    """The projected-gradient loop `constrained_minimize` ran before it used
+    the descent engine: diagonal preconditioner, Dykstra projection of every
+    line-search trial, Armijo test on the projected step, and the gradient
+    mapping at dt/4 checked every iteration. Returns ``(nodes, action,
+    converged, pg_norm)``."""
+    a, b, c = (np.asarray(v, dtype=float) for v in (x0, x1, center))
+
+    def psi_and_grad(nodes):
+        rel = nodes - c[None, :]
+        s = np.einsum("ij,ij->i", rel, rel)
+        return shape.h(s), 2.0 * shape.h_prime(s)[:, None] * rel, s
+
+    def value(nodes, dt):
+        diffs = np.diff(nodes, axis=0)
+        h = psi_and_grad(nodes)[0]
+        return (float(np.sum(diffs * diffs)) / dt
+                + dt * (0.5 * h[0] + float(np.sum(h[1:-1])) + 0.5 * h[-1]))
+
+    meshes = action_module._mesh_schedule(cfg)
+    nodes = Path.from_line(a, b, delta, meshes[0]).nodes.copy()
+    nodes[1:-1] = polytope.project(nodes[1:-1], tol=1e-10)
+    converged, pg_norm = False, np.inf
+    for m in meshes:
+        if nodes.shape[0] != m + 1:
+            nodes = action_module._interp_to_mesh(nodes, delta, m)
+            nodes[1:-1] = polytope.project(nodes[1:-1], tol=1e-10)
+        nodes[0], nodes[-1] = a, b
+        dt = delta / m
+        alpha, f0 = cfg.step_init, value(nodes, dt)
+        for _ in range(cfg.max_iters):
+            _, gpsi, s = psi_and_grad(nodes)
+            g = 2.0 * (2.0 * nodes[1:-1] - nodes[:-2] - nodes[2:]) / dt + dt * gpsi[1:-1]
+            ref = 0.25 * dt
+            mapped = nodes[1:-1] - polytope.project(nodes[1:-1] - ref * g, tol=1e-10)
+            pg_norm = float(np.max(np.linalg.norm(mapped, axis=1), initial=0.0)) / ref
+            converged = pg_norm <= cfg.grad_tol
+            if converged:
+                break
+            diag = 4.0 / dt + 2.0 * dt * np.maximum(shape.h_prime(s[1:-1]), 0.0)
+            direction = g / diag[:, None]
+            step = alpha
+            for _ in range(45):
+                trial = nodes.copy()
+                trial[1:-1] = polytope.project(nodes[1:-1] - step * direction, tol=1e-10)
+                f_trial = value(trial, dt)
+                if f_trial <= f0 - 1e-4 * float(np.sum((trial - nodes) ** 2)) / step:
+                    nodes, f0, alpha = trial, f_trial, min(step * 1.6, 16.0)
+                    break
+                step *= 0.5
+            else:
+                break
+    return nodes, value(nodes, delta / (nodes.shape[0] - 1)), converged, pg_norm
+
+
+def _halfspaces(*rows):
+    """Polytope from rows ``(n_1, ..., n_d, b)`` of ``n·x <= b``."""
+    rows = np.array(rows, dtype=float)
+    return Polytope(rows[:, :-1], rows[:, -1])
+
+
+_UNIT_SQUARE = [(1, 0, 1), (0, 1, 1), (-1, 0, 0), (0, -1, 0)]
+_CUBE = [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1)]
+
+CONSTRAINED_CASES = {
+    # 1-D: the attractor below the interval, so the path presses on 0.
+    "interval-power": (_halfspaces((1, 1), (-1, 0)), [0.2], [0.8], [-1.0],
+                       Shape.power(2.0)),
+    # Attractor outside a box corner: the middle of the path sits on the vertex.
+    "square-vertex": (_halfspaces(*_UNIT_SQUARE), [0.2, 0.9], [0.9, 0.2], [2.5, 2.5],
+                      Shape.identity()),
+    # An oblique face cuts the corner off; the path rides it and the box faces.
+    "square-oblique": (_halfspaces(*_UNIT_SQUARE, (1, 1, 1.5)), [0.6, 0.9], [0.9, 0.6],
+                       [2.0, 2.0], Shape.affine(2.0, 0.3)),
+    # A triangle with two oblique faces and an acute corner.
+    "triangle": (_halfspaces((-1, 0, 0), (1, -2, 0), (1, 2, 2)), [0.0, 0.1], [0.0, 0.9],
+                 [3.0, 0.5], Shape.identity()),
+    "triangle-sqrt": (_halfspaces((-1, 0, 0), (1, -2, 0), (1, 2, 2)), [0.0, 0.1], [0.0, 0.9],
+                      [3.0, 0.5], Shape.power(0.5)),
+    # 3-D: a cube with one and with two oblique cuts, the attractor past them.
+    "cube-cut": (_halfspaces(*_CUBE, (1, 1, 1, 1)), [-0.5, 0.5, 0.5], [0.5, 0.5, -0.5],
+                 [2.0, 2.0, 2.0], Shape.identity()),
+    "cube-two-cuts": (_halfspaces(*_CUBE, (1, 1, 1, 1), (1, -1, 2, 1)), [-0.5, 0.5, 0.5],
+                      [0.5, 0.5, -0.5], [2.0, 1.0, 3.0], Shape.affine(1.5, 0.0)),
+    "cube-corner": (_halfspaces(*_CUBE), [-0.5, 0.9, 0.9], [0.9, 0.9, -0.5], [3.0, 3.0, 3.0],
+                    Shape.power(2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRAINED_CASES))
+def test_constrained_matches_projected_gradient_reference(name):
+    polytope, x0, x1, center, shape = CONSTRAINED_CASES[name]
+    cfg = SolverConfig(M=32, refinements=1)
+    con = constrained_minimize(x0, x1, 1.0, polytope, center, shape, cfg)
+    _, ref_action, _, _ = _reference_constrained(x0, x1, 1.0, polytope, center, shape, cfg)
+    assert con.converged and con.pg_norm <= cfg.grad_tol
+    assert np.all(polytope.contains(con.path.nodes, tol=1e-8))
+    assert con.breakdown.total <= ref_action * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("center", [[1.0, 2.0], [0.0, 3.0], [-2.0, 1.5], [0.5, -1.0]])
+def test_face_pins_project_the_gradient_onto_the_tangent_cone(center):
+    # The middle node sits on the obtuse apex (0, 1) of a roof. For the
+    # attractor (1, 2) the step -g leaves through both roof faces, yet the
+    # tangent-cone projection slides down the right face, not to zero; for
+    # (0, 3) it is zero, for (-2, 1.5) the left face alone is active, and
+    # for (0.5, -1) no face is.
+    roof = _halfspaces((-0.2, 1, 1), (0.2, 1, 1), (1, 0, 1), (-1, 0, 1), (0, -1, 1))
+    apex = np.array([0.0, 1.0])
+    engine = _Descent(PointSet([center]), Shape.identity(), 1.0, QUICK, roof)
+    _, g_eff, _, _ = engine._state(np.array([[apex, apex, apex]]))
+    g = action_gradient(Path(1.0, [apex, apex, apex]), PointSet([center]), Shape.identity())
+    r = 1e-3
+    mapping = (apex - roof.project(apex - r * g[0], tol=1e-14)) / r
+    np.testing.assert_allclose(g_eff[0, 0], mapping, rtol=0.0, atol=1e-9)
