@@ -10,18 +10,18 @@ sum and the potential term is the trapezoid rule on node values.
 The minimizer runs multi-start preconditioned descent with mesh doubling.
 The potential is discontinuous across nearest-site cell boundaries, so
 nodes sitting exactly on a boundary (tie class) are treated as pinned:
-their descent direction is projected onto the boundary's equidistance
-directions, and dedicated release/capture trial moves (single-node move
-plus a short relaxation, accepted only on strict objective decrease) let
+they move only along the boundary's equidistance directions, and
+dedicated release/capture trial moves (single-node move plus a
+relaxation, accepted only on strict objective decrease) let
 boundary-riding segments shrink or grow across the potential jump, which
 no smooth line search can cross.
 
 One descent engine (`_Descent`) does all of this on stacks of paths.
-The Newton-like direction of a whole stack is one LAPACK ``?ptsv`` solve
-of a block-tridiagonal system whose coupling is zero between paths and
-around fully pinned nodes (a block-coordinate view of projected Newton,
-Bertsekas 1982). A start's descent is a stack of one; the candidates of
-a trial-move round relax together in lockstep, one field-kernel call per
+Its direction is the Newton step of the problem restricted to the pinned
+nodes' tangent spaces (the active-set step of projected Newton, Bertsekas
+1982): one banded LAPACK solve for the whole stack, with zero coupling
+between paths. A start's descent is a stack of one; the candidates of a
+trial-move round relax together in lockstep, one field-kernel call per
 iteration and per line-search halving, in blocks of at most
 ``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths. Paths in a stack never
 interact, so results do not depend on the block size.
@@ -321,12 +321,10 @@ class _Descent:
     have on its own.
 
     Pinned nodes (tie classes) move only along their boundary's
-    equidistance directions; release/capture trial moves handle the
-    discontinuous jumps. With a ``polytope``, iterates are projected onto
-    it and nodes on active faces are pinned the same way. Deterministic.
+    equidistance directions (:meth:`_direction`); release/capture trial
+    moves handle the discontinuous jumps. With a ``polytope``, iterates are
+    projected onto it and nodes on active faces are pinned the same way.
     """
-
-    RELAX_ITERS = 60
 
     def __init__(self, kset: PointSet, shape: Shape, delta: float, cfg: SolverConfig,
                  polytope: Polytope | None = None):
@@ -335,7 +333,7 @@ class _Descent:
         self.delta = delta
         self.cfg = cfg
         self.polytope = polytope
-        self._frames: dict[tuple, np.ndarray] = {}
+        self._frames: dict[tuple, object] = {}
         self._etas: dict[tuple[int, ...], np.ndarray] = {}
 
     # -- objective pieces ---------------------------------------------------
@@ -350,30 +348,28 @@ class _Descent:
         h = self.shape.h(s).reshape(b, n)
         return kin + dt * (0.5 * h[:, 0] + np.sum(h[:, 1:-1], axis=1) + 0.5 * h[:, -1])
 
+    def _cell(self, cls: tuple[int, ...]):
+        """Cell frame of a tie class, or the GeometryError computing it raised; cached."""
+        if cls not in self._frames:
+            try:
+                self._frames[cls] = cell_frame(OptClass(cls, self.kset.points[cls[0]]), self.kset)
+            except GeometryError as err:
+                self._frames[cls] = err
+        frame = self._frames[cls]
+        if isinstance(frame, GeometryError):
+            raise frame.with_traceback(None)
+        return frame
+
     def _tangent(self, key: tuple) -> np.ndarray:
         """Moves of a pinned group: a tie class's equidistance directions, or
         the null space of the faces of a ``("faces", i, ...)`` key."""
+        if key[0] != "faces":
+            return self._cell(key).basis_b
         basis = self._frames.get(key)
         if basis is None:
-            if key[0] == "faces":
-                _, sing, vt = np.linalg.svd(self.polytope.normals[list(key[1:])],
-                                            full_matrices=True)
-                basis = vt[int(np.sum(sing > 1e-10 * sing[0])):]
-            else:
-                basis = cell_frame(OptClass(key, self.kset.points[key[0]]), self.kset).basis_b
-            self._frames[key] = basis
+            _, sing, vt = np.linalg.svd(self.polytope.normals[list(key[1:])], full_matrices=True)
+            basis = self._frames[key] = vt[int(np.sum(sing > 1e-10 * sing[0])):]
         return basis
-
-    def _project_pinned(self, arr: np.ndarray, pin_groups) -> np.ndarray:
-        """Project the pinned rows of the stacked interior rows ``arr`` (N, d)
-        onto their tangent spaces."""
-        for key, rows in pin_groups:
-            basis = self._tangent(key)
-            if basis.shape[0]:
-                arr[rows] = (arr[rows] @ basis.T) @ basis
-            else:
-                arr[rows] = 0.0
-        return arr
 
     def _state(self, stack: np.ndarray):
         """Field slopes ``(B, n)``, projected interior gradients ``(B, n - 2, d)``
@@ -396,9 +392,12 @@ class _Descent:
             rows = rows[(k >= 1) & (k <= n - 2)]
             if rows.size:
                 pin_groups.append((cls, rows - 2 * (rows // n) - 1))
+        flat = g.reshape(-1, d)
         if self.polytope is not None:
-            pin_groups += self._face_groups(stack[:, 1:-1].reshape(-1, d), g.reshape(-1, d))
-        self._project_pinned(g.reshape(-1, d), pin_groups)
+            pin_groups += self._face_groups(stack[:, 1:-1].reshape(-1, d), flat)
+        for key, rows in pin_groups:
+            basis = self._tangent(key)
+            flat[rows] = (flat[rows] @ basis.T) @ basis
         return s, g, pin_groups, dt
 
     def _face_groups(self, inner: np.ndarray, g: np.ndarray) -> list:
@@ -424,32 +423,38 @@ class _Descent:
                 for grp in _split_by_mask(rows, active)]
 
     def _direction(self, g_eff: np.ndarray, pin_groups, s: np.ndarray, dt: float) -> np.ndarray:
-        """Newton-like step for the whole stack: one tridiagonal solve, then
-        tangent projection.
+        """Newton step of the pinned problem for the whole stack, ``Z (Z^T H Z)^-1 Z^T g``.
 
-        The stacked interior rows form one symmetric positive definite
-        tridiagonal system (diagonal ``4/dt + 2 dt h'``, coupling ``-2/dt``)
-        that LAPACK ``?ptsv`` solves for all paths and coordinates at once.
-        The coupling is zero across every path boundary, so the paths do not
-        interact. Pinned rows with a nontrivial tangent stay coupled (Newton
-        along boundary-riding valleys; the post-projected solve remains a
-        descent direction for the projected gradient). Fully pinned rows
-        (zero-dimensional tangent) cannot move at all and are decoupled, so
-        their free neighbors see them as Dirichlet data.
+        ``H`` is block-tridiagonal (diagonal ``D_r = 4/dt + 2 dt h'``, coupling
+        ``-2/dt``, zero across path boundaries) and ``Z`` holds each row's
+        tangent basis ``B``, the identity on free rows: the null-space method
+        (Nocedal & Wright, ch. 16). In projector form, ``P_r = B^T B``, the step
+        solves the SPD system ``P H P + I - P`` (diagonal blocks
+        ``D_r P_r + I - P_r``, coupling ``-2/dt P_{r+1} P_r``), whose solution
+        lies in the tangent spaces: one ``solveh_banded`` call, ``2d`` band
+        rows. Rows with infinite ``h'`` (power p < 1 on its own site) get
+        ``P = 0`` and a zero step.
         """
         b, n_int, d = g_eff.shape
-        band = np.empty((2, b * n_int))
-        band[0] = (4.0 / dt + 2.0 * dt * np.maximum(self.shape.h_prime(s[:, 1:-1]), 0.0)
-                   + 1e-12).ravel()
-        band[1] = -2.0 / dt
-        band[1, n_int - 1::n_int] = 0.0
-        fixed = [rows for key, rows in pin_groups if self._tangent(key).shape[0] == 0]
-        if fixed:
-            idx = np.concatenate(fixed)
-            band[1, idx] = 0.0
-            band[1, idx[idx > 0] - 1] = 0.0
-        step = solveh_banded(band, g_eff.reshape(-1, d), lower=True, check_finite=False)
-        return self._project_pinned(step, pin_groups).reshape(b, n_int, d)
+        size = b * n_int
+        hp = self.shape.h_prime(s[:, 1:-1]).ravel()
+        frozen = np.isinf(hp)
+        diag = 4.0 / dt + 2.0 * dt * np.maximum(np.where(frozen, 0.0, hp), 0.0) + 1e-12
+        proj = np.tile(np.eye(d), (size, 1, 1))
+        for key, rows in pin_groups:
+            basis = self._tangent(key)
+            proj[rows] = basis.T @ basis
+        proj[frozen] = 0.0
+        rhs = np.where(frozen[:, None], 0.0, g_eff.reshape(size, d))
+        strip = np.zeros((size, 3 * d, d))  # (diagonal | coupling to the next row | 0) blocks
+        strip[:, :d] = diag[:, None, None] * proj + (np.eye(d) - proj)
+        strip[:-1, d:2 * d] = (-2.0 / dt) * (proj[1:] @ proj[:-1])
+        strip[n_int - 1::n_int, d:2 * d] = 0.0
+        # Lower band storage (?ptsv if d = 1, else ?pbsv): band[m, rd + c] = strip[r, c + m, c].
+        k, c = np.ogrid[:2 * d, :d]
+        band = strip[:, k + c, c].transpose(1, 0, 2).reshape(2 * d, size * d)
+        step = solveh_banded(band, rhs.reshape(-1), lower=True, check_finite=False)
+        return step.reshape(b, n_int, d)
 
     def _feasible(self, stack: np.ndarray) -> np.ndarray:
         """Project the interior nodes of the stack onto the polytope, in place."""
@@ -487,11 +492,7 @@ class _Descent:
                 keep[j] = allow_moves and self._move(stack, f, live[j])
             search = np.flatnonzero(~small)
             direction = self._direction(g_eff, pin_groups, s, dt)[search]
-            g_eff = g_eff[search]
-            slope = np.sum(g_eff * direction, axis=(1, 2))
-            flat = slope <= 0
-            direction[flat] = g_eff[flat]
-            slope[flat] = np.sum(g_eff[flat] * g_eff[flat], axis=(1, 2))
+            slope = np.sum(g_eff[search] * direction, axis=(1, 2))
             step = alpha[live[search]]
             for _ in range(45):
                 if not search.size:
@@ -500,7 +501,7 @@ class _Descent:
                 trial = stack[paths]
                 trial[:, 1:-1] -= step[:, None, None] * direction
                 f_trial = self.value(self._feasible(trial))
-                ok = f_trial <= f[paths] - 1e-4 * step * slope
+                ok = (f_trial <= f[paths] - 1e-4 * step * slope) & (slope > 0.0)
                 stack[paths[ok]], f[paths[ok]] = trial[ok], f_trial[ok]
                 alpha[paths[ok]] = np.minimum(step[ok] * 1.6, 16.0)
                 search, step, slope = search[~ok], step[~ok] * 0.5, slope[~ok]
@@ -523,11 +524,11 @@ class _Descent:
         """Try boundary release/capture moves; keep the best strict improvement.
 
         Each candidate moves one node across the potential jump and then
-        relaxes for up to ``RELAX_ITERS`` iterations with moves disabled.
-        All candidates of a round relax together as one lockstep stack, in
-        blocks of at most ``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths
-        (at least one) to bound the kernel's distance matrix. The paths of a
-        stack do not interact, so the block size never changes a result.
+        relaxes with moves disabled. All candidates of a round relax together
+        as one lockstep stack, in blocks of at most
+        ``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths (at least one) to bound
+        the kernel's distance matrix. The paths of a stack do not interact, so
+        the block size never changes a result.
         The best strict improvement wins, ties going to the earlier
         candidate; the loop is monotone in the objective by construction.
         """
@@ -548,9 +549,8 @@ class _Descent:
                             candidates.append((k, base + w * (target - base)))
                     elif not tie_mask[k] and tie_mask[nb]:
                         # Capture: project the free node onto the neighbor's boundary plane.
-                        cls = tie_classes[nb]
                         try:
-                            frame = cell_frame(OptClass(cls, nodes[nb]), self.kset)
+                            frame = self._cell(tie_classes[nb])
                         except GeometryError:
                             continue
                         rel = nodes[k] - frame.p_h
@@ -566,7 +566,7 @@ class _Descent:
                 trials = np.repeat(nodes[None], len(chunk), axis=0)
                 for j, (k, pos) in enumerate(chunk):
                     trials[j, k] = pos
-                relaxed, values, _, _ = self.solve(trials, self.RELAX_ITERS, allow_moves=False)
+                relaxed, values, _, _ = self.solve(trials, self.cfg.max_iters, False)
                 for f_trial, path in zip(values, relaxed):
                     if f_trial < threshold and (best is None or f_trial < best[0]):
                         best = (f_trial, path)
@@ -610,7 +610,7 @@ def seed_grid_spec(x0, xdelta, delta: float, kset: PointSet) -> "GridSpec":
         if kset.n <= 60:
             pts = kset.points[:, ax]
             vals.extend((0.5 * (pts[:, None] + pts[None, :])).ravel().tolist())
-        snap.append(tuple(sorted(set(float(np.round(v, 12)) for v in vals))))
+        snap.append(tuple(sorted(set(np.round(np.asarray(vals, dtype=float), 12).tolist()))))
     dist0 = float(np.min(np.linalg.norm(kset.points - a[None, :], axis=1)))
     dist1 = float(np.min(np.linalg.norm(kset.points - b[None, :], axis=1)))
     v_scale = max(1.0, span / delta, dist0, dist1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voract import action as action_module
+from voract import presets
 from voract import (
     ActionError,
     GridSpec,
@@ -218,26 +219,102 @@ def test_minimize_deterministic(line_k, identity_shape):
 # stacked descent engine
 
 
-def test_descent_direction_matches_dense_solve(triangle_k):
-    # Two stacked paths of 7 interior rows; rows 0, 3 (path 0) and 10, 13
-    # (path 1) sit at the circumcenter class, whose tangent is a point.
-    engine = _Descent(triangle_k, Shape.power(2.0), 1.0, QUICK)
-    engine._project_pinned = lambda arr, pin_groups: arr  # compare before projection
-    b, n_int, d = 2, 7, 2
-    dt = 1.0 / (n_int + 1)
-    rng = np.random.default_rng(3)
+def _dense_pinned_step(g, s, dt, shape, bases):
+    """Reference step ``Z (Z^T H Z)^-1 Z^T g`` by dense linear algebra.
+
+    ``H`` is the block-tridiagonal Hessian of the stacked interior rows
+    (diagonal ``4/dt + 2 dt h'``, coupling ``-2/dt`` within a path) and ``Z``
+    the block-diagonal matrix of the per-row tangent bases ``bases[r]``
+    (``d x k`` columns). Rows with infinite ``h'`` must come with ``k = 0``.
+    """
+    b, n_int, d = g.shape
+    size = b * n_int
+    hp = shape.h_prime(s[:, 1:-1]).ravel()
+    tri = np.diag(4.0 / dt + 2.0 * dt * np.where(np.isinf(hp), 0.0, hp) + 1e-12)
+    for i in range(size - 1):
+        if (i + 1) % n_int:
+            tri[i, i + 1] = tri[i + 1, i] = -2.0 / dt
+    hess = np.kron(tri, np.eye(d))
+    zmat = np.zeros((size * d, sum(z.shape[1] for z in bases)))
+    col = 0
+    for r, z in enumerate(bases):
+        zmat[r * d:(r + 1) * d, col:col + z.shape[1]] = z
+        col += z.shape[1]
+    reduced = zmat.T @ hess @ zmat
+    step = zmat @ np.linalg.solve(reduced, zmat.T @ g.reshape(-1))
+    return step.reshape(b, n_int, d)
+
+
+def _pinned_fixture(pins, b, n_int, d, seed):
+    """Random slopes and a gradient projected onto the pinned rows' tangents,
+    as ``_state`` hands them over, and the tangent basis of every row."""
+    rng = np.random.default_rng(seed)
     s = rng.uniform(0.1, 2.0, (b, n_int + 2))
     g = rng.standard_normal((b, n_int, d))
-    fixed = np.array([0, 3, n_int + 3, 2 * n_int - 1])
-    step = engine._direction(g, [((0, 1, 2), fixed)], s, dt)
+    bases = [np.eye(d)] * (b * n_int)
+    for _, rows, tangent in pins:
+        for r in rows:
+            bases[r] = tangent
+            g.reshape(-1, d)[r] = tangent @ (tangent.T @ g.reshape(-1, d)[r])
+    return s, g, bases
 
-    size = b * n_int
-    dense = np.diag(4.0 / dt + 2.0 * dt * 2.0 * s[:, 1:-1].ravel() + 1e-12)
-    for i in range(size - 1):
-        if (i + 1) % n_int and i not in fixed and i + 1 not in fixed:
-            dense[i, i + 1] = dense[i + 1, i] = -2.0 / dt
-    expected = np.linalg.solve(dense, g.reshape(size, d))
-    np.testing.assert_allclose(step.reshape(size, d), expected, rtol=0.0, atol=1e-12)
+
+def test_descent_direction_is_the_reduced_newton_step(triangle_k):
+    # Two stacked paths of 7 interior rows. Rows 0 and 10 sit at the
+    # circumcenter class (0-dimensional tangent), rows 3, 4 and 13 on the
+    # bisector of sites 0 and 2, rows 5, 6 (the path's last) and 7 (the
+    # next path's first) on the bisector of sites 0 and 1.
+    shape = Shape.power(2.0)
+    engine = _Descent(triangle_k, shape, 1.0, QUICK)
+    b, n_int, d = 2, 7, 2
+    dt = 1.0 / (n_int + 1)
+    pins = [((0, 1, 2), np.array([0, 10]), np.zeros((2, 0))),
+            ((0, 2), np.array([3, 4, 13]), np.array([[0.0], [1.0]])),
+            ((0, 1), np.array([5, 6, 7]), np.array([[1.0], [1.0]]) / np.sqrt(2.0))]
+    s, g, bases = _pinned_fixture(pins, b, n_int, d, 3)
+    for key, _, tangent in pins:  # the engine's tangents span the same lines
+        basis = engine._tangent(key)
+        np.testing.assert_allclose(basis.T @ basis, tangent @ tangent.T, atol=1e-15)
+    step = engine._direction(g, [(key, rows) for key, rows, _ in pins], s, dt)
+    np.testing.assert_allclose(step, _dense_pinned_step(g, s, dt, shape, bases),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_descent_direction_on_polytope_faces_and_infinite_curvature():
+    # 3-D, two stacked paths of 6 interior rows in the unit cube: rows on
+    # one face (2-dimensional tangent), on an edge (1-dimensional) and at a
+    # vertex (none). With h(s) = sqrt(s) the rows 2 and 9 sit on their own
+    # site, where h' is infinite: they must not move.
+    cube = _halfspaces(*_CUBE)
+    shape = Shape.power(0.5)
+    engine = _Descent(PointSet([[0.0, 0.0, 0.0]]), shape, 1.0, QUICK, cube)
+    b, n_int, d = 2, 6, 3
+    dt = 1.0 / (n_int + 1)
+    null = {}
+    for faces in ((0,), (0, 2), (0, 2, 4)):
+        vt = np.linalg.svd(cube.normals[list(faces)], full_matrices=True)[2]
+        null[faces] = vt[len(faces):].T
+    pins = [(("faces", 0), np.array([0, 1, 8]), null[(0,)]),
+            (("faces", 0, 2), np.array([4, 5, 6]), null[(0, 2)]),
+            (("faces", 0, 2, 4), np.array([11]), null[(0, 2, 4)])]
+    s, g, bases = _pinned_fixture(pins, b, n_int, d, 5)
+    s[0, 3] = s[1, 4] = 0.0  # interior rows 2 and 9
+    bases[2] = bases[9] = np.zeros((d, 0))
+    step = engine._direction(g, [(key, rows) for key, rows, _ in pins], s, dt)
+    assert np.all(np.isfinite(step))
+    assert np.all(step.reshape(-1, d)[[2, 9]] == 0.0)
+    np.testing.assert_allclose(step, _dense_pinned_step(g, s, dt, shape, bases),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_mag_exchange_descent_converges_in_few_iterations():
+    # The Newton step of the pinned problem converges in a few iterations
+    # per stage at every mesh; five per stage suffice for every start.
+    sc = presets._scenario("mag-exchange")
+    cfg = SolverConfig(M=256, refinements=3, starts=1, max_iters=5)
+    res = minimize(sc.x0, sc.x1, sc.delta, sc.kset, sc.shape, cfg)
+    assert res.converged and res.grad_norm <= cfg.grad_tol
+    assert len(res.starts) == 2 and all(st.converged for st in res.starts)
 
 
 def _candidate_stack(engine, x0, x1, m):
@@ -268,10 +345,10 @@ def test_lockstep_relaxation_matches_single_paths(case, line_k):
         kset, x0, x1 = build_mag([[0.0], [0.5]], 1, 2, 1).kset, [0.2, 0.3], [0.3, 0.2]
     engine = _Descent(kset, Shape.power(2.0), 1.0, QUICK)
     stack = _candidate_stack(engine, x0, x1, 32)
-    nodes, values, converged, grad_norm = engine.solve(stack, _Descent.RELAX_ITERS,
+    nodes, values, converged, grad_norm = engine.solve(stack, QUICK.max_iters,
                                                        allow_moves=False)
     for j in range(stack.shape[0]):
-        one = engine.solve(stack[j:j + 1], _Descent.RELAX_ITERS, allow_moves=False)
+        one = engine.solve(stack[j:j + 1], QUICK.max_iters, allow_moves=False)
         assert np.array_equal(one[0][0], nodes[j])
         assert one[1][0] == values[j]
         assert one[2][0] == converged[j] and one[3][0] == grad_norm[j]
@@ -448,6 +525,30 @@ def test_grid_spec_rejects_invalid_fields(fields):
     with pytest.raises(ActionError):
         GridSpec(**{"lo": [-1.5], "hi": [1.5], "resolution": 0.05, "time_slices": 20,
                     **fields})
+
+
+def _seed_grid_cases():
+    rng = np.random.default_rng(7)
+    yield [-0.0, 0.5], [0.5, -0.0], PointSet([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    yield [-0.0], [0.2], PointSet([[-1.0], [1.0]])
+    yield [0.2, 0.3], [0.3, 0.2], presets.exchange_system().kset
+    for d in (1, 2, 3) * 4:
+        pts = np.round(rng.uniform(-2.0, 2.0, (int(rng.integers(1, 40)), d)), 2)
+        x0 = np.where(rng.random(d) < 0.3, -0.0, rng.uniform(-1.0, 1.0, d))
+        yield x0, rng.uniform(-1.0, 1.0, d), PointSet(np.unique(pts, axis=0))
+
+
+@pytest.mark.parametrize("x0,x1,kset", list(_seed_grid_cases()))
+def test_seed_grid_snaps_match_scalar_rounding(x0, x1, kset):
+    # The snap values are rounded as one array; they must equal rounding
+    # each value on its own, the sign of a zero included.
+    spec = action_module.seed_grid_spec(x0, x1, 1.0, kset)
+    for ax, snap in enumerate(spec.snap_axes):
+        pts = kset.points[:, ax]
+        vals = [float(np.asarray(x0, dtype=float)[ax]), float(np.asarray(x1, dtype=float)[ax]),
+                *pts.tolist(), *(0.5 * (pts[:, None] + pts[None, :])).ravel().tolist()]
+        expected = tuple(sorted(set(float(np.round(v, 12)) for v in vals)))
+        assert list(map(repr, snap)) == list(map(repr, expected))
 
 
 def _reference_dp(x0, x1, delta, kset, shape, gs):
