@@ -212,15 +212,12 @@ class SolverConfig:
     refinements: int = 3
     starts: int = 4
     seed: int = 0
-    step_init: float = 1.0
     grad_tol: float = 1e-5
     max_iters: int = 4000
 
     def __post_init__(self):
         if min(self.M, self.refinements + 1, self.starts, self.max_iters) <= 0:
             raise ActionError("solver config fields must be positive")
-        if self.step_init <= 0:
-            raise ActionError("step_init must be positive")
         if self.grad_tol < 1e-12:
             raise ActionError("grad_tol must be at least 1e-12")
         if self.M >> self.refinements < 4:
@@ -477,7 +474,7 @@ class _Descent:
         """
         stack = self._feasible(stack.copy())
         f = self.value(stack)
-        alpha = np.full(stack.shape[0], self.cfg.step_init)
+        alpha = np.ones(stack.shape[0])  # first trial: the unit Newton step
         grad_norm = np.full(stack.shape[0], np.inf)
         tol = self.cfg.grad_tol
         live = np.arange(stack.shape[0])
@@ -509,7 +506,7 @@ class _Descent:
             for j in search:
                 keep[j] = allow_moves and self._move(stack, f, live[j])
                 if keep[j]:
-                    alpha[live[j]] = self.cfg.step_init
+                    alpha[live[j]] = 1.0
             live = live[keep]
         return stack, f, grad_norm <= tol, grad_norm
 

@@ -15,9 +15,10 @@ Given a discrete path over a site set, this module measures:
 
 Shock times are resolved at node resolution: the continuum event lies in
 the interval between the last node of the old class and the first node of
-the new one. One-sided velocities extrapolate two 3-node least-squares
-slopes (windows offset 2 and 5 nodes from the event) to the event time,
-which removes the O(dt) bias a single offset window would carry.
+the new one. One-sided velocities extrapolate two central differences
+(centred 3 and 6 nodes before the boundary, or 2 and 5 after it) linearly
+to the event time, which removes the O(dt) bias a single offset difference
+would carry.
 
 All functions are pure over immutable paths and safe for concurrent use.
 """
@@ -115,44 +116,23 @@ def energy_profile(path: Path, kset: PointSet, shape: Shape) -> EnergyProfile:
     return EnergyProfile(values=values, constant=constant, deviations=values - constant)
 
 
-def _class_runs(classes: list[tuple[int, ...]]) -> list[tuple[int, int, tuple[int, ...]]]:
-    runs = []
-    start = 0
-    for k in range(1, len(classes)):
-        if classes[k] != classes[start]:
-            runs.append((start, k - 1, classes[start]))
-            start = k
-    runs.append((start, len(classes) - 1, classes[start]))
-    return runs
-
-
 def _one_sided_velocity(nodes: np.ndarray, dt: float, boundary: int, side: str) -> np.ndarray:
-    """Velocity at the event boundary, extrapolated from two least-squares
-    slope windows (3 nodes each, offsets 2 and 5) on the given side.
+    """Velocity at the event boundary, extrapolated linearly from two
+    central differences centred 3 and 6 nodes before ``boundary``
+    (``minus``) or 2 and 5 nodes after it (``plus``).
 
-    Falls back to a single window or a plain difference when the run is
-    short. ``boundary`` is the index of the first node of the new class;
-    the event time is t[boundary] for the minus side convention used here.
+    Falls back to the near difference alone, then to a plain one-sided
+    difference, when the run is short. ``boundary`` is the index of the
+    first node of the new class.
     """
-
-    def ls_slope(first: int) -> np.ndarray | None:
-        idx = [first, first + 1, first + 2] if side == "plus" else [first - 2, first - 1, first]
-        if min(idx) < 0 or max(idx) >= nodes.shape[0]:
-            return None
-        pts = nodes[idx]
-        return (pts[2] - pts[0]) / (2.0 * dt)
-
-    if side == "minus":
-        near = ls_slope(boundary - 2)   # centered 3 dt before the boundary
-        far = ls_slope(boundary - 5)    # centered 6 dt before the boundary
-    else:
-        near = ls_slope(boundary + 1)   # centered 2 dt after the boundary
-        far = ls_slope(boundary + 4)    # centered 5 dt after the boundary
-    if near is not None and far is not None:
-        return 2.0 * near - far
-    if near is not None:
-        return near
-    # Short run: plain one-sided difference.
+    centres = (boundary - 3, boundary - 6) if side == "minus" else (boundary + 2, boundary + 5)
+    # The far centre is only in range when the near one is.
+    slopes = [(nodes[c + 1] - nodes[c - 1]) / (2.0 * dt)
+              for c in centres if 1 <= c <= nodes.shape[0] - 2]
+    if len(slopes) == 2:
+        return 2.0 * slopes[0] - slopes[1]
+    if slopes:
+        return slopes[0]
     if side == "minus":
         k = max(boundary - 1, 1)
         return (nodes[k] - nodes[k - 1]) / dt
@@ -165,9 +145,9 @@ def detect_shocks(path: Path, kset: PointSet, window: int = 2) -> list[ShockEven
 
     A single-node visit of a class strictly containing both neighbouring
     runs is coalesced into one crossing event (a transversal passage
-    through a lower-dimensional cell). Effective classification requires
-    strict class nesting, a projection jump and class constancy over
-    ``window`` nodes on both sides.
+    through a lower-dimensional cell) at that node. Effective
+    classification requires strict class nesting, a projection jump and
+    runs of at least ``window`` nodes on both sides.
     """
     if window < 2:
         raise AnalysisError("window must be at least 2")
@@ -175,86 +155,56 @@ def detect_shocks(path: Path, kset: PointSet, window: int = 2) -> list[ShockEven
         raise AnalysisError("window exceeds the path length")
     etas, _, _, groups = batch_field(path.nodes, kset)
     classes = row_classes(etas.shape[0], groups)
-    runs = _class_runs(classes)
-    dt = path.dt
-    times = path.times
+    nodes, dt, times = path.nodes, path.dt, path.times
 
-    # Coalesce transversal single-node visits of a superset class.
-    merged_runs = []
-    i = 0
-    while i < len(runs):
-        s, e, cls = runs[i]
-        if (
-            s == e
-            and 0 < i < len(runs) - 1
-            and _strict_subset(runs[i - 1][2], cls)
-            and _strict_subset(runs[i + 1][2], cls)
-        ):
-            merged_runs[-1] = merged_runs[-1] + [(s, cls)]
-            i += 1
+    # Runs [start, end, class, merged]: ``merged`` is the class of a
+    # coalesced single-node visit that directly follows the run. The merge
+    # test reads classes[s - 1], not runs[-2], whose successor may itself
+    # have been merged away.
+    runs: list[list] = []
+    for k, cls in enumerate(classes):
+        if runs and cls == runs[-1][2]:
+            runs[-1][1] = k
             continue
-        merged_runs.append([(s, e, cls)])
-        i += 1
+        if len(runs) >= 2:
+            s, e, mid, _ = runs[-1]
+            if s == e and _strict_subset(classes[s - 1], mid) and _strict_subset(cls, mid):
+                runs.pop()
+                runs[-1][3] = mid
+        runs.append([k, k, cls, None])
 
-    # Rebuild a run list where each entry may carry a trailing merged node.
     events: list[ShockEvent] = []
-    flat: list[tuple[int, int, tuple[int, ...], tuple[int, ...] | None]] = []
-    for group in merged_runs:
-        s, e, cls = group[0]
-        merged = group[1][1] if len(group) > 1 else None
-        flat.append((s, e, cls, merged))
-
-    for i in range(len(flat) - 1):
-        s0, e0, cls_before, merged = flat[i]
-        s1, e1, cls_after, _ = flat[i + 1]
-        boundary = s1
-        if merged is not None:
-            # The merged node itself is the crossing locus.
-            event_node = e0 + 1
-            x_event = path.nodes[event_node]
-            eta_b = etas[e0]
-            eta_a = etas[s1]
-            v_minus = _one_sided_velocity(path.nodes, dt, event_node, "minus")
-            v_plus = _one_sided_velocity(path.nodes, dt, event_node + 1, "plus")
-        else:
-            event_node = boundary
-            eta_b = etas[boundary - 1]
-            eta_a = etas[boundary]
-            v_minus = _one_sided_velocity(path.nodes, dt, boundary, "minus")
-            v_plus = _one_sided_velocity(path.nodes, dt, boundary, "plus")
-            bigger_side = boundary if len(cls_after) >= len(cls_before) else boundary - 1
-            x_event = path.nodes[bigger_side]
-
+    for (s0, e0, cls_before, merged), (s1, e1, cls_after, _) in zip(runs, runs[1:]):
+        node = e0 + 1
+        v_minus = _one_sided_velocity(nodes, dt, node, "minus")
+        v_plus = _one_sided_velocity(nodes, dt, s1, "plus")
         jump = v_minus - v_plus
-        jump_sq = float(jump @ jump)
-        eta_jump = float(np.linalg.norm(eta_b - eta_a))
+        if merged is not None or len(cls_after) >= len(cls_before):
+            x_event = nodes[node]
+        else:
+            x_event = nodes[e0]
 
-        if eta_jump <= ETA_DEDUP_TOL:
+        if float(np.linalg.norm(etas[e0] - etas[s1])) <= ETA_DEDUP_TOL:
             kind = "degenerate"
         else:
             kind = "nondegenerate"
-            if merged is None:
-                before_ok = (boundary - window >= 0
-                             and all(classes[j] == cls_before for j in range(boundary - window, boundary)))
-                after_ok = (boundary + window - 1 <= path.m_intervals
-                            and all(classes[j] == cls_after for j in range(boundary, boundary + window)))
-                if before_ok and after_ok:
-                    if _strict_subset(cls_before, cls_after):
-                        kind = "effective_left"
-                    elif _strict_subset(cls_after, cls_before):
-                        kind = "effective_right"
+            if merged is None and min(e0 - s0, e1 - s1) + 1 >= window:
+                if _strict_subset(cls_before, cls_after):
+                    kind = "effective_left"
+                elif _strict_subset(cls_after, cls_before):
+                    kind = "effective_right"
 
         events.append(ShockEvent(
-            node_index=int(event_node),
-            time=float(times[event_node]),
+            node_index=node,
+            time=float(times[node]),
             kind=kind,
             class_before=cls_before,
             class_after=cls_after,
-            eta_before=eta_b,
-            eta_after=eta_a,
+            eta_before=etas[e0],
+            eta_after=etas[s1],
             v_minus=v_minus,
             v_plus=v_plus,
-            jump_sq=jump_sq,
+            jump_sq=float(jump @ jump),
             x_event=x_event,
             merged_class=merged,
         ))
@@ -299,22 +249,20 @@ def _momentum_class(event: ShockEvent) -> tuple[int, ...]:
     return union
 
 
-def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2,
-                      slack: float | None = None) -> RegularityReport:
+def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2) -> RegularityReport:
     """Second-difference bound, energy constancy and momentum continuity.
 
     Central second differences at nodes at least 2 away from any
     nondegenerate shock are compared against
-    ``h'(|x-eta|^2)|x-eta| + slack`` (default slack 20*dt). Momentum
+    ``h'(|x-eta|^2)|x-eta| + 20 dt``. Momentum
     residuals compare the one-sided velocities projected on the
     equidistance directions of the union class at every shock.
     """
     events = detect_shocks(path, kset, window=window)
     dt = path.dt
-    if slack is None:
-        slack = 20.0 * dt
+    slack = 20.0 * dt
     nodes = path.nodes
-    etas, s, _, _ = batch_field(nodes, kset)
+    _, s, _, _ = batch_field(nodes, kset)
 
     nondeg_nodes = [ev.node_index for ev in events if ev.kind != "degenerate"]
     excluded = np.zeros(nodes.shape[0], dtype=bool)

@@ -45,7 +45,7 @@ from .analysis import regularity_report
 from .geometry import PointSet, VoractError, load_point_set
 from .mag import build_mag, default_window, particle_paths, window_certificate
 from .potential import zone_table
-from .presets import PRESET_NAMES, run_preset
+from .presets import PRESET_NAMES, _energy_tol, run_preset
 
 __all__ = ["main", "ConfigError", "load_run_config", "execute_run"]
 
@@ -96,7 +96,7 @@ def _parse_shape(spec: dict | None) -> Shape:
 def _parse_solver(spec: dict | None) -> SolverConfig:
     if spec is None:
         return SolverConfig()
-    allowed = {"M", "refinements", "starts", "seed", "step_init", "grad_tol", "max_iters"}
+    allowed = {"M", "refinements", "starts", "seed", "grad_tol", "max_iters"}
     _require_keys(spec, allowed, "solver")
     kwargs = {k: spec[k] for k in allowed if k in spec}
     return SolverConfig(**kwargs)
@@ -130,7 +130,6 @@ def load_run_config(path: str) -> dict:
         "plots": bool(raw.get("plots", True)),
         "output_dir": raw.get("output_dir"),
         "oracle_grid": raw.get("oracle_grid"),
-        "raw": raw,
     }
     return cfg
 
@@ -163,7 +162,7 @@ def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
 
     check_results = {}
     if "energy" in cfg["checks"]:
-        tol = max(1e-3, 5.0 * result.path.dt)
+        tol = _energy_tol(result.path)
         check_results["energy"] = {
             "passed": report.energy_std_away_from_shocks <= tol,
             "value": report.energy_std_away_from_shocks,

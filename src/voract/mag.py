@@ -24,7 +24,7 @@ import numpy as np
 
 from .action import MinimizeResult, Shape, SolverConfig, Path, minimize
 from .geometry import PointSet, VoractError, _as_vector
-from .potential import KERNEL_CHUNK_ROW_SITES, _pair_probes, batch_field
+from .potential import ETA_DEDUP_TOL, KERNEL_CHUNK_ROW_SITES, _pair_probes, batch_field
 
 __all__ = [
     "MagError",
@@ -194,7 +194,7 @@ def interior_balance_verdict(system: MagSystem, probe_count: int = 2000, seed: i
     for cls in sorted(cell_eta):
         eta = cell_eta[cls]
         for other_eta, other_cls in seen:
-            if float(np.linalg.norm(other_eta - eta)) <= 1e-7:
+            if float(np.linalg.norm(other_eta - eta)) <= ETA_DEDUP_TOL:
                 return False, (other_cls, cls), len(cell_eta)
         seen.append((eta, cls))
     return True, None, len(cell_eta)

@@ -36,7 +36,7 @@ from .geometry import PointSet, Polytope, min_norm_point, polytope_distance_rati
 from .mag import MagSystem, build_mag, default_window, stability_run, window_certificate
 from .potential import extended_gradient, slope_sup_oracle, zone_table
 
-__all__ = ["PRESET_NAMES", "CheckResult", "PresetOutcome", "run_preset", "clear_cache"]
+__all__ = ["PRESET_NAMES", "CheckResult", "PresetOutcome", "run_preset"]
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ class PresetOutcome:
 
 
 _CACHE: dict[str, object] = {}
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
 
 
 def _cached(key: str, builder):

@@ -789,7 +789,7 @@ def _reference_constrained(x0, x1, delta, polytope, center, shape, cfg):
             nodes[1:-1] = polytope.project(nodes[1:-1], tol=1e-10)
         nodes[0], nodes[-1] = a, b
         dt = delta / m
-        alpha, f0 = cfg.step_init, value(nodes, dt)
+        alpha, f0 = 1.0, value(nodes, dt)
         for _ in range(cfg.max_iters):
             _, gpsi, s = psi_and_grad(nodes)
             g = 2.0 * (2.0 * nodes[1:-1] - nodes[:-2] - nodes[2:]) / dt + dt * gpsi[1:-1]

@@ -9,6 +9,7 @@ from voract import (
     detect_shocks,
     energy_profile,
     jump_residual,
+    opt_class,
     regularity_report,
 )
 from conftest import waiting_nodes
@@ -145,6 +146,63 @@ def test_shock_times_stable_under_refinement(line_k):
     assert [e.kind for e in ev_c] == [e.kind for e in ev_f]
     for a, b in zip(ev_c, ev_f):
         assert abs(a.time - b.time) <= 2.0 * coarse.dt
+
+
+def snapped_path(seed: int) -> tuple[Path, PointSet]:
+    """Noisy polyline over a few integer sites with 40% of its nodes snapped
+    to a site or a pairwise midpoint, so class changes land exactly on
+    cell boundaries and single-node visits of larger classes are common."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    sites = np.unique(rng.integers(-3, 4, size=(int(rng.integers(2, 6)), d)), axis=0)
+    if sites.shape[0] < 2:
+        sites = np.vstack([sites, sites[0] + 1])
+    sites = sites.astype(float)
+    m = int(rng.integers(8, 65))
+    way = rng.uniform(-3.5, 3.5, size=(4, d))
+    t = np.linspace(0.0, 3.0, m + 1)
+    nodes = np.stack([np.interp(t, np.arange(4), way[:, j]) for j in range(d)], axis=1)
+    nodes += rng.normal(scale=0.05, size=nodes.shape)
+    i, j = np.triu_indices(sites.shape[0], 1)
+    targets = np.vstack([sites, 0.5 * (sites[i] + sites[j])])
+    snap = np.flatnonzero(rng.random(m + 1) < 0.4)
+    nodes[snap] = targets[rng.integers(targets.shape[0], size=snap.size)]
+    return Path(1.0, nodes), PointSet(sites)
+
+
+def test_detect_shocks_properties_on_snapped_paths():
+    merged_seen = 0
+    for seed in range(300):
+        p, k = snapped_path(seed)
+        classes = [opt_class(x, k).indices for x in p.nodes]
+        events = detect_shocks(p, k)
+        nodes = [e.node_index for e in events]
+        assert all(a < b for a, b in zip(nodes, nodes[1:]))
+        for e in events:
+            n = e.node_index
+            assert e.class_before == classes[n - 1]
+            if e.merged_class is None:
+                assert e.class_after == classes[n]
+                continue
+            merged_seen += 1
+            assert e.class_after == classes[n + 1]
+            assert classes[n] == e.merged_class
+            assert set(e.class_before) < set(e.merged_class) > set(e.class_after)
+            assert not e.kind.startswith("effective")
+        changes = sum(a != b for a, b in zip(classes, classes[1:]))
+        assert changes == len(events) + sum(e.merged_class is not None for e in events)
+    assert merged_seen > 0
+
+
+def test_merged_crossing_into_nested_class_is_not_effective(triangle_k):
+    # cell of site 0 -> the triple point (single node) -> the (0, 1) bisector:
+    # the classes nest and the projection jumps, but a merged crossing is a
+    # transversal passage, never an effective shock.
+    nodes = [[0.9, -0.6], [0.6, -0.4], [0.3, -0.2], [0.0, 0.0],
+             [0.25, 0.25], [0.5, 0.5], [0.75, 0.75], [1.0, 1.0]]
+    (ev,) = detect_shocks(Path(1.0, nodes), triangle_k)
+    assert (ev.class_before, ev.merged_class, ev.class_after) == ((0,), (0, 1, 2), (0, 1))
+    assert ev.node_index == 3 and ev.kind == "nondegenerate"
 
 
 # ---------------------------------------------------------------------------
