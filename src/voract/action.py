@@ -7,22 +7,22 @@ is an increasing C^1 potential shape. Paths are uniform-time node chains
 with fixed endpoints; the kinetic term is the forward-difference square
 sum and the potential term is the trapezoid rule on node values.
 
-The minimizer runs multi-start preconditioned descent with mesh doubling.
-The potential is discontinuous across nearest-site cell boundaries, so
-nodes sitting exactly on a boundary (tie class) are treated as pinned:
-they move only along the boundary's equidistance directions, and
-dedicated release/capture trial moves (single-node move plus a
-relaxation, accepted only on strict objective decrease) let
-boundary-riding segments shrink or grow across the potential jump, which
-no smooth line search can cross.
+The minimizer runs multi-start Newton descent with mesh doubling. The
+potential is discontinuous across nearest-site cell boundaries, so nodes
+sitting exactly on a boundary (tie class) are pinned: they move only along
+the boundary's equidistance directions, and no smooth line search crosses
+the potential jump. So that boundary-riding segments can shrink or grow
+across it, each start descends, then runs one round of release/capture
+trial moves (a single-node move across the jump plus a relaxation; the
+best strict objective decrease wins), descends the accepted path, and
+repeats until a round finds no improvement (at most 64 rounds).
 
 One descent engine (`_Descent`) does all of this on stacks of paths.
 Its direction is the Newton step of the problem restricted to the pinned
 nodes' tangent spaces (the active-set step of projected Newton, Bertsekas
 1982): one banded LAPACK solve for the whole stack, with zero coupling
 between paths. A start's descent is a stack of one; the candidates of a
-trial-move round relax together in lockstep, one field-kernel call per
-iteration and per line-search halving, in blocks of at most
+round relax together in lockstep, in blocks of at most
 ``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths. Paths in a stack never
 interact, so results do not depend on the block size.
 
@@ -305,22 +305,20 @@ PROJECT_TOL = 1e-10  # Dykstra tolerance of the constrained companion's projecti
 
 
 class _Descent:
-    """Preconditioned descent on the interior nodes of a stack of paths.
+    """Newton descent on the interior nodes of a stack of paths.
 
-    Every method acts on a stack ``(B, n, d)`` of independent paths that
-    share one mesh; the outer descent of a start is a stack of one. The
-    paths advance in lockstep: one field-kernel call per iteration
-    evaluates the state of every live path, one call per line-search
-    halving evaluates the paths still searching, and a path leaves the
-    stack exactly when its own loop would have returned. The paths share
-    only the engine's caches of cell frames and class projections, so each
-    path's iterates, step sizes and iteration count are those it would
-    have on its own.
+    :meth:`solve` only descends: the paths of a stack ``(B, n, d)`` share
+    one mesh and advance in lockstep, one field-kernel call per iteration
+    for every live path and one per line-search halving for the paths
+    still searching. A path leaves on its first iteration without a step.
+    The paths share only the engine's caches of cell frames and class
+    projections, so each path's iterates are those it would have alone.
+    :meth:`descend` is the only loop over release/capture rounds.
 
     Pinned nodes (tie classes) move only along their boundary's
-    equidistance directions (:meth:`_direction`); release/capture trial
-    moves handle the discontinuous jumps. With a ``polytope``, iterates are
-    projected onto it and nodes on active faces are pinned the same way.
+    equidistance directions (:meth:`_direction`). With a ``polytope``,
+    iterates are projected onto it and nodes on active faces are pinned
+    the same way.
     """
 
     def __init__(self, kset: PointSet, shape: Shape, delta: float, cfg: SolverConfig,
@@ -463,14 +461,14 @@ class _Descent:
 
     # -- main loop ------------------------------------------------------------
 
-    def solve(self, stack: np.ndarray, max_iters: int, allow_moves: bool = True):
+    def solve(self, stack: np.ndarray):
         """Descend every path of the stack in lockstep.
 
-        Returns ``(nodes, values, converged, grad_norm)``, one entry per
-        path. A path stops when its gradient meets ``grad_tol``, when its
-        line search fails, or after ``max_iters`` iterations; with
-        ``allow_moves`` it first tries release/capture moves and continues
-        if one is accepted.
+        Returns ``(nodes, values, converged, grad_norm, stopped)``, one entry
+        per path. A path leaves on the first iteration that takes no step:
+        its gradient meets ``grad_tol`` or is not finite, or its line search
+        fails. ``stopped`` is false for the paths still stepping after
+        ``cfg.max_iters`` iterations.
         """
         stack = self._feasible(stack.copy())
         f = self.value(stack)
@@ -478,17 +476,14 @@ class _Descent:
         grad_norm = np.full(stack.shape[0], np.inf)
         tol = self.cfg.grad_tol
         live = np.arange(stack.shape[0])
-        for _ in range(max_iters):
+        for _ in range(self.cfg.max_iters):
             if not live.size:
                 break
             s, g_eff, pin_groups, dt = self._state(stack[live])
             grad_norm[live] = np.max(np.linalg.norm(g_eff, axis=2), axis=1, initial=0.0)
-            small = grad_norm[live] <= tol
-            keep = np.ones(live.size, dtype=bool)
-            for j in np.flatnonzero(small):
-                keep[j] = allow_moves and self._move(stack, f, live[j])
-            search = np.flatnonzero(~small)
-            direction = self._direction(g_eff, pin_groups, s, dt)[search]
+            search = np.flatnonzero(np.isfinite(grad_norm[live]) & (grad_norm[live] > tol))
+            stepped = np.zeros(live.size, dtype=bool)
+            direction = (self._direction(g_eff, pin_groups, s, dt) if search.size else g_eff)[search]
             slope = np.sum(g_eff[search] * direction, axis=(1, 2))
             step = alpha[live[search]]
             for _ in range(45):
@@ -501,77 +496,72 @@ class _Descent:
                 ok = (f_trial <= f[paths] - 1e-4 * step * slope) & (slope > 0.0)
                 stack[paths[ok]], f[paths[ok]] = trial[ok], f_trial[ok]
                 alpha[paths[ok]] = np.minimum(step[ok] * 1.6, 16.0)
+                stepped[search[ok]] = True
                 search, step, slope = search[~ok], step[~ok] * 0.5, slope[~ok]
                 direction = direction[~ok]
-            for j in search:
-                keep[j] = allow_moves and self._move(stack, f, live[j])
-                if keep[j]:
-                    alpha[live[j]] = 1.0
-            live = live[keep]
-        return stack, f, grad_norm <= tol, grad_norm
+            live = live[stepped]
+        return stack, f, grad_norm <= tol, grad_norm, ~np.isin(np.arange(f.size), live)
+
+    def descend(self, nodes: np.ndarray):
+        """Descend one path, then repeat: one round of release/capture moves,
+        and a descent of the path it accepts, for at most 64 rounds. A
+        descent that runs out of iterations ends the loop.
+
+        Returns ``(nodes, value, converged, grad_norm)`` of the last descent.
+        The objective decreases strictly from round to round.
+        """
+        out, values, conv, gnorm, stopped = self.solve(nodes[None])
+        for _ in range(64):
+            best = self._trial_moves(out[0], values[0]) if stopped[0] else None
+            if best is None:
+                break
+            out, values, conv, gnorm, stopped = self.solve(best[1][None])
+        return out[0], float(values[0]), bool(conv[0]), float(gnorm[0])
 
     # -- release / capture ------------------------------------------------------
 
-    def _move(self, stack: np.ndarray, f: np.ndarray, b: int) -> bool:
-        """Run trial moves on path ``b`` in place; true if one was accepted."""
-        moved, stack[b], f[b] = self._trial_moves(stack[b], f[b])
-        return moved
-
     def _trial_moves(self, nodes, f0):
-        """Try boundary release/capture moves; keep the best strict improvement.
+        """One round of release/capture moves: the best strictly improving
+        relaxed candidate ``(value, nodes)``, ties to the earlier one, or None.
 
-        Each candidate moves one node across the potential jump and then
-        relaxes with moves disabled. All candidates of a round relax together
-        as one lockstep stack, in blocks of at most
-        ``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths (at least one) to bound
-        the kernel's distance matrix. The paths of a stack do not interact, so
-        the block size never changes a result.
-        The best strict improvement wins, ties going to the earlier
-        candidate; the loop is monotone in the objective by construction.
+        Each candidate moves one node across the potential jump and relaxes
+        by :meth:`solve`, all candidates together as one lockstep stack in
+        blocks of at most ``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths (at
+        least one), which bounds the kernel's distance matrix and never
+        changes a result.
         """
         n_total = nodes.shape[0]
         block = max(1, KERNEL_CHUNK_ROW_SITES // (n_total * self.kset.n))
-        moved_any = False
-        for _ in range(64):
-            _, _, tie_mask, groups = batch_field(nodes, self.kset, self._etas)
-            tie_classes = {int(r): cls for cls, rows in groups if len(cls) >= 2 for r in rows}
-            candidates = []
-            for k in range(1, n_total - 1):
-                for nb in (k - 1, k + 1):
-                    if tie_mask[k] and not tie_mask[nb]:
-                        # Release: slide the boundary node toward the free side.
-                        base = nodes[k]
-                        target = nodes[nb]
-                        for w in (0.5, 1.0):
-                            candidates.append((k, base + w * (target - base)))
-                    elif not tie_mask[k] and tie_mask[nb]:
-                        # Capture: project the free node onto the neighbor's boundary plane.
-                        try:
-                            frame = self._cell(tie_classes[nb])
-                        except GeometryError:
-                            continue
-                        rel = nodes[k] - frame.p_h
-                        proj = frame.p_h + (frame.basis_b.T @ (frame.basis_b @ rel)
-                                            if frame.basis_b.shape[0] else 0.0)
-                        candidates.append((k, proj))
-            if not candidates:
-                return moved_any, nodes, f0
-            best = None
-            threshold = f0 - 1e-12 * (1.0 + abs(f0))
-            for lo in range(0, len(candidates), block):
-                chunk = candidates[lo:lo + block]
-                trials = np.repeat(nodes[None], len(chunk), axis=0)
-                for j, (k, pos) in enumerate(chunk):
-                    trials[j, k] = pos
-                relaxed, values, _, _ = self.solve(trials, self.cfg.max_iters, False)
-                for f_trial, path in zip(values, relaxed):
-                    if f_trial < threshold and (best is None or f_trial < best[0]):
-                        best = (f_trial, path)
-            if best is None:
-                return moved_any, nodes, f0
-            f0, nodes = best
-            moved_any = True
-        return moved_any, nodes, f0
+        _, _, tie_mask, groups = batch_field(nodes, self.kset, self._etas)
+        tie_classes = {int(r): cls for cls, rows in groups if len(cls) >= 2 for r in rows}
+        candidates = []
+        for k in range(1, n_total - 1):
+            for nb in (k - 1, k + 1):
+                if tie_mask[k] and not tie_mask[nb]:
+                    # Release: slide the boundary node toward the free side.
+                    candidates += [(k, nodes[k] + w * (nodes[nb] - nodes[k])) for w in (0.5, 1.0)]
+                elif not tie_mask[k] and tie_mask[nb]:
+                    # Capture: project the free node onto the neighbor's boundary plane.
+                    try:
+                        frame = self._cell(tie_classes[nb])
+                    except GeometryError:
+                        continue
+                    rel = nodes[k] - frame.p_h
+                    proj = frame.p_h + (frame.basis_b.T @ (frame.basis_b @ rel)
+                                        if frame.basis_b.shape[0] else 0.0)
+                    candidates.append((k, proj))
+        best = None
+        threshold = f0 - 1e-12 * (1.0 + abs(f0))
+        for lo in range(0, len(candidates), block):
+            chunk = candidates[lo:lo + block]
+            trials = np.repeat(nodes[None], len(chunk), axis=0)
+            for j, (k, pos) in enumerate(chunk):
+                trials[j, k] = pos
+            relaxed, values = self.solve(trials)[:2]
+            for f_trial, path in zip(values, relaxed):
+                if f_trial < threshold and (best is None or f_trial < best[0]):
+                    best = (f_trial, path)
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +625,9 @@ def _descend_stages(engine: _Descent, nodes: np.ndarray, a, b, meshes: list[int]
         if nodes.shape[0] != m + 1:
             nodes = _interp_to_mesh(nodes, engine.delta, m)
         nodes[0], nodes[-1] = a, b
-        out, values, conv, gnorms = engine.solve(nodes[None], engine.cfg.max_iters)
-        nodes = out[0]
+        nodes, value, conv, gnorm = engine.descend(nodes)
         stages.append(nodes)
-    return stages, float(values[0]), bool(conv[0]), float(gnorms[0])
+    return stages, value, conv, gnorm
 
 
 def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,

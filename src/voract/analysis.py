@@ -107,10 +107,13 @@ def energy_profile(path: Path, kset: PointSet, shape: Shape) -> EnergyProfile:
     the interval's left node. The constant estimate is the median."""
     if path.m_intervals < 4:
         raise AnalysisError("energy profile needs at least 4 intervals")
-    dt = path.dt
+    return _energy_profile(path, batch_field(path.nodes, kset)[1], shape)
+
+
+def _energy_profile(path: Path, s: np.ndarray, shape: Shape) -> EnergyProfile:
+    """:func:`energy_profile` from the squared slopes ``s`` of the nodes."""
     diffs = np.diff(path.nodes, axis=0)
-    speed_sq = np.einsum("ij,ij->i", diffs, diffs) / dt**2
-    _, s, _, _ = batch_field(path.nodes, kset)
+    speed_sq = np.einsum("ij,ij->i", diffs, diffs) / path.dt**2
     values = speed_sq - shape.h(s[:-1])
     constant = float(np.median(values))
     return EnergyProfile(values=values, constant=constant, deviations=values - constant)
@@ -149,12 +152,20 @@ def detect_shocks(path: Path, kset: PointSet, window: int = 2) -> list[ShockEven
     classification requires strict class nesting, a projection jump and
     runs of at least ``window`` nodes on both sides.
     """
+    _check_window(path, window)
+    etas, _, _, groups = batch_field(path.nodes, kset)
+    return _shock_events(path, etas, row_classes(etas.shape[0], groups), window)
+
+
+def _check_window(path: Path, window: int) -> None:
     if window < 2:
         raise AnalysisError("window must be at least 2")
     if window >= path.m_intervals:
         raise AnalysisError("window exceeds the path length")
-    etas, _, _, groups = batch_field(path.nodes, kset)
-    classes = row_classes(etas.shape[0], groups)
+
+
+def _shock_events(path: Path, etas: np.ndarray, classes: list, window: int) -> list[ShockEvent]:
+    """:func:`detect_shocks` from the nodes' zone values and classes."""
     nodes, dt, times = path.nodes, path.dt, path.times
 
     # Runs [start, end, class, merged]: ``merged`` is the class of a
@@ -258,11 +269,13 @@ def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2)
     residuals compare the one-sided velocities projected on the
     equidistance directions of the union class at every shock.
     """
-    events = detect_shocks(path, kset, window=window)
-    dt = path.dt
-    slack = 20.0 * dt
+    _check_window(path, window)
+    if path.m_intervals < 4:
+        raise AnalysisError("energy profile needs at least 4 intervals")
     nodes = path.nodes
-    _, s, _, _ = batch_field(nodes, kset)
+    etas, s, _, groups = batch_field(nodes, kset)
+    events = _shock_events(path, etas, row_classes(etas.shape[0], groups), window)
+    dt = path.dt
 
     nondeg_nodes = [ev.node_index for ev in events if ev.kind != "degenerate"]
     excluded = np.zeros(nodes.shape[0], dtype=bool)
@@ -282,10 +295,10 @@ def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2)
         est = float(sec_norm[k - 1])
         b = float(bound[k - 1])
         max_excess = max(max_excess, est - b)
-        if est > b + slack:
+        if est > b + 20.0 * dt:
             violations.append((k, est, b))
 
-    prof = energy_profile(path, kset, shape)
+    prof = _energy_profile(path, s, shape)
     interval_excluded = excluded[:-1] | excluded[1:]
     kept = prof.values[~interval_excluded]
     energy_std = float(np.std(kept)) if kept.size else 0.0

@@ -60,7 +60,7 @@ def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown fields in {context}: {', '.join(sorted(unknown))}")
 
 
-def _parse_points(spec: dict, tie_tolerance: float) -> PointSet:
+def _parse_points(spec: dict, tie_tolerance: float, *endpoints) -> PointSet:
     _require_keys(spec, {"inline", "file", "mag"}, "points")
     given = [k for k in ("inline", "file", "mag") if k in spec]
     if len(given) != 1:
@@ -75,7 +75,7 @@ def _parse_points(spec: dict, tie_tolerance: float) -> PointSet:
     n, m = int(mag["n"]), int(mag["m"])
     window = mag.get("window")
     if window is None:
-        window = default_window(base, n, m)
+        window = default_window(base, n, m, *endpoints)
     return build_mag(base, n, m, int(window)).kset
 
 
@@ -118,12 +118,12 @@ def load_run_config(path: str) -> dict:
     if bad:
         raise ConfigError(f"unknown checks: {sorted(bad)}")
     tie = float(raw.get("tie_tolerance", 1e-9))
+    x0, x1 = (np.asarray(raw["endpoints"][k], dtype=float) for k in ("start", "end"))
     cfg = {
         "scenario": raw.get("scenario", "run"),
-        "kset": _parse_points(raw["points"], tie),
+        "kset": _parse_points(raw["points"], tie, x0, x1),
         "shape": _parse_shape(raw.get("shape")),
-        "x0": np.asarray(raw["endpoints"]["start"], dtype=float),
-        "x1": np.asarray(raw["endpoints"]["end"], dtype=float),
+        "x0": x0, "x1": x1,
         "delta": float(raw["delta"]),
         "solver": _parse_solver(raw.get("solver")),
         "checks": list(checks),
@@ -343,7 +343,8 @@ def _cmd_stability(args) -> int:
     actions = []
     for i, entry in enumerate(raw["sequence"]):
         _require_keys(entry, {"points", "tie_tolerance", "start", "end"}, f"sequence[{i}]")
-        kset = _parse_points(entry["points"], float(entry.get("tie_tolerance", 1e-9)))
+        kset = _parse_points(entry["points"], float(entry.get("tie_tolerance", 1e-9)),
+                             entry["start"], entry["end"])
         res = minimize(np.asarray(entry["start"], dtype=float),
                        np.asarray(entry["end"], dtype=float),
                        delta, kset, shape, solver)

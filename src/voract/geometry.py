@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import cKDTree
 
 __all__ = [
     "VoractError",
@@ -115,22 +116,10 @@ class PointSet:
             raise GeometryError("tie_tolerance must be nonnegative")
         scale = 1.0 + float(np.max(np.linalg.norm(pts, axis=1)))
         floor = 10.0 * self.tie_tolerance * scale
-        n = pts.shape[0]
-        if n <= 4096:
-            if n > 1:
-                d2 = _pairwise_sq_dists(pts)
-                np.fill_diagonal(d2, np.inf)
-                dmin = float(np.sqrt(np.min(d2)))
-                if dmin <= floor:
-                    raise GeometryError(
-                        f"points are not pairwise distinct at tolerance: min gap {dmin:g} <= {floor:g}"
-                    )
-        else:
-            # Large lattices: exact-duplicate scan via lexicographic sort only.
-            order = np.lexsort(pts.T[::-1])
-            gaps = np.linalg.norm(np.diff(pts[order], axis=0), axis=1)
-            if gaps.size and float(np.min(gaps)) <= floor:
-                raise GeometryError("points contain (near-)duplicates")
+        pairs = cKDTree(pts).query_pairs(floor, output_type="ndarray")
+        if pairs.size:
+            gap = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1).min()
+            raise GeometryError(f"points are not pairwise distinct: min gap {gap:g} <= {floor:g}")
         pts.flags.writeable = False
 
     @property
@@ -140,12 +129,6 @@ class PointSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-
-def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
-    g = pts @ pts.T
-    sq = np.diag(g)
-    return np.maximum(sq[:, None] + sq[None, :] - 2.0 * g, 0.0)
 
 
 @dataclass(frozen=True)

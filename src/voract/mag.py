@@ -90,6 +90,10 @@ def build_mag(base_points, n: int, m: int, window: int) -> MagSystem:
         raise MagError(f"particle count capped at {MAX_PARTICLES} (factorial growth)")
     if window < 1:
         raise MagError("window must be at least 1")
+    # Two sites differ by at least the torus distance of two base points.
+    diff = base[:, None] - base[None, :]
+    if np.any(np.linalg.norm(diff - np.round(diff), axis=2)[np.triu_indices(m, 1)] < 1e-9):
+        raise MagError("base points are not distinct on the torus")
     count = math.factorial(m) * (2 * window + 1) ** (n * m)
     if count > SITE_BUDGET:
         raise MagError(f"site budget exceeded: {count} > {SITE_BUDGET}")
@@ -102,15 +106,9 @@ def build_mag(base_points, n: int, m: int, window: int) -> MagSystem:
         for z in translates:
             rows.append(stacked + np.array(z, dtype=float))
             labels.append((sigma, z))
-    pts = np.array(rows)
-    # Distinctness is structural for distinct base points; verify anyway.
-    order = np.lexsort(pts.T[::-1])
-    gaps = np.linalg.norm(np.diff(pts[order], axis=0), axis=1)
-    if gaps.size and float(np.min(gaps)) < 1e-9:
-        raise MagError("duplicate sites: base points too close or not distinct")
     return MagSystem(
         n=n, m=m, base_points=base, window=window,
-        kset=PointSet(pts),
+        kset=PointSet(np.array(rows)),
         labels=tuple(labels),
     )
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,7 +323,8 @@ def _candidate_stack(engine, x0, x1, m):
     chord and two noisy chords: paths that leave the stack at different
     iterations, after different step-size histories."""
     chord = Path.from_line(x0, x1, 1.0, m).nodes
-    nodes = engine.solve(chord[None], 400)[0][0]
+    settle = _Descent(engine.kset, engine.shape, 1.0, replace(engine.cfg, max_iters=400))
+    nodes = settle.descend(chord)[0]
     stack = [nodes, chord]
     for k in (1, m // 4, m // 2, m - 1):
         moved = nodes.copy()
@@ -345,10 +347,10 @@ def test_lockstep_relaxation_matches_single_paths(case, line_k):
         kset, x0, x1 = build_mag([[0.0], [0.5]], 1, 2, 1).kset, [0.2, 0.3], [0.3, 0.2]
     engine = _Descent(kset, Shape.power(2.0), 1.0, QUICK)
     stack = _candidate_stack(engine, x0, x1, 32)
-    nodes, values, converged, grad_norm = engine.solve(stack, QUICK.max_iters,
-                                                       allow_moves=False)
+    nodes, values, converged, grad_norm, stopped = engine.solve(stack)
+    assert stopped.all()
     for j in range(stack.shape[0]):
-        one = engine.solve(stack[j:j + 1], QUICK.max_iters, allow_moves=False)
+        one = engine.solve(stack[j:j + 1])
         assert np.array_equal(one[0][0], nodes[j])
         assert one[1][0] == values[j]
         assert one[2][0] == converged[j] and one[3][0] == grad_norm[j]
@@ -356,9 +358,9 @@ def test_lockstep_relaxation_matches_single_paths(case, line_k):
 
 def test_nan_gradient_ends_descent_like_a_failed_search(line_k, monkeypatch):
     # A NaN gradient at node 2, which sits on the site -1, must make the
-    # path take the failed-search exit (trial moves, then return), not idle
-    # until max_iters. The gradient itself no longer yields NaN there, so
-    # the NaN is injected.
+    # path leave the descent at once (one move round, then return), not
+    # idle until max_iters. The gradient itself no longer yields NaN there,
+    # so the NaN is injected.
     interior_gradient = action_module._interior_gradient
 
     def nan_on_sites(nodes, etas, slope_sq, dt, shape):
@@ -367,15 +369,53 @@ def test_nan_gradient_ends_descent_like_a_failed_search(line_k, monkeypatch):
         return g
 
     monkeypatch.setattr(action_module, "_interior_gradient", nan_on_sites)
-    engine = _Descent(line_k, Shape.power(0.5), 1.0, QUICK)
+    engine = _Descent(line_k, Shape.power(0.5), 1.0, replace(QUICK, max_iters=100))
     calls = []
-    engine._trial_moves = lambda nodes, f0: (calls.append(1), (False, nodes, f0))[1]
+    engine._trial_moves = lambda nodes, f0: calls.append(1)
     nodes = Path.from_line([-1.5], [0.5], 1.0, 8).nodes
     assert nodes[2, 0] == -1.0
     with np.errstate(invalid="ignore"):
-        _, _, converged, grad_norm = engine.solve(nodes[None], 100)
+        _, _, converged, grad_norm = engine.descend(nodes)
     assert calls == [1]
-    assert np.isnan(grad_norm[0]) and not converged[0]
+    assert np.isnan(grad_norm) and not converged
+
+
+def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
+    engine = _Descent(line_k, Shape.power(2.0), 1.0, QUICK)
+
+    def no_moves(nodes, f0):
+        raise AssertionError("solve ran a trial move")
+
+    engine._trial_moves = no_moves
+    chord = Path.from_line([-0.7], [0.9], 1.0, 32).nodes
+    stack = np.array([chord, chord[::-1].copy()])
+    _, _, converged, _, stopped = engine.solve(stack)
+    assert converged.all() and stopped.all()
+    # A descent still stepping at max_iters ends descend without a round.
+    capped = _Descent(line_k, Shape.power(2.0), 1.0, replace(QUICK, max_iters=1))
+    capped._trial_moves = no_moves
+    assert not capped.solve(chord[None])[4][0]
+    assert not capped.descend(chord)[2]
+
+    solve, solves, rounds = engine.solve, [], []
+
+    def counted_solve(stack):
+        solves.append(stack.shape[0])
+        return solve(stack)
+
+    engine.solve = counted_solve
+    engine._trial_moves = lambda nodes, f0: rounds.append(f0)
+    engine.descend(chord)
+    assert len(rounds) == 1 and solves == [1]
+
+    # Every round improves: descend stops after 64 rounds, each one
+    # followed by a descent of the accepted path.
+    rounds.clear()
+    solves.clear()
+    engine._trial_moves = lambda nodes, f0: (rounds.append(f0), (f0 - 1.0, nodes))[1]
+    nodes, value, converged, _ = engine.descend(chord)
+    assert len(rounds) == 64 and solves == [1] * 65
+    assert converged and value == rounds[-1]
 
 
 def test_gradient_on_a_site_is_finite_for_power_below_one():

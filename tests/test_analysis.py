@@ -12,6 +12,7 @@ from voract import (
     opt_class,
     regularity_report,
 )
+from voract import analysis as analysis_module
 from conftest import waiting_nodes
 
 
@@ -232,6 +233,26 @@ def test_report_on_waiting_path(line_k, identity_shape):
     assert rep.energy_std_away_from_shocks <= max(1e-3, 5.0 * p.dt)
     # momentum: the waiting-cell equidistance space is zero-dimensional in 1d
     assert all(r == 0.0 for _, r in rep.momentum_residuals)
+
+
+def test_report_evaluates_the_field_once(line_k, identity_shape, monkeypatch):
+    # One kernel call serves the events, the second-difference bound and the
+    # energy profile, which equal those of the public functions.
+    p = Path(1.0, waiting_nodes(0.2, 512))
+    events, prof = detect_shocks(p, line_k), energy_profile(p, line_k, identity_shape)
+    calls = []
+    kernel = analysis_module.batch_field
+
+    def counted(nodes, kset, *args):
+        calls.append(nodes.shape[0])
+        return kernel(nodes, kset, *args)
+
+    monkeypatch.setattr(analysis_module, "batch_field", counted)
+    rep = regularity_report(p, line_k, identity_shape)
+    assert calls == [513]
+    assert [ev.node_index for ev in rep.events] == [ev.node_index for ev in events]
+    assert np.array_equal(rep.energy_values, prof.values)
+    assert rep.energy_constant == prof.constant
 
 
 def test_orthogonal_decomposition_at_left_effective_shock(identity_shape):

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from voract import ActionError, AnalysisError, GeometryError, MagError, VoractError
+from voract import ActionError, AnalysisError, GeometryError, MagError, VoractError, cli, minimize
 from voract.artifacts import read_trajectory_csv
 from voract.cli import ConfigError, load_run_config, main
+from voract.mag import build_mag, window_certificate
 
 
 def _write(path, payload):
@@ -134,6 +135,31 @@ def test_stability_command(tmp_path):
     result = json.loads((out / "stability.json").read_text())
     assert len(result["actions"]) == 2
     assert result["actions"][0]["action"] > result["actions"][1]["action"]
+
+
+def test_mag_points_window_covers_the_endpoints(tmp_path, monkeypatch):
+    # Base points alone give window 2; the endpoints near 2.6 need 4, as the
+    # `mag` command picks, or the solved path fails the window certificate.
+    windows, real_build = [], cli.build_mag
+
+    def recording_build(*args):
+        windows.append(args[3])
+        return real_build(*args)
+
+    monkeypatch.setattr(cli, "build_mag", recording_build)
+    points = {"mag": {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}}
+    start, end = [2.2, 0.3], [2.6, 0.2]
+    run = {"points": points, "endpoints": {"start": start, "end": end}, "delta": 1.0,
+           "solver": {"M": 32, "refinements": 1, "starts": 1}}
+    cfg = load_run_config(_write(tmp_path / "run.json", run))
+    res = minimize(cfg["x0"], cfg["x1"], cfg["delta"], cfg["kset"], cfg["shape"], cfg["solver"])
+    assert windows == [4]
+    assert window_certificate(build_mag([[0.0], [0.5]], 1, 2, 4), res.path)
+    assert not window_certificate(build_mag([[0.0], [0.5]], 1, 2, 2), res.path)
+    stability = {"sequence": [{"points": points, "start": start, "end": end}], "delta": 1.0,
+                 "solver": {"M": 16, "refinements": 1, "starts": 1}}
+    assert main(["stability", "--config", _write(tmp_path / "stab.json", stability)]) == 0
+    assert windows == [4, 4]
 
 
 def test_preset_command(tmp_path):

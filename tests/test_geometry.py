@@ -36,6 +36,16 @@ def test_point_set_validation():
         k.points[0, 0] = 5.0  # immutable
 
 
+def test_point_set_rejects_near_duplicates_that_are_not_sort_neighbours():
+    # A 100 x 50 grid plus a point 1e-13 from (0, 7): in lexicographic
+    # order its neighbours are (0, 49) and (1, 0), far away.
+    grid = np.stack(np.meshgrid(np.arange(100.0), np.arange(50.0), indexing="ij"), -1)
+    grid = grid.reshape(-1, 2)
+    assert PointSet(grid).n == 5000
+    with pytest.raises(GeometryError, match="min gap 1e-13"):
+        PointSet(np.vstack([grid, [[1e-13, 7.0]]]))
+
+
 def test_opt_class_examples(line_k):
     assert opt_class([-0.3], line_k).indices == (0,)
     assert opt_class([0.0], line_k).indices == (0, 1)

@@ -35,6 +35,8 @@ def test_build_validation():
     with pytest.raises(MagError):
         build_mag([[0.0], [0.0]], n=1, m=2, window=1)  # duplicate base points
     with pytest.raises(MagError):
+        build_mag([[0.0], [1.0 - 1e-12]], n=1, m=2, window=1)  # equal on the torus
+    with pytest.raises(MagError):
         build_mag([[1.2], [0.3]], n=1, m=2, window=1)  # outside [0,1)
     with pytest.raises(MagError):
         build_mag(np.random.default_rng(0).random((6, 1)), n=1, m=6, window=1)
