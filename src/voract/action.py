@@ -12,10 +12,11 @@ potential is discontinuous across nearest-site cell boundaries, so nodes
 sitting exactly on a boundary (tie class) are pinned: they move only along
 the boundary's equidistance directions, and no smooth line search crosses
 the potential jump. So that boundary-riding segments can shrink or grow
-across it, each start descends, then runs one round of release/capture
+across it, each start descends once, then runs rounds of release/capture
 trial moves (a single-node move across the jump plus a relaxation; the
-best strict objective decrease wins), descends the accepted path, and
-repeats until a round finds no improvement (at most 64 rounds).
+best strict objective decrease wins) and adopts each round's relaxed
+winner as it is, until a round finds no improvement (at most 64 rounds).
+Every path is descended exactly once.
 
 One descent engine (`_Descent`) does all of this on stacks of paths.
 Its direction is the Newton step of the problem restricted to the pinned
@@ -182,14 +183,6 @@ class Path:
         t = np.linspace(0.0, 1.0, m_intervals + 1)[:, None]
         return cls(delta, a[None, :] * (1.0 - t) + b[None, :] * t)
 
-    def refined(self) -> "Path":
-        """Mesh-doubled path: old nodes kept, midpoints linearly interpolated."""
-        m = self.m_intervals
-        out = np.empty((2 * m + 1, self.dim))
-        out[::2] = self.nodes
-        out[1::2] = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        return Path(self.delta, out)
-
 
 @dataclass(frozen=True)
 class ActionBreakdown:
@@ -313,7 +306,9 @@ class _Descent:
     still searching. A path leaves on its first iteration without a step.
     The paths share only the engine's caches of cell frames and class
     projections, so each path's iterates are those it would have alone.
-    :meth:`descend` is the only loop over release/capture rounds.
+    :meth:`descend` is the only loop over release/capture rounds: it
+    descends its path once, then adopts each round's relaxed winner from
+    :meth:`_trial_moves` without descending it again.
 
     Pinned nodes (tie classes) move only along their boundary's
     equidistance directions (:meth:`_direction`). With a ``polytope``,
@@ -503,26 +498,29 @@ class _Descent:
         return stack, f, grad_norm <= tol, grad_norm, ~np.isin(np.arange(f.size), live)
 
     def descend(self, nodes: np.ndarray):
-        """Descend one path, then repeat: one round of release/capture moves,
-        and a descent of the path it accepts, for at most 64 rounds. A
-        descent that runs out of iterations ends the loop.
+        """Descend one path once, then repeat for at most 64 rounds: one round
+        of release/capture moves, whose relaxed winner becomes the current
+        path as it is, without a second descent. A descent or a winner's
+        relaxation that runs out of iterations ends the loop.
 
-        Returns ``(nodes, value, converged, grad_norm)`` of the last descent.
+        Returns ``(nodes, value, converged, grad_norm)`` of the current path.
         The objective decreases strictly from round to round.
         """
-        out, values, conv, gnorm, stopped = self.solve(nodes[None])
+        state = tuple(entry[0] for entry in self.solve(nodes[None]))
         for _ in range(64):
-            best = self._trial_moves(out[0], values[0]) if stopped[0] else None
+            best = self._trial_moves(state[0], state[1]) if state[4] else None
             if best is None:
                 break
-            out, values, conv, gnorm, stopped = self.solve(best[1][None])
-        return out[0], float(values[0]), bool(conv[0]), float(gnorm[0])
+            state = best
+        nodes, value, conv, gnorm, _ = state
+        return nodes, float(value), bool(conv), float(gnorm)
 
     # -- release / capture ------------------------------------------------------
 
     def _trial_moves(self, nodes, f0):
-        """One round of release/capture moves: the best strictly improving
-        relaxed candidate ``(value, nodes)``, ties to the earlier one, or None.
+        """One round of release/capture moves: the :meth:`solve` entry
+        ``(nodes, value, converged, grad_norm, stopped)`` of the best strictly
+        improving relaxed candidate, ties to the earlier one, or None.
 
         Each candidate moves one node across the potential jump and relaxes
         by :meth:`solve`, all candidates together as one lockstep stack in
@@ -557,10 +555,10 @@ class _Descent:
             trials = np.repeat(nodes[None], len(chunk), axis=0)
             for j, (k, pos) in enumerate(chunk):
                 trials[j, k] = pos
-            relaxed, values = self.solve(trials)[:2]
-            for f_trial, path in zip(values, relaxed):
-                if f_trial < threshold and (best is None or f_trial < best[0]):
-                    best = (f_trial, path)
+            relaxed = self.solve(trials)
+            for j, f_trial in enumerate(relaxed[1]):
+                if f_trial < threshold and (best is None or f_trial < best[1]):
+                    best = tuple(entry[j] for entry in relaxed)
         return best
 
 

@@ -76,7 +76,13 @@ def _parse_points(spec: dict, tie_tolerance: float, *endpoints) -> PointSet:
     window = mag.get("window")
     if window is None:
         window = default_window(base, n, m, *endpoints)
-    return build_mag(base, n, m, int(window)).kset
+    return PointSet(build_mag(base, n, m, int(window)).kset.points, tie_tolerance=tie_tolerance)
+
+
+def _cli_points(args) -> PointSet:
+    """Site set of the ``--points`` file or the ``--inline`` JSON list."""
+    spec = {"file": args.points} if args.points else {"inline": json.loads(args.inline)}
+    return _parse_points(spec, args.tie_tolerance)
 
 
 def _parse_shape(spec: dict | None) -> Shape:
@@ -238,11 +244,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_analyze(args) -> int:
     delta, nodes = artifacts.read_trajectory_csv(args.trajectory)
-    if args.points:
-        kset = load_point_set(args.points, tie_tolerance=args.tie_tolerance)
-    else:
-        kset = PointSet(np.asarray(json.loads(args.inline), dtype=float),
-                        tie_tolerance=args.tie_tolerance)
+    kset = _cli_points(args)
     shape = _parse_shape(json.loads(args.shape) if args.shape else None)
     traj = Path(delta if args.delta is None else args.delta, nodes)
     report = regularity_report(traj, kset, shape, window=args.window)
@@ -260,11 +262,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_zones(args) -> int:
-    if args.points:
-        kset = load_point_set(args.points, tie_tolerance=args.tie_tolerance)
-    else:
-        kset = PointSet(np.asarray(json.loads(args.inline), dtype=float),
-                        tie_tolerance=args.tie_tolerance)
+    kset = _cli_points(args)
     lo = np.asarray(json.loads(args.box_lo), dtype=float)
     hi = np.asarray(json.loads(args.box_hi), dtype=float)
     table = zone_table(kset, (lo, hi), probe_count=args.probes, seed=args.seed)

@@ -7,8 +7,7 @@ built on:
   tie tolerance controlling nearest-site tie detection.
 - ``opt_class``: the set of sites (co-)nearest to a query point.
 - ``min_norm_point``: projection of a point onto the convex hull of a
-  small vertex set (Wolfe's minimum-norm-point algorithm, with exhaustive
-  face enumeration for tiny inputs).
+  small vertex set (Wolfe's minimum-norm-point algorithm).
 - ``cell_frame``: the orthogonal splitting attached to a nearest-site
   class: the affine span of the class sites versus their equidistance
   locus, and the unique intersection point of the two.
@@ -24,7 +23,6 @@ explicit seeds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,39 +193,6 @@ def _affine_min_norm(q: np.ndarray) -> np.ndarray:
     return sol[:m]
 
 
-def _project_exhaustive(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Projection of x onto conv(vertices) by scanning every face.
-
-    Exact up to linear algebra roundoff; intended for small vertex counts
-    (every nonempty subset is solved as an equality-constrained least
-    squares problem and kept when its barycentric coordinates are
-    feasible).
-    """
-    m = vertices.shape[0]
-    best = None
-    best_d = np.inf
-    for r in range(1, m + 1):
-        for subset in itertools.combinations(range(m), r):
-            pts = vertices[list(subset)]
-            if r == 1:
-                cand = pts[0]
-            else:
-                q = pts - x[None, :]
-                lam = _affine_min_norm(q)
-                if np.any(lam < -1e-12):
-                    continue
-                # Reject inconsistent solutions of singular KKT systems.
-                if abs(float(np.sum(lam)) - 1.0) > 1e-8:
-                    continue
-                cand = lam @ pts
-            d = float(np.linalg.norm(cand - x))
-            if d < best_d - 1e-15:
-                best_d = d
-                best = cand
-    assert best is not None
-    return best
-
-
 def _project_wolfe(vertices: np.ndarray, x: np.ndarray, max_iter: int) -> np.ndarray:
     """Wolfe's minimum-norm-point algorithm on the translated vertex set."""
     q = vertices - x[None, :]
@@ -242,11 +207,13 @@ def _project_wolfe(vertices: np.ndarray, x: np.ndarray, max_iter: int) -> np.nda
         scores = q @ z
         j = int(np.argmin(scores))
         zz = float(z @ z)
-        if zz - float(scores[j]) <= MIN_NORM_TOL * scale:
-            return z + x
-        if j in corral:
-            # No progress possible: the optimality gap is pure roundoff.
-            return z + x
+        if zz - float(scores[j]) <= MIN_NORM_TOL * scale or j in corral:
+            # Optimal, or no progress left but roundoff: re-solve the final
+            # face in index order and combine the vertices themselves, so the
+            # point does not depend on the order the corral was built in.
+            face = sorted(corral)
+            lam = _affine_min_norm(q[face]) if len(face) > 1 else np.ones(1)
+            return lam @ vertices[face]
         corral.append(j)
         lam = np.append(lam, 0.0)
 
@@ -280,19 +247,14 @@ def _project_wolfe(vertices: np.ndarray, x: np.ndarray, max_iter: int) -> np.nda
 def min_norm_point(vertices, x) -> np.ndarray:
     """Unique projection of ``x`` onto the convex hull of ``vertices``.
 
-    Uses exhaustive face enumeration when there are at most d+1 vertices,
-    Wolfe's minimum-norm-point algorithm otherwise (iteration cap
-    10*(len(vertices)+d)). The returned point satisfies the variational
-    inequality (p - x)·(v - p) >= -1e-9·scale for every vertex v; a
-    violation raises :class:`MinNormError`.
+    Runs Wolfe's minimum-norm-point algorithm (iteration cap
+    10*(len(vertices)+d)) for every vertex count. The returned point
+    satisfies the variational inequality (p - x)·(v - p) >= -1e-9·scale
+    for every vertex v; a violation raises :class:`MinNormError`.
     """
     verts = _as_points(vertices)
     xv = _as_vector(x, verts.shape[1])
-    m, d = verts.shape
-    if m <= d + 1:
-        p = _project_exhaustive(verts, xv)
-    else:
-        p = _project_wolfe(verts, xv, 10 * (m + d))
+    p = _project_wolfe(verts, xv, 10 * sum(verts.shape))
     scale = 1.0 + float(np.max(np.abs(verts - xv[None, :]))) ** 2
     resid = float(np.min((verts - p[None, :]) @ (p - xv)))
     if resid < -1e-9 * scale:

@@ -50,9 +50,6 @@ def test_path_basics():
     p = Path.from_line([0.0], [1.0], 2.0, 8)
     assert p.m_intervals == 8 and p.dim == 1
     assert p.dt == pytest.approx(0.25)
-    r = p.refined()
-    assert r.m_intervals == 16
-    assert np.allclose(r.nodes[::2], p.nodes)
     with pytest.raises(ActionError):
         Path(1.0, np.zeros((2, 1)))
     with pytest.raises(ActionError):
@@ -408,14 +405,47 @@ def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
     engine.descend(chord)
     assert len(rounds) == 1 and solves == [1]
 
-    # Every round improves: descend stops after 64 rounds, each one
-    # followed by a descent of the accepted path.
+    # Every round improves: descend stops after 64 rounds and adopts each
+    # finished winner as it is, without descending it again.
     rounds.clear()
     solves.clear()
-    engine._trial_moves = lambda nodes, f0: (rounds.append(f0), (f0 - 1.0, nodes))[1]
-    nodes, value, converged, _ = engine.descend(chord)
-    assert len(rounds) == 64 and solves == [1] * 65
-    assert converged and value == rounds[-1]
+    engine._trial_moves = lambda nodes, f0: (rounds.append(f0),
+                                             (nodes, f0 - 1.0, True, 0.0, True))[1]
+    nodes, value, converged, grad_norm = engine.descend(chord)
+    assert len(rounds) == 64 and solves == [1]
+    assert converged and value == rounds[-1] - 1.0 and grad_norm == 0.0
+
+
+def test_descend_solves_each_path_once(monkeypatch):
+    # example1-c02 sites at M = 64 from the chord, relaxation blocks of 4
+    # candidates: descend makes one solve, then one per block of each round,
+    # and returns the last round winner's solve entry unchanged.
+    kset = presets.line_points()
+    monkeypatch.setattr(action_module, "KERNEL_CHUNK_ROW_SITES", 4 * 65 * kset.n)
+    engine = _Descent(kset, Shape.identity(), 1.0, SolverConfig(M=64, refinements=0))
+    solve, trial_moves = engine.solve, engine._trial_moves
+    outside, rounds, winners = [], [], []
+
+    def counted_solve(stack):
+        (rounds[-1] if len(rounds) > len(winners) else outside).append(stack.shape[0])
+        return solve(stack)
+
+    def recorded_moves(nodes, f0):
+        rounds.append([])
+        winners.append(trial_moves(nodes, f0))
+        return winners[-1]
+
+    engine.solve, engine._trial_moves = counted_solve, recorded_moves
+    chord = Path.from_line([-0.2], [0.2], 1.0, 64).nodes
+    nodes, value, converged, grad_norm = engine.descend(chord)
+    assert outside == [1]
+    assert len(winners) > 2 and winners[-1] is None and all(w is not None for w in winners[:-1])
+    for sizes in rounds:
+        assert sizes == [4] * (sum(sizes) // 4) + [sum(sizes) % 4] * (sum(sizes) % 4 > 0)
+    assert any(len(sizes) > 1 for sizes in rounds)
+    last = winners[-2]
+    assert np.array_equal(nodes, last[0]) and last[4]
+    assert (value, converged, grad_norm) == (last[1], last[2], last[3])
 
 
 def test_gradient_on_a_site_is_finite_for_power_below_one():

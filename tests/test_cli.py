@@ -162,6 +162,15 @@ def test_mag_points_window_covers_the_endpoints(tmp_path, monkeypatch):
     assert windows == [4, 4]
 
 
+def test_mag_points_keep_the_configured_tie_tolerance(tmp_path):
+    run = {"points": {"mag": {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}},
+           "tie_tolerance": 1e-6, "endpoints": {"start": [0.2, 0.3], "end": [0.3, 0.2]},
+           "delta": 1.0}
+    assert load_run_config(_write(tmp_path / "run.json", run))["kset"].tie_tolerance == 1e-6
+    entry = {"mag": {"base_points": [[0.0], [0.5]], "n": 1, "m": 2, "window": 1}}
+    assert cli._parse_points(entry, 1e-6).tie_tolerance == 1e-6  # as a stability entry loads
+
+
 def test_preset_command(tmp_path):
     out = tmp_path / "pz"
     assert main(["preset", "zones", "--out", str(out)]) == 0

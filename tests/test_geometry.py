@@ -156,15 +156,42 @@ def test_min_norm_is_one_lipschitz(seed_a, seed_b):
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-8
 
 
-def test_min_norm_wolfe_branch_many_vertices():
-    from voract.geometry import _project_exhaustive
+def _face_scan(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Projection of x onto conv(vertices) by scanning every face: each
+    nonempty vertex subset is solved as an equality-constrained least
+    squares problem and kept when its barycentric coordinates are feasible."""
+    m = vertices.shape[0]
+    best, best_d = None, np.inf
+    for r in range(1, m + 1):
+        for subset in itertools.combinations(range(m), r):
+            pts = vertices[list(subset)]
+            q = pts - x[None, :]
+            kkt = np.ones((r + 1, r + 1))
+            kkt[:r, :r] = q @ q.T
+            kkt[r, r] = 0.0
+            lam = np.linalg.lstsq(kkt, np.eye(r + 1)[r], rcond=None)[0][:r]
+            # Skip infeasible faces and inconsistent solutions of singular systems.
+            if np.any(lam < -1e-12) or abs(float(np.sum(lam)) - 1.0) > 1e-8:
+                continue
+            cand = pts[0] if r == 1 else lam @ pts
+            d = float(np.linalg.norm(cand - x))
+            if d < best_d - 1e-15:
+                best, best_d = cand, d
+    return best
 
+
+def test_min_norm_wolfe_branch_many_vertices():
+    # Wolfe serves every vertex count; the exact face scan is the reference.
     rng = np.random.default_rng(77)
-    verts = rng.normal(size=(9, 2)) * 2  # forces the Wolfe branch (m > d+1)
-    for _ in range(10):
-        x = rng.normal(size=2) * 3
+    verts = rng.normal(size=(9, 2)) * 2
+    cases = [(verts, rng.normal(size=2) * 3) for _ in range(10)]
+    for d in range(1, 5):
+        for m in range(1, d + 2):  # at most d + 1 vertices, half-integer and often degenerate
+            cases += [(rng.integers(-4, 5, size=(m, d)) / 2.0, rng.normal(size=d) * 2)
+                      for _ in range(3)]
+    for verts, x in cases:
         p = min_norm_point(verts, x)
-        q = _project_exhaustive(verts, x)  # exact face scan, independent of Wolfe
+        q = _face_scan(verts, x)
         assert np.linalg.norm(p - q) <= 1e-8
 
 
