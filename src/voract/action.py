@@ -12,20 +12,22 @@ potential is discontinuous across nearest-site cell boundaries, so nodes
 sitting exactly on a boundary (tie class) are pinned: they move only along
 the boundary's equidistance directions, and no smooth line search crosses
 the potential jump. So that boundary-riding segments can shrink or grow
-across it, each start descends once, then runs rounds of release/capture
-trial moves (a single-node move across the jump plus a relaxation; the
-best strict objective decrease wins) and adopts each round's relaxed
-winner as it is, until a round finds no improvement (at most 64 rounds).
-Every path is descended exactly once.
+across it, the starts of a mesh stage descend once, as one stack, then run
+rounds of release/capture trial moves in lockstep (a single-node move
+across the jump plus a relaxation; each start's best strict objective
+decrease wins) and adopt each round's relaxed winners as they are, until a
+start's round finds no improvement (at most 64 rounds). Every path is
+descended exactly once, and a start whose nodes equal an earlier start's
+bit for bit after a stage is not descended again.
 
 One descent engine (`_Descent`) does all of this on stacks of paths.
 Its direction is the Newton step of the problem restricted to the pinned
 nodes' tangent spaces (the active-set step of projected Newton, Bertsekas
 1982): one banded LAPACK solve for the whole stack, with zero coupling
-between paths. A start's descent is a stack of one; the candidates of a
-round relax together in lockstep, in blocks of at most
-``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths. Paths in a stack never
-interact, so results do not depend on the block size.
+between paths. The candidates of a round relax together, in blocks of at
+most ``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths. Paths in a stack
+never interact and each row's arithmetic is its own, so results depend
+neither on the block size nor on which starts share a stack.
 
 A layered-graph dynamic program (`dp_oracle`) provides an independent
 lower-fidelity solution used both as a solver seed and as a
@@ -38,6 +40,7 @@ companion problem, with nodes on active polytope faces pinned like ties.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +78,16 @@ class GridBudgetError(ActionError):
     """Dynamic-programming grid exceeds the node/edge budget."""
 
 
+def _check_number(name: str, value, low, integer: bool = False, closed: bool = False) -> None:
+    """ActionError naming ``name`` unless ``value`` is a finite number (not a
+    bool) ``> low``, or ``>= low`` if ``closed``; an integer if ``integer``."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (integer or np.isfinite(value)) or value < low or (value == low and not closed)):
+        raise ActionError(f"{name} must be a finite {'integer' if integer else 'number'} "
+                          f"{'>=' if closed else '>'} {low}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Shapes, paths, breakdowns, configs
 
@@ -96,10 +109,11 @@ class Shape:
     def __post_init__(self):
         if self.kind not in ("identity", "power", "affine"):
             raise ActionError(f"unknown shape kind {self.kind!r}")
-        if self.kind == "power" and self.p <= 0:
-            raise ActionError("power shape needs p > 0")
-        if self.kind == "affine" and (self.a <= 0 or self.b < 0):
-            raise ActionError("affine shape needs a > 0 and b >= 0")
+        if self.kind == "power":
+            _check_number("power shape p", self.p, 0.0)
+        if self.kind == "affine":
+            _check_number("affine shape a", self.a, 0.0)
+            _check_number("affine shape b", self.b, 0.0, closed=True)
         grid = np.linspace(0.0, 10.0, 101)
         vals = self.h(grid)
         if vals[0] < 0 or np.any(np.diff(vals) <= 0):
@@ -151,8 +165,7 @@ class Path:
 
     def __post_init__(self):
         nodes = np.atleast_2d(np.array(self.nodes, dtype=float))
-        if self.delta <= 0:
-            raise ActionError("delta must be positive")
+        _check_number("delta", self.delta, 0.0)
         if nodes.shape[0] < 3:
             raise ActionError("a path needs at least 2 intervals")
         if not np.all(np.isfinite(nodes)):
@@ -209,10 +222,9 @@ class SolverConfig:
     max_iters: int = 4000
 
     def __post_init__(self):
-        if min(self.M, self.refinements + 1, self.starts, self.max_iters) <= 0:
-            raise ActionError("solver config fields must be positive")
-        if self.grad_tol < 1e-12:
-            raise ActionError("grad_tol must be at least 1e-12")
+        for name, low in {"M": 1, "refinements": 0, "starts": 1, "seed": 0, "max_iters": 1}.items():
+            _check_number(name, getattr(self, name), low, integer=True, closed=True)
+        _check_number("grad_tol", self.grad_tol, 1e-12, closed=True)
         if self.M >> self.refinements < 4:
             raise ActionError("too many refinements for this M (coarse mesh < 4)")
 
@@ -305,10 +317,11 @@ class _Descent:
     for every live path and one per line-search halving for the paths
     still searching. A path leaves on its first iteration without a step.
     The paths share only the engine's caches of cell frames and class
-    projections, so each path's iterates are those it would have alone.
+    projections, and no row's rounding depends on the other rows of a call,
+    so each path's iterates are those it would have alone.
     :meth:`descend` is the only loop over release/capture rounds: it
-    descends its path once, then adopts each round's relaxed winner from
-    :meth:`_trial_moves` without descending it again.
+    descends a mesh stage's stack once, then each path adopts its round's
+    relaxed winner from :meth:`_trial_moves` without descending it again.
 
     Pinned nodes (tie classes) move only along their boundary's
     equidistance directions (:meth:`_direction`). With a ``polytope``,
@@ -387,7 +400,9 @@ class _Descent:
             pin_groups += self._face_groups(stack[:, 1:-1].reshape(-1, d), flat)
         for key, rows in pin_groups:
             basis = self._tangent(key)
-            flat[rows] = (flat[rows] @ basis.T) @ basis
+            # Row by row: a BLAS product would round a row by its place in the call.
+            coef = np.sum(flat[rows][:, None] * basis, axis=2)
+            flat[rows] = np.sum(coef[:, :, None] * basis, axis=1)
         return s, g, pin_groups, dt
 
     def _face_groups(self, inner: np.ndarray, g: np.ndarray) -> list:
@@ -497,68 +512,74 @@ class _Descent:
             live = live[stepped]
         return stack, f, grad_norm <= tol, grad_norm, ~np.isin(np.arange(f.size), live)
 
-    def descend(self, nodes: np.ndarray):
-        """Descend one path once, then repeat for at most 64 rounds: one round
-        of release/capture moves, whose relaxed winner becomes the current
-        path as it is, without a second descent. A descent or a winner's
-        relaxation that runs out of iterations ends the loop.
-
-        Returns ``(nodes, value, converged, grad_norm)`` of the current path.
-        The objective decreases strictly from round to round.
+    def descend(self, stack: np.ndarray):
+        """Descend a stack of paths once, then run at most 64 lockstep rounds
+        of release/capture moves; each path in the loop adopts its round's
+        relaxed winner as it is. A path leaves where it would leave alone:
+        no winner, or its descent or its winner's relaxation ran out of
+        iterations. Returns one ``(nodes, value, converged, grad_norm)`` per
+        path; each path's objective decreases strictly from round to round.
         """
-        state = tuple(entry[0] for entry in self.solve(nodes[None]))
+        nodes, value, conv, gnorm, stopped = self.solve(stack)
+        live = np.flatnonzero(stopped)
         for _ in range(64):
-            best = self._trial_moves(state[0], state[1]) if state[4] else None
-            if best is None:
+            if not live.size:
                 break
-            state = best
-        nodes, value, conv, gnorm, _ = state
-        return nodes, float(value), bool(conv), float(gnorm)
+            winners = self._trial_moves(nodes[live], value[live])
+            for j, best in zip(live, winners):
+                if best is not None:
+                    nodes[j], value[j], conv[j], gnorm[j], stopped[j] = best
+            live = live[[best is not None and bool(best[4]) for best in winners]]
+        return list(zip(nodes, value.tolist(), conv.tolist(), gnorm.tolist()))
 
     # -- release / capture ------------------------------------------------------
 
-    def _trial_moves(self, nodes, f0):
-        """One round of release/capture moves: the :meth:`solve` entry
-        ``(nodes, value, converged, grad_norm, stopped)`` of the best strictly
-        improving relaxed candidate, ties to the earlier one, or None.
+    def _trial_moves(self, stack: np.ndarray, f0: np.ndarray):
+        """One round of release/capture moves for the stack ``(B, n, d)`` with
+        values ``f0``: per path, the :meth:`solve` entry of its best relaxed
+        candidate that beats its ``f0`` by over 1e-12 relative, ties to the
+        earlier one, or None.
 
-        Each candidate moves one node across the potential jump and relaxes
-        by :meth:`solve`, all candidates together as one lockstep stack in
-        blocks of at most ``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths (at
-        least one), which bounds the kernel's distance matrix and never
-        changes a result.
+        Each candidate moves one node across the potential jump. All paths'
+        candidates relax together by :meth:`solve`, in blocks of at most
+        ``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths (at least one), which
+        bounds the kernel's distance matrix and never changes a result.
         """
-        n_total = nodes.shape[0]
+        n_paths, n_total, d = stack.shape
         block = max(1, KERNEL_CHUNK_ROW_SITES // (n_total * self.kset.n))
-        _, _, tie_mask, groups = batch_field(nodes, self.kset, self._etas)
+        _, _, tie_mask, groups = batch_field(stack.reshape(-1, d), self.kset, self._etas)
+        tie_mask = tie_mask.reshape(n_paths, n_total)
         tie_classes = {int(r): cls for cls, rows in groups if len(cls) >= 2 for r in rows}
         candidates = []
-        for k in range(1, n_total - 1):
-            for nb in (k - 1, k + 1):
-                if tie_mask[k] and not tie_mask[nb]:
-                    # Release: slide the boundary node toward the free side.
-                    candidates += [(k, nodes[k] + w * (nodes[nb] - nodes[k])) for w in (0.5, 1.0)]
-                elif not tie_mask[k] and tie_mask[nb]:
-                    # Capture: project the free node onto the neighbor's boundary plane.
-                    try:
-                        frame = self._cell(tie_classes[nb])
-                    except GeometryError:
-                        continue
-                    rel = nodes[k] - frame.p_h
-                    proj = frame.p_h + (frame.basis_b.T @ (frame.basis_b @ rel)
-                                        if frame.basis_b.shape[0] else 0.0)
-                    candidates.append((k, proj))
-        best = None
-        threshold = f0 - 1e-12 * (1.0 + abs(f0))
+        for i, (nodes, ties) in enumerate(zip(stack, tie_mask)):
+            for k in range(1, n_total - 1):
+                for nb in (k - 1, k + 1):
+                    if ties[k] and not ties[nb]:
+                        # Release: slide the boundary node toward the free side.
+                        candidates += [(i, k, nodes[k] + w * (nodes[nb] - nodes[k]))
+                                       for w in (0.5, 1.0)]
+                    elif not ties[k] and ties[nb]:
+                        # Capture: project the free node onto the neighbor's boundary plane.
+                        try:
+                            frame = self._cell(tie_classes[i * n_total + nb])
+                        except GeometryError:
+                            continue
+                        rel = nodes[k] - frame.p_h
+                        proj = frame.p_h + (frame.basis_b.T @ (frame.basis_b @ rel)
+                                            if frame.basis_b.shape[0] else 0.0)
+                        candidates.append((i, k, proj))
+        best = [None] * n_paths
+        threshold = f0 - 1e-12 * (1.0 + np.abs(f0))
         for lo in range(0, len(candidates), block):
             chunk = candidates[lo:lo + block]
-            trials = np.repeat(nodes[None], len(chunk), axis=0)
-            for j, (k, pos) in enumerate(chunk):
+            trials = stack[[i for i, _, _ in chunk]]
+            for j, (_, k, pos) in enumerate(chunk):
                 trials[j, k] = pos
             relaxed = self.solve(trials)
-            for j, f_trial in enumerate(relaxed[1]):
-                if f_trial < threshold and (best is None or f_trial < best[1]):
-                    best = tuple(entry[j] for entry in relaxed)
+            for j, (i, _, _) in enumerate(chunk):
+                f_trial = relaxed[1][j]
+                if f_trial < threshold[i] and (best[i] is None or f_trial < best[i][1]):
+                    best[i] = tuple(entry[j] for entry in relaxed)
         return best
 
 
@@ -586,6 +607,8 @@ def seed_grid_spec(x0, xdelta, delta: float, kset: PointSet) -> "GridSpec":
     lo = np.minimum(a, b) - margin
     hi = np.maximum(a, b) + margin
     d = kset.dim
+    if d > 3:
+        raise ActionError(f"seed_grid_spec supports dimension <= 3, got {d}")
     points_per_axis = {1: 481, 2: 61, 3: 25}[d]
     res = float(np.max(hi - lo)) / (points_per_axis - 1)
     snap = []
@@ -615,17 +638,25 @@ def _mesh_schedule(cfg: SolverConfig) -> list[int]:
     return meshes
 
 
-def _descend_stages(engine: _Descent, nodes: np.ndarray, a, b, meshes: list[int]):
-    """Descend one start through the mesh stages. Returns the nodes after
-    each stage and the last stage's action, converged flag and gradient norm."""
+def _descend_stages(engine: _Descent, stack: np.ndarray, a, b, meshes: list[int]):
+    """Descend a stack of starts through the mesh stages, one
+    :meth:`_Descent.descend` per stage. A start whose nodes equal an earlier
+    start's (``np.array_equal``) takes that start's entries, which its own
+    descent would repeat, instead of being descended. Returns the stack
+    after each stage and the last stage's entries, one per start."""
     stages = []
     for m in meshes:
-        if nodes.shape[0] != m + 1:
-            nodes = _interp_to_mesh(nodes, engine.delta, m)
-        nodes[0], nodes[-1] = a, b
-        nodes, value, conv, gnorm = engine.descend(nodes)
-        stages.append(nodes)
-    return stages, value, conv, gnorm
+        if stack.shape[1] != m + 1:
+            stack = np.array([_interp_to_mesh(nodes, engine.delta, m) for nodes in stack])
+        stack[:, 0], stack[:, -1] = a, b
+        first = [next(i for i in range(j + 1) if np.array_equal(stack[i], stack[j]))
+                 for j in range(len(stack))]
+        own = sorted(set(first))
+        descended = dict(zip(own, engine.descend(stack[own])))
+        entries = [descended[i] for i in first]
+        stack = np.array([entry[0] for entry in entries])
+        stages.append(stack)
+    return stages, entries
 
 
 def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
@@ -633,16 +664,17 @@ def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     """Multi-start minimization of the discrete action with mesh doubling.
 
     Starts: the straight chord, a DP-oracle seed (dimension <= 3), and
-    seeded smooth Gaussian perturbations of the chord. Every start is
-    descended through all refinement stages; the result is the best final
-    minimizer ordered by (action, start index). Deterministic for a fixed
-    seed. If no start meets the gradient tolerance the best iterate is
-    returned flagged non-converged.
+    seeded smooth Gaussian perturbations of the chord. The starts descend
+    through the refinement stages as one stack per stage; a start that
+    equals an earlier one bit for bit shares its later stages and keeps its
+    own label in ``starts``. The result is the best final minimizer ordered
+    by (action, start index). Deterministic for a fixed seed. If no start
+    meets the gradient tolerance the best iterate is returned flagged
+    non-converged.
     """
     a = _as_vector(x0, kset.dim)
     b = _as_vector(xdelta, kset.dim)
-    if delta <= 0:
-        raise ActionError("delta must be positive")
+    _check_number("delta", delta, 0.0)
     meshes = _mesh_schedule(cfg)
     m0 = meshes[0]
 
@@ -666,19 +698,19 @@ def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
         starts.append((f"perturb{i}", chord + scale * t_env * noise))
 
     engine = _Descent(kset, shape, delta, cfg)
-    results = [(label, *_descend_stages(engine, nodes, a, b, meshes)) for label, nodes in starts]
-    _, stages, _, converged, gnorm = min(results, key=lambda r: r[2])
-    best_path = Path(delta, stages[-1])
-    prev_path = Path(delta, stages[max(len(stages) - 2, 0)])
+    stages, entries = _descend_stages(engine, np.array([st for _, st in starts]), a, b, meshes)
+    best = min(range(len(starts)), key=lambda j: entries[j][1])
+    best_path = Path(delta, stages[-1][best])
+    prev_path = Path(delta, stages[max(len(stages) - 2, 0)][best])
     summaries = tuple(
         StartSummary(label=lab, action=act, converged=conv,
-                     dev_from_best=float(np.max(np.linalg.norm(st[-1] - stages[-1], axis=1))))
-        for lab, st, act, conv, _ in results)
+                     dev_from_best=float(np.max(np.linalg.norm(st - stages[-1][best], axis=1))))
+        for (lab, _), st, (_, act, conv, _) in zip(starts, stages[-1], entries))
     return MinimizeResult(
         path=best_path,
         breakdown=evaluate_action(best_path, kset, shape),
-        converged=converged,
-        grad_norm=gnorm,
+        converged=entries[best][2],
+        grad_norm=entries[best][3],
         starts=summaries,
         prev_path=prev_path,
         prev_breakdown=evaluate_action(prev_path, kset, shape),
@@ -710,12 +742,12 @@ class GridSpec:
         hi = np.asarray(self.hi, dtype=float).reshape(-1)
         if lo.shape != hi.shape:
             raise ActionError(f"grid box corners have different lengths {lo.size} and {hi.size}")
-        if np.any(hi <= lo):
-            raise ActionError("grid box must have positive extent")
-        if self.resolution <= 0 or self.time_slices < 2:
-            raise ActionError("invalid grid resolution or time slicing")
-        if self.vmax is not None and not (np.isfinite(self.vmax) and self.vmax > 0):
-            raise ActionError("vmax must be finite and positive")
+        if not np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
+            raise ActionError("grid box corners lo and hi must be finite with hi > lo")
+        _check_number("resolution", self.resolution, 0.0)
+        _check_number("time_slices", self.time_slices, 2, integer=True, closed=True)
+        if self.vmax is not None:
+            _check_number("vmax", self.vmax, 0.0)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -769,8 +801,7 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
         raise ActionError("dp_oracle supports dimension <= 3")
     a = _as_vector(x0, d)
     b = _as_vector(xdelta, d)
-    if delta <= 0:
-        raise ActionError("delta must be positive")
+    _check_number("delta", delta, 0.0)
     if grid_spec.lo.shape[0] != d or (grid_spec.snap_axes is not None
                                       and len(grid_spec.snap_axes) != d):
         raise ActionError(f"grid dimension {grid_spec.lo.shape[0]} does not match "
@@ -886,13 +917,14 @@ def constrained_minimize(x0, xdelta, delta: float, polytope: Polytope, psi_cente
     a = _as_vector(x0, polytope.dim)
     b = _as_vector(xdelta, polytope.dim)
     center = _as_vector(psi_center, polytope.dim)
+    _check_number("delta", delta, 0.0)
     if not (polytope.contains(a) and polytope.contains(b)):
         raise ActionError("endpoints must lie in the constraint polytope")
     kset = PointSet(center[None, :])
     meshes = _mesh_schedule(cfg)
     engine = _Descent(kset, shape, delta, cfg, polytope)
-    chord = Path.from_line(a, b, delta, meshes[0]).nodes.copy()
-    nodes = _descend_stages(engine, chord, a, b, meshes)[0][-1]
+    chord = Path.from_line(a, b, delta, meshes[0]).nodes
+    nodes = _descend_stages(engine, chord[None].copy(), a, b, meshes)[0][-1][0]
     path = Path(delta, nodes)
     ref = 0.25 * path.dt
     inner = nodes[1:-1]

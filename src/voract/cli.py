@@ -55,6 +55,8 @@ class ConfigError(VoractError):
 
 
 def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {type(obj).__name__}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown fields in {context}: {', '.join(sorted(unknown))}")
@@ -152,7 +154,7 @@ def _parse_grid(spec: dict | None, cfg: dict) -> GridSpec:
     return GridSpec(lo=np.asarray(spec["lo"], dtype=float),
                     hi=np.asarray(spec["hi"], dtype=float),
                     resolution=float(spec["resolution"]),
-                    time_slices=int(spec["time_slices"]),
+                    time_slices=spec["time_slices"],
                     vmax=None if spec.get("vmax") is None else float(spec["vmax"]))
 
 

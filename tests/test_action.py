@@ -22,7 +22,7 @@ from voract import (
     evaluate_action,
     minimize,
 )
-from voract.action import _Descent
+from voract.action import _Descent, seed_grid_spec
 from voract.potential import batch_field
 
 QUICK = SolverConfig(M=128, refinements=2, starts=3, seed=0, max_iters=2000)
@@ -321,7 +321,7 @@ def _candidate_stack(engine, x0, x1, m):
     iterations, after different step-size histories."""
     chord = Path.from_line(x0, x1, 1.0, m).nodes
     settle = _Descent(engine.kset, engine.shape, 1.0, replace(engine.cfg, max_iters=400))
-    nodes = settle.descend(chord)[0]
+    nodes = settle.descend(chord[None])[0][0]
     stack = [nodes, chord]
     for k in (1, m // 4, m // 2, m - 1):
         moved = nodes.copy()
@@ -335,13 +335,18 @@ def _candidate_stack(engine, x0, x1, m):
     return np.array(stack)
 
 
-@pytest.mark.parametrize("case", ["line", "mag"])
+@pytest.mark.parametrize("case", ["line", "mag", "3d"])
 def test_lockstep_relaxation_matches_single_paths(case, line_k):
-    # h(s) = s^2 makes the line searches halve differently per path.
+    # h(s) = s^2 makes the line searches halve differently per path. In 3-D
+    # the nodes pinned to a two-site class project their gradient onto a
+    # two-row basis, which a BLAS product would round by row position.
     if case == "line":
         kset, x0, x1 = line_k, [-0.2], [0.2]
-    else:
+    elif case == "mag":
         kset, x0, x1 = build_mag([[0.0], [0.5]], 1, 2, 1).kset, [0.2, 0.3], [0.3, 0.2]
+    else:
+        kset = PointSet([[-2, 1, -1], [-1, -1, 0], [1, -2, 0], [1, 0, 1], [1, 2, 2], [2, -2, 1]])
+        x0, x1 = [-2.0, 1.0, -1.0], [0.0, -0.5, 0.0]
     engine = _Descent(kset, Shape.power(2.0), 1.0, QUICK)
     stack = _candidate_stack(engine, x0, x1, 32)
     nodes, values, converged, grad_norm, stopped = engine.solve(stack)
@@ -351,6 +356,13 @@ def test_lockstep_relaxation_matches_single_paths(case, line_k):
         assert np.array_equal(one[0][0], nodes[j])
         assert one[1][0] == values[j]
         assert one[2][0] == converged[j] and one[3][0] == grad_norm[j]
+    # The move rounds run in lockstep too, a duplicated path included.
+    stack = np.concatenate([stack, stack[2:3]])
+    descended = engine.descend(stack)
+    assert len(descended) == stack.shape[0]
+    for j, entry in enumerate(descended):
+        (alone,) = engine.descend(stack[j:j + 1])
+        assert np.array_equal(entry[0], alone[0]) and entry[1:] == alone[1:]
 
 
 def test_nan_gradient_ends_descent_like_a_failed_search(line_k, monkeypatch):
@@ -368,11 +380,11 @@ def test_nan_gradient_ends_descent_like_a_failed_search(line_k, monkeypatch):
     monkeypatch.setattr(action_module, "_interior_gradient", nan_on_sites)
     engine = _Descent(line_k, Shape.power(0.5), 1.0, replace(QUICK, max_iters=100))
     calls = []
-    engine._trial_moves = lambda nodes, f0: calls.append(1)
+    engine._trial_moves = lambda stack, f0: calls.append(len(stack)) or [None] * len(stack)
     nodes = Path.from_line([-1.5], [0.5], 1.0, 8).nodes
     assert nodes[2, 0] == -1.0
     with np.errstate(invalid="ignore"):
-        _, _, converged, grad_norm = engine.descend(nodes)
+        ((_, _, converged, grad_norm),) = engine.descend(nodes[None])
     assert calls == [1]
     assert np.isnan(grad_norm) and not converged
 
@@ -380,7 +392,7 @@ def test_nan_gradient_ends_descent_like_a_failed_search(line_k, monkeypatch):
 def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
     engine = _Descent(line_k, Shape.power(2.0), 1.0, QUICK)
 
-    def no_moves(nodes, f0):
+    def no_moves(stack, f0):
         raise AssertionError("solve ran a trial move")
 
     engine._trial_moves = no_moves
@@ -392,7 +404,7 @@ def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
     capped = _Descent(line_k, Shape.power(2.0), 1.0, replace(QUICK, max_iters=1))
     capped._trial_moves = no_moves
     assert not capped.solve(chord[None])[4][0]
-    assert not capped.descend(chord)[2]
+    assert not any(entry[2] for entry in capped.descend(stack))
 
     solve, solves, rounds = engine.solve, [], []
 
@@ -401,25 +413,28 @@ def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
         return solve(stack)
 
     engine.solve = counted_solve
-    engine._trial_moves = lambda nodes, f0: rounds.append(f0)
-    engine.descend(chord)
-    assert len(rounds) == 1 and solves == [1]
+    engine._trial_moves = lambda stack, f0: rounds.append(f0.copy()) or [None] * len(stack)
+    engine.descend(stack)
+    assert len(rounds) == 1 and len(rounds[0]) == 2 and solves == [2]
 
-    # Every round improves: descend stops after 64 rounds and adopts each
-    # finished winner as it is, without descending it again.
+    # Every round improves the second path and none the first: the first
+    # leaves after one round, the second after 64, adopting each finished
+    # winner as it is, without descending it again.
     rounds.clear()
     solves.clear()
-    engine._trial_moves = lambda nodes, f0: (rounds.append(f0),
-                                             (nodes, f0 - 1.0, True, 0.0, True))[1]
-    nodes, value, converged, grad_norm = engine.descend(chord)
-    assert len(rounds) == 64 and solves == [1]
-    assert converged and value == rounds[-1] - 1.0 and grad_norm == 0.0
+    engine._trial_moves = lambda stack, f0: (rounds.append(f0.copy()), [None] * (len(stack) - 1)
+                                             + [(stack[-1], f0[-1] - 1.0, True, 0.0, True)])[1]
+    first, second = engine.descend(stack)
+    assert [len(f0) for f0 in rounds] == [2] + [1] * 63 and solves == [2]
+    assert first[1] == rounds[0][0]
+    assert second[2] and second[1] == rounds[-1][-1] - 1.0 and second[3] == 0.0
 
 
 def test_descend_solves_each_path_once(monkeypatch):
-    # example1-c02 sites at M = 64 from the chord, relaxation blocks of 4
-    # candidates: descend makes one solve, then one per block of each round,
-    # and returns the last round winner's solve entry unchanged.
+    # example1-c02 sites at M = 64 from the chord and a wavy chord,
+    # relaxation blocks of 4 candidates: descend makes one solve of the
+    # stack, then one per block of each round, and returns each path's last
+    # round winner's solve entry unchanged.
     kset = presets.line_points()
     monkeypatch.setattr(action_module, "KERNEL_CHUNK_ROW_SITES", 4 * 65 * kset.n)
     engine = _Descent(kset, Shape.identity(), 1.0, SolverConfig(M=64, refinements=0))
@@ -430,22 +445,52 @@ def test_descend_solves_each_path_once(monkeypatch):
         (rounds[-1] if len(rounds) > len(winners) else outside).append(stack.shape[0])
         return solve(stack)
 
-    def recorded_moves(nodes, f0):
+    def recorded_moves(stack, f0):
         rounds.append([])
-        winners.append(trial_moves(nodes, f0))
+        winners.append(trial_moves(stack, f0))
         return winners[-1]
 
     engine.solve, engine._trial_moves = counted_solve, recorded_moves
     chord = Path.from_line([-0.2], [0.2], 1.0, 64).nodes
-    nodes, value, converged, grad_norm = engine.descend(chord)
-    assert outside == [1]
-    assert len(winners) > 2 and winners[-1] is None and all(w is not None for w in winners[:-1])
+    wavy = chord + 0.05 * np.sin(2.0 * np.pi * np.linspace(0.0, 1.0, 65))[:, None]
+    descended = engine.descend(np.array([chord, wavy]))
+    assert outside == [2]
     for sizes in rounds:
         assert sizes == [4] * (sum(sizes) // 4) + [sum(sizes) % 4] * (sum(sizes) % 4 > 0)
     assert any(len(sizes) > 1 for sizes in rounds)
-    last = winners[-2]
-    assert np.array_equal(nodes, last[0]) and last[4]
-    assert (value, converged, grad_norm) == (last[1], last[2], last[3])
+    # Replay which paths were in each round; each leaves on its first round
+    # without a winner and ends on its previous winner.
+    live, last = [0, 1], {}
+    for round_winners in winners:
+        assert len(round_winners) == len(live)
+        last.update((j, w) for j, w in zip(live, round_winners) if w is not None)
+        live = [j for j, w in zip(live, round_winners) if w is not None and w[4]]
+    assert live == [] and sorted(last) == [0, 1] and len(winners) > 2
+    for j, (nodes, value, converged, grad_norm) in enumerate(descended):
+        assert np.array_equal(nodes, last[j][0]) and last[j][4]
+        assert (value, converged, grad_norm) == (last[j][1], last[j][2], last[j][3])
+
+
+def test_minimize_descends_a_duplicate_start_once(monkeypatch):
+    # On a stability site set the dp start lands on the straight start's
+    # path in the first stage: the later stages descend two starts, not
+    # three, and the dp start still reports under its own label.
+    solve, stacks = _Descent.solve, []
+
+    def counted_solve(self, stack):
+        stacks.append(stack.shape[:2])
+        return solve(self, stack)
+
+    monkeypatch.setattr(_Descent, "solve", counted_solve)
+    res = minimize([-0.02], [0.02], 1.0, PointSet([[-2.0], [2.0]]), Shape.identity(),
+                   SolverConfig(M=64, refinements=2, starts=3))
+    stage_stacks = {}
+    for paths, n in stacks:  # a stage's first solve descends its stack
+        stage_stacks.setdefault(n, paths)
+    assert stage_stacks == {17: 3, 33: 2, 65: 2}
+    straight, dp, perturb = res.starts
+    assert (straight.label, dp.label, perturb.label) == ("straight", "dp", "perturb0")
+    assert replace(dp, label="straight") == straight
 
 
 def test_gradient_on_a_site_is_finite_for_power_below_one():
@@ -595,6 +640,35 @@ def test_grid_spec_rejects_invalid_fields(fields):
     with pytest.raises(ActionError):
         GridSpec(**{"lo": [-1.5], "hi": [1.5], "resolution": 0.05, "time_slices": 20,
                     **fields})
+
+
+NAN = float("nan")
+_GRID = {"lo": [-1.5], "hi": [1.5], "resolution": 0.05, "time_slices": 20}
+
+
+@pytest.mark.parametrize("field,make", [
+    ("M must", lambda: SolverConfig(M=16.5)),
+    ("M must", lambda: SolverConfig(M=True)),
+    ("starts", lambda: SolverConfig(starts=2.0)),
+    ("seed", lambda: SolverConfig(seed=-1)),
+    ("grad_tol", lambda: SolverConfig(grad_tol=NAN)),
+    ("time_slices", lambda: GridSpec(**{**_GRID, "time_slices": 10.5})),
+    ("resolution", lambda: GridSpec(**{**_GRID, "resolution": NAN})),
+    ("corners", lambda: GridSpec(**{**_GRID, "lo": [NAN]})),
+    ("delta", lambda: minimize([-0.2], [0.2], NAN, PointSet([[-1.0], [1.0]]), Shape.identity(),
+                               QUICK)),
+    ("delta", lambda: dp_oracle([-0.2], [0.2], NAN, PointSet([[-1.0], [1.0]]), Shape.identity(),
+                                GridSpec(**_GRID))),
+    ("delta", lambda: constrained_minimize([0.2], [0.8], NAN, Polytope([[1.0], [-1.0]], [1.0, 0.0]),
+                                           [0.5], Shape.identity(), QUICK)),
+    ("delta", lambda: Path(NAN, [[0.0], [0.5], [1.0]])),
+    ("power shape p", lambda: Shape.power(NAN)),
+    ("affine shape a", lambda: Shape.affine(float("inf"), 0.0)),
+    ("dimension", lambda: seed_grid_spec([0.0] * 4, [1.0] * 4, 1.0, PointSet(np.eye(4)))),
+])
+def test_non_finite_or_non_integral_input_is_an_action_error(field, make):
+    with pytest.raises(ActionError, match=field):
+        make()
 
 
 def _seed_grid_cases():

@@ -184,6 +184,32 @@ def test_config_error_exit_code(tmp_path):
     assert main(["solve", "--config", bad]) == 2
 
 
+@pytest.mark.parametrize("section,value", [
+    ("solver", [16, 1]),
+    ("points", [[-1.0], [1.0]]),
+    ("endpoints", [[-0.2], [0.2]]),
+    ("shape", "identity"),
+])
+def test_config_section_of_the_wrong_json_type_is_a_config_error(section, value, tmp_path,
+                                                                  capsys):
+    cfg = _write(tmp_path / "cfg.json", {**BASE_CONFIG, section: value})
+    with pytest.raises(ConfigError, match=f"{section} must be a JSON object"):
+        load_run_config(cfg)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("payload", [
+    {**BASE_CONFIG, "delta": float("nan")},
+    {**BASE_CONFIG, "solver": {**BASE_CONFIG["solver"], "M": 16.5}},
+])
+def test_solve_rejects_non_finite_and_non_integral_numbers(payload, tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("delta" in err or "M must be" in err)
+
+
 @pytest.mark.parametrize("argv", [
     ["zones", "--box-lo", "[0]", "--box-hi", "[1]"],
     ["analyze", "--trajectory", "missing.csv"],
