@@ -47,8 +47,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.optimize import nnls
 
-from .geometry import (GeometryError, OptClass, PointSet, Polytope, VoractError, cell_frame,
-                       _as_vector)
+from .geometry import GeometryError, PointSet, Polytope, VoractError, _as_vector, class_frame
 from .potential import KERNEL_CHUNK_ROW_SITES, _split_by_mask, batch_field
 
 __all__ = [
@@ -316,9 +315,9 @@ class _Descent:
     one mesh and advance in lockstep, one field-kernel call per iteration
     for every live path and one per line-search halving for the paths
     still searching. A path leaves on its first iteration without a step.
-    The paths share only the engine's caches of cell frames and class
-    projections, and no row's rounding depends on the other rows of a call,
-    so each path's iterates are those it would have alone.
+    Class frames and zone values are pure functions of the class, memoized
+    on the point set, and no row's rounding depends on the other rows of a
+    call, so each path's iterates are those it would have alone.
     :meth:`descend` is the only loop over release/capture rounds: it
     descends a mesh stage's stack once, then each path adopts its round's
     relaxed winner from :meth:`_trial_moves` without descending it again.
@@ -336,8 +335,7 @@ class _Descent:
         self.delta = delta
         self.cfg = cfg
         self.polytope = polytope
-        self._frames: dict[tuple, object] = {}
-        self._etas: dict[tuple[int, ...], np.ndarray] = {}
+        self._faces: dict[tuple, np.ndarray] = {}
 
     # -- objective pieces ---------------------------------------------------
 
@@ -347,31 +345,19 @@ class _Descent:
         dt = self.delta / (n - 1)
         diffs = np.diff(stack, axis=1)
         kin = np.sum(np.einsum("bij,bij->bi", diffs, diffs), axis=1) / dt
-        _, s, _, _ = batch_field(stack.reshape(-1, d), self.kset, self._etas)
+        _, s, _, _ = batch_field(stack.reshape(-1, d), self.kset)
         h = self.shape.h(s).reshape(b, n)
         return kin + dt * (0.5 * h[:, 0] + np.sum(h[:, 1:-1], axis=1) + 0.5 * h[:, -1])
-
-    def _cell(self, cls: tuple[int, ...]):
-        """Cell frame of a tie class, or the GeometryError computing it raised; cached."""
-        if cls not in self._frames:
-            try:
-                self._frames[cls] = cell_frame(OptClass(cls, self.kset.points[cls[0]]), self.kset)
-            except GeometryError as err:
-                self._frames[cls] = err
-        frame = self._frames[cls]
-        if isinstance(frame, GeometryError):
-            raise frame.with_traceback(None)
-        return frame
 
     def _tangent(self, key: tuple) -> np.ndarray:
         """Moves of a pinned group: a tie class's equidistance directions, or
         the null space of the faces of a ``("faces", i, ...)`` key."""
         if key[0] != "faces":
-            return self._cell(key).basis_b
-        basis = self._frames.get(key)
+            return class_frame(key, self.kset).basis_b
+        basis = self._faces.get(key)
         if basis is None:
             _, sing, vt = np.linalg.svd(self.polytope.normals[list(key[1:])], full_matrices=True)
-            basis = self._frames[key] = vt[int(np.sum(sing > 1e-10 * sing[0])):]
+            basis = self._faces[key] = vt[int(np.sum(sing > 1e-10 * sing[0])):]
         return basis
 
     def _state(self, stack: np.ndarray):
@@ -384,7 +370,7 @@ class _Descent:
         """
         b, n, d = stack.shape
         dt = self.delta / (n - 1)
-        etas, s, _, groups = batch_field(stack.reshape(-1, d), self.kset, self._etas)
+        etas, s, _, groups = batch_field(stack.reshape(-1, d), self.kset)
         s = s.reshape(b, n)
         g = _interior_gradient(stack, etas.reshape(b, n, d), s, dt, self.shape)
         pin_groups = []
@@ -547,7 +533,7 @@ class _Descent:
         """
         n_paths, n_total, d = stack.shape
         block = max(1, KERNEL_CHUNK_ROW_SITES // (n_total * self.kset.n))
-        _, _, tie_mask, groups = batch_field(stack.reshape(-1, d), self.kset, self._etas)
+        _, _, tie_mask, groups = batch_field(stack.reshape(-1, d), self.kset)
         tie_mask = tie_mask.reshape(n_paths, n_total)
         tie_classes = {int(r): cls for cls, rows in groups if len(cls) >= 2 for r in rows}
         candidates = []
@@ -561,12 +547,11 @@ class _Descent:
                     elif not ties[k] and ties[nb]:
                         # Capture: project the free node onto the neighbor's boundary plane.
                         try:
-                            frame = self._cell(tie_classes[i * n_total + nb])
+                            frame = class_frame(tie_classes[i * n_total + nb], self.kset)
                         except GeometryError:
                             continue
                         rel = nodes[k] - frame.p_h
-                        proj = frame.p_h + (frame.basis_b.T @ (frame.basis_b @ rel)
-                                            if frame.basis_b.shape[0] else 0.0)
+                        proj = frame.p_h + frame.basis_b.T @ (frame.basis_b @ rel)
                         candidates.append((i, k, proj))
         best = [None] * n_paths
         threshold = f0 - 1e-12 * (1.0 + np.abs(f0))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import Path, Shape
-from .geometry import GeometryError, OptClass, PointSet, VoractError, cell_frame
+from .geometry import GeometryError, PointSet, VoractError, class_frame
 from .potential import ETA_DEDUP_TOL, batch_field, row_classes
 
 __all__ = [
@@ -253,13 +253,6 @@ class RegularityReport:
     events: list[ShockEvent]
 
 
-def _momentum_class(event: ShockEvent) -> tuple[int, ...]:
-    union = tuple(sorted(set(event.class_before) | set(event.class_after)))
-    if event.merged_class is not None:
-        union = tuple(sorted(set(union) | set(event.merged_class)))
-    return union
-
-
 def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2) -> RegularityReport:
     """Second-difference bound, energy constancy and momentum continuity.
 
@@ -280,9 +273,7 @@ def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2)
     nondeg_nodes = [ev.node_index for ev in events if ev.kind != "degenerate"]
     excluded = np.zeros(nodes.shape[0], dtype=bool)
     for k in nondeg_nodes:
-        lo = max(k - 2, 0)
-        hi = min(k + 2, nodes.shape[0] - 1)
-        excluded[lo:hi + 1] = True
+        excluded[max(k - 2, 0):k + 3] = True
 
     second = (nodes[2:] - 2.0 * nodes[1:-1] + nodes[:-2]) / dt**2
     sec_norm = np.linalg.norm(second, axis=1)
@@ -310,15 +301,12 @@ def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2)
     momentum: list[tuple[int, float]] = []
     for ev in events:
         try:
-            frame = cell_frame(OptClass(_momentum_class(ev), ev.x_event), kset)
+            union = set(ev.class_before) | set(ev.class_after) | set(ev.merged_class or ())
+            frame = class_frame(tuple(sorted(union)), kset)
         except GeometryError:
             continue
-        basis = frame.basis_b
-        if basis.shape[0]:
-            res = float(np.linalg.norm(basis @ (ev.v_minus - ev.v_plus)))
-        else:
-            res = 0.0
-        momentum.append((ev.node_index, res))
+        jump = frame.basis_b @ (ev.v_minus - ev.v_plus)
+        momentum.append((ev.node_index, float(np.linalg.norm(jump))))
 
     return RegularityReport(
         energy_values=prof.values,

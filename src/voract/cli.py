@@ -62,6 +62,14 @@ def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown fields in {context}: {', '.join(sorted(unknown))}")
 
 
+def _number(spec: dict, key: str, context: str, default=None) -> float:
+    """``spec[key]`` (``default`` when absent) as a float, else a ConfigError."""
+    try:
+        return float(spec.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context} {key} must be a number, got {spec.get(key)!r}") from None
+
+
 def _parse_points(spec: dict, tie_tolerance: float, *endpoints) -> PointSet:
     _require_keys(spec, {"inline", "file", "mag"}, "points")
     given = [k for k in ("inline", "file", "mag") if k in spec]
@@ -95,9 +103,9 @@ def _parse_shape(spec: dict | None) -> Shape:
     if kind == "identity":
         return Shape.identity()
     if kind == "power":
-        return Shape.power(float(spec["p"]))
+        return Shape.power(_number(spec, "p", "shape"))
     if kind == "affine":
-        return Shape.affine(float(spec.get("a", 1.0)), float(spec.get("b", 0.0)))
+        return Shape.affine(_number(spec, "a", "shape", 1.0), _number(spec, "b", "shape", 0.0))
     raise ConfigError(f"unknown shape kind {kind!r}")
 
 
@@ -125,21 +133,20 @@ def load_run_config(path: str) -> dict:
     bad = set(checks) - {"energy", "regularity"}
     if bad:
         raise ConfigError(f"unknown checks: {sorted(bad)}")
-    tie = float(raw.get("tie_tolerance", 1e-9))
+    tie = _number(raw, "tie_tolerance", "run config", 1e-9)
     x0, x1 = (np.asarray(raw["endpoints"][k], dtype=float) for k in ("start", "end"))
-    cfg = {
+    return {
         "scenario": raw.get("scenario", "run"),
         "kset": _parse_points(raw["points"], tie, x0, x1),
         "shape": _parse_shape(raw.get("shape")),
         "x0": x0, "x1": x1,
-        "delta": float(raw["delta"]),
+        "delta": _number(raw, "delta", "run config"),
         "solver": _parse_solver(raw.get("solver")),
         "checks": list(checks),
         "plots": bool(raw.get("plots", True)),
         "output_dir": raw.get("output_dir"),
         "oracle_grid": raw.get("oracle_grid"),
     }
-    return cfg
 
 
 def _parse_grid(spec: dict | None, cfg: dict) -> GridSpec:
@@ -153,9 +160,9 @@ def _parse_grid(spec: dict | None, cfg: dict) -> GridSpec:
     _require_keys(spec, {"lo", "hi", "resolution", "time_slices", "vmax"}, "oracle_grid")
     return GridSpec(lo=np.asarray(spec["lo"], dtype=float),
                     hi=np.asarray(spec["hi"], dtype=float),
-                    resolution=float(spec["resolution"]),
+                    resolution=_number(spec, "resolution", "oracle_grid"),
                     time_slices=spec["time_slices"],
-                    vmax=None if spec.get("vmax") is None else float(spec["vmax"]))
+                    vmax=None if spec.get("vmax") is None else _number(spec, "vmax", "oracle_grid"))
 
 
 def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
@@ -313,10 +320,8 @@ def _cmd_mag(args) -> int:
             tcols = ",".join(f"torus{j + 1}" for j in range(system.n))
             fh.write(f"t,{cols},{tcols}\n")
             for k in range(lift.shape[0]):
-                row = [repr(float(times[k]))]
-                row += [repr(float(v)) for v in lift[k]]
-                row += [repr(float(v)) for v in tor[k]]
-                fh.write(",".join(row) + "\n")
+                row = [times[k], *lift[k], *tor[k]]
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
     artifacts.write_json(os.path.join(outdir, "summary.json"), {
         "sites": system.kset.n,
         "window": system.window,
@@ -339,12 +344,12 @@ def _cmd_stability(args) -> int:
     _require_keys(raw, {"sequence", "delta", "shape", "solver"}, "stability config")
     shape = _parse_shape(raw.get("shape"))
     solver = _parse_solver(raw.get("solver"))
-    delta = float(raw["delta"])
+    delta = _number(raw, "delta", "stability config")
     actions = []
     for i, entry in enumerate(raw["sequence"]):
         _require_keys(entry, {"points", "tie_tolerance", "start", "end"}, f"sequence[{i}]")
-        kset = _parse_points(entry["points"], float(entry.get("tie_tolerance", 1e-9)),
-                             entry["start"], entry["end"])
+        tie = _number(entry, "tie_tolerance", f"sequence[{i}]", 1e-9)
+        kset = _parse_points(entry["points"], tie, entry["start"], entry["end"])
         res = minimize(np.asarray(entry["start"], dtype=float),
                        np.asarray(entry["end"], dtype=float),
                        delta, kset, shape, solver)

@@ -11,18 +11,21 @@ built on:
 - ``cell_frame``: the orthogonal splitting attached to a nearest-site
   class: the affine span of the class sites versus their equidistance
   locus, and the unique intersection point of the two.
+- ``class_frame`` / ``class_eta``: a class's frame and zone value, memoized.
 - ``Polytope``: bounded halfspace intersections with certified
   nonemptiness/boundedness and projection-based distances (Dykstra).
 - ``polytope_distance_ratio``: empirical bound on dist_{A∩B} / dist_B
   over samples drawn in A.
 
 All types are immutable after construction and all operations are pure,
-so everything here is safe to call concurrently. Sampling operations take
-explicit seeds.
+so everything here is safe to call concurrently: a ``PointSet``'s class
+memo holds pure values, and a race at worst computes an entry twice.
+Sampling operations take explicit seeds.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,12 +109,15 @@ class PointSet:
 
     points: np.ndarray
     tie_tolerance: float = 1e-9
+    # Memo of class_frame and class_eta: pure functions of the sites and a class.
+    _classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _as_points(self.points)
         object.__setattr__(self, "points", pts)
-        if self.tie_tolerance < 0:
-            raise GeometryError("tie_tolerance must be nonnegative")
+        tol = self.tie_tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
+            raise GeometryError(f"tie_tolerance must be a finite number >= 0, got {tol!r}")
         scale = 1.0 + float(np.max(np.linalg.norm(pts, axis=1)))
         floor = 10.0 * self.tie_tolerance * scale
         pairs = cKDTree(pts).query_pairs(floor, output_type="ndarray")
@@ -328,6 +334,40 @@ def cell_frame(opt: OptClass, kset: PointSet) -> CellFrame:
             "near-degenerate site configuration"
         )
     return CellFrame(opt=opt, basis_a=basis_a, basis_b=basis_b, p_h=p_h)
+
+
+def class_frame(indices: tuple[int, ...], kset: PointSet) -> CellFrame:
+    """:func:`cell_frame` of the class ``indices`` (ascending site indices),
+    memoized on ``kset`` together with the GeometryError it raised, if any."""
+    entry = kset._classes.setdefault(indices, {})
+    if "frame" not in entry:
+        try:
+            entry["frame"] = cell_frame(OptClass(indices, kset.points[indices[0]]), kset)
+        except GeometryError as err:
+            entry["frame"] = err
+    if isinstance(entry["frame"], GeometryError):
+        raise entry["frame"].with_traceback(None)
+    return entry["frame"]
+
+
+def class_eta(indices: tuple[int, ...], kset: PointSet) -> np.ndarray | None:
+    """Zone value eta of the class ``indices``, memoized on ``kset``, read-only:
+    the site, the midpoint of a pair, else the hull projection of the frame
+    pivot, which every equidistant point shares. None for a class without an
+    equidistance locus (FrameError), a tie only within the tolerance, far off."""
+    if len(indices) == 1:
+        return kset.points[indices[0]]
+    entry = kset._classes.setdefault(indices, {})
+    if "eta" not in entry:
+        pts = kset.points[list(indices)]
+        try:
+            eta = (0.5 * (pts[0] + pts[1]) if len(indices) == 2
+                   else min_norm_point(pts, class_frame(indices, kset).p_h))
+            eta.flags.writeable = False
+        except FrameError:
+            eta = None
+        entry["eta"] = eta
+    return entry["eta"]
 
 
 # ---------------------------------------------------------------------------

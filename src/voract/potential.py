@@ -6,7 +6,7 @@ functionals in :mod:`voract.action`. This module computes:
 
 - ``f_eval`` / ``g_eval``: the field and its convex companion
   ``g(x) = f(x) + |x|^2/2``.
-- ``extended_gradient``: nearest-site class, its hull projection
+- ``extended_gradient``: nearest-site class, its zone value
   ``eta(x)``, the gradient ``eta(x) - x`` and the squared slope.
 - ``batch_field``: the same data for a stack of points, the one field
   kernel behind the action, the shock and zone diagnostics and the
@@ -15,6 +15,8 @@ functionals in :mod:`voract.action`. This module computes:
   distinct class (singletons included), ordered by first row, with rows
   ascending. Callers that stream probes cut them into blocks of at most
   ``KERNEL_CHUNK_ROW_SITES`` rows x sites.
+  Both take a class's ``eta`` from :func:`~voract.geometry.class_eta`, so
+  it is constant on each cell and independent of row and call order.
 - ``slope_sup_oracle``: an independent sampled estimate of the slope via
   difference quotients, used to cross-validate the gradient formula.
 - ``zone_table``: sampled discovery of the distinct ``eta`` values (the
@@ -29,6 +31,7 @@ Everything is pure and immutable; zone discovery takes an explicit seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +40,8 @@ from .geometry import (
     GeometryError,
     OptClass,
     PointSet,
-    cell_frame,
+    class_eta,
+    class_frame,
     min_norm_point,
     opt_class,
     sq_dists_to_sites,
@@ -82,8 +86,8 @@ class GradientInfo:
     """Extended-gradient data at a query point.
 
     ``grad`` equals ``eta - x`` by construction; ``slope_sq`` is its
-    squared norm and never exceeds ``-2 f_value`` (equality iff the
-    nearest site is unique).
+    squared norm and never exceeds ``-2 f_value`` times ``1 + tie_tolerance``
+    (equality iff the nearest site is unique); :func:`extended_gradient` checks.
     """
 
     x: np.ndarray
@@ -98,62 +102,52 @@ class GradientInfo:
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.slope_sq > -2.0 * self.f_value + 1e-9:
-            raise GeometryError(
-                f"slope_sq {self.slope_sq:g} exceeds squared distance {-2.0 * self.f_value:g}"
-            )
-        if len(self.opt) == 1 and abs(self.slope_sq + 2.0 * self.f_value) > 1e-9 * (1.0 + self.slope_sq):
-            raise GeometryError("unique-nearest-site slope must equal the distance")
 
 
-def _eta_for_class(indices: tuple[int, ...], witness: np.ndarray, kset: PointSet) -> np.ndarray:
-    if len(indices) == 1:
-        return kset.points[indices[0]].copy()
-    pts = kset.points[list(indices)]
-    if len(indices) == 2:
-        # Segment projection in closed form.
-        a, b = pts
-        ab = b - a
-        denom = float(ab @ ab)
-        t = float((witness - a) @ ab) / denom
-        t = min(1.0, max(0.0, t))
-        return a + t * ab
-    return min_norm_point(pts, witness)
+def _zone_values(cls: tuple[int, ...], xs: np.ndarray, kset: PointSet) -> np.ndarray:
+    """eta of the rows ``xs`` of class ``cls``: its zone value or, for a class
+    without an equidistance locus, the fallback of each row's hull projection."""
+    eta = class_eta(cls, kset)
+    if eta is not None:
+        return eta
+    pts = kset.points[list(cls)]
+    return np.array([min_norm_point(pts, x) for x in xs])
 
 
 def extended_gradient(x, kset: PointSet) -> GradientInfo:
-    """Class, hull projection, gradient and squared slope at ``x``."""
+    """Class, zone value ``eta`` (as in :func:`batch_field`), gradient and
+    squared slope at ``x``."""
     xv = _as_vector(x, kset.dim)
     cls = opt_class(xv, kset)
-    eta = _eta_for_class(cls.indices, xv, kset)
+    eta = _zone_values(cls.indices, xv[None, :], kset).reshape(-1)
     grad = eta - xv
-    return GradientInfo(
-        x=xv,
-        opt=cls,
-        eta=eta,
-        grad=grad,
-        f_value=f_eval(xv, kset),
-        slope_sq=float(grad @ grad),
-    )
+    f_value, slope_sq = f_eval(xv, kset), float(grad @ grad)
+    # eta lies in the hull of the class sites, each within (1 + tie_tolerance) of the nearest.
+    if slope_sq > -2.0 * f_value * (1.0 + kset.tie_tolerance) + 1e-9:
+        raise GeometryError(f"slope_sq {slope_sq:g} exceeds squared distance {-2.0 * f_value:g}")
+    if len(cls) == 1 and abs(slope_sq + 2.0 * f_value) > 1e-9 * (1.0 + slope_sq):
+        raise GeometryError("unique-nearest-site slope must equal the distance")
+    return GradientInfo(x=xv, opt=cls, eta=eta, grad=grad, f_value=f_value, slope_sq=slope_sq)
 
 
-def batch_field(nodes: np.ndarray, kset: PointSet, eta_cache: dict | None = None):
+def batch_field(nodes: np.ndarray, kset: PointSet):
     """Vectorized class/eta/slope data for a stack of query points.
 
     Returns ``(etas, slope_sq, tie_mask, groups)``: ``etas`` is an (n, d)
-    array of hull projections, ``slope_sq`` an (n,) array of squared
+    array of zone values, ``slope_sq`` an (n,) array of squared
     extended gradients, ``tie_mask`` flags rows whose class has several
     sites, and ``groups`` lists ``(class_tuple, rows)`` for every distinct
     class, singletons included. Groups are ordered by their first row and
     ``rows`` ascend, so iterating the groups meets each class in order of
     first appearance; :func:`row_classes` expands them per row.
 
-    A multi-site class is projected once, at its first row, through the
-    same projection as :func:`extended_gradient`; callers may pass a
-    persistent ``eta_cache`` (class tuple -> projection) to amortize
-    projections across calls. The distance matrix has one entry per
-    row-site, so callers streaming many probes cut them into blocks of at
-    most :data:`KERNEL_CHUNK_ROW_SITES` row-sites.
+    Every row of a multi-site class gets the class's zone value, as in
+    :func:`extended_gradient`: the midpoint of a pair, the hull projection
+    of the frame pivot for three or more sites. A class without an
+    equidistance locus (a tie only within the tolerance, far from the
+    sites) falls back to each row's own hull projection. The distance
+    matrix has one entry per row-site, so callers streaming many probes cut
+    them into blocks of at most :data:`KERNEL_CHUNK_ROW_SITES` row-sites.
     """
     pts = kset.points
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
@@ -173,12 +167,7 @@ def batch_field(nodes: np.ndarray, kset: PointSet, eta_cache: dict | None = None
               for rows in _split_by_key(single_rows, nearest[single_rows])]
     for rows in _split_by_mask(np.flatnonzero(tie_mask), ties):
         idx = tuple(np.flatnonzero(ties[rows[0]]).tolist())
-        eta = None if eta_cache is None else eta_cache.get(idx)
-        if eta is None:
-            eta = _eta_for_class(idx, nodes[rows[0]], kset)
-            if eta_cache is not None:
-                eta_cache[idx] = eta
-        etas[rows] = eta
+        etas[rows] = _zone_values(idx, nodes[rows], kset)
         groups.append((idx, rows))
     groups.sort(key=lambda group: group[1][0])
     diff = etas - nodes
@@ -359,13 +348,8 @@ def zone_table(
             sources.append(("bisector_offsets", offsets))
 
     if d >= 2 and n <= TRIPLE_MAX_SITES:
-        centers = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    c = _circumcenter(kset.points[[i, j, k]])
-                    if c is not None:
-                        centers.append(c)
+        centers = [c for c in (_circumcenter(kset.points[list(t)])
+                               for t in itertools.combinations(range(n), 3)) if c is not None]
         if centers:
             sources.append(("circumcenters", np.array(centers)))
 
@@ -402,28 +386,23 @@ def zone_table(
     for cls in list(cell_to_zone):
         if len(cls) >= 2:
             try:
-                pivots.append(cell_frame(OptClass(cls, class_witness[cls]), kset).p_h)
+                pivots.append(class_frame(cls, kset).p_h)
             except GeometryError:
                 continue
     if pivots:
         absorb("frame_pivots", np.array(pivots))
 
     eta_arr = np.array(etas) if etas else np.zeros((0, d))
-    if len(etas) >= 2:
-        gaps = eta_arr[:, None, :] - eta_arr[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", gaps, gaps)
-        np.fill_diagonal(sq, np.inf)
-        beta = float(np.min(sq))
-    else:
-        beta = float("inf")
+    gaps = eta_arr[:, None, :] - eta_arr[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", gaps, gaps)
+    np.fill_diagonal(sq, np.inf)
+    beta = float(np.min(sq, initial=np.inf))
 
-    balanced = True
     witness = None
     by_zone: dict[int, tuple[int, ...]] = {}
     for cls in sorted(cell_to_zone):
         z = cell_to_zone[cls]
         if z in by_zone:
-            balanced = False
             witness = (by_zone[z], cls)
             break
         by_zone[z] = cls
@@ -432,7 +411,7 @@ def zone_table(
         etas=eta_arr,
         beta=beta,
         cell_to_zone=cell_to_zone,
-        balanced=balanced,
+        balanced=witness is None,
         unbalanced_witness=witness,
         class_witness=class_witness,
         coverage=coverage,

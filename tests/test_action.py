@@ -335,6 +335,15 @@ def _candidate_stack(engine, x0, x1, m):
     return np.array(stack)
 
 
+SITES_3D = [[-2, 1, -1], [-1, -1, 0], [1, -2, 0], [1, 0, 1], [1, 2, 2], [2, -2, 1]]
+
+
+def _fresh(engine):
+    """An engine on a copy of the point set: no class frame or zone value memoized."""
+    return _Descent(PointSet(engine.kset.points, engine.kset.tie_tolerance), engine.shape,
+                    engine.delta, engine.cfg)
+
+
 @pytest.mark.parametrize("case", ["line", "mag", "3d"])
 def test_lockstep_relaxation_matches_single_paths(case, line_k):
     # h(s) = s^2 makes the line searches halve differently per path. In 3-D
@@ -345,17 +354,18 @@ def test_lockstep_relaxation_matches_single_paths(case, line_k):
     elif case == "mag":
         kset, x0, x1 = build_mag([[0.0], [0.5]], 1, 2, 1).kset, [0.2, 0.3], [0.3, 0.2]
     else:
-        kset = PointSet([[-2, 1, -1], [-1, -1, 0], [1, -2, 0], [1, 0, 1], [1, 2, 2], [2, -2, 1]])
-        x0, x1 = [-2.0, 1.0, -1.0], [0.0, -0.5, 0.0]
+        kset, x0, x1 = PointSet(SITES_3D), [-2.0, 1.0, -1.0], [0.0, -0.5, 0.0]
     engine = _Descent(kset, Shape.power(2.0), 1.0, QUICK)
     stack = _candidate_stack(engine, x0, x1, 32)
     nodes, values, converged, grad_norm, stopped = engine.solve(stack)
     assert stopped.all()
     for j in range(stack.shape[0]):
-        one = engine.solve(stack[j:j + 1])
-        assert np.array_equal(one[0][0], nodes[j])
-        assert one[1][0] == values[j]
-        assert one[2][0] == converged[j] and one[3][0] == grad_norm[j]
+        # Alone, on the stack's engine and on a fresh one that meets every
+        # class first in this path.
+        for one in (engine.solve(stack[j:j + 1]), _fresh(engine).solve(stack[j:j + 1])):
+            assert np.array_equal(one[0][0], nodes[j])
+            assert one[1][0] == values[j]
+            assert one[2][0] == converged[j] and one[3][0] == grad_norm[j]
     # The move rounds run in lockstep too, a duplicated path included.
     stack = np.concatenate([stack, stack[2:3]])
     descended = engine.descend(stack)
@@ -363,6 +373,18 @@ def test_lockstep_relaxation_matches_single_paths(case, line_k):
     for j, entry in enumerate(descended):
         (alone,) = engine.descend(stack[j:j + 1])
         assert np.array_equal(entry[0], alone[0]) and entry[1:] == alone[1:]
+
+
+def test_descend_of_a_permuted_stack_permutes_its_entries():
+    # A class's zone value does not depend on which path met it first: a
+    # fresh engine descending the 3-D candidate stack rotated to start at
+    # the chord returns the rotated entries, bit for bit.
+    engine = _Descent(PointSet(SITES_3D), Shape.power(2.0), 1.0, QUICK)
+    stack = _candidate_stack(engine, [-2.0, 1.0, -1.0], [0.0, -0.5, 0.0], 32)
+    forward = _fresh(engine).descend(stack)
+    perm = np.roll(np.arange(len(stack)), -1)
+    for j, entry in zip(perm, _fresh(engine).descend(stack[perm])):
+        assert np.array_equal(entry[0], forward[j][0]) and entry[1:] == forward[j][1:]
 
 
 def test_nan_gradient_ends_descent_like_a_failed_search(line_k, monkeypatch):

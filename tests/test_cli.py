@@ -210,6 +210,35 @@ def test_solve_rejects_non_finite_and_non_integral_numbers(payload, tmp_path, ca
     assert err.startswith("error: ") and ("delta" in err or "M must be" in err)
 
 
+GRID = {"lo": [-1.5], "hi": [1.5], "resolution": 0.05, "time_slices": 20, "vmax": 4.0}
+ENTRY = {"points": {"inline": [[-2.0], [2.0]]}, "start": [-0.02], "end": [0.02]}
+STABILITY = {"sequence": [ENTRY], "delta": 1.0,
+             "solver": {"M": 16, "refinements": 1, "starts": 1}}
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("solve", {**BASE_CONFIG, "delta": "abc"}, "delta must be a number"),
+    ("solve", {**BASE_CONFIG, "tie_tolerance": [1]}, "tie_tolerance must be a number"),
+    ("solve", {**BASE_CONFIG, "tie_tolerance": float("nan")},
+     "tie_tolerance must be a finite number"),  # the point set's GeometryError
+    ("solve", {**BASE_CONFIG, "shape": {"kind": "power", "p": "x"}}, "p must be a number"),
+    ("solve", {**BASE_CONFIG, "shape": {"kind": "power"}}, "p must be a number"),
+    ("solve", {**BASE_CONFIG, "shape": {"kind": "affine", "a": [2.0]}}, "a must be a number"),
+    ("solve", {**BASE_CONFIG, "shape": {"kind": "affine", "b": "y"}}, "b must be a number"),
+    ("oracle", {**BASE_CONFIG, "oracle_grid": {**GRID, "resolution": "fine"}},
+     "resolution must be a number"),
+    ("oracle", {**BASE_CONFIG, "oracle_grid": {**GRID, "vmax": [4.0]}}, "vmax must be a number"),
+    ("stability", {**STABILITY, "delta": "abc"}, "delta must be a number"),
+    ("stability", {**STABILITY, "sequence": [{**ENTRY, "tie_tolerance": "x"}]},
+     "tie_tolerance must be a number"),
+])
+def test_config_number_that_is_not_a_number_exits_2(command, payload, message, tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("argv", [
     ["zones", "--box-lo", "[0]", "--box-hi", "[1]"],
     ["analyze", "--trajectory", "missing.csv"],

@@ -36,6 +36,13 @@ def test_point_set_validation():
         k.points[0, 0] = 5.0  # immutable
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, "1e-9", None, True])
+def test_point_set_rejects_a_tie_tolerance_that_is_not_a_finite_number(tol):
+    # A NaN tolerance would detect no tie at all.
+    with pytest.raises(GeometryError, match="tie_tolerance must be a finite number"):
+        PointSet([[0.0], [1.0]], tie_tolerance=tol)
+
+
 def test_point_set_rejects_near_duplicates_that_are_not_sort_neighbours():
     # A 100 x 50 grid plus a point 1e-13 from (0, 7): in lexicographic
     # order its neighbours are (0, 49) and (1, 0), far away.

@@ -11,6 +11,7 @@ from voract import (
     f_eval,
     g_eval,
     in_p_eta,
+    min_norm_point,
     slope_sup_oracle,
     zone_table,
 )
@@ -71,6 +72,9 @@ def _assert_kernel_matches_scalar(probes, kset):
         info = extended_gradient(probes[k], kset)
         assert classes[k] == info.opt.indices
         assert np.allclose(etas[k], info.eta, rtol=0.0, atol=1e-9)
+        # Both share the class's zone value; check it against the row's own projection.
+        projection = min_norm_point(kset.points[list(classes[k])], probes[k])
+        assert np.allclose(etas[k], projection, rtol=0.0, atol=1e-9)
         assert s[k] == pytest.approx(info.slope_sq, rel=0.0, abs=1e-9)
         assert tie_mask[k] == (len(classes[k]) >= 2)
 
@@ -102,6 +106,39 @@ def _sites_and_probes(draw):
 def test_batch_field_matches_scalar_property(case):
     kset, probes = case
     _assert_kernel_matches_scalar(probes, kset)
+
+
+def test_far_probe_without_equidistance_locus_projects_itself():
+    # At 1e10 the three collinear sites tie within the relative tolerance,
+    # but the class has no equidistance locus: each row takes its own hull
+    # projection, in either row order, as extended_gradient does.
+    kset = PointSet([[0.0], [1.0], [2.0]])
+    for rows in ([[1e10], [-1e10]], [[-1e10], [1e10]]):
+        etas, s, tie_mask, _ = batch_field(np.array(rows), kset)
+        assert tie_mask.all()
+        for k, x in enumerate(rows):
+            info = extended_gradient(x, kset)
+            assert info.eta[0] == etas[k, 0] == (2.0 if x[0] > 0 else 0.0)
+            assert info.slope_sq == s[k] <= -2.0 * info.f_value
+    # A far pair tie keeps its class's zone value, the midpoint.
+    pair = PointSet([[0.0], [1.0]])
+    far = np.array([[1e10]])
+    assert extended_gradient(far[0], pair).eta[0] == batch_field(far, pair)[0][0, 0] == 0.5
+
+
+def test_batch_field_is_row_order_independent():
+    # Three rows of one pair class, the second within the tie tolerance of
+    # the bisector x = 1 but not on it: every row order gives every row the
+    # same zone value, bit for bit.
+    kset = PointSet([[0.0, 0.0], [2.0, 0.0], [1.0, 20.0]])
+    rows = np.array([[1.0, 5.0], [1.0 + 1e-10, -7.0], [1.0, 0.5]])
+    ref = batch_field(rows, kset)
+    assert ref[2].all() and np.all(ref[0] == [1.0, 0.0])
+    for perm in itertools.permutations(range(3)):
+        etas, s, tie_mask, _ = batch_field(rows[list(perm)], kset)
+        inv = np.argsort(perm)
+        assert np.array_equal(etas[inv], ref[0]) and np.array_equal(s[inv], ref[1])
+        assert np.array_equal(tie_mask[inv], ref[2])
 
 
 def test_slope_sup_examples(line_k):
