@@ -244,6 +244,7 @@ def jump_residual(event: ShockEvent, shape: Shape) -> float:
 @dataclass(frozen=True)
 class RegularityReport:
     energy_values: np.ndarray
+    slope_sq: np.ndarray
     energy_constant: float
     energy_std_away_from_shocks: float
     second_diff_violations: list[tuple[int, float, float]]
@@ -310,6 +311,7 @@ def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2)
 
     return RegularityReport(
         energy_values=prof.values,
+        slope_sq=s,
         energy_constant=prof.constant,
         energy_std_away_from_shocks=energy_std,
         second_diff_violations=violations,

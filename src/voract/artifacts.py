@@ -142,10 +142,8 @@ def report_payload(report: RegularityReport, breakdown: ActionBreakdown | None =
     return payload
 
 
-def write_standard_plots(outdir, traj: Path, kset: PointSet, shape: Shape,
-                         report: RegularityReport) -> list[str]:
+def write_standard_plots(outdir, traj: Path, report: RegularityReport) -> list[str]:
     times = traj.times
-    _, s, _, _ = batch_field(traj.nodes, kset)
     written = []
     pos = os.path.join(outdir, "position.svg")
     polyline_chart(pos, times,
@@ -157,7 +155,7 @@ def write_standard_plots(outdir, traj: Path, kset: PointSet, shape: Shape,
                    "interval energy vs time")
     written.append(en)
     sl = os.path.join(outdir, "slope.svg")
-    polyline_chart(sl, times, [("slope_sq", s)], "squared slope vs time")
+    polyline_chart(sl, times, [("slope_sq", report.slope_sq)], "squared slope vs time")
     written.append(sl)
     return written
 
@@ -170,5 +168,5 @@ def write_path_artifacts(outdir, traj: Path, kset: PointSet, shape: Shape,
     write_json(os.path.join(outdir, "events.json"), events_payload(report.events))
     write_json(os.path.join(outdir, "report.json"), report_payload(report, breakdown))
     if plots:
-        write_standard_plots(outdir, traj, kset, shape, report)
+        write_standard_plots(outdir, traj, report)
     return registry

@@ -54,20 +54,35 @@ class ConfigError(VoractError):
     """Malformed or unknown configuration fields."""
 
 
-def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
+def _require_keys(obj: dict, allowed: set[str], context: str, required=()) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{context} must be a JSON object, got {type(obj).__name__}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown fields in {context}: {', '.join(sorted(unknown))}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{context} is missing {key!r}")
 
 
-def _number(spec: dict, key: str, context: str, default=None) -> float:
-    """``spec[key]`` (``default`` when absent) as a float, else a ConfigError."""
+def _number(spec: dict, key: str, context: str, default=None, integer: bool = False):
+    """``spec[key]`` (``default`` when absent) as a float, or as it is if
+    ``integer`` and it is an int (not a bool), else a ConfigError."""
+    value = spec.get(key, default)
+    if integer and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{context} {key} must be an integer, got {value!r}")
     try:
-        return float(spec.get(key, default))
+        return value if integer else float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{context} {key} must be a number, got {spec.get(key)!r}") from None
+        raise ConfigError(f"{context} {key} must be a number, got {value!r}") from None
+
+
+def _array(value, context: str) -> np.ndarray:
+    """``value`` as a float array, else a ConfigError naming ``context``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context} must be numbers, got {value!r}") from None
 
 
 def _parse_points(spec: dict, tie_tolerance: float, *endpoints) -> PointSet:
@@ -76,17 +91,16 @@ def _parse_points(spec: dict, tie_tolerance: float, *endpoints) -> PointSet:
     if len(given) != 1:
         raise ConfigError("points needs exactly one of inline/file/mag")
     if "inline" in spec:
-        return PointSet(np.asarray(spec["inline"], dtype=float), tie_tolerance=tie_tolerance)
+        return PointSet(_array(spec["inline"], "points.inline"), tie_tolerance=tie_tolerance)
     if "file" in spec:
         return load_point_set(spec["file"], tie_tolerance=tie_tolerance)
     mag = spec["mag"]
-    _require_keys(mag, {"base_points", "n", "m", "window"}, "points.mag")
-    base = np.asarray(mag["base_points"], dtype=float)
-    n, m = int(mag["n"]), int(mag["m"])
-    window = mag.get("window")
-    if window is None:
-        window = default_window(base, n, m, *endpoints)
-    return PointSet(build_mag(base, n, m, int(window)).kset.points, tie_tolerance=tie_tolerance)
+    _require_keys(mag, {"base_points", "n", "m", "window"}, "points.mag", ("base_points", "n", "m"))
+    base = _array(mag["base_points"], "points.mag base_points")
+    n, m = (_number(mag, k, "points.mag", integer=True) for k in ("n", "m"))
+    window = (_number(mag, "window", "points.mag", integer=True) if "window" in mag
+              else default_window(base, n, m, *endpoints))
+    return PointSet(build_mag(base, n, m, window).kset.points, tie_tolerance=tie_tolerance)
 
 
 def _cli_points(args) -> PointSet:
@@ -124,17 +138,14 @@ def load_run_config(path: str) -> dict:
         raw = json.load(fh)
     allowed = {"scenario", "points", "tie_tolerance", "shape", "endpoints", "delta",
                "solver", "oracle_grid", "output_dir", "checks", "plots"}
-    _require_keys(raw, allowed, "run config")
-    for key in ("points", "endpoints", "delta"):
-        if key not in raw:
-            raise ConfigError(f"run config is missing {key!r}")
-    _require_keys(raw["endpoints"], {"start", "end"}, "endpoints")
+    _require_keys(raw, allowed, "run config", ("points", "endpoints", "delta"))
+    _require_keys(raw["endpoints"], {"start", "end"}, "endpoints", ("start", "end"))
     checks = raw.get("checks", ["energy", "regularity"])
     bad = set(checks) - {"energy", "regularity"}
     if bad:
         raise ConfigError(f"unknown checks: {sorted(bad)}")
     tie = _number(raw, "tie_tolerance", "run config", 1e-9)
-    x0, x1 = (np.asarray(raw["endpoints"][k], dtype=float) for k in ("start", "end"))
+    x0, x1 = (_array(raw["endpoints"][k], f"endpoints {k}") for k in ("start", "end"))
     return {
         "scenario": raw.get("scenario", "run"),
         "kset": _parse_points(raw["points"], tie, x0, x1),
@@ -158,8 +169,8 @@ def _parse_grid(spec: dict | None, cfg: dict) -> GridSpec:
         res = float(np.max(hi - lo)) / 200.0
         return GridSpec(lo=lo, hi=hi, resolution=res, time_slices=100)
     _require_keys(spec, {"lo", "hi", "resolution", "time_slices", "vmax"}, "oracle_grid")
-    return GridSpec(lo=np.asarray(spec["lo"], dtype=float),
-                    hi=np.asarray(spec["hi"], dtype=float),
+    return GridSpec(lo=_array(spec["lo"], "oracle_grid lo"),
+                    hi=_array(spec["hi"], "oracle_grid hi"),
                     resolution=_number(spec, "resolution", "oracle_grid"),
                     time_slices=spec["time_slices"],
                     vmax=None if spec.get("vmax") is None else _number(spec, "vmax", "oracle_grid"))
@@ -175,20 +186,10 @@ def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
     kset, shape = cfg["kset"], cfg["shape"]
     report = regularity_report(result.path, kset, shape)
 
-    check_results = {}
-    if "energy" in cfg["checks"]:
-        tol = _energy_tol(result.path)
-        check_results["energy"] = {
-            "passed": report.energy_std_away_from_shocks <= tol,
-            "value": report.energy_std_away_from_shocks,
-            "tolerance": tol,
-        }
-    if "regularity" in cfg["checks"]:
-        check_results["regularity"] = {
-            "passed": len(report.second_diff_violations) == 0,
-            "value": len(report.second_diff_violations),
-            "tolerance": 0,
-        }
+    measured = {"energy": (report.energy_std_away_from_shocks, _energy_tol(result.path)),
+                "regularity": (len(report.second_diff_violations), 0)}
+    check_results = {name: {"passed": value <= tol, "value": value, "tolerance": tol}
+                     for name, (value, tol) in measured.items() if name in cfg["checks"]}
     ok = result.converged and all(c["passed"] for c in check_results.values())
 
     registry = artifacts.write_path_artifacts(outdir, result.path, kset, shape, report,
@@ -263,7 +264,7 @@ def _cmd_analyze(args) -> int:
                          artifacts.events_payload(report.events))
     artifacts.write_json(os.path.join(outdir, "report.json"), artifacts.report_payload(report))
     if args.plots:
-        artifacts.write_standard_plots(outdir, traj, kset, shape, report)
+        artifacts.write_standard_plots(outdir, traj, report)
     print(f"[analyze] events={len(report.events)} "
           f"energy_std={report.energy_std_away_from_shocks!r} "
           f"violations={len(report.second_diff_violations)}")
@@ -272,8 +273,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_zones(args) -> int:
     kset = _cli_points(args)
-    lo = np.asarray(json.loads(args.box_lo), dtype=float)
-    hi = np.asarray(json.loads(args.box_hi), dtype=float)
+    lo = _array(json.loads(args.box_lo), "--box-lo")
+    hi = _array(json.loads(args.box_hi), "--box-hi")
     table = zone_table(kset, (lo, hi), probe_count=args.probes, seed=args.seed)
     payload = {
         "etas": table.etas,
@@ -295,9 +296,9 @@ def _cmd_zones(args) -> int:
 
 
 def _cmd_mag(args) -> int:
-    base = np.asarray(json.loads(args.base), dtype=float)
-    x0 = np.asarray(json.loads(args.start), dtype=float)
-    x1 = np.asarray(json.loads(args.end), dtype=float)
+    base = _array(json.loads(args.base), "--base")
+    x0 = _array(json.loads(args.start), "--start")
+    x1 = _array(json.loads(args.end), "--end")
     window = args.window
     if window is None:
         window = default_window(base, args.n, args.m, x0, x1)
@@ -341,18 +342,19 @@ def _cmd_mag(args) -> int:
 def _cmd_stability(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    _require_keys(raw, {"sequence", "delta", "shape", "solver"}, "stability config")
+    _require_keys(raw, {"sequence", "delta", "shape", "solver"}, "stability config", ("sequence",))
     shape = _parse_shape(raw.get("shape"))
     solver = _parse_solver(raw.get("solver"))
     delta = _number(raw, "delta", "stability config")
     actions = []
     for i, entry in enumerate(raw["sequence"]):
-        _require_keys(entry, {"points", "tie_tolerance", "start", "end"}, f"sequence[{i}]")
-        tie = _number(entry, "tie_tolerance", f"sequence[{i}]", 1e-9)
-        kset = _parse_points(entry["points"], tie, entry["start"], entry["end"])
-        res = minimize(np.asarray(entry["start"], dtype=float),
-                       np.asarray(entry["end"], dtype=float),
-                       delta, kset, shape, solver)
+        context = f"sequence[{i}]"
+        _require_keys(entry, {"points", "tie_tolerance", "start", "end"}, context,
+                      ("points", "start", "end"))
+        x0, x1 = (_array(entry[k], f"{context} {k}") for k in ("start", "end"))
+        tie = _number(entry, "tie_tolerance", context, 1e-9)
+        kset = _parse_points(entry["points"], tie, x0, x1)
+        res = minimize(x0, x1, delta, kset, shape, solver)
         actions.append({"index": i, "action": res.breakdown.total,
                         "converged": res.converged})
         print(f"[stability] {i}: action={res.breakdown.total!r} converged={res.converged}")

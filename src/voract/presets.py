@@ -113,22 +113,15 @@ class SolveScenario:
 
 
 def _scenario(name: str) -> SolveScenario:
-    shape = Shape.identity()
-    if name == "example1-c1":
-        return SolveScenario(name, line_points(), shape, np.array([-1.0]), np.array([1.0]), 1.0,
-                             SolverConfig(M=512, refinements=3, starts=3, seed=0))
-    if name == "example1-c02":
-        return SolveScenario(name, line_points(), shape, np.array([-0.2]), np.array([0.2]), 1.0,
-                             SolverConfig(M=512, refinements=3, starts=3, seed=0))
-    if name == "example2":
-        return SolveScenario(name, triangle_points(), shape, np.array([0.0, -1.0]),
-                             np.array([0.0, 0.0]), 1.0,
-                             SolverConfig(M=512, refinements=3, starts=3, seed=0))
-    if name == "mag-exchange":
-        sys = _cached("mag-system", exchange_system)
-        return SolveScenario(name, sys.kset, shape, np.array([0.2, 0.3]), np.array([0.3, 0.2]),
-                             1.0, SolverConfig(M=512, refinements=3, starts=3, seed=0))
-    raise KeyError(name)
+    points, x0, x1 = {
+        "example1-c1": (line_points, [-1.0], [1.0]),
+        "example1-c02": (line_points, [-0.2], [0.2]),
+        "example2": (triangle_points, [0.0, -1.0], [0.0, 0.0]),
+        "mag-exchange": (lambda: _cached("mag-system", exchange_system).kset,
+                         [0.2, 0.3], [0.3, 0.2]),
+    }[name]
+    return SolveScenario(name, points(), Shape.identity(), np.array(x0), np.array(x1), 1.0,
+                         SolverConfig(M=512, refinements=3, starts=3, seed=0))
 
 
 @dataclass

@@ -452,6 +452,26 @@ def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
     assert second[2] and second[1] == rounds[-1][-1] - 1.0 and second[3] == 0.0
 
 
+def test_solve_reports_the_scaled_residual_of_the_nodes_it_returns(line_k):
+    # A perturbed chord inside the cell of the site -1, so no row is
+    # pinned and the engine's gradient is `action_gradient`. At max_iters = 1
+    # the path is still stepping; the residual must be that of the nodes
+    # returned, max|g|/dt, not of the nodes before the step.
+    shape = Shape.power(2.0)
+    chord = Path.from_line([-0.9], [-0.1], 1.0, 64).nodes.copy()
+    chord[1:-1, 0] += 0.05 * np.sin(np.linspace(0.0, 3.0 * np.pi, 65))[1:-1]
+    engine = _Descent(line_k, shape, 1.0, replace(QUICK, max_iters=1))
+    nodes, _, converged, grad_norm, stopped = engine.solve(chord[None])
+    assert not stopped[0] and not np.array_equal(nodes[0], chord)
+    g = action_gradient(Path(1.0, nodes[0]), line_k, shape)
+    residual = float(np.max(np.linalg.norm(g, axis=1))) * 64
+    assert grad_norm[0] == pytest.approx(residual, rel=1e-12, abs=0.0)
+    assert converged[0] == (residual <= QUICK.grad_tol)
+    before = float(np.max(np.linalg.norm(action_gradient(Path(1.0, chord), line_k, shape),
+                                         axis=1))) * 64
+    assert before > 2.0 * residual
+
+
 def test_descend_solves_each_path_once(monkeypatch):
     # example1-c02 sites at M = 64 from the chord and a wavy chord,
     # relaxation blocks of 4 candidates: descend makes one solve of the
@@ -1024,6 +1044,31 @@ def test_constrained_matches_projected_gradient_reference(name):
     assert con.converged and con.pg_norm <= cfg.grad_tol
     assert np.all(polytope.contains(con.path.nodes, tol=1e-8))
     assert con.breakdown.total <= ref_action * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("name", ["square-vertex", "square-oblique"])
+def test_constrained_verdict_is_the_engine_final_entry(name, monkeypatch):
+    # `constrained_minimize` reports the engine's entry for its one start,
+    # the residual max|g_eff|/dt of the returned path, and computes no
+    # second verdict (no `action_gradient`, no projected gradient mapping).
+    polytope, x0, x1, center, shape = CONSTRAINED_CASES[name]
+    cfg = SolverConfig(M=32, refinements=1)
+    engine = _Descent(PointSet([center]), shape, 1.0, cfg, polytope)
+    meshes = action_module._mesh_schedule(cfg)
+    chord = Path.from_line(x0, x1, 1.0, meshes[0]).nodes
+    _, ((nodes, _, converged, residual),) = action_module._descend_stages(
+        engine, chord[None].copy(), np.array(x0, float), np.array(x1, float), meshes)
+    _, g_eff, _, dt = engine._state(nodes[None])
+    assert residual == float(np.max(np.linalg.norm(g_eff[0], axis=1))) / dt
+
+    def second_judge(*args):
+        raise AssertionError("constrained_minimize computed its own gradient")
+
+    monkeypatch.setattr(action_module, "action_gradient", second_judge)
+    con = constrained_minimize(x0, x1, 1.0, polytope, center, shape, cfg)
+    assert np.array_equal(con.path.nodes, nodes)
+    assert type(con.converged) is bool and con.converged == converged
+    assert type(con.pg_norm) is float and con.pg_norm == residual
 
 
 @pytest.mark.parametrize("center", [[1.0, 2.0], [0.0, 3.0], [-2.0, 1.5], [0.5, -1.0]])

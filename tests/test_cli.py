@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from voract import ActionError, AnalysisError, GeometryError, MagError, VoractError, cli, minimize
+from voract import (ActionError, AnalysisError, GeometryError, MagError, PointSet, Shape,
+                    SolverConfig, VoractError, artifacts, cli, minimize, regularity_report)
 from voract.artifacts import read_trajectory_csv
 from voract.cli import ConfigError, load_run_config, main
 from voract.mag import build_mag, window_certificate
@@ -72,6 +73,24 @@ def test_trajectory_round_trip(tmp_path):
     assert delta == 1.0
     assert nodes.shape == (65, 1)
     assert nodes[0, 0] == -0.2 and nodes[-1, 0] == 0.2
+
+
+def test_path_artifacts_run_the_field_kernel_once(tmp_path, monkeypatch):
+    # The trajectory CSV classifies the nodes; the slope plot reuses the
+    # report's squared slopes instead of a second kernel call.
+    kset, shape = PointSet([[-1.0], [1.0]]), Shape.identity()
+    res = minimize([-0.2], [0.2], 1.0, kset, shape, SolverConfig(M=64, refinements=1, starts=1))
+    report = regularity_report(res.path, kset, shape)
+    rows, batch_field = [], artifacts.batch_field
+
+    def counted(nodes, *args):
+        rows.append(len(nodes))
+        return batch_field(nodes, *args)
+
+    monkeypatch.setattr(artifacts, "batch_field", counted)
+    artifacts.write_path_artifacts(str(tmp_path), res.path, kset, shape, report, res.breakdown)
+    assert rows == [65]
+    assert (tmp_path / "slope.svg").exists() and (tmp_path / "trajectory.csv").exists()
 
 
 def test_analyze_on_written_trajectory(tmp_path):
@@ -214,6 +233,7 @@ GRID = {"lo": [-1.5], "hi": [1.5], "resolution": 0.05, "time_slices": 20, "vmax"
 ENTRY = {"points": {"inline": [[-2.0], [2.0]]}, "start": [-0.02], "end": [0.02]}
 STABILITY = {"sequence": [ENTRY], "delta": 1.0,
              "solver": {"M": 16, "refinements": 1, "starts": 1}}
+MAG_POINTS = {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}
 
 
 @pytest.mark.parametrize("command,payload,message", [
@@ -231,6 +251,17 @@ STABILITY = {"sequence": [ENTRY], "delta": 1.0,
     ("stability", {**STABILITY, "delta": "abc"}, "delta must be a number"),
     ("stability", {**STABILITY, "sequence": [{**ENTRY, "tie_tolerance": "x"}]},
      "tie_tolerance must be a number"),
+    ("stability", {k: v for k, v in STABILITY.items() if k != "sequence"},
+     "stability config is missing 'sequence'"),
+    ("stability", {**STABILITY, "sequence": [{k: v for k, v in ENTRY.items() if k != "end"}]},
+     "sequence[0] is missing 'end'"),
+    ("solve", {**BASE_CONFIG, "points": {"mag": {**MAG_POINTS, "n": "x"}}},
+     "points.mag n must be an integer"),
+    ("solve", {**BASE_CONFIG, "points": {"mag": {**MAG_POINTS, "n": 1.7}}},
+     "points.mag n must be an integer"),
+    ("solve", {**BASE_CONFIG, "points": {"inline": [["a"], [1]]}}, "points.inline must be numbers"),
+    ("solve", {**BASE_CONFIG, "endpoints": {"start": ["a"], "end": [0.2]}},
+     "endpoints start must be numbers"),
 ])
 def test_config_number_that_is_not_a_number_exits_2(command, payload, message, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", payload)
@@ -258,6 +289,7 @@ MAG_ARGS = ["mag", "--base", "[[0.0],[0.5]]", "--n", "1", "--m", "2",
     ["--mesh", "8", "--refinements", "3"],  # ActionError: coarse mesh below 4
     ["--delta", "-1"],                       # ActionError: nonpositive horizon
     ["--m", "6"],                            # MagError: 6 particles, 2 base points
+    ["--start", '["a", 0.3]'],               # ConfigError: not numbers
 ])
 def test_mag_input_errors_exit_2(extra, tmp_path, capsys):
     assert main(MAG_ARGS + extra + ["--out", str(tmp_path / "mag")]) == 2
