@@ -31,7 +31,7 @@ import numpy as np
 
 from .action import Path, Shape
 from .geometry import GeometryError, PointSet, VoractError, class_frame
-from .potential import ETA_DEDUP_TOL, batch_field, row_classes
+from .potential import batch_field, row_classes, same_zone
 
 __all__ = [
     "AnalysisError",
@@ -83,7 +83,7 @@ class ShockEvent:
         if self.jump_sq < -1e-12:
             raise AnalysisError("jump_sq must be nonnegative")
         if self.kind == "degenerate":
-            if float(np.linalg.norm(self.eta_before - self.eta_after)) > ETA_DEDUP_TOL:
+            if not same_zone(self.eta_before, self.eta_after):
                 raise AnalysisError("degenerate event with a projection jump")
         if self.kind == "effective_left" and not _strict_subset(self.class_before, self.class_after):
             raise AnalysisError("left effective event requires class_before < class_after")
@@ -195,7 +195,7 @@ def _shock_events(path: Path, etas: np.ndarray, classes: list, window: int) -> l
         else:
             x_event = nodes[e0]
 
-        if float(np.linalg.norm(etas[e0] - etas[s1])) <= ETA_DEDUP_TOL:
+        if same_zone(etas[e0], etas[s1]):
             kind = "degenerate"
         else:
             kind = "nondegenerate"

@@ -43,7 +43,7 @@ from .action import (
 )
 from .analysis import regularity_report
 from .geometry import PointSet, VoractError, load_point_set
-from .mag import build_mag, default_window, particle_paths, window_certificate
+from .mag import build_mag, default_window, particle_paths, stability_run, window_certificate
 from .potential import zone_table
 from .presets import PRESET_NAMES, _energy_tol, run_preset
 
@@ -67,14 +67,13 @@ def _require_keys(obj: dict, allowed: set[str], context: str, required=()) -> No
 
 def _number(spec: dict, key: str, context: str, default=None, integer: bool = False):
     """``spec[key]`` (``default`` when absent) as a float, or as it is if
-    ``integer`` and it is an int (not a bool), else a ConfigError."""
+    ``integer``; a ConfigError unless it is a JSON number (an integer if
+    ``integer``), never a string or a bool."""
     value = spec.get(key, default)
-    if integer and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{context} {key} must be an integer, got {value!r}")
-    try:
-        return value if integer else float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{context} {key} must be a number, got {value!r}") from None
+    kind, name = (int, "an integer") if integer else ((int, float), "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{context} {key} must be {name}, got {value!r}")
+    return value if integer else float(value)
 
 
 def _array(value, context: str) -> np.ndarray:
@@ -346,17 +345,18 @@ def _cmd_stability(args) -> int:
     shape = _parse_shape(raw.get("shape"))
     solver = _parse_solver(raw.get("solver"))
     delta = _number(raw, "delta", "stability config")
-    actions = []
+    ksets, ends = [], []
     for i, entry in enumerate(raw["sequence"]):
         context = f"sequence[{i}]"
         _require_keys(entry, {"points", "tie_tolerance", "start", "end"}, context,
                       ("points", "start", "end"))
         x0, x1 = (_array(entry[k], f"{context} {k}") for k in ("start", "end"))
         tie = _number(entry, "tie_tolerance", context, 1e-9)
-        kset = _parse_points(entry["points"], tie, x0, x1)
-        res = minimize(x0, x1, delta, kset, shape, solver)
-        actions.append({"index": i, "action": res.breakdown.total,
-                        "converged": res.converged})
+        ksets.append(_parse_points(entry["points"], tie, x0, x1))
+        ends.append((x0, x1))
+    actions = []
+    for i, res in enumerate(stability_run(ksets, ends, delta, shape, solver)):
+        actions.append({"index": i, "action": res.breakdown.total, "converged": res.converged})
         print(f"[stability] {i}: action={res.breakdown.total!r} converged={res.converged}")
     gaps = [abs(actions[i]["action"] - actions[i + 1]["action"]) for i in range(len(actions) - 1)]
     payload = {"actions": actions, "gaps": gaps}

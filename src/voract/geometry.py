@@ -461,7 +461,7 @@ class Polytope:
                 proj = y - step[:, None] * self.normals[i][None, :]
                 corr[i] = y - proj
                 pts = proj
-            move = float(np.max(np.linalg.norm(pts - prev, axis=1)))
+            move = float(np.max(np.linalg.norm(pts - prev, axis=1), initial=0.0))
             if move <= tol:
                 res = pts[0] if single else pts
                 return res
@@ -481,6 +481,8 @@ class Polytope:
         state, so doubling ``count`` extends the sample rather than
         reshuffling it.
         """
+        if count < 1:
+            raise PolytopeError(f"sample count must be at least 1, got {count!r}")
         out = []
         drawn = 0
         width = self.hi - self.lo

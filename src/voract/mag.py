@@ -24,7 +24,7 @@ import numpy as np
 
 from .action import MinimizeResult, Shape, SolverConfig, Path, minimize
 from .geometry import PointSet, VoractError, _as_vector
-from .potential import ETA_DEDUP_TOL, KERNEL_CHUNK_ROW_SITES, _pair_probes, batch_field
+from .potential import _pair_probes, _witness, _zones, batch_field
 
 __all__ = [
     "MagError",
@@ -162,7 +162,8 @@ def interior_balance_verdict(system: MagSystem, probe_count: int = 2000, seed: i
     midpoints of nearby inert site pairs and offsets along their bisector
     hyperplanes. A witnessed class counts only when none of its sites
     touches the translate shell, so its structure agrees with the
-    untruncated lattice. Returns ``(balanced, witness_pair, cell_count)``.
+    untruncated lattice; zones are judged as in ``zone_table``. Returns
+    ``(balanced, witness_pair, cell_count)``.
     """
     k = system.kset
     d = system.dim
@@ -180,41 +181,25 @@ def interior_balance_verdict(system: MagSystem, probe_count: int = 2000, seed: i
     near = np.all((mids >= lo) & (mids <= hi), axis=1) & (np.linalg.norm(b - a, axis=1) <= period)
     probes = np.vstack([uniform, *_pair_probes(pts, pairs[near])])
 
-    cell_eta: dict[tuple[int, ...], np.ndarray] = {}
-    chunk = max(1, KERNEL_CHUNK_ROW_SITES // k.n)
-    for start in range(0, probes.shape[0], chunk):
-        etas, _, _, groups = batch_field(probes[start:start + chunk], k)
-        for cls, rows in groups:
-            if cls not in cell_eta and inert[list(cls)].all():
-                cell_eta[cls] = etas[rows[0]]
-
-    seen: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    for cls in sorted(cell_eta):
-        eta = cell_eta[cls]
-        for other_eta, other_cls in seen:
-            if float(np.linalg.norm(other_eta - eta)) <= ETA_DEDUP_TOL:
-                return False, (other_cls, cls), len(cell_eta)
-        seen.append((eta, cls))
-    return True, None, len(cell_eta)
+    cells = _witness(k, probes, {}, keep=lambda cls: inert[list(cls)].all())
+    pair = _zones(cells)[2]
+    return pair is None, pair, len(cells)
 
 
 def stability_run(k_sequence, endpoints_sequence, delta: float, shape: Shape,
                   cfg: SolverConfig) -> list[MinimizeResult]:
     """Minimize over a sequence of site sets and endpoint pairs.
 
-    All sets must share one ambient dimension; results are returned in
-    order for convergence inspection of the minimal actions.
+    All sets must share one ambient dimension, and every input is checked
+    before the first solve; results are returned in order for convergence
+    inspection of the minimal actions.
     """
     k_sequence = list(k_sequence)
     endpoints_sequence = list(endpoints_sequence)
     if len(k_sequence) != len(endpoints_sequence):
         raise MagError("site-set and endpoint sequences must have equal length")
-    dims = {k.dim for k in k_sequence}
-    if len(dims) != 1:
+    if len({k.dim for k in k_sequence}) != 1:
         raise MagError("all site sets must share one dimension")
-    results = []
-    for kset, (x0, x1) in zip(k_sequence, endpoints_sequence):
-        a = _as_vector(x0, kset.dim)
-        b = _as_vector(x1, kset.dim)
-        results.append(minimize(a, b, delta, kset, shape, cfg))
-    return results
+    ends = [(_as_vector(x0, k.dim), _as_vector(x1, k.dim))
+            for k, (x0, x1) in zip(k_sequence, endpoints_sequence)]
+    return [minimize(a, b, delta, k, shape, cfg) for k, (a, b) in zip(k_sequence, ends)]

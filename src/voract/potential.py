@@ -19,10 +19,12 @@ functionals in :mod:`voract.action`. This module computes:
   it is constant on each cell and independent of row and call order.
 - ``slope_sup_oracle``: an independent sampled estimate of the slope via
   difference quotients, used to cross-validate the gradient formula.
+- ``same_zone``: the one test that two zone values are one zone.
 - ``zone_table``: sampled discovery of the distinct ``eta`` values (the
   potential zones), the minimal squared separation ``beta`` between them,
   and a balancedness verdict (does the nearest-site partition coincide
-  with the zone partition on the witnessed cells?).
+  with the zone partition on the witnessed cells?). Its passes ``_witness``
+  and ``_zones`` also make the particle-lattice verdict of :mod:`voract.mag`.
 - ``in_p_eta``: membership of a zone value in the subgradient of ``g``
   at a point.
 
@@ -59,13 +61,15 @@ __all__ = [
     "in_p_eta",
     "batch_field",
     "row_classes",
+    "same_zone",
 ]
 
-ETA_DEDUP_TOL = 1e-7  # absolute dedup radius for discovered zone values
+ETA_DEDUP_TOL = 1e-7  # radius of one zone; read only by same_zone
 # Bound on rows x sites per kernel call when streaming probes: the distance
 # matrix and tie mask cost about 9 bytes per row-site.
 KERNEL_CHUNK_ROW_SITES = 1_000_000
 TRIPLE_MAX_SITES = 40  # zone_table skips triple circumcenters above this many sites
+MAX_PAIRS = 20_000  # zone_table probes at most this many site pairs, drawn by its seed
 
 
 def f_eval(x, kset: PointSet) -> float:
@@ -249,8 +253,8 @@ def slope_sup_oracle(x, kset: PointSet, sample_count: int = 400, seed: int = 0) 
 class ZoneTable:
     """Witnessed zone values of a site set.
 
-    ``etas`` holds the distinct hull projections discovered by probing
-    (dedup radius :data:`ETA_DEDUP_TOL`); ``beta`` is the minimal squared
+    ``etas`` holds the distinct zone values discovered by probing, one per
+    zone in the sense of :func:`same_zone`; ``beta`` is the minimal squared
     separation between them. ``cell_to_zone`` maps each witnessed class
     to the index of its zone value. ``balanced`` is true when no two
     distinct witnessed classes share a zone value; otherwise
@@ -270,6 +274,43 @@ class ZoneTable:
     @property
     def witnessed_cells(self) -> int:
         return len(self.cell_to_zone)
+
+
+def same_zone(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff zone values ``a`` and ``b`` are within :data:`ETA_DEDUP_TOL`."""
+    return float(np.linalg.norm(a - b)) <= ETA_DEDUP_TOL
+
+
+def _witness(kset: PointSet, pts: np.ndarray, cells: dict, keep=None) -> dict:
+    """Add to ``cells`` the first ``(eta, probe)`` of each new class of ``pts``
+    that ``keep`` accepts (all when None), streaming the rows through
+    :func:`batch_field` in blocks of ``KERNEL_CHUNK_ROW_SITES // sites``."""
+    chunk = max(1, KERNEL_CHUNK_ROW_SITES // kset.n)
+    for start in range(0, pts.shape[0], chunk):
+        block = pts[start:start + chunk]
+        etas, _, _, groups = batch_field(block, kset)
+        for cls, rows in groups:
+            if cls not in cells and (keep is None or keep(cls)):
+                cells[cls] = (etas[rows[0]], block[rows[0]].copy())
+    return cells
+
+
+def _zones(cells: dict):
+    """The distinct zone values of :func:`_witness` ``cells`` in witness order,
+    each class's zone index, and the first pair of classes, in sorted order,
+    that share a zone (None if none do)."""
+    etas, cell_to_zone = [], {}
+    for cls, (eta, _) in cells.items():
+        cell_to_zone[cls] = next((i for i, known in enumerate(etas) if same_zone(known, eta)),
+                                 len(etas))
+        if cell_to_zone[cls] == len(etas):
+            etas.append(eta)
+    first: dict[int, tuple[int, ...]] = {}
+    for cls in sorted(cell_to_zone):
+        other = first.setdefault(cell_to_zone[cls], cls)
+        if other != cls:
+            return etas, cell_to_zone, (other, cls)
+    return etas, cell_to_zone, None
 
 
 def _pair_probes(points: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +352,6 @@ def zone_table(
     probe_box,
     probe_count: int = 2000,
     seed: int = 0,
-    max_pairs: int = 20000,
 ) -> ZoneTable:
     """Probe the zone structure of ``kset`` inside ``probe_box``.
 
@@ -338,8 +378,8 @@ def zone_table(
 
     n = kset.n
     pairs = np.stack(np.triu_indices(n, 1), axis=1)
-    if pairs.shape[0] > max_pairs:
-        keep = rng.choice(pairs.shape[0], size=max_pairs, replace=False)
+    if pairs.shape[0] > MAX_PAIRS:
+        keep = rng.choice(pairs.shape[0], size=MAX_PAIRS, replace=False)
         pairs = pairs[np.sort(keep)]
     if pairs.shape[0]:
         mids, offsets = _pair_probes(kset.points, pairs)
@@ -353,37 +393,19 @@ def zone_table(
         if centers:
             sources.append(("circumcenters", np.array(centers)))
 
-    etas: list[np.ndarray] = []
-    cell_to_zone: dict[tuple[int, ...], int] = {}
-    class_witness: dict[tuple[int, ...], np.ndarray] = {}
-    coverage: dict[str, int] = {}
-
-    def zone_index(eta: np.ndarray) -> int:
-        for i, known in enumerate(etas):
-            if float(np.linalg.norm(known - eta)) <= ETA_DEDUP_TOL:
-                return i
-        etas.append(eta)
-        return len(etas) - 1
+    cells, coverage = {}, {}
 
     def absorb(name: str, pts: np.ndarray) -> None:
         inside = np.all((pts >= lo[None, :] - 1e-12) & (pts <= hi[None, :] + 1e-12), axis=1)
-        pts = pts[inside]
-        coverage[name] = coverage.get(name, 0) + pts.shape[0]
-        chunk = max(1, KERNEL_CHUNK_ROW_SITES // kset.n)
-        for start in range(0, pts.shape[0], chunk):
-            block = pts[start:start + chunk]
-            eta_arr, _, _, groups = batch_field(block, kset)
-            for cls, rows in groups:
-                if cls not in cell_to_zone:
-                    cell_to_zone[cls] = zone_index(eta_arr[rows[0]])
-                    class_witness[cls] = block[rows[0]].copy()
+        coverage[name] = coverage.get(name, 0) + int(np.count_nonzero(inside))
+        _witness(kset, pts[inside], cells)
 
     for name, pts in sources:
         absorb(name, pts)
 
     # Refinement pass: frame pivots of every witnessed multi-site class.
     pivots = []
-    for cls in list(cell_to_zone):
+    for cls in cells:
         if len(cls) >= 2:
             try:
                 pivots.append(class_frame(cls, kset).p_h)
@@ -392,30 +414,16 @@ def zone_table(
     if pivots:
         absorb("frame_pivots", np.array(pivots))
 
+    etas, cell_to_zone, witness = _zones(cells)
     eta_arr = np.array(etas) if etas else np.zeros((0, d))
     gaps = eta_arr[:, None, :] - eta_arr[None, :, :]
     sq = np.einsum("ijk,ijk->ij", gaps, gaps)
     np.fill_diagonal(sq, np.inf)
     beta = float(np.min(sq, initial=np.inf))
 
-    witness = None
-    by_zone: dict[int, tuple[int, ...]] = {}
-    for cls in sorted(cell_to_zone):
-        z = cell_to_zone[cls]
-        if z in by_zone:
-            witness = (by_zone[z], cls)
-            break
-        by_zone[z] = cls
-
-    return ZoneTable(
-        etas=eta_arr,
-        beta=beta,
-        cell_to_zone=cell_to_zone,
-        balanced=witness is None,
-        unbalanced_witness=witness,
-        class_witness=class_witness,
-        coverage=coverage,
-    )
+    return ZoneTable(etas=eta_arr, beta=beta, cell_to_zone=cell_to_zone, balanced=witness is None,
+                     unbalanced_witness=witness, coverage=coverage,
+                     class_witness={cls: probe for cls, (_, probe) in cells.items()})
 
 
 def in_p_eta(x, eta, kset: PointSet, tol: float = 1e-8) -> bool:

@@ -387,6 +387,33 @@ def test_descend_of_a_permuted_stack_permutes_its_entries():
         assert np.array_equal(entry[0], forward[j][0]) and entry[1:] == forward[j][1:]
 
 
+@pytest.mark.parametrize("case", ["line", "mag", "3d"])
+def test_descend_stages_of_a_permuted_stack_permute_its_stages(case, line_k):
+    # Four starts, one of them a copy of another, in two orders on fresh
+    # engines: every stage and every entry is permuted bit for bit, whichever
+    # copy of the duplicate comes first and is descended.
+    if case == "line":
+        kset, x0, x1 = line_k, [-0.2], [0.2]
+    elif case == "mag":
+        kset, x0, x1 = build_mag([[0.0], [0.5]], 1, 2, 1).kset, [0.2, 0.3], [0.3, 0.2]
+    else:
+        kset, x0, x1 = PointSet(SITES_3D), [-2.0, 1.0, -1.0], [0.0, -0.5, 0.0]
+    engine = _Descent(kset, Shape.power(2.0), 1.0, QUICK)
+    a, b = np.array(x0, float), np.array(x1, float)
+    chord = Path.from_line(a, b, 1.0, 8).nodes
+    rng = np.random.default_rng(4)
+    noisy = [chord + amp * rng.standard_normal(chord.shape) for amp in (0.05, 0.3)]
+    stack = np.array([chord, noisy[0], noisy[1], noisy[0]])
+    perm = [3, 2, 0, 1]
+    stages, entries = action_module._descend_stages(_fresh(engine), stack.copy(), a, b,
+                                                    [8, 16, 32])
+    p_stages, p_entries = action_module._descend_stages(_fresh(engine), stack[perm], a, b,
+                                                        [8, 16, 32])
+    assert all(np.array_equal(p, s[perm]) for p, s in zip(p_stages, stages))
+    for j, entry in zip(perm, p_entries):
+        assert np.array_equal(entry[0], entries[j][0]) and entry[1:] == entries[j][1:]
+
+
 def test_nan_gradient_ends_descent_like_a_failed_search(line_k, monkeypatch):
     # A NaN gradient at node 2, which sits on the site -1, must make the
     # path leave the descent at once (one move round, then return), not

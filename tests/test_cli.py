@@ -6,6 +6,7 @@ from voract import (ActionError, AnalysisError, GeometryError, MagError, PointSe
                     SolverConfig, VoractError, artifacts, cli, minimize, regularity_report)
 from voract.artifacts import read_trajectory_csv
 from voract.cli import ConfigError, load_run_config, main
+from voract import mag as mag_module
 from voract.mag import build_mag, window_certificate
 
 
@@ -262,12 +263,27 @@ MAG_POINTS = {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}
     ("solve", {**BASE_CONFIG, "points": {"inline": [["a"], [1]]}}, "points.inline must be numbers"),
     ("solve", {**BASE_CONFIG, "endpoints": {"start": ["a"], "end": [0.2]}},
      "endpoints start must be numbers"),
+    ("solve", {**BASE_CONFIG, "delta": "1.0"}, "delta must be a number"),
+    ("solve", {**BASE_CONFIG, "tie_tolerance": "1e-9"}, "tie_tolerance must be a number"),
+    ("solve", {**BASE_CONFIG, "delta": True}, "delta must be a number"),
 ])
 def test_config_number_that_is_not_a_number_exits_2(command, payload, message, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_stability_of_mixed_dimensions_exits_2_before_solving(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(mag_module, "minimize", lambda *args: pytest.fail("solved"))
+    payload = {**STABILITY, "sequence": [
+        ENTRY, {"points": {"inline": [[0.0, 0.0], [1.0, 0.0]]}, "start": [0.2, 0.1],
+                "end": [0.8, 0.1]}]}
+    out = tmp_path / "stab"
+    assert main(["stability", "--config", _write(tmp_path / "stab.json", payload),
+                 "--out", str(out)]) == 2
+    assert "one dimension" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

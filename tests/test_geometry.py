@@ -277,6 +277,14 @@ def test_polytope_projection_and_distance():
     assert np.allclose(batch, [[1.0, 1.0], [0.0, 0.5]], atol=1e-7)
 
 
+
+def test_polytope_projection_of_no_rows_is_no_rows():
+    box = Polytope.from_box([0.0], [1.0])
+    empty = box.project(np.zeros((0, 1)))
+    assert empty.shape == (0, 1)
+    assert box.distance(np.zeros((0, 1))).shape == (0,)
+
+
 def test_ratio_shared_facet_is_one():
     a = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
     b = Polytope.from_box([1.0, 0.0], [2.0, 1.0])
@@ -311,6 +319,15 @@ def test_ratio_empty_intersection_rejected():
     b = Polytope.from_box([2.0], [3.0])
     with pytest.raises(PolytopeError):
         polytope_distance_ratio(a, b, samples=10, seed=0)
+
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_ratio_needs_at_least_one_sample(samples):
+    a = Polytope.from_box([0.0], [1.0])
+    b = Polytope.from_box([0.5], [2.0])
+    with pytest.raises(PolytopeError, match="at least 1"):
+        polytope_distance_ratio(a, b, samples=samples, seed=0)
 
 
 # ---------------------------------------------------------------------------

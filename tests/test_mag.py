@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from voract import mag as mag_module
 from voract import (
+    GeometryError,
     interior_balance_verdict,
     MagError,
+    MagSystem,
     Path,
     PointSet,
     Shape,
@@ -99,6 +102,22 @@ def test_union_of_permuted_lattices_balanced_on_interior():
     assert cells == 473
 
 
+def test_lattice_verdict_of_four_particles_on_the_circle():
+    # 1944 sites in R^4, 24 of them inert: the lattice of the benchmark.
+    sys = build_mag([[0.0], [0.2], [0.45], [0.7]], 1, 4, 1)
+    assert interior_balance_verdict(sys, probe_count=1200, seed=0) == (True, None, 70)
+
+
+def test_verdict_names_the_first_sorted_pair_sharing_a_zone():
+    # The triangle's full class (0, 1, 2) and its edge class (0, 2) both
+    # project to the origin; with every site inert the verdict is unbalanced.
+    sys = MagSystem(n=2, m=1, base_points=[[0.0, 0.0]], window=1,
+                    kset=PointSet([[0.3, 0.0], [0.0, 0.3], [-0.3, 0.0]]),
+                    labels=(((0,), (0, 0)),) * 3)
+    assert interior_balance_verdict(sys, probe_count=1200, seed=0) == (
+        False, ((0, 1, 2), (0, 2)), 7)
+
+
 def test_stability_run_constant_sequence(line_k):
     shape = Shape.identity()
     cfg = SolverConfig(M=64, refinements=1, starts=2, seed=0)
@@ -114,3 +133,11 @@ def test_stability_run_validation(line_k):
     k2 = PointSet([[0.0, 0.0]])
     with pytest.raises(MagError):
         stability_run([line_k, k2], [([-0.2], [0.2])] * 2, 1.0, shape, cfg)
+
+
+def test_stability_run_checks_every_entry_before_solving(line_k, monkeypatch):
+    monkeypatch.setattr(mag_module, "minimize", lambda *args: pytest.fail("solved"))
+    cfg = SolverConfig(M=64, refinements=1, starts=2, seed=0)
+    with pytest.raises(GeometryError):  # the second start is not a 1-vector
+        stability_run([line_k, line_k], [([-0.2], [0.2]), ([-0.2, 0.0], [0.2])], 1.0,
+                      Shape.identity(), cfg)

@@ -15,7 +15,8 @@ from voract import (
     slope_sup_oracle,
     zone_table,
 )
-from voract.potential import _circumcenter, batch_field, row_classes
+from voract import potential as potential_module
+from voract.potential import _circumcenter, batch_field, row_classes, same_zone
 
 
 def test_field_values(line_k):
@@ -196,13 +197,20 @@ def test_zone_table_box_must_contain_sites(line_k):
         zone_table(line_k, ([-0.5], [0.5]), probe_count=10, seed=0)
 
 
-def test_zone_table_pair_budget_is_deterministic(grid3_k):
-    z1 = zone_table(grid3_k, ([-1.0, -1.0], [3.0, 3.0]), probe_count=500, seed=2,
-                    max_pairs=10)
-    z2 = zone_table(grid3_k, ([-1.0, -1.0], [3.0, 3.0]), probe_count=500, seed=2,
-                    max_pairs=10)
+def test_zone_table_pair_budget_is_deterministic(grid3_k, monkeypatch):
+    monkeypatch.setattr(potential_module, "MAX_PAIRS", 10)
+    z1 = zone_table(grid3_k, ([-1.0, -1.0], [3.0, 3.0]), probe_count=500, seed=2)
+    z2 = zone_table(grid3_k, ([-1.0, -1.0], [3.0, 3.0]), probe_count=500, seed=2)
+    assert z1.coverage["midpoints"] == 10
     assert z1.cell_to_zone == z2.cell_to_zone
     assert z1.balanced == z2.balanced
+
+
+def test_same_zone_is_the_dedup_radius():
+    # One zone: within ETA_DEDUP_TOL in the Euclidean norm, not per coordinate.
+    eta = np.array([0.5, -1.0])
+    assert same_zone(eta, eta + [0.6e-7, 0.7e-7])
+    assert not same_zone(eta, eta + [0.6e-7, 0.9e-7])
 
 
 def test_in_p_eta_examples(line_k):
