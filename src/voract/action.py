@@ -24,10 +24,10 @@ One descent engine (`_Descent`) does all of this on stacks of paths.
 Its direction is the Newton step of the problem restricted to the pinned
 nodes' tangent spaces (the active-set step of projected Newton, Bertsekas
 1982): one banded LAPACK solve for the whole stack, with zero coupling
-between paths. The candidates of a round relax together, in blocks of at
-most ``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths. Paths in a stack
-never interact and each row's arithmetic is its own, so results depend
-neither on the block size nor on which starts share a stack.
+between paths. The candidates of a round relax together in one stack.
+Paths in a stack never interact and each row's arithmetic is its own, so
+results depend neither on the field kernel's block size nor on which
+starts share a stack.
 
 A layered-graph dynamic program (`dp_oracle`) provides an independent
 lower-fidelity solution used both as a solver seed and as a
@@ -48,7 +48,7 @@ from scipy.linalg import solveh_banded
 from scipy.optimize import nnls
 
 from .geometry import GeometryError, PointSet, Polytope, VoractError, _as_vector, class_frame
-from .potential import KERNEL_CHUNK_ROW_SITES, _split_by_mask, batch_field
+from .potential import _split_by_bits, batch_field
 
 __all__ = [
     "ActionError",
@@ -412,7 +412,7 @@ class _Descent:
             active[r, faces] = nnls(normals[faces].T, -g[r])[0] > 0.0
         rows = np.flatnonzero(np.any(active, axis=1))
         return [(("faces", *np.flatnonzero(active[grp[0]]).tolist()), grp)
-                for grp in _split_by_mask(rows, active)]
+                for grp in _split_by_bits(rows, np.packbits(active[rows], axis=1))]
 
     def _direction(self, g_eff: np.ndarray, pin_groups, s: np.ndarray, dt: float) -> np.ndarray:
         """Newton step of the pinned problem for the whole stack, ``Z (Z^T H Z)^-1 Z^T g``.
@@ -534,12 +534,9 @@ class _Descent:
         earlier one, or None.
 
         Each candidate moves one node across the potential jump. All paths'
-        candidates relax together by :meth:`solve`, in blocks of at most
-        ``KERNEL_CHUNK_ROW_SITES // (n * sites)`` paths (at least one), which
-        bounds the kernel's distance matrix and never changes a result.
+        candidates relax together in one :meth:`solve`.
         """
         n_paths, n_total, d = stack.shape
-        block = max(1, KERNEL_CHUNK_ROW_SITES // (n_total * self.kset.n))
         _, _, tie_mask, groups = batch_field(stack.reshape(-1, d), self.kset)
         tie_mask = tie_mask.reshape(n_paths, n_total)
         tie_classes = {int(r): cls for cls, rows in groups if len(cls) >= 2 for r in rows}
@@ -561,17 +558,17 @@ class _Descent:
                         proj = frame.p_h + frame.basis_b.T @ (frame.basis_b @ rel)
                         candidates.append((i, k, proj))
         best = [None] * n_paths
+        if not candidates:
+            return best
+        trials = stack[[i for i, _, _ in candidates]]
+        for j, (_, k, pos) in enumerate(candidates):
+            trials[j, k] = pos
+        relaxed = self.solve(trials)
         threshold = f0 - 1e-12 * (1.0 + np.abs(f0))
-        for lo in range(0, len(candidates), block):
-            chunk = candidates[lo:lo + block]
-            trials = stack[[i for i, _, _ in chunk]]
-            for j, (_, k, pos) in enumerate(chunk):
-                trials[j, k] = pos
-            relaxed = self.solve(trials)
-            for j, (i, _, _) in enumerate(chunk):
-                f_trial = relaxed[1][j]
-                if f_trial < threshold[i] and (best[i] is None or f_trial < best[i][1]):
-                    best[i] = tuple(entry[j] for entry in relaxed)
+        for j, (i, _, _) in enumerate(candidates):
+            f_trial = relaxed[1][j]
+            if f_trial < threshold[i] and (best[i] is None or f_trial < best[i][1]):
+                best[i] = tuple(entry[j] for entry in relaxed)
         return best
 
 

@@ -25,7 +25,7 @@ All functions are pure over immutable paths and safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,6 @@ def _strict_subset(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 class EnergyProfile:
     values: np.ndarray
     constant: float
-    deviations: np.ndarray = field(repr=False)
 
 
 def energy_profile(path: Path, kset: PointSet, shape: Shape) -> EnergyProfile:
@@ -116,7 +115,7 @@ def _energy_profile(path: Path, s: np.ndarray, shape: Shape) -> EnergyProfile:
     speed_sq = np.einsum("ij,ij->i", diffs, diffs) / path.dt**2
     values = speed_sq - shape.h(s[:-1])
     constant = float(np.median(values))
-    return EnergyProfile(values=values, constant=constant, deviations=values - constant)
+    return EnergyProfile(values=values, constant=constant)
 
 
 def _one_sided_velocity(nodes: np.ndarray, dt: float, boundary: int, side: str) -> np.ndarray:

@@ -68,12 +68,16 @@ def _require_keys(obj: dict, allowed: set[str], context: str, required=()) -> No
 def _number(spec: dict, key: str, context: str, default=None, integer: bool = False):
     """``spec[key]`` (``default`` when absent) as a float, or as it is if
     ``integer``; a ConfigError unless it is a JSON number (an integer if
-    ``integer``), never a string or a bool."""
+    ``integer``), never a string or a bool, that a float can hold."""
     value = spec.get(key, default)
     kind, name = (int, "an integer") if integer else ((int, float), "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"{context} {key} must be {name}, got {value!r}")
-    return value if integer else float(value)
+    try:
+        return value if integer else float(value)
+    except OverflowError:
+        raise ConfigError(f"{context} {key} must be a finite number, "
+                          "got an integer too large for a float") from None
 
 
 def _array(value, context: str) -> np.ndarray:

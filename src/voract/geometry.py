@@ -137,23 +137,15 @@ class PointSet:
 
 @dataclass(frozen=True)
 class OptClass:
-    """Sorted indices of the sites (co-)nearest to ``witness``.
-
-    Equality and hashing use the index tuple only; the witness is carried
-    for diagnostics.
-    """
+    """Sorted indices of the sites (co-)nearest to a point."""
 
     indices: tuple[int, ...]
-    witness: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.indices) == 0:
             raise GeometryError("optimality class must be nonempty")
         idx = tuple(sorted(int(i) for i in self.indices))
         object.__setattr__(self, "indices", idx)
-        w = np.array(self.witness, dtype=float)
-        w.flags.writeable = False
-        object.__setattr__(self, "witness", w)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -179,7 +171,7 @@ def opt_class(x, kset: PointSet) -> OptClass:
     xv = _as_vector(x, kset.dim)
     sq = sq_dists_to_sites(xv, kset)
     idx = tie_indices(sq, kset.tie_tolerance)
-    return OptClass(indices=tuple(int(i) for i in idx), witness=xv)
+    return OptClass(indices=tuple(int(i) for i in idx))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +334,7 @@ def class_frame(indices: tuple[int, ...], kset: PointSet) -> CellFrame:
     entry = kset._classes.setdefault(indices, {})
     if "frame" not in entry:
         try:
-            entry["frame"] = cell_frame(OptClass(indices, kset.points[indices[0]]), kset)
+            entry["frame"] = cell_frame(OptClass(indices), kset)
         except GeometryError as err:
             entry["frame"] = err
     if isinstance(entry["frame"], GeometryError):

@@ -13,8 +13,8 @@ functionals in :mod:`voract.action`. This module computes:
   particle-lattice verdict. It returns ``(etas, slope_sq, tie_mask,
   groups)``, where ``groups`` holds one ``(class, rows)`` entry for every
   distinct class (singletons included), ordered by first row, with rows
-  ascending. Callers that stream probes cut them into blocks of at most
-  ``KERNEL_CHUNK_ROW_SITES`` rows x sites.
+  ascending. It classifies the rows in blocks of at most
+  ``KERNEL_CHUNK_ROW_SITES`` rows x sites, so no caller cuts its arrays.
   Both take a class's ``eta`` from :func:`~voract.geometry.class_eta`, so
   it is constant on each cell and independent of row and call order.
 - ``slope_sup_oracle``: an independent sampled estimate of the slope via
@@ -65,8 +65,8 @@ __all__ = [
 ]
 
 ETA_DEDUP_TOL = 1e-7  # radius of one zone; read only by same_zone
-# Bound on rows x sites per kernel call when streaming probes: the distance
-# matrix and tie mask cost about 9 bytes per row-site.
+# Rows x sites per block of batch_field: a block's distance matrix and tie
+# mask cost about 9 bytes per row-site.
 KERNEL_CHUNK_ROW_SITES = 1_000_000
 TRIPLE_MAX_SITES = 40  # zone_table skips triple circumcenters above this many sites
 MAX_PAIRS = 20_000  # zone_table probes at most this many site pairs, drawn by its seed
@@ -149,34 +149,43 @@ def batch_field(nodes: np.ndarray, kset: PointSet):
     :func:`extended_gradient`: the midpoint of a pair, the hull projection
     of the frame pivot for three or more sites. A class without an
     equidistance locus (a tie only within the tolerance, far from the
-    sites) falls back to each row's own hull projection. The distance
-    matrix has one entry per row-site, so callers streaming many probes cut
-    them into blocks of at most :data:`KERNEL_CHUNK_ROW_SITES` row-sites.
+    sites) falls back to each row's own hull projection. Rows are classified
+    in blocks of at most :data:`KERNEL_CHUNK_ROW_SITES` row-sites, so a call
+    of any size holds one block's distance matrix; no result depends on it.
     """
-    pts = kset.points
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    sq_pts = np.einsum("ij,ij->i", pts, pts)
-    d2 = np.maximum(
-        np.einsum("ij,ij->i", nodes, nodes)[:, None] + sq_pts[None, :] - 2.0 * nodes @ pts.T,
-        0.0,
-    )
-    dmin = np.min(d2, axis=1)
-    ties = d2 <= (1.0 + kset.tie_tolerance) * dmin[:, None]
-    tie_mask = np.sum(ties, axis=1) >= 2
-    nearest = np.argmin(d2, axis=1)
-    etas = pts[nearest].copy()
+    chunk = max(1, KERNEL_CHUNK_ROW_SITES // kset.n)
+    # At least one block, so zero rows still give arrays of the right shape.
+    blocks = [_classify(nodes[lo:lo + chunk], kset)
+              for lo in range(0, max(nodes.shape[0], 1), chunk)]
+    nearest, tie_mask, tie_bits = (np.concatenate(parts) for parts in zip(*blocks))
+    etas = kset.points[nearest]
 
     single_rows = np.flatnonzero(~tie_mask)
     groups = [((int(nearest[rows[0]]),), rows)
               for rows in _split_by_key(single_rows, nearest[single_rows])]
-    for rows in _split_by_mask(np.flatnonzero(tie_mask), ties):
-        idx = tuple(np.flatnonzero(ties[rows[0]]).tolist())
+    tie_rows = np.flatnonzero(tie_mask)
+    for at in _split_by_bits(np.arange(tie_rows.size), tie_bits):
+        idx = tuple(np.flatnonzero(np.unpackbits(tie_bits[at[0]], count=kset.n)).tolist())
+        rows = tie_rows[at]
         etas[rows] = _zone_values(idx, nodes[rows], kset)
         groups.append((idx, rows))
     groups.sort(key=lambda group: group[1][0])
     diff = etas - nodes
     slope_sq = np.einsum("ij,ij->i", diff, diff)
     return etas, slope_sq, tie_mask, groups
+
+
+def _classify(nodes: np.ndarray, kset: PointSet):
+    """Nearest site, tie flag and the tied rows' bit-packed site masks of one
+    block of rows; the block's distance matrix dies on return."""
+    pts = kset.points
+    d2 = np.einsum("ij,ij->i", nodes, nodes)[:, None] + np.einsum("ij,ij->i", pts, pts)
+    d2 -= 2.0 * nodes @ pts.T
+    dmin = np.min(np.maximum(d2, 0.0, out=d2), axis=1)
+    ties = d2 <= (1.0 + kset.tie_tolerance) * dmin[:, None]
+    tie = np.sum(ties, axis=1) >= 2
+    return np.argmin(d2, axis=1), tie, np.packbits(ties[tie], axis=1)
 
 
 def _split_by_key(rows: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
@@ -190,11 +199,10 @@ def _split_by_key(rows: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
     return [sorted_rows[a:b] for a, b in zip([0] + cuts, cuts + [rows.size])]
 
 
-def _split_by_mask(rows: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
-    """Split ``rows`` into runs of equal boolean rows ``mask[rows]``, keyed
-    by their packed bits, each run in ascending row order."""
-    packed = np.packbits(mask[rows], axis=1)
-    return _split_by_key(rows, packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+def _split_by_bits(rows: np.ndarray, bits: np.ndarray) -> list[np.ndarray]:
+    """Split ``rows`` into runs of equal packed boolean rows ``bits`` (one
+    per row of ``rows``), each run in ascending row order."""
+    return _split_by_key(rows, bits.view(np.dtype((np.void, bits.shape[1]))).ravel())
 
 
 def row_classes(n: int, groups) -> list[tuple[int, ...]]:
@@ -283,15 +291,11 @@ def same_zone(a: np.ndarray, b: np.ndarray) -> bool:
 
 def _witness(kset: PointSet, pts: np.ndarray, cells: dict, keep=None) -> dict:
     """Add to ``cells`` the first ``(eta, probe)`` of each new class of ``pts``
-    that ``keep`` accepts (all when None), streaming the rows through
-    :func:`batch_field` in blocks of ``KERNEL_CHUNK_ROW_SITES // sites``."""
-    chunk = max(1, KERNEL_CHUNK_ROW_SITES // kset.n)
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start:start + chunk]
-        etas, _, _, groups = batch_field(block, kset)
-        for cls, rows in groups:
-            if cls not in cells and (keep is None or keep(cls)):
-                cells[cls] = (etas[rows[0]], block[rows[0]].copy())
+    that ``keep`` accepts (all when None), from one :func:`batch_field` call."""
+    etas, _, _, groups = batch_field(pts, kset)
+    for cls, rows in groups:
+        if cls not in cells and (keep is None or keep(cls)):
+            cells[cls] = (etas[rows[0]], pts[rows[0]].copy())
     return cells
 
 

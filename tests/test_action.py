@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voract import action as action_module
+from voract import potential as potential_module
 from voract import presets
 from voract import (
     ActionError,
@@ -20,7 +21,9 @@ from voract import (
     constrained_minimize,
     dp_oracle,
     evaluate_action,
+    interior_balance_verdict,
     minimize,
+    zone_table,
 )
 from voract.action import _Descent, seed_grid_spec
 from voract.potential import batch_field
@@ -500,21 +503,26 @@ def test_solve_reports_the_scaled_residual_of_the_nodes_it_returns(line_k):
 
 
 def test_descend_solves_each_path_once(monkeypatch):
-    # example1-c02 sites at M = 64 from the chord and a wavy chord,
-    # relaxation blocks of 4 candidates: descend makes one solve of the
-    # stack, then one per block of each round, and returns each path's last
-    # round winner's solve entry unchanged.
+    # example1-c02 sites at M = 64 from the chord and a wavy chord, with the
+    # kernel cut into blocks of 4 paths: descend makes one solve of the
+    # stack, then one per round that holds every candidate of the round,
+    # and returns each path's last round winner's solve entry unchanged.
     kset = presets.line_points()
-    monkeypatch.setattr(action_module, "KERNEL_CHUNK_ROW_SITES", 4 * 65 * kset.n)
+    monkeypatch.setattr(potential_module, "KERNEL_CHUNK_ROW_SITES", 4 * 65 * kset.n)
     engine = _Descent(kset, Shape.identity(), 1.0, SolverConfig(M=64, refinements=0))
     solve, trial_moves = engine.solve, engine._trial_moves
-    outside, rounds, winners = [], [], []
+    outside, rounds, winners, candidates = [], [], [], []
 
     def counted_solve(stack):
         (rounds[-1] if len(rounds) > len(winners) else outside).append(stack.shape[0])
         return solve(stack)
 
     def recorded_moves(stack, f0):
+        # Two release moves per boundary node facing a free neighbour, one
+        # capture move per free node facing a boundary neighbour.
+        ties = batch_field(stack.reshape(-1, 1), kset)[2].reshape(stack.shape[:2])
+        faced = ties[:, 1:-1, None] != np.stack([ties[:, :-2], ties[:, 2:]], axis=2)
+        candidates.append(int(np.sum(np.where(ties[:, 1:-1, None], 2, 1) * faced)))
         rounds.append([])
         winners.append(trial_moves(stack, f0))
         return winners[-1]
@@ -524,9 +532,8 @@ def test_descend_solves_each_path_once(monkeypatch):
     wavy = chord + 0.05 * np.sin(2.0 * np.pi * np.linspace(0.0, 1.0, 65))[:, None]
     descended = engine.descend(np.array([chord, wavy]))
     assert outside == [2]
-    for sizes in rounds:
-        assert sizes == [4] * (sum(sizes) // 4) + [sum(sizes) % 4] * (sum(sizes) % 4 > 0)
-    assert any(len(sizes) > 1 for sizes in rounds)
+    assert rounds == [[count] if count else [] for count in candidates]
+    assert max(candidates) > 4
     # Replay which paths were in each round; each leaves on its first round
     # without a winner and ends on its previous winner.
     live, last = [0, 1], {}
@@ -576,16 +583,28 @@ def test_gradient_on_a_site_is_finite_for_power_below_one():
 
 
 @pytest.mark.parametrize("bound", [1, 2 * 129 * 2])
-def test_minimize_independent_of_relaxation_blocks(bound, line_k, identity_shape, monkeypatch):
-    # The QUICK solve relaxes six candidates per round; bound 1 relaxes them
-    # one by one, bound 516 in blocks of two at M = 128.
-    ref = minimize([-0.2], [0.2], 1.0, line_k, identity_shape, QUICK)
-    monkeypatch.setattr(action_module, "KERNEL_CHUNK_ROW_SITES", bound)
-    res = minimize([-0.2], [0.2], 1.0, line_k, identity_shape, QUICK)
+def test_minimize_independent_of_relaxation_blocks(bound, line_k, grid3_k, identity_shape,
+                                                   monkeypatch):
+    # The QUICK solve relaxes six candidates per round; bound 1 classifies
+    # the kernel's rows one by one, bound 516 two paths at a time at M = 128.
+    # The zone table and the lattice verdict stream their probes the same way.
+    def run():
+        lattice = build_mag([[0.0], [0.2], [0.45]], 1, 3, 1)  # 162 sites in R^3
+        return (minimize([-0.2], [0.2], 1.0, line_k, identity_shape, QUICK),
+                zone_table(grid3_k, ([-1.0, -1.0], [3.0, 3.0]), probe_count=300, seed=2),
+                interior_balance_verdict(lattice, probe_count=1200, seed=0))
+
+    ref, ref_table, ref_verdict = run()
+    monkeypatch.setattr(potential_module, "KERNEL_CHUNK_ROW_SITES", bound)
+    res, table, verdict = run()
     assert np.array_equal(res.path.nodes, ref.path.nodes)
     assert np.array_equal(res.prev_path.nodes, ref.prev_path.nodes)
     assert res.starts == ref.starts
     assert res.grad_norm == ref.grad_norm
+    assert table.etas.tobytes() == ref_table.etas.tobytes()
+    assert (table.beta, table.cell_to_zone, table.coverage) == (
+        ref_table.beta, ref_table.cell_to_zone, ref_table.coverage)
+    assert verdict == ref_verdict
 
 
 @pytest.mark.parametrize("shape,sites,endpoints", [

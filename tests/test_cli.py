@@ -266,6 +266,8 @@ MAG_POINTS = {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}
     ("solve", {**BASE_CONFIG, "delta": "1.0"}, "delta must be a number"),
     ("solve", {**BASE_CONFIG, "tie_tolerance": "1e-9"}, "tie_tolerance must be a number"),
     ("solve", {**BASE_CONFIG, "delta": True}, "delta must be a number"),
+    ("solve", {**BASE_CONFIG, "delta": 10**400}, "delta must be a finite number"),
+    ("solve", {**BASE_CONFIG, "tie_tolerance": 10**400}, "tie_tolerance must be a finite number"),
 ])
 def test_config_number_that_is_not_a_number_exits_2(command, payload, message, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", payload)

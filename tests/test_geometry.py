@@ -249,7 +249,7 @@ def test_cell_frame_empty_equidistance_rejected():
     # three collinear sites cannot be co-equidistant
     k = PointSet([[0.0], [1.0], [2.0]])
     cls = opt_class([0.5], k)
-    bogus = type(cls)(indices=(0, 1, 2), witness=np.array([0.5]))
+    bogus = type(cls)(indices=(0, 1, 2))
     with pytest.raises(FrameError):
         cell_frame(bogus, k)
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,50 @@ def test_batch_field_is_row_order_independent():
         inv = np.argsort(perm)
         assert np.array_equal(etas[inv], ref[0]) and np.array_equal(s[inv], ref[1])
         assert np.array_equal(tie_mask[inv], ref[2])
+
+
+@st.composite
+def _sites_and_tie_rows(draw):
+    d = draw(st.integers(1, 4))
+    quarter = st.integers(-12, 12)
+    cells = draw(st.lists(st.tuples(*[quarter] * d), min_size=2, max_size=9, unique=True))
+    sites = np.array(cells, dtype=float) / 4.0
+    coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    randoms = np.array(draw(st.lists(st.tuples(*[coord] * d), max_size=20)), dtype=float)
+    mids = 0.5 * (sites[:, None, :] + sites[None, :, :]).reshape(-1, d)
+    return PointSet(sites), np.vstack([randoms.reshape(-1, d), mids, sites])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_sites_and_tie_rows())
+def test_batch_field_independent_of_its_block_size(case):
+    # Blocks of one row, of a few rows and of a few hundred rows classify
+    # every row as one block does, bit for bit, and group them the same way.
+    kset, rows = case
+    ref_etas, ref_s, ref_ties, ref_groups = batch_field(rows, kset)
+    for bound in (1, 7, 997):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(potential_module, "KERNEL_CHUNK_ROW_SITES", bound)
+            etas, s, ties, groups = batch_field(rows, kset)
+        assert etas.tobytes() == ref_etas.tobytes() and s.tobytes() == ref_s.tobytes()
+        assert ties.tobytes() == ref_ties.tobytes()
+        assert [(cls, r.tolist()) for cls, r in groups] == [
+            (cls, r.tolist()) for cls, r in ref_groups]
+
+
+def test_batch_field_memory_is_one_block():
+    # 200,000 rows x 50 sites is ten million row-sites; the kernel holds one
+    # block of distance matrix at a time, not the whole call's.
+    rng = np.random.default_rng(0)
+    kset = PointSet(rng.integers(-20, 21, size=(50, 3)) / 4.0 + rng.random((50, 3)) * 1e-3)
+    rows = rng.uniform(-6.0, 6.0, size=(200_000, 3))
+    tracemalloc.start()
+    try:
+        batch_field(rows, kset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * potential_module.KERNEL_CHUNK_ROW_SITES
 
 
 def test_slope_sup_examples(line_k):
