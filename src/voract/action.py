@@ -5,7 +5,9 @@ where ``slope_sq`` is the squared extended gradient of the opposite
 squared distance field of a :class:`~voract.geometry.PointSet` and ``h``
 is an increasing C^1 potential shape. Paths are uniform-time node chains
 with fixed endpoints; the kinetic term is the forward-difference square
-sum and the potential term is the trapezoid rule on node values.
+sum and the potential term is the trapezoid rule on node values. One
+helper (`_action_terms`) sums both, for the descent engine and for
+`evaluate_action` alike, so every reported action is the engine's value.
 
 The minimizer runs multi-start Newton descent with mesh doubling. The
 potential is discontinuous across nearest-site cell boundaries, so nodes
@@ -41,7 +43,7 @@ companion problem, with nodes on active polytope faces pinned like ties.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -75,6 +77,10 @@ class ActionError(VoractError):
 
 class GridBudgetError(ActionError):
     """Dynamic-programming grid exceeds the node/edge budget."""
+
+
+NODE_BUDGET = 10_000_000  # path mesh nodes, and DP grid points x time slices
+EDGE_BUDGET = 400_000_000
 
 
 def _check_number(name: str, value, low, integer: bool = False, closed: bool = False) -> None:
@@ -198,15 +204,11 @@ class Path:
 
 @dataclass(frozen=True)
 class ActionBreakdown:
+    """A path's discrete action: ``total`` is ``kinetic + potential``."""
+
     kinetic: float
     potential: float
     total: float
-    kinetic_terms: np.ndarray = field(repr=False)
-    potential_terms: np.ndarray = field(repr=False)
-
-    @property
-    def per_interval(self) -> list[tuple[float, float]]:
-        return list(zip(self.kinetic_terms.tolist(), self.potential_terms.tolist()))
 
 
 @dataclass(frozen=True)
@@ -225,6 +227,8 @@ class SolverConfig:
         for name, low in {"M": 1, "refinements": 0, "starts": 1, "seed": 0, "max_iters": 1}.items():
             _check_number(name, getattr(self, name), low, integer=True, closed=True)
         _check_number("grad_tol", self.grad_tol, 1e-12, closed=True)
+        if self.M + 1 > NODE_BUDGET:
+            raise ActionError(f"M must be below {NODE_BUDGET}, the mesh node budget")
         if self.M >> self.refinements < 4:
             raise ActionError("too many refinements for this M (coarse mesh < 4)")
 
@@ -252,23 +256,28 @@ class MinimizeResult:
 # Evaluation and gradient
 
 
+def _action_terms(stack: np.ndarray, slope_sq: np.ndarray, delta: float, shape: Shape):
+    """Kinetic and potential terms ``(B,)`` of the stack ``(B, n, d)`` with
+    node slopes ``slope_sq`` ``(B * n,)``: ``sum |x_{k+1} - x_k|^2 / dt`` and
+    ``dt (h_0 / 2 + h_1 + ... + h_{n-1} / 2)``. The only code that sums the
+    discrete action; each path's sums are its own, whatever the stack."""
+    b, n, _ = stack.shape
+    dt = delta / (n - 1)
+    diffs = np.diff(stack, axis=1)
+    kin = np.sum(np.einsum("bij,bij->bi", diffs, diffs), axis=1) / dt
+    h = shape.h(slope_sq).reshape(b, n)
+    return kin, dt * (0.5 * h[:, 0] + np.sum(h[:, 1:-1], axis=1) + 0.5 * h[:, -1])
+
+
 def evaluate_action(path: Path, kset: PointSet, shape: Shape) -> ActionBreakdown:
-    """Discrete action of the path: forward-difference kinetic terms plus
-    trapezoid potential terms on node values."""
+    """Discrete action of the path: the descent engine's value of its nodes,
+    bit for bit, so a minimizer's ``breakdown.total`` is its winning start's
+    ``action``."""
     if path.dim != kset.dim:
         raise ActionError("path/point-set dimension mismatch")
     _, s, _, _ = batch_field(path.nodes, kset)
-    hvals = shape.h(s)
-    diffs = np.diff(path.nodes, axis=0)
-    kin = np.einsum("ij,ij->i", diffs, diffs) / path.dt
-    pot = path.dt * 0.5 * (hvals[:-1] + hvals[1:])
-    return ActionBreakdown(
-        kinetic=float(np.sum(kin)),
-        potential=float(np.sum(pot)),
-        total=float(np.sum(kin) + np.sum(pot)),
-        kinetic_terms=kin,
-        potential_terms=pot,
-    )
+    kin, pot = (float(t[0]) for t in _action_terms(path.nodes[None], s, path.delta, shape))
+    return ActionBreakdown(kinetic=kin, potential=pot, total=kin + pot)
 
 
 def _interior_gradient(nodes: np.ndarray, etas: np.ndarray, slope_sq: np.ndarray,
@@ -342,13 +351,8 @@ class _Descent:
 
     def value(self, stack: np.ndarray) -> np.ndarray:
         """Discrete action of every path of the stack, shape ``(B,)``."""
-        b, n, d = stack.shape
-        dt = self.delta / (n - 1)
-        diffs = np.diff(stack, axis=1)
-        kin = np.sum(np.einsum("bij,bij->bi", diffs, diffs), axis=1) / dt
-        _, s, _, _ = batch_field(stack.reshape(-1, d), self.kset)
-        h = self.shape.h(s).reshape(b, n)
-        return kin + dt * (0.5 * h[:, 0] + np.sum(h[:, 1:-1], axis=1) + 0.5 * h[:, -1])
+        _, s, _, _ = batch_field(stack.reshape(-1, stack.shape[2]), self.kset)
+        return np.add(*_action_terms(stack, s, self.delta, self.shape))
 
     def _tangent(self, key: tuple) -> np.ndarray:
         """Moves of a pinned group: a tie class's equidistance directions, or
@@ -620,11 +624,8 @@ def seed_grid_spec(x0, xdelta, delta: float, kset: PointSet) -> "GridSpec":
 
 def _mesh_schedule(cfg: SolverConfig) -> list[int]:
     """Mesh sizes of the doubling stages, coarsest first, ending at ``cfg.M``."""
-    m0 = max(cfg.M >> cfg.refinements, 4)
-    meshes = [m0 * (1 << i) for i in range(cfg.refinements + 1)]
-    if meshes[-1] != cfg.M:
-        meshes = sorted(set(meshes + [cfg.M]))
-    return meshes
+    meshes = [(cfg.M >> cfg.refinements) << i for i in range(cfg.refinements + 1)]
+    return meshes if meshes[-1] == cfg.M else meshes + [cfg.M]
 
 
 def _descend_stages(engine: _Descent, stack: np.ndarray, a, b, meshes: list[int]):
@@ -739,10 +740,6 @@ class GridSpec:
             _check_number("vmax", self.vmax, 0.0)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-
-NODE_BUDGET = 10_000_000
-EDGE_BUDGET = 400_000_000
 
 
 def _axis_coords(lo: float, hi: float, res: float, snap) -> np.ndarray:

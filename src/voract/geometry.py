@@ -274,7 +274,6 @@ class CellFrame:
     pieces.
     """
 
-    opt: OptClass
     basis_a: np.ndarray
     basis_b: np.ndarray
     p_h: np.ndarray
@@ -297,12 +296,7 @@ def cell_frame(opt: OptClass, kset: PointSet) -> CellFrame:
     pts = kset.points[list(opt.indices)]
     m = pts.shape[0]
     if m == 1:
-        return CellFrame(
-            opt=opt,
-            basis_a=np.zeros((0, d)),
-            basis_b=np.eye(d),
-            p_h=pts[0].copy(),
-        )
+        return CellFrame(basis_a=np.zeros((0, d)), basis_b=np.eye(d), p_h=pts[0].copy())
     diffs = pts[1:] - pts[0][None, :]
     _, sing, vt = np.linalg.svd(diffs, full_matrices=True)
     cutoff = 1e-10 * float(sing[0]) if sing.size else 0.0
@@ -325,7 +319,7 @@ def cell_frame(opt: OptClass, kset: PointSet) -> CellFrame:
             f"class {opt.indices} has no equidistance locus (residual {resid:g}); "
             "near-degenerate site configuration"
         )
-    return CellFrame(opt=opt, basis_a=basis_a, basis_b=basis_b, p_h=p_h)
+    return CellFrame(basis_a=basis_a, basis_b=basis_b, p_h=p_h)
 
 
 def class_frame(indices: tuple[int, ...], kset: PointSet) -> CellFrame:

@@ -91,9 +91,24 @@ def test_action_linear_path_converges(line_k, identity_shape):
 def test_breakdown_consistency(line_k, identity_shape):
     p = Path.from_line([-0.4], [0.7], 1.3, 32)
     bd = evaluate_action(p, line_k, identity_shape)
-    assert bd.total == pytest.approx(bd.kinetic + bd.potential)
-    assert np.all(bd.kinetic_terms >= 0) and np.all(bd.potential_terms >= 0)
-    assert len(bd.per_interval) == 32
+    assert bd.total == bd.kinetic + bd.potential
+    assert bd.kinetic >= 0 and bd.potential >= 0
+
+
+@pytest.mark.parametrize("shape", [Shape.identity(), Shape.power(1.5), Shape.affine(2.0, 0.5)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_evaluate_action_is_the_engine_value(d, shape):
+    rng = np.random.default_rng(d)
+    kset = PointSet(rng.uniform(-2.0, 2.0, size=(5, d)))
+    engine = _Descent(kset, shape, 1.3, SolverConfig())
+    for m in (2, 7, 64, 129):
+        path = Path(1.3, rng.uniform(-2.5, 2.5, size=(m + 1, d)))
+        assert evaluate_action(path, kset, shape).total == engine.value(path.nodes[None])[0]
+
+
+def test_breakdown_total_is_the_winning_start_action():
+    res = presets._solve_record("example1-c02").result
+    assert res.breakdown.total == min(s.action for s in res.starts)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +210,14 @@ def test_minimize_reports_all_starts(line_k, identity_shape):
     labels = [s.label for s in res.starts]
     assert "straight" in labels and "dp" in labels
     best = min(s.action for s in res.starts)
-    assert res.breakdown.total == pytest.approx(best, abs=1e-12)
+    assert res.breakdown.total == best
+
+
+def test_mesh_schedule_ends_at_an_m_the_doublings_miss(line_k, identity_shape):
+    cfg = SolverConfig(M=100, refinements=3, starts=1)
+    assert action_module._mesh_schedule(cfg) == [12, 24, 48, 96, 100]
+    res = minimize([-0.2], [0.2], 1.0, line_k, identity_shape, cfg)
+    assert res.path.nodes.shape == (101, 1) and res.prev_path.nodes.shape == (97, 1)
 
 
 def test_minimize_flags_non_convergence(line_k):

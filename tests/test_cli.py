@@ -4,6 +4,7 @@ import pytest
 
 from voract import (ActionError, AnalysisError, GeometryError, MagError, PointSet, Shape,
                     SolverConfig, VoractError, artifacts, cli, minimize, regularity_report)
+from voract.action import NODE_BUDGET
 from voract.artifacts import read_trajectory_csv
 from voract.cli import ConfigError, load_run_config, main
 from voract import mag as mag_module
@@ -115,6 +116,17 @@ def test_oracle_command(tmp_path):
     assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "oracle_summary.json").read_text())
     assert abs(summary["action"]["total"] - 0.72) <= 0.03
+
+
+def test_oracle_default_grid(tmp_path):
+    # BASE_CONFIG has the README config's points, endpoints and delta.
+    out = tmp_path / "orc"
+    assert main(["oracle", "--config", _write(tmp_path / "cfg.json", BASE_CONFIG),
+                 "--out", str(out)]) == 0
+    grid = json.loads((out / "oracle_summary.json").read_text())["grid"]
+    assert grid == {"lo": [-1.2], "hi": [1.2], "resolution": 0.012, "time_slices": 100}
+    _, nodes = read_trajectory_csv(str(out / "oracle_trajectory.csv"))
+    assert nodes.shape == (101, 1) and nodes[0, 0] == -0.2 and nodes[-1, 0] == 0.2
 
 
 def test_zones_command(tmp_path, capsys):
@@ -268,6 +280,9 @@ MAG_POINTS = {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}
     ("solve", {**BASE_CONFIG, "delta": True}, "delta must be a number"),
     ("solve", {**BASE_CONFIG, "delta": 10**400}, "delta must be a finite number"),
     ("solve", {**BASE_CONFIG, "tie_tolerance": 10**400}, "tie_tolerance must be a finite number"),
+    ("solve", {**BASE_CONFIG, "solver": {**BASE_CONFIG["solver"], "M": 10**400}}, "M must be below"),
+    ("solve", {**BASE_CONFIG, "solver": {**BASE_CONFIG["solver"], "M": NODE_BUDGET}},
+     "M must be below"),
 ])
 def test_config_number_that_is_not_a_number_exits_2(command, payload, message, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", payload)
