@@ -35,13 +35,15 @@ A layered-graph dynamic program (`dp_oracle`) provides an independent
 lower-fidelity solution used both as a solver seed and as a
 cross-validation oracle. Its edge cost is separable over the axes, so
 each time slice relaxes one axis at a time, ``d(2k + 1)`` shifted array
-operations instead of one per offset of the ``(2k + 1)^d`` step box.
+operations instead of one per offset of the ``(2k + 1)^d`` step box, each
+on the one contiguous range of rows that can still reach the goal.
 `constrained_minimize` runs the same engine on the convex-constrained
 companion problem, with nodes on active polytope faces pinned like ties.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -781,6 +783,18 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     ``2k``; within a pass ties go to the first step in ``-k..k`` order, so
     exact ties resolve to the lexicographically smallest offset, first axis
     first. The backtrack undoes the passes in reverse, first axis first.
+
+    Each pass runs on one contiguous range of the C-ordered grid: a step of
+    ``o`` cells along an axis is a flat shift by ``o`` times the axis's
+    stride, and a target whose source would leave the axis gets an infinite
+    kinetic term. Only first-axis rows within ``t*k`` of the start row and
+    ``(T - t)*k`` of the goal row are relaxed at slice ``t`` (the passes
+    before the first axis's keep the source row); every other cell stays
+    infinite. A row outside that window either holds an infinite cost or
+    cannot reach the goal, so it feeds no cell of a later window: the
+    relaxed cells get the same costs in the same order of steps, and the
+    optimum, its ties and the returned path are those of relaxing the whole
+    grid.
     """
     d = kset.dim
     if d > 3:
@@ -794,23 +808,33 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
                           f"the point set's dimension {d}")
     t_slices = grid_spec.time_slices
     dt = delta / t_slices
+    res = grid_spec.resolution
+    if grid_spec.vmax is None:
+        vmax = 4.0 * max(1.0, float(np.linalg.norm(b - a)) / delta)
+    else:
+        vmax = grid_spec.vmax
+    # Snapping only adds points to the uniform axes, which hold at least
+    # (hi - lo)/res + 1/2 points each, and k is at least vmax*dt/res: both
+    # budgets are first checked on these Python floats, which overflow to
+    # inf rather than raise, before any count or array is made.
+    g_least = math.prod(max((hi - lo) / res + 0.5, 2.0)
+                        for lo, hi in zip(grid_spec.lo.tolist(), grid_spec.hi.tolist()))
+    if g_least * (t_slices + 1) > NODE_BUDGET:
+        raise GridBudgetError(f"{g_least:.3g} grid points x {t_slices + 1} slices "
+                              "exceeds the budget")
+    if g_least * t_slices * math.prod([2.0 * max(1.0, vmax * dt / res) + 1.0] * d) > EDGE_BUDGET:
+        raise GridBudgetError("edge relaxation budget exceeded; coarsen the grid")
 
     snap_axes = grid_spec.snap_axes or tuple(() for _ in range(d))
     axes = []
     for ax in range(d):
         snap = tuple(snap_axes[ax]) + (float(a[ax]), float(b[ax]))
-        axes.append(_axis_coords(float(grid_spec.lo[ax]), float(grid_spec.hi[ax]),
-                                 grid_spec.resolution, snap))
+        axes.append(_axis_coords(float(grid_spec.lo[ax]), float(grid_spec.hi[ax]), res, snap))
     shape_g = tuple(len(c) for c in axes)
     g_total = int(np.prod(shape_g))
     if g_total * (t_slices + 1) > NODE_BUDGET:
         raise GridBudgetError(f"{g_total} grid points x {t_slices + 1} slices exceeds the budget")
-
-    if grid_spec.vmax is None:
-        vmax = 4.0 * max(1.0, float(np.linalg.norm(b - a)) / delta)
-    else:
-        vmax = grid_spec.vmax
-    k_off = max(1, int(np.ceil(vmax * dt / grid_spec.resolution)))
+    k_off = max(1, int(np.ceil(vmax * dt / res)))
     if g_total * t_slices * (2 * k_off + 1) ** d > EDGE_BUDGET:
         raise GridBudgetError("edge relaxation budget exceeded; coarsen the grid")
     if np.any(np.minimum(a, b) < grid_spec.lo) or np.any(np.maximum(a, b) > grid_spec.hi):
@@ -819,49 +843,74 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     mesh = np.meshgrid(*axes, indexing="ij")
     grid_pts = np.stack([m.ravel() for m in mesh], axis=1)
     _, s, _, _ = batch_field(grid_pts, kset)
-    hh = 0.5 * dt * shape.h(s).reshape(shape_g)
+    hh = 0.5 * dt * shape.h(s)
 
     start = tuple(int(np.argmin(np.abs(axes[ax] - a[ax]))) for ax in range(d))
     goal = tuple(int(np.argmin(np.abs(axes[ax] - b[ax]))) for ax in range(d))
 
-    # Per axis, the steps -k..k (clamped to the axis length: longer steps
-    # reach nothing) as (step index, source slices, target slices, kinetic
-    # term shaped to broadcast along the axis).
+    # The first-axis rows [lo, hi) that can hold a finite cost at slice t and
+    # still reach the goal: within t*k0 rows of the start, (T - t)*k0 of the goal.
+    n0 = shape_g[0]
+    k0 = min(k_off, n0 - 1)
+    windows = [(max(start[0] - t * k0, goal[0] - (t_slices - t) * k0, 0),
+                min(start[0] + t * k0, goal[0] + (t_slices - t) * k0, n0 - 1) + 1)
+               for t in range(t_slices + 1)]
+    if windows[0][0] >= windows[0][1]:
+        raise ActionError("endpoint unreachable on this grid (raise vmax or widen the box)")
+
+    # Costs live in two flat C-ordered buffers with k0 rows of inf at each
+    # end, so a step of o cells along an axis reads one contiguous range
+    # shifted by o * stride. Per axis, the steps -k..k (clamped to the axis
+    # length: longer steps reach nothing) as (step index, flat shift,
+    # kinetic term by target coordinate, inf where the source is off the axis).
+    strides = [int(np.prod(shape_g[ax + 1:])) for ax in range(d)]
+    row = strides[0]
+    pad = k0 * row
     passes = []
     for ax in reversed(range(d)):
-        n = shape_g[ax]
-        k_ax = min(k_off, n - 1)
+        n, x = shape_g[ax], axes[ax]
         steps = []
-        for o in range(-k_ax, k_ax + 1):
-            src = [slice(None)] * d
-            dst = [slice(None)] * d
-            src[ax] = slice(max(0, -o), n - max(0, o))
-            dst[ax] = slice(max(0, o), n - max(0, -o))
-            kin = (axes[ax][dst[ax]] - axes[ax][src[ax]]) ** 2 / dt
-            kin = kin.reshape([-1 if i == ax else 1 for i in range(d)])
-            steps.append((o + k_off, tuple(src), tuple(dst), kin))
-        passes.append((ax, steps))
+        for o in range(-min(k_off, n - 1), min(k_off, n - 1) + 1):
+            dst, src = slice(max(0, o), n + min(0, o)), slice(max(0, -o), n - max(0, o))
+            kin = np.full((n, 1), np.inf)
+            kin[dst, 0] = (x[dst] - x[src]) ** 2 / dt
+            steps.append((o + k_off, o * strides[ax], kin))
+        passes.append((ax, n, strides[ax], steps))
 
-    cost = np.full(shape_g, np.inf)
-    cost[start] = 0.0
+    bufs = [np.full(g_total + 2 * pad, np.inf) for _ in range(2)]
+    bufs[0][pad + int(np.ravel_multi_index(start, shape_g))] = 0.0
+    # Each buffer is inf outside its span, the range its last pass wrote.
+    span = [(pad + windows[0][0] * row, pad + windows[0][1] * row), (pad, pad)]
     parents = np.zeros((t_slices, d) + shape_g, dtype=np.min_scalar_type(2 * k_off))
-    cur = np.empty(shape_g)
-    new = np.empty(shape_g)
-    cand = np.empty(shape_g)
-    better = np.empty(shape_g, dtype=bool)
+    flat_parents = parents.reshape(t_slices, d, g_total)
+    cand = np.empty(g_total)
+    better = np.empty(g_total, dtype=bool)
+    cur = 0
     for t in range(t_slices):
-        np.add(cost, hh, out=cur)
-        for ax, steps in passes:
-            new.fill(np.inf)
-            parent = parents[t, ax]
-            for oid, src, dst, kin in steps:
-                np.add(cur[src], kin, out=cand[dst])
-                np.less(cand[dst], new[dst], out=better[dst])
-                np.copyto(new[dst], cand[dst], where=better[dst])
-                np.copyto(parent[dst], oid, where=better[dst])
-            cur, new = new, cur
-        np.add(cur, hh, out=cost)
-    if not np.isfinite(cost[goal]):
+        lo, hi = span[cur]
+        np.add(bufs[cur][lo:hi], hh[lo - pad:hi - pad], out=bufs[cur][lo:hi])
+        for ax, n, stride, steps in passes:
+            # Every pass but the first axis's keeps the rows of slice t.
+            r0, r1 = windows[t + 1] if ax == 0 else windows[t]
+            lo, hi = pad + r0 * row, pad + r1 * row
+            view = (-1, n, stride) if ax else (r1 - r0, stride)
+            rows = slice(None) if ax else slice(r0, r1)
+            src, out = bufs[cur], bufs[1 - cur]
+            out[min(lo, span[1 - cur][0]):max(hi, span[1 - cur][1])] = np.inf
+            span[1 - cur] = (lo, hi)
+            new = out[lo:hi].reshape(view)
+            c = cand[:hi - lo].reshape(view)
+            m = better[:hi - lo].reshape(view)
+            parent = flat_parents[t, ax, lo - pad:hi - pad].reshape(view)
+            for oid, shift, kin in steps:
+                np.add(src[lo - shift:hi - shift].reshape(view), kin[rows], out=c)
+                np.less(c, new, out=m)
+                np.copyto(parent, oid, where=m)
+                np.minimum(new, c, out=new)
+            cur = 1 - cur
+        lo, hi = span[cur]
+        np.add(bufs[cur][lo:hi], hh[lo - pad:hi - pad], out=bufs[cur][lo:hi])
+    if not np.isfinite(bufs[cur][pad + int(np.ravel_multi_index(goal, shape_g))]):
         raise ActionError("endpoint unreachable on this grid (raise vmax or widen the box)")
 
     idx = list(goal)

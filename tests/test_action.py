@@ -19,6 +19,7 @@ from voract import (
     action_gradient,
     build_mag,
     constrained_minimize,
+    default_window,
     dp_oracle,
     evaluate_action,
     interior_balance_verdict,
@@ -712,6 +713,13 @@ def test_dp_budget_guard(line_k, identity_shape):
                   resolution=0.002, time_slices=400)
     with pytest.raises(GridBudgetError):
         dp_oracle([0.0] * 3, [0.0] * 3, 1.0, PointSet(np.eye(3)), identity_shape, gs)
+    # Grids whose uniform axes or step box overflow an int or an array: the
+    # budgets are checked before any count or array is made.
+    for fields in ({"resolution": 1e-300}, {"vmax": 1e308}):
+        gs = GridSpec(**{"lo": [-1.5], "hi": [1.5], "resolution": 0.05, "time_slices": 10,
+                         **fields})
+        with pytest.raises(GridBudgetError):
+            dp_oracle([-0.2], [0.2], 1.0, line_k, identity_shape, gs)
 
 
 def test_minimize_dominates_oracle(line_k, identity_shape):
@@ -859,17 +867,59 @@ def _reference_dp(x0, x1, delta, kset, shape, gs):
     return float(cost[goal]), nodes, axes, k
 
 
-@pytest.mark.parametrize("x0,x1,delta,grid", [
-    ([-1.0], [-1.0], 0.5, dict(resolution=0.05, time_slices=20)),
-    ([-0.2], [0.2], 1.0, dict(resolution=0.01, time_slices=100, vmax=4.0)),
-    ([-0.2], [0.2], 1.0, dict(lo=np.array([-1.6]), hi=np.array([1.6]), resolution=0.02,
-                              time_slices=50, vmax=4.0)),
+_TRIANGLE = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
+_MAG_BASE = [[0.0], [0.5]]
+
+
+@pytest.mark.parametrize("x0,x1,delta,grid,sites", [
+    # The first three ids predate the site-set column; None is the line.
+    pytest.param([-1.0], [-1.0], 0.5, dict(resolution=0.05, time_slices=20), None,
+                 id="x00-x10-0.5-grid0"),
+    pytest.param([-0.2], [0.2], 1.0, dict(resolution=0.01, time_slices=100, vmax=4.0), None,
+                 id="x01-x11-1.0-grid1"),
+    pytest.param([-0.2], [0.2], 1.0, dict(lo=np.array([-1.6]), hi=np.array([1.6]),
+                                          resolution=0.02, time_slices=50, vmax=4.0), None,
+                 id="x02-x12-1.0-grid2"),
+    # The first-axis row window is partial in the first and last slices and
+    # the whole axis in the middle ones.
+    pytest.param([-1.5, 0.0], [1.0, -0.5], 1.0,
+                 dict(lo=[-1.5, -1.0], hi=[1.0, 0.5], resolution=0.25, time_slices=24),
+                 _TRIANGLE, id="2d-first-to-last-row"),
+    pytest.param([-1.0, 0.0, 0.5], [1.0, 0.5, -0.5], 1.0,
+                 dict(lo=[-1.0, -0.5, -0.5], hi=[1.0, 1.0, 0.5], resolution=0.25,
+                      time_slices=20, vmax=6.0),
+                 [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]], id="3d-first-to-last-row"),
+    pytest.param([-1.0, 0.0], [1.0, 0.25], 1.0,  # k = 3 on a 3-point last axis
+                 dict(lo=[-1.0, -0.25], hi=[1.0, 0.25], resolution=0.25, time_slices=20,
+                      vmax=12.0),
+                 _TRIANGLE, id="2d-last-axis-shorter-than-k"),
+    pytest.param([0.25, -1.0], [-0.25, 1.0], 1.0,  # k = 3 on a 3-point first axis
+                 dict(lo=[-0.25, -1.0], hi=[0.25, 1.0], resolution=0.25, time_slices=20,
+                      vmax=12.0),
+                 _TRIANGLE, id="2d-first-axis-shorter-than-k"),
+    pytest.param([-1.2, 0.05], [0.9, -0.33], 1.0,
+                 dict(lo=[-1.5, -1.0], hi=[1.0, 0.5], resolution=0.25, time_slices=30,
+                      snap_axes=((-0.37, 0.12, 0.4), (0.05, -0.33))),
+                 _TRIANGLE, id="2d-snapped-axes"),
+    # The benchmark's two oracle grids (200 cells a side) at 4x the resolution.
+    pytest.param([0.0, -1.0], [0.0, 0.0], 1.0,
+                 dict(lo=[-1.0, -2.0], hi=[1.0, 1.0], resolution=0.06, time_slices=100),
+                 _TRIANGLE, id="example2-oracle-grid-coarse"),
+    pytest.param([0.2, 0.3], [0.3, 0.2], 1.0,
+                 dict(lo=[-0.8, -0.8], hi=[1.3, 1.3], resolution=0.042, time_slices=100),
+                 "mag", id="mag-exchange-oracle-grid-coarse"),
 ])
-def test_dp_matches_full_offset_reference_on_test_grids(x0, x1, delta, grid, line_k,
+def test_dp_matches_full_offset_reference_on_test_grids(x0, x1, delta, grid, sites, line_k,
                                                         identity_shape):
+    if sites is None:
+        kset = line_k
+    elif sites == "mag":
+        kset = build_mag(_MAG_BASE, 1, 2, default_window(_MAG_BASE, 1, 2, x0, x1)).kset
+    else:
+        kset = PointSet(sites)
     gs = GridSpec(**{"lo": np.array([-1.5]), "hi": np.array([1.5]), **grid})
-    _, ref_nodes, _, _ = _reference_dp(x0, x1, delta, line_k, identity_shape, gs)
-    path = dp_oracle(x0, x1, delta, line_k, identity_shape, gs)
+    _, ref_nodes, _, _ = _reference_dp(x0, x1, delta, kset, identity_shape, gs)
+    path = dp_oracle(x0, x1, delta, kset, identity_shape, gs)
     assert np.array_equal(path.nodes, ref_nodes)
 
 

@@ -332,6 +332,8 @@ def test_mag_input_errors_exit_2(extra, tmp_path, capsys):
 @pytest.mark.parametrize("grid", [
     {"lo": [-0.1], "hi": [1.5]},  # start -0.2 outside the box
     {"vmax": 0.0},
+    {"resolution": 1e-300},  # GridBudgetError before the axes are built
+    {"time_slices": 10, "vmax": 1e308},  # GridBudgetError: vmax * dt / resolution is inf
 ])
 def test_oracle_input_errors_exit_2(grid, tmp_path, capsys):
     payload = dict(BASE_CONFIG)
