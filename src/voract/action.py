@@ -51,7 +51,8 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.optimize import nnls
 
-from .geometry import GeometryError, PointSet, Polytope, VoractError, _as_vector, class_frame
+from .geometry import (GeometryError, PointSet, Polytope, VoractError, _as_vector, class_frame,
+                       split_span)
 from .potential import _split_by_bits, batch_field
 
 __all__ = [
@@ -324,9 +325,10 @@ class _Descent:
     """Newton descent on the interior nodes of a stack of paths.
 
     :meth:`solve` only descends: the paths of a stack ``(B, n, d)`` share
-    one mesh and advance in lockstep, one field-kernel call per iteration
-    for every live path and one per line-search halving for the paths
-    still searching. A path leaves on its first iteration without a step.
+    one mesh and advance in lockstep. Each evaluated stack (the entry stack,
+    each line-search trial) is classified once, by :meth:`value`, and an
+    accepted trial's state is the next iteration's. A path leaves on its
+    first iteration without a step.
     Class frames and zone values are pure functions of the class, memoized
     on the point set, and no row's rounding depends on the other rows of a
     call, so each path's iterates are those it would have alone.
@@ -351,10 +353,38 @@ class _Descent:
 
     # -- objective pieces ---------------------------------------------------
 
-    def value(self, stack: np.ndarray) -> np.ndarray:
-        """Discrete action of every path of the stack, shape ``(B,)``."""
-        _, s, _, _ = batch_field(stack.reshape(-1, stack.shape[2]), self.kset)
-        return np.add(*_action_terms(stack, s, self.delta, self.shape))
+    def value(self, stack: np.ndarray):
+        """Actions ``(B,)``, field slopes ``(B, n)``, interior gradients
+        projected onto their rows' tangents ``(B, n - 2, d)`` and the tangent
+        projectors ``B^T B`` ``(B, n - 2, d, d)`` of the stack, from its one
+        field-kernel call. Tie-class rows pin to their equidistance directions
+        and, with a polytope, rows on active faces to their null space
+        (:meth:`_face_groups`); free rows get the identity."""
+        b, n, d = stack.shape
+        etas, s, _, groups = batch_field(stack.reshape(-1, d), self.kset)
+        f = np.add(*_action_terms(stack, s, self.delta, self.shape))
+        s = s.reshape(b, n)
+        g = _interior_gradient(stack, etas.reshape(b, n, d), s, self.delta / (n - 1), self.shape)
+        # Pinned rows index the stacked interior rows: node k of path i is row i * (n - 2) + k - 1.
+        pins = []
+        for cls, rows in groups:
+            if len(cls) < 2:
+                continue
+            k = rows % n
+            rows = rows[(k >= 1) & (k <= n - 2)]
+            if rows.size:
+                pins.append((cls, rows - 2 * (rows // n) - 1))
+        flat = g.reshape(-1, d)
+        if self.polytope is not None:
+            pins += self._face_groups(stack[:, 1:-1].reshape(-1, d), flat)
+        proj = np.tile(np.eye(d), (b * (n - 2), 1, 1))
+        for key, rows in pins:
+            basis = self._tangent(key)
+            # Row by row: a BLAS product would round a row by its place in the call.
+            coef = np.sum(flat[rows][:, None] * basis, axis=2)
+            flat[rows] = np.sum(coef[:, :, None] * basis, axis=1)
+            proj[rows] = basis.T @ basis
+        return f, s, g, proj.reshape(b, n - 2, d, d)
 
     def _tangent(self, key: tuple) -> np.ndarray:
         """Moves of a pinned group: a tie class's equidistance directions, or
@@ -363,40 +393,8 @@ class _Descent:
             return class_frame(key, self.kset).basis_b
         basis = self._faces.get(key)
         if basis is None:
-            _, sing, vt = np.linalg.svd(self.polytope.normals[list(key[1:])], full_matrices=True)
-            basis = self._faces[key] = vt[int(np.sum(sing > 1e-10 * sing[0])):]
+            basis = self._faces[key] = split_span(self.polytope.normals[list(key[1:])])[1]
         return basis
-
-    def _state(self, stack: np.ndarray):
-        """Field slopes ``(B, n)``, projected interior gradients ``(B, n - 2, d)``
-        and pinned groups ``(key, rows)`` of the stack.
-
-        Pinned rows index the stacked interior rows: node ``k`` of path ``b``
-        is row ``b * (n - 2) + k - 1``. With a polytope the groups also hold
-        the rows pinned to polytope faces (:meth:`_face_groups`).
-        """
-        b, n, d = stack.shape
-        dt = self.delta / (n - 1)
-        etas, s, _, groups = batch_field(stack.reshape(-1, d), self.kset)
-        s = s.reshape(b, n)
-        g = _interior_gradient(stack, etas.reshape(b, n, d), s, dt, self.shape)
-        pin_groups = []
-        for cls, rows in groups:
-            if len(cls) < 2:
-                continue
-            k = rows % n
-            rows = rows[(k >= 1) & (k <= n - 2)]
-            if rows.size:
-                pin_groups.append((cls, rows - 2 * (rows // n) - 1))
-        flat = g.reshape(-1, d)
-        if self.polytope is not None:
-            pin_groups += self._face_groups(stack[:, 1:-1].reshape(-1, d), flat)
-        for key, rows in pin_groups:
-            basis = self._tangent(key)
-            # Row by row: a BLAS product would round a row by its place in the call.
-            coef = np.sum(flat[rows][:, None] * basis, axis=2)
-            flat[rows] = np.sum(coef[:, :, None] * basis, axis=1)
-        return s, g, pin_groups, dt
 
     def _face_groups(self, inner: np.ndarray, g: np.ndarray) -> list:
         """Groups ``(("faces", i, ...), rows)`` of the stacked interior rows
@@ -420,29 +418,25 @@ class _Descent:
         return [(("faces", *np.flatnonzero(active[grp[0]]).tolist()), grp)
                 for grp in _split_by_bits(rows, np.packbits(active[rows], axis=1))]
 
-    def _direction(self, g_eff: np.ndarray, pin_groups, s: np.ndarray, dt: float) -> np.ndarray:
-        """Newton step of the pinned problem for the whole stack, ``Z (Z^T H Z)^-1 Z^T g``.
+    def _direction(self, g_eff: np.ndarray, proj, s: np.ndarray, dt: float) -> np.ndarray:
+        """Newton step ``Z (Z^T H Z)^-1 Z^T g`` of the pinned problem for a stack.
 
         ``H`` is block-tridiagonal (diagonal ``D_r = 4/dt + 2 dt h'``, coupling
         ``-2/dt``, zero across path boundaries) and ``Z`` holds each row's
         tangent basis ``B``, the identity on free rows: the null-space method
-        (Nocedal & Wright, ch. 16). In projector form, ``P_r = B^T B``, the step
-        solves the SPD system ``P H P + I - P`` (diagonal blocks
-        ``D_r P_r + I - P_r``, coupling ``-2/dt P_{r+1} P_r``), whose solution
-        lies in the tangent spaces: one ``solveh_banded`` call, ``2d`` band
-        rows. Rows with infinite ``h'`` (power p < 1 on its own site) get
-        ``P = 0`` and a zero step.
+        (Nocedal & Wright, ch. 16). In projector form, ``P_r = B^T B`` from
+        :meth:`value`, the step solves the SPD system ``P H P + I - P``
+        (diagonal blocks ``D_r P_r + I - P_r``, coupling ``-2/dt P_{r+1} P_r``),
+        whose solution lies in the tangent spaces: one ``solveh_banded`` call,
+        ``2d`` band rows. Rows with infinite ``h'`` (power p < 1 on its own
+        site) get ``P = 0`` and a zero step.
         """
         b, n_int, d = g_eff.shape
         size = b * n_int
         hp = self.shape.h_prime(s[:, 1:-1]).ravel()
         frozen = np.isinf(hp)
         diag = 4.0 / dt + 2.0 * dt * np.maximum(np.where(frozen, 0.0, hp), 0.0) + 1e-12
-        proj = np.tile(np.eye(d), (size, 1, 1))
-        for key, rows in pin_groups:
-            basis = self._tangent(key)
-            proj[rows] = basis.T @ basis
-        proj[frozen] = 0.0
+        proj = np.where(frozen[:, None, None], 0.0, proj.reshape(size, d, d))
         rhs = np.where(frozen[:, None], 0.0, g_eff.reshape(size, d))
         strip = np.zeros((size, 3 * d, d))  # (diagonal | coupling to the next row | 0) blocks
         strip[:, :d] = diag[:, None, None] * proj + (np.eye(d) - proj)
@@ -467,6 +461,10 @@ class _Descent:
     def solve(self, stack: np.ndarray):
         """Descend every path of the stack in lockstep.
 
+        Each iteration steps the searching paths along :meth:`_direction`,
+        halving a path's step until its trial passes the Armijo test, whose
+        :meth:`value` entries then become the path's own: none is evaluated twice.
+
         Returns ``(nodes, values, converged, grad_norm, stopped)``, one entry
         per path. ``grad_norm`` is the residual of the returned nodes, their
         largest pinned, face-projected gradient over dt (the discrete
@@ -477,37 +475,39 @@ class _Descent:
         paths still stepping after ``cfg.max_iters`` steps.
         """
         stack = self._feasible(stack.copy())
-        f = self.value(stack)
-        alpha = np.ones(stack.shape[0])  # first trial: the unit Newton step
-        grad_norm = np.full(stack.shape[0], np.inf)
+        f, s, g_eff, proj = self.value(stack)
+        dt = self.delta / (stack.shape[1] - 1)
+        alpha = np.ones(f.size)  # first trial: the unit Newton step
+        grad_norm = np.full(f.size, np.inf)
         tol = self.cfg.grad_tol
-        live = np.arange(stack.shape[0])
+        live = np.arange(f.size)
         for it in range(self.cfg.max_iters + 1):
             if not live.size:
                 break
-            s, g_eff, pin_groups, dt = self._state(stack[live])
-            grad_norm[live] = np.max(np.linalg.norm(g_eff, axis=2), axis=1, initial=0.0) / dt
+            grad_norm[live] = np.max(np.linalg.norm(g_eff[live], axis=2), axis=1, initial=0.0) / dt
             if it == self.cfg.max_iters:
                 break
-            search = np.flatnonzero(np.isfinite(grad_norm[live]) & (grad_norm[live] > tol))
-            stepped = np.zeros(live.size, dtype=bool)
-            direction = (self._direction(g_eff, pin_groups, s, dt) if search.size else g_eff)[search]
-            slope = np.sum(g_eff[search] * direction, axis=(1, 2))
-            step = alpha[live[search]]
+            paths = live[np.isfinite(grad_norm[live]) & (grad_norm[live] > tol)]
+            stepped = np.zeros(f.size, dtype=bool)
+            g = g_eff[paths]
+            direction = self._direction(g, proj[paths], s[paths], dt) if paths.size else g
+            slope = np.sum(g * direction, axis=(1, 2))
+            step = alpha[paths]
             for _ in range(45):
-                if not search.size:
+                if not paths.size:
                     break
-                paths = live[search]
                 trial = stack[paths]
                 trial[:, 1:-1] -= step[:, None, None] * direction
-                f_trial = self.value(self._feasible(trial))
+                f_trial, *state = self.value(self._feasible(trial))
                 ok = (f_trial <= f[paths] - 1e-4 * step * slope) & (slope > 0.0)
-                stack[paths[ok]], f[paths[ok]] = trial[ok], f_trial[ok]
-                alpha[paths[ok]] = np.minimum(step[ok] * 1.6, 16.0)
-                stepped[search[ok]] = True
-                search, step, slope = search[~ok], step[~ok] * 0.5, slope[~ok]
+                won = paths[ok]
+                stack[won], f[won] = trial[ok], f_trial[ok]
+                s[won], g_eff[won], proj[won] = (entry[ok] for entry in state)
+                alpha[won] = np.minimum(step[ok] * 1.6, 16.0)
+                stepped[won] = True
+                paths, step, slope = paths[~ok], step[~ok] * 0.5, slope[~ok]
                 direction = direction[~ok]
-            live = live[stepped]
+            live = np.flatnonzero(stepped)
         return stack, f, grad_norm <= tol, grad_norm, ~np.isin(np.arange(f.size), live)
 
     def descend(self, stack: np.ndarray):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -134,11 +135,7 @@ def report_payload(report: RegularityReport, breakdown: ActionBreakdown | None =
         "momentum_residuals": [{"node": n, "residual": r} for n, r in report.momentum_residuals],
     }
     if breakdown is not None:
-        payload["action"] = {
-            "kinetic": breakdown.kinetic,
-            "potential": breakdown.potential,
-            "total": breakdown.total,
-        }
+        payload["action"] = asdict(breakdown)
     return payload
 
 

@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -201,11 +202,7 @@ def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
         "scenario": cfg["scenario"],
         "converged": result.converged,
         "grad_norm": result.grad_norm,
-        "action": {
-            "kinetic": result.breakdown.kinetic,
-            "potential": result.breakdown.potential,
-            "total": result.breakdown.total,
-        },
+        "action": asdict(result.breakdown),
         "prev_stage_action": result.prev_breakdown.total,
         "starts": [
             {"label": s.label, "action": s.action, "converged": s.converged,
@@ -246,8 +243,7 @@ def _cmd_oracle(args) -> int:
                                    path, cfg["kset"], cfg["shape"])
     artifacts.write_json(os.path.join(outdir, "oracle_summary.json"), {
         "scenario": cfg["scenario"],
-        "action": {"kinetic": breakdown.kinetic, "potential": breakdown.potential,
-                   "total": breakdown.total},
+        "action": asdict(breakdown),
         "grid": {"lo": grid.lo, "hi": grid.hi, "resolution": grid.resolution,
                  "time_slices": grid.time_slices},
     })

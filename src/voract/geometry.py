@@ -285,12 +285,20 @@ class CellFrame:
             object.__setattr__(self, name, arr)
 
 
+def split_span(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal row stacks of the row space of ``rows`` ``(m >= 1, d)`` and its
+    complement; the rank counts singular values above 1e-10 times the largest."""
+    _, sing, vt = np.linalg.svd(rows, full_matrices=True)
+    rank = int(np.sum(sing > 1e-10 * sing[0]))
+    return vt[:rank], vt[rank:]
+
+
 def cell_frame(opt: OptClass, kset: PointSet) -> CellFrame:
     """Frame of the class: site-span directions, equidistance directions, pivot.
 
-    Rank decisions use an SVD cutoff of 1e-10 times the largest singular
-    value. Raises :class:`FrameError` when the equidistance system is
-    inconsistent beyond tolerance (the class has no equidistance locus).
+    Rank decisions use the SVD cutoff of :func:`split_span`. Raises
+    :class:`FrameError` when the equidistance system is inconsistent beyond
+    tolerance (the class has no equidistance locus).
     """
     d = kset.dim
     pts = kset.points[list(opt.indices)]
@@ -298,11 +306,7 @@ def cell_frame(opt: OptClass, kset: PointSet) -> CellFrame:
     if m == 1:
         return CellFrame(basis_a=np.zeros((0, d)), basis_b=np.eye(d), p_h=pts[0].copy())
     diffs = pts[1:] - pts[0][None, :]
-    _, sing, vt = np.linalg.svd(diffs, full_matrices=True)
-    cutoff = 1e-10 * float(sing[0]) if sing.size else 0.0
-    rank = int(np.sum(sing > cutoff))
-    basis_a = vt[:rank]
-    basis_b = vt[rank:]
+    basis_a, basis_b = split_span(diffs)
 
     # Equidistance system: 2(p_j - p_0)·x = |p_j|^2 - |p_0|^2, solved on the
     # site-span so the intersection point with the equidistance locus pops out.

@@ -129,7 +129,6 @@ class SolveRecord:
     scenario: SolveScenario
     result: MinimizeResult
     report: RegularityReport
-    prev_events: list
     runtime: float
 
     @property
@@ -143,9 +142,8 @@ def _solve_record(name: str) -> SolveRecord:
         t0 = time.perf_counter()
         res = minimize(sc.x0, sc.x1, sc.delta, sc.kset, sc.shape, sc.cfg)
         runtime = time.perf_counter() - t0
-        prev_events = detect_shocks(res.prev_path, sc.kset)
         report = regularity_report(res.path, sc.kset, sc.shape)
-        return SolveRecord(sc, res, report, prev_events, runtime)
+        return SolveRecord(sc, res, report, runtime)
 
     return _cached(f"solve:{name}", build)
 
@@ -163,15 +161,16 @@ def _energy_tol(path: Path) -> float:
 
 def _preset_example1_c1() -> PresetOutcome:
     rec = _solve_record("example1-c1")
+    prev_events = detect_shocks(rec.result.prev_path, rec.scenario.kset)
     checks = [
         CheckResult("one_shock", len(rec.events) == 1, float(len(rec.events)), "== 1"),
         CheckResult("kind_nondegenerate",
                     bool(rec.events) and rec.events[0].kind == "nondegenerate",
                     tolerance="kind == nondegenerate (not effective)"),
         CheckResult("stable_under_refinement",
-                    len(rec.prev_events) == len(rec.events)
-                    and all(e.kind == "nondegenerate" for e in rec.prev_events),
-                    float(len(rec.prev_events)), "same count/kind at M=256"),
+                    len(prev_events) == len(rec.events)
+                    and all(e.kind == "nondegenerate" for e in prev_events),
+                    float(len(prev_events)), "same count/kind at M=256"),
         CheckResult("runtime", rec.runtime < 30.0, None, "< 30 s"),
     ]
     return PresetOutcome("example1-c1", 1, checks, rec.result.converged, rec.runtime,

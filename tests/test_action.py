@@ -104,7 +104,7 @@ def test_evaluate_action_is_the_engine_value(d, shape):
     engine = _Descent(kset, shape, 1.3, SolverConfig())
     for m in (2, 7, 64, 129):
         path = Path(1.3, rng.uniform(-2.5, 2.5, size=(m + 1, d)))
-        assert evaluate_action(path, kset, shape).total == engine.value(path.nodes[None])[0]
+        assert evaluate_action(path, kset, shape).total == engine.value(path.nodes[None])[0][0]
 
 
 def test_breakdown_total_is_the_winning_start_action():
@@ -270,8 +270,9 @@ def _dense_pinned_step(g, s, dt, shape, bases):
 
 
 def _pinned_fixture(pins, b, n_int, d, seed):
-    """Random slopes and a gradient projected onto the pinned rows' tangents,
-    as ``_state`` hands them over, and the tangent basis of every row."""
+    """Random slopes, a gradient projected onto the pinned rows' tangents and
+    the rows' tangent projectors, as ``value`` hands them over, and the
+    tangent basis of every row."""
     rng = np.random.default_rng(seed)
     s = rng.uniform(0.1, 2.0, (b, n_int + 2))
     g = rng.standard_normal((b, n_int, d))
@@ -280,7 +281,8 @@ def _pinned_fixture(pins, b, n_int, d, seed):
         for r in rows:
             bases[r] = tangent
             g.reshape(-1, d)[r] = tangent @ (tangent.T @ g.reshape(-1, d)[r])
-    return s, g, bases
+    proj = np.array([z @ z.T for z in bases]).reshape(b, n_int, d, d)
+    return s, g, proj, bases
 
 
 def test_descent_direction_is_the_reduced_newton_step(triangle_k):
@@ -295,11 +297,11 @@ def test_descent_direction_is_the_reduced_newton_step(triangle_k):
     pins = [((0, 1, 2), np.array([0, 10]), np.zeros((2, 0))),
             ((0, 2), np.array([3, 4, 13]), np.array([[0.0], [1.0]])),
             ((0, 1), np.array([5, 6, 7]), np.array([[1.0], [1.0]]) / np.sqrt(2.0))]
-    s, g, bases = _pinned_fixture(pins, b, n_int, d, 3)
+    s, g, proj, bases = _pinned_fixture(pins, b, n_int, d, 3)
     for key, _, tangent in pins:  # the engine's tangents span the same lines
         basis = engine._tangent(key)
         np.testing.assert_allclose(basis.T @ basis, tangent @ tangent.T, atol=1e-15)
-    step = engine._direction(g, [(key, rows) for key, rows, _ in pins], s, dt)
+    step = engine._direction(g, proj, s, dt)
     np.testing.assert_allclose(step, _dense_pinned_step(g, s, dt, shape, bases),
                                rtol=0.0, atol=1e-12)
 
@@ -321,10 +323,10 @@ def test_descent_direction_on_polytope_faces_and_infinite_curvature():
     pins = [(("faces", 0), np.array([0, 1, 8]), null[(0,)]),
             (("faces", 0, 2), np.array([4, 5, 6]), null[(0, 2)]),
             (("faces", 0, 2, 4), np.array([11]), null[(0, 2, 4)])]
-    s, g, bases = _pinned_fixture(pins, b, n_int, d, 5)
-    s[0, 3] = s[1, 4] = 0.0  # interior rows 2 and 9
+    s, g, proj, bases = _pinned_fixture(pins, b, n_int, d, 5)
+    s[0, 3] = s[1, 4] = 0.0  # interior rows 2 and 9, free: their projectors are the identity
     bases[2] = bases[9] = np.zeros((d, 0))
-    step = engine._direction(g, [(key, rows) for key, rows, _ in pins], s, dt)
+    step = engine._direction(g, proj, s, dt)
     assert np.all(np.isfinite(step))
     assert np.all(step.reshape(-1, d)[[2, 9]] == 0.0)
     np.testing.assert_allclose(step, _dense_pinned_step(g, s, dt, shape, bases),
@@ -503,6 +505,41 @@ def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
     assert [len(f0) for f0 in rounds] == [2] + [1] * 63 and solves == [2]
     assert first[1] == rounds[0][0]
     assert second[2] and second[1] == rounds[-1][-1] - 1.0 and second[3] == 0.0
+
+
+@pytest.mark.parametrize("case", ["3d", "cube-corner"])
+def test_solve_classifies_each_evaluated_stack_once(case, monkeypatch):
+    # One field-kernel call per evaluated stack, the entry stack and each
+    # line-search trial, on exactly its nodes: an accepted trial's pinned
+    # state is the next iteration's, so no iterate is classified twice.
+    if case == "3d":
+        engine = _Descent(PointSet(SITES_3D), Shape.power(2.0), 1.0, QUICK)
+        stack = _candidate_stack(engine, [-2.0, 1.0, -1.0], [0.0, -0.5, 0.0], 32)
+    else:
+        polytope, x0, x1, center, shape = CONSTRAINED_CASES[case]
+        engine = _Descent(PointSet([center]), shape, 1.0, QUICK, polytope)
+        chord = Path.from_line(x0, x1, 1.0, 32).nodes
+        wavy = chord.copy()
+        wavy[1:-1] += 0.2 * np.sin(np.linspace(0.0, 3.0 * np.pi, 33))[1:-1, None]
+        stack = np.array([chord, wavy])
+    evaluated, classified = [], []
+    feasible = engine._feasible
+
+    def recorded_feasible(nodes):
+        evaluated.append(feasible(nodes).copy())
+        return nodes
+
+    def recorded_kernel(points, kset, *args, **kwargs):
+        classified.append(points.copy())
+        return batch_field(points, kset, *args, **kwargs)
+
+    engine._feasible = recorded_feasible
+    monkeypatch.setattr(action_module, "batch_field", recorded_kernel)
+    *_, stopped = engine.solve(stack)
+    assert stopped.all() and len(evaluated) > 2 * stack.shape[0]
+    assert len(classified) == len(evaluated)
+    for nodes, points in zip(evaluated, classified):
+        assert np.array_equal(points, nodes.reshape(-1, nodes.shape[2]))
 
 
 def test_solve_reports_the_scaled_residual_of_the_nodes_it_returns(line_k):
@@ -1176,7 +1213,8 @@ def test_constrained_verdict_is_the_engine_final_entry(name, monkeypatch):
     chord = Path.from_line(x0, x1, 1.0, meshes[0]).nodes
     _, ((nodes, _, converged, residual),) = action_module._descend_stages(
         engine, chord[None].copy(), np.array(x0, float), np.array(x1, float), meshes)
-    _, g_eff, _, dt = engine._state(nodes[None])
+    _, _, g_eff, _ = engine.value(nodes[None])
+    dt = 1.0 / (nodes.shape[0] - 1)
     assert residual == float(np.max(np.linalg.norm(g_eff[0], axis=1))) / dt
 
     def second_judge(*args):
@@ -1199,7 +1237,7 @@ def test_face_pins_project_the_gradient_onto_the_tangent_cone(center):
     roof = _halfspaces((-0.2, 1, 1), (0.2, 1, 1), (1, 0, 1), (-1, 0, 1), (0, -1, 1))
     apex = np.array([0.0, 1.0])
     engine = _Descent(PointSet([center]), Shape.identity(), 1.0, QUICK, roof)
-    _, g_eff, _, _ = engine._state(np.array([[apex, apex, apex]]))
+    _, _, g_eff, _ = engine.value(np.array([[apex, apex, apex]]))
     g = action_gradient(Path(1.0, [apex, apex, apex]), PointSet([center]), Shape.identity())
     r = 1e-3
     mapping = (apex - roof.project(apex - r * g[0], tol=1e-14)) / r
