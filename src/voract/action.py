@@ -326,15 +326,16 @@ class _Descent:
 
     :meth:`solve` only descends: the paths of a stack ``(B, n, d)`` share
     one mesh and advance in lockstep. Each evaluated stack (the entry stack,
-    each line-search trial) is classified once, by :meth:`value`, and an
-    accepted trial's state is the next iteration's. A path leaves on its
-    first iteration without a step.
+    each line-search trial) is classified once, by :meth:`value`, the only
+    field-kernel caller; an accepted trial's state is the next iteration's.
+    A path leaves on its first iteration without a step.
     Class frames and zone values are pure functions of the class, memoized
     on the point set, and no row's rounding depends on the other rows of a
     call, so each path's iterates are those it would have alone.
     :meth:`descend` is the only loop over release/capture rounds: it
     descends a mesh stage's stack once, then each path adopts its round's
-    relaxed winner from :meth:`_trial_moves` without descending it again.
+    relaxed winner from :meth:`_trial_moves`, which reads the tie classes
+    :meth:`value` found on the round's nodes, without descending it again.
 
     Pinned nodes (tie classes) move only along their boundary's
     equidistance directions (:meth:`_direction`). With a ``polytope``,
@@ -355,10 +356,11 @@ class _Descent:
 
     def value(self, stack: np.ndarray):
         """Actions ``(B,)``, field slopes ``(B, n)``, interior gradients
-        projected onto their rows' tangents ``(B, n - 2, d)`` and the tangent
-        projectors ``B^T B`` ``(B, n - 2, d, d)`` of the stack, from its one
-        field-kernel call. Tie-class rows pin to their equidistance directions
-        and, with a polytope, rows on active faces to their null space
+        projected onto their rows' tangents ``(B, n - 2, d)``, the tangent
+        projectors ``B^T B`` ``(B, n - 2, d, d)`` and the node tie classes
+        ``(B, n)`` (class tuple, or None) of the stack, from its one kernel
+        call. Tie-class rows pin to their equidistance directions and, with a
+        polytope, rows on active faces to their null space
         (:meth:`_face_groups`); free rows get the identity."""
         b, n, d = stack.shape
         etas, s, _, groups = batch_field(stack.reshape(-1, d), self.kset)
@@ -366,10 +368,11 @@ class _Descent:
         s = s.reshape(b, n)
         g = _interior_gradient(stack, etas.reshape(b, n, d), s, self.delta / (n - 1), self.shape)
         # Pinned rows index the stacked interior rows: node k of path i is row i * (n - 2) + k - 1.
-        pins = []
+        pins, classes = [], np.full(b * n, None)
         for cls, rows in groups:
             if len(cls) < 2:
                 continue
+            classes[rows] = [cls] * rows.size
             k = rows % n
             rows = rows[(k >= 1) & (k <= n - 2)]
             if rows.size:
@@ -384,7 +387,7 @@ class _Descent:
             coef = np.sum(flat[rows][:, None] * basis, axis=2)
             flat[rows] = np.sum(coef[:, :, None] * basis, axis=1)
             proj[rows] = basis.T @ basis
-        return f, s, g, proj.reshape(b, n - 2, d, d)
+        return f, s, g, proj.reshape(b, n - 2, d, d), classes.reshape(b, n)
 
     def _tangent(self, key: tuple) -> np.ndarray:
         """Moves of a pinned group: a tie class's equidistance directions, or
@@ -465,17 +468,17 @@ class _Descent:
         halving a path's step until its trial passes the Armijo test, whose
         :meth:`value` entries then become the path's own: none is evaluated twice.
 
-        Returns ``(nodes, values, converged, grad_norm, stopped)``, one entry
-        per path. ``grad_norm`` is the residual of the returned nodes, their
-        largest pinned, face-projected gradient over dt (the discrete
-        Euler-Lagrange residual), and ``converged`` means it is at most
-        ``grad_tol``: the package's one convergence test. A path leaves on the
-        first iteration that takes no step: its residual meets ``grad_tol`` or
-        is not finite, or its line search fails. ``stopped`` is false for the
-        paths still stepping after ``cfg.max_iters`` steps.
+        Returns ``(nodes, values, converged, grad_norm, stopped, classes)``,
+        one entry per path. ``grad_norm`` is the residual of the returned
+        nodes, their largest pinned, face-projected gradient over dt (the
+        discrete Euler-Lagrange residual), and ``converged`` means it is at
+        most ``grad_tol``: the package's one convergence test. A path leaves
+        on the first iteration that takes no step: its residual meets
+        ``grad_tol`` or is not finite, or its line search fails. ``stopped``
+        is false for the paths still stepping after ``cfg.max_iters`` steps.
         """
         stack = self._feasible(stack.copy())
-        f, s, g_eff, proj = self.value(stack)
+        f, s, g_eff, proj, classes = self.value(stack)
         dt = self.delta / (stack.shape[1] - 1)
         alpha = np.ones(f.size)  # first trial: the unit Newton step
         grad_norm = np.full(f.size, np.inf)
@@ -502,13 +505,13 @@ class _Descent:
                 ok = (f_trial <= f[paths] - 1e-4 * step * slope) & (slope > 0.0)
                 won = paths[ok]
                 stack[won], f[won] = trial[ok], f_trial[ok]
-                s[won], g_eff[won], proj[won] = (entry[ok] for entry in state)
+                s[won], g_eff[won], proj[won], classes[won] = (entry[ok] for entry in state)
                 alpha[won] = np.minimum(step[ok] * 1.6, 16.0)
                 stepped[won] = True
                 paths, step, slope = paths[~ok], step[~ok] * 0.5, slope[~ok]
                 direction = direction[~ok]
             live = np.flatnonzero(stepped)
-        return stack, f, grad_norm <= tol, grad_norm, ~np.isin(np.arange(f.size), live)
+        return stack, f, grad_norm <= tol, grad_norm, ~np.isin(np.arange(f.size), live), classes
 
     def descend(self, stack: np.ndarray):
         """Descend a stack of paths once, then run at most 64 lockstep rounds
@@ -519,35 +522,33 @@ class _Descent:
         path, the last as :meth:`solve` measured them on those nodes; each
         path's objective decreases strictly from round to round.
         """
-        nodes, value, conv, gnorm, stopped = self.solve(stack)
+        nodes, value, conv, gnorm, stopped, classes = self.solve(stack)
         live = np.flatnonzero(stopped)
         for _ in range(64):
             if not live.size:
                 break
-            winners = self._trial_moves(nodes[live], value[live])
+            winners = self._trial_moves(nodes[live], value[live], classes[live])
             for j, best in zip(live, winners):
                 if best is not None:
-                    nodes[j], value[j], conv[j], gnorm[j], stopped[j] = best
+                    nodes[j], value[j], conv[j], gnorm[j], stopped[j], classes[j] = best
             live = live[[best is not None and bool(best[4]) for best in winners]]
         return list(zip(nodes, value.tolist(), conv.tolist(), gnorm.tolist()))
 
     # -- release / capture ------------------------------------------------------
 
-    def _trial_moves(self, stack: np.ndarray, f0: np.ndarray):
+    def _trial_moves(self, stack: np.ndarray, f0: np.ndarray, classes: np.ndarray):
         """One round of release/capture moves for the stack ``(B, n, d)`` with
         values ``f0``: per path, the :meth:`solve` entry of its best relaxed
         candidate that beats its ``f0`` by over 1e-12 relative, ties to the
         earlier one, or None.
 
-        Each candidate moves one node across the potential jump. All paths'
-        candidates relax together in one :meth:`solve`.
+        Each candidate moves one node across the potential jump, read from
+        ``classes``: the tie classes :meth:`value` found on these nodes. All
+        paths' candidates relax together in one :meth:`solve`.
         """
-        n_paths, n_total, d = stack.shape
-        _, _, tie_mask, groups = batch_field(stack.reshape(-1, d), self.kset)
-        tie_mask = tie_mask.reshape(n_paths, n_total)
-        tie_classes = {int(r): cls for cls, rows in groups if len(cls) >= 2 for r in rows}
+        n_paths, n_total = stack.shape[:2]
         candidates = []
-        for i, (nodes, ties) in enumerate(zip(stack, tie_mask)):
+        for i, (nodes, ties) in enumerate(zip(stack, classes != None)):
             for k in range(1, n_total - 1):
                 for nb in (k - 1, k + 1):
                     if ties[k] and not ties[nb]:
@@ -557,7 +558,7 @@ class _Descent:
                     elif not ties[k] and ties[nb]:
                         # Capture: project the free node onto the neighbor's boundary plane.
                         try:
-                            frame = class_frame(tie_classes[i * n_total + nb], self.kset)
+                            frame = class_frame(classes[i, nb], self.kset)
                         except GeometryError:
                             continue
                         rel = nodes[k] - frame.p_h

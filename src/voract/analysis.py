@@ -106,7 +106,14 @@ def energy_profile(path: Path, kset: PointSet, shape: Shape) -> EnergyProfile:
     the interval's left node. The constant estimate is the median."""
     if path.m_intervals < 4:
         raise AnalysisError("energy profile needs at least 4 intervals")
-    return _energy_profile(path, batch_field(path.nodes, kset)[1], shape)
+    return _energy_profile(path, _field(path, kset)[1], shape)
+
+
+def _field(path: Path, kset: PointSet):
+    """:func:`batch_field` of the path's nodes, which must have the sites' dimension."""
+    if path.dim != kset.dim:
+        raise AnalysisError(f"a {path.dim}-D path against {kset.dim}-D sites")
+    return batch_field(path.nodes, kset)
 
 
 def _energy_profile(path: Path, s: np.ndarray, shape: Shape) -> EnergyProfile:
@@ -152,7 +159,7 @@ def detect_shocks(path: Path, kset: PointSet, window: int = 2) -> list[ShockEven
     runs of at least ``window`` nodes on both sides.
     """
     _check_window(path, window)
-    etas, _, _, groups = batch_field(path.nodes, kset)
+    etas, _, _, groups = _field(path, kset)
     return _shock_events(path, etas, row_classes(etas.shape[0], groups), window)
 
 
@@ -266,7 +273,7 @@ def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2)
     if path.m_intervals < 4:
         raise AnalysisError("energy profile needs at least 4 intervals")
     nodes = path.nodes
-    etas, s, _, groups = batch_field(nodes, kset)
+    etas, s, _, groups = _field(path, kset)
     events = _shock_events(path, etas, row_classes(etas.shape[0], groups), window)
     dt = path.dt
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .action import ActionBreakdown, Path, Shape
 from .analysis import RegularityReport, ShockEvent
-from .geometry import PointSet
+from .geometry import PointSet, VoractError
 from .potential import batch_field
 from .svg import polyline_chart
 
@@ -94,33 +94,25 @@ def write_trajectory_csv(path, traj: Path, kset: PointSet, shape: Shape):
 
 
 def read_trajectory_csv(path):
-    """Read a trajectory CSV back; returns (delta, nodes)."""
+    """Read a trajectory CSV back; returns (delta, nodes). A file without
+    data rows, or with a missing or non-numeric cell, raises VoractError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         d = sum(1 for name in header if name.startswith("x"))
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    times = np.array([float(r[0]) for r in rows])
-    nodes = np.array([[float(v) for v in r[1:1 + d]] for r in rows])
+    if not rows:
+        raise VoractError(f"{path}: no data rows")
+    try:
+        times = np.array([float(r[0]) for r in rows])
+        nodes = np.array([[float(v) for v in r[1:1 + d]] for r in rows])
+    except ValueError as exc:
+        raise VoractError(f"{path}: {exc}") from None
     return float(times[-1]), nodes
 
 
 def events_payload(events: list[ShockEvent]) -> list[dict]:
-    out = []
-    for ev in events:
-        out.append({
-            "node_index": ev.node_index,
-            "time": ev.time,
-            "kind": ev.kind,
-            "class_before": list(ev.class_before),
-            "class_after": list(ev.class_after),
-            "eta_before": ev.eta_before,
-            "eta_after": ev.eta_after,
-            "v_minus": ev.v_minus,
-            "v_plus": ev.v_plus,
-            "jump_sq": ev.jump_sq,
-            "x_event": ev.x_event,
-        })
-    return out
+    """Every :class:`ShockEvent` field but ``merged_class``, per event."""
+    return [{k: v for k, v in asdict(ev).items() if k != "merged_class"} for ev in events]
 
 
 def report_payload(report: RegularityReport, breakdown: ActionBreakdown | None = None) -> dict:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .action import MinimizeResult, Shape, SolverConfig, Path, minimize
 from .geometry import PointSet, VoractError, _as_vector
-from .potential import _pair_probes, _witness, _zones, batch_field
+from .potential import _pair_probes, _uniform_probes, _witness, _zones, batch_field
 
 __all__ = [
     "MagError",
@@ -167,10 +167,9 @@ def interior_balance_verdict(system: MagSystem, probe_count: int = 2000, seed: i
     """
     k = system.kset
     d = system.dim
-    rng = np.random.default_rng(seed)
     lo = np.full(d, -0.25)
     hi = np.full(d, 1.25)
-    uniform = lo + rng.random((probe_count, d)) * (hi - lo)
+    uniform = _uniform_probes(lo, hi, probe_count, seed)[1]
 
     inert = np.array([system.translate_sup(i) < system.window for i in range(k.n)])
     pts = k.points[inert]

@@ -317,6 +317,14 @@ def _zones(cells: dict):
     return etas, cell_to_zone, None
 
 
+def _uniform_probes(lo: np.ndarray, hi: np.ndarray, probe_count: int, seed: int):
+    """The generator of ``seed`` and ``probe_count`` uniform probes it draws in ``[lo, hi]``."""
+    if probe_count < 0 or seed < 0:
+        raise GeometryError(f"probe_count and seed must be nonnegative, got {probe_count}, {seed}")
+    rng = np.random.default_rng(seed)
+    return rng, lo + rng.random((probe_count, lo.shape[0])) * (hi - lo)
+
+
 def _pair_probes(points: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints of site pairs and offsets along their bisector hyperplanes.
 
@@ -375,9 +383,8 @@ def zone_table(
     if np.any(kset.points < lo[None, :] - 1e-12) or np.any(kset.points > hi[None, :] + 1e-12):
         raise GeometryError("probe_box must contain every site")
 
-    rng = np.random.default_rng(seed)
-    sources: list[tuple[str, np.ndarray]] = []
-    sources.append(("uniform", lo + rng.random((probe_count, d)) * (hi - lo)))
+    rng, uniform = _uniform_probes(lo, hi, probe_count, seed)
+    sources: list[tuple[str, np.ndarray]] = [("uniform", uniform)]
     sources.append(("sites", kset.points.copy()))
 
     n = kset.n

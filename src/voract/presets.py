@@ -222,19 +222,21 @@ def _preset_example2() -> PresetOutcome:
                          payload={"action": rec.result.breakdown.total, "max_x1": max_x1})
 
 
+def _per_solve_preset(name: str, criterion: int, check) -> PresetOutcome:
+    """``check(record)`` on every solve preset, converged when every solve is."""
+    recs = [_solve_record(preset) for preset in SOLVE_PRESETS]
+    return PresetOutcome(name, criterion, [check(rec) for rec in recs],
+                         all(rec.result.converged for rec in recs), sum(r.runtime for r in recs))
+
+
 def _preset_energy_constancy() -> PresetOutcome:
-    checks = []
-    runtime = 0.0
-    converged = True
-    for name in SOLVE_PRESETS:
-        rec = _solve_record(name)
-        runtime += rec.runtime
-        converged = converged and rec.result.converged
+    def check(rec: SolveRecord) -> CheckResult:
         tol = _energy_tol(rec.result.path)
         std = rec.report.energy_std_away_from_shocks
-        checks.append(CheckResult(f"energy_std:{name}", std <= tol, std,
-                                  f"<= max(1e-3, 5*dt) = {tol:.3g}"))
-    return PresetOutcome("energy-constancy", 4, checks, converged, runtime)
+        return CheckResult(f"energy_std:{rec.scenario.name}", std <= tol, std,
+                           f"<= max(1e-3, 5*dt) = {tol:.3g}")
+
+    return _per_solve_preset("energy-constancy", 4, check)
 
 
 def _preset_jump_identity() -> PresetOutcome:
@@ -253,17 +255,9 @@ def _preset_jump_identity() -> PresetOutcome:
 
 
 def _preset_regularity_bound() -> PresetOutcome:
-    checks = []
-    runtime = 0.0
-    converged = True
-    for name in SOLVE_PRESETS:
-        rec = _solve_record(name)
-        runtime += rec.runtime
-        converged = converged and rec.result.converged
-        n_viol = len(rec.report.second_diff_violations)
-        checks.append(CheckResult(f"second_diff:{name}", n_viol == 0,
-                                  float(n_viol), "no excess over h'(s)*sqrt(s) + 20*dt"))
-    return PresetOutcome("regularity-bound", 6, checks, converged, runtime)
+    return _per_solve_preset("regularity-bound", 6, lambda rec: CheckResult(
+        f"second_diff:{rec.scenario.name}", not rec.report.second_diff_violations,
+        float(len(rec.report.second_diff_violations)), "no excess over h'(s)*sqrt(s) + 20*dt"))
 
 
 def _min_norm_grid_oracle(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:

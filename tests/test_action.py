@@ -1,4 +1,5 @@
 import itertools
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -385,7 +386,7 @@ def test_lockstep_relaxation_matches_single_paths(case, line_k):
         kset, x0, x1 = PointSet(SITES_3D), [-2.0, 1.0, -1.0], [0.0, -0.5, 0.0]
     engine = _Descent(kset, Shape.power(2.0), 1.0, QUICK)
     stack = _candidate_stack(engine, x0, x1, 32)
-    nodes, values, converged, grad_norm, stopped = engine.solve(stack)
+    nodes, values, converged, grad_norm, stopped, classes = engine.solve(stack)
     assert stopped.all()
     for j in range(stack.shape[0]):
         # Alone, on the stack's engine and on a fresh one that meets every
@@ -394,6 +395,7 @@ def test_lockstep_relaxation_matches_single_paths(case, line_k):
             assert np.array_equal(one[0][0], nodes[j])
             assert one[1][0] == values[j]
             assert one[2][0] == converged[j] and one[3][0] == grad_norm[j]
+            assert one[5][0].tolist() == classes[j].tolist()
     # The move rounds run in lockstep too, a duplicated path included.
     stack = np.concatenate([stack, stack[2:3]])
     descended = engine.descend(stack)
@@ -457,7 +459,7 @@ def test_nan_gradient_ends_descent_like_a_failed_search(line_k, monkeypatch):
     monkeypatch.setattr(action_module, "_interior_gradient", nan_on_sites)
     engine = _Descent(line_k, Shape.power(0.5), 1.0, replace(QUICK, max_iters=100))
     calls = []
-    engine._trial_moves = lambda stack, f0: calls.append(len(stack)) or [None] * len(stack)
+    engine._trial_moves = lambda stack, f0, _: calls.append(len(stack)) or [None] * len(stack)
     nodes = Path.from_line([-1.5], [0.5], 1.0, 8).nodes
     assert nodes[2, 0] == -1.0
     with np.errstate(invalid="ignore"):
@@ -469,13 +471,13 @@ def test_nan_gradient_ends_descent_like_a_failed_search(line_k, monkeypatch):
 def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
     engine = _Descent(line_k, Shape.power(2.0), 1.0, QUICK)
 
-    def no_moves(stack, f0):
+    def no_moves(stack, f0, classes):
         raise AssertionError("solve ran a trial move")
 
     engine._trial_moves = no_moves
     chord = Path.from_line([-0.7], [0.9], 1.0, 32).nodes
     stack = np.array([chord, chord[::-1].copy()])
-    _, _, converged, _, stopped = engine.solve(stack)
+    _, _, converged, _, stopped, _ = engine.solve(stack)
     assert converged.all() and stopped.all()
     # A descent still stepping at max_iters ends descend without a round.
     capped = _Descent(line_k, Shape.power(2.0), 1.0, replace(QUICK, max_iters=1))
@@ -490,7 +492,7 @@ def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
         return solve(stack)
 
     engine.solve = counted_solve
-    engine._trial_moves = lambda stack, f0: rounds.append(f0.copy()) or [None] * len(stack)
+    engine._trial_moves = lambda stack, f0, _: rounds.append(f0.copy()) or [None] * len(stack)
     engine.descend(stack)
     assert len(rounds) == 1 and len(rounds[0]) == 2 and solves == [2]
 
@@ -499,31 +501,43 @@ def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
     # winner as it is, without descending it again.
     rounds.clear()
     solves.clear()
-    engine._trial_moves = lambda stack, f0: (rounds.append(f0.copy()), [None] * (len(stack) - 1)
-                                             + [(stack[-1], f0[-1] - 1.0, True, 0.0, True)])[1]
+    engine._trial_moves = lambda stack, f0, classes: (
+        rounds.append(f0.copy()),
+        [None] * (len(stack) - 1) + [(stack[-1], f0[-1] - 1.0, True, 0.0, True, classes[-1])])[1]
     first, second = engine.descend(stack)
     assert [len(f0) for f0 in rounds] == [2] + [1] * 63 and solves == [2]
     assert first[1] == rounds[0][0]
     assert second[2] and second[1] == rounds[-1][-1] - 1.0 and second[3] == 0.0
 
 
-@pytest.mark.parametrize("case", ["3d", "cube-corner"])
+@pytest.mark.parametrize("case", ["3d", "cube-corner", "example1-c02"])
 def test_solve_classifies_each_evaluated_stack_once(case, monkeypatch):
     # One field-kernel call per evaluated stack, the entry stack and each
-    # line-search trial, on exactly its nodes: an accepted trial's pinned
-    # state is the next iteration's, so no iterate is classified twice.
+    # line-search trial, on exactly its nodes and from `value`: an accepted
+    # trial's pinned state is the next iteration's, and a release/capture
+    # round reads the tie classes of the evaluation that produced its nodes,
+    # so no iterate is classified twice.
     if case == "3d":
         engine = _Descent(PointSet(SITES_3D), Shape.power(2.0), 1.0, QUICK)
         stack = _candidate_stack(engine, [-2.0, 1.0, -1.0], [0.0, -0.5, 0.0], 32)
-    else:
+    elif case == "cube-corner":
         polytope, x0, x1, center, shape = CONSTRAINED_CASES[case]
         engine = _Descent(PointSet([center]), shape, 1.0, QUICK, polytope)
         chord = Path.from_line(x0, x1, 1.0, 32).nodes
         wavy = chord.copy()
         wavy[1:-1] += 0.2 * np.sin(np.linspace(0.0, 3.0 * np.pi, 33))[1:-1, None]
         stack = np.array([chord, wavy])
-    evaluated, classified = [], []
-    feasible = engine._feasible
+    else:
+        # The chord captures one node per round; a start waiting on the
+        # bisector at every interior node releases one.
+        sc = presets._scenario(case)
+        engine = _Descent(sc.kset, sc.shape, sc.delta, SolverConfig(M=16, refinements=0))
+        chord = Path.from_line(sc.x0, sc.x1, sc.delta, 16).nodes
+        waiting = chord.copy()
+        waiting[1:-1] = 0.0
+        stack = np.array([chord, waiting])
+    evaluated, classified, callers, tie_counts = [], [], [], []
+    feasible, trial_moves = engine._feasible, engine._trial_moves
 
     def recorded_feasible(nodes):
         evaluated.append(feasible(nodes).copy())
@@ -531,13 +545,25 @@ def test_solve_classifies_each_evaluated_stack_once(case, monkeypatch):
 
     def recorded_kernel(points, kset, *args, **kwargs):
         classified.append(points.copy())
+        callers.append(sys._getframe(1).f_code.co_name)
         return batch_field(points, kset, *args, **kwargs)
 
-    engine._feasible = recorded_feasible
+    def recorded_moves(stack, f0, classes):
+        winners = trial_moves(stack, f0, classes)
+        tie_counts.extend((np.sum(before != None), np.sum(best[5] != None))
+                          for before, best in zip(classes, winners) if best is not None)
+        return winners
+
+    engine._feasible, engine._trial_moves = recorded_feasible, recorded_moves
     monkeypatch.setattr(action_module, "batch_field", recorded_kernel)
-    *_, stopped = engine.solve(stack)
-    assert stopped.all() and len(evaluated) > 2 * stack.shape[0]
-    assert len(classified) == len(evaluated)
+    if case == "example1-c02":
+        engine.descend(stack)
+        assert any(after > before for before, after in tie_counts)
+        assert any(after < before for before, after in tie_counts)
+    else:
+        assert engine.solve(stack)[4].all()
+    assert len(evaluated) > 2 * stack.shape[0]
+    assert len(classified) == len(evaluated) and set(callers) == {"value"}
     for nodes, points in zip(evaluated, classified):
         assert np.array_equal(points, nodes.reshape(-1, nodes.shape[2]))
 
@@ -551,7 +577,7 @@ def test_solve_reports_the_scaled_residual_of_the_nodes_it_returns(line_k):
     chord = Path.from_line([-0.9], [-0.1], 1.0, 64).nodes.copy()
     chord[1:-1, 0] += 0.05 * np.sin(np.linspace(0.0, 3.0 * np.pi, 65))[1:-1]
     engine = _Descent(line_k, shape, 1.0, replace(QUICK, max_iters=1))
-    nodes, _, converged, grad_norm, stopped = engine.solve(chord[None])
+    nodes, _, converged, grad_norm, stopped, _ = engine.solve(chord[None])
     assert not stopped[0] and not np.array_equal(nodes[0], chord)
     g = action_gradient(Path(1.0, nodes[0]), line_k, shape)
     residual = float(np.max(np.linalg.norm(g, axis=1))) * 64
@@ -577,14 +603,16 @@ def test_descend_solves_each_path_once(monkeypatch):
         (rounds[-1] if len(rounds) > len(winners) else outside).append(stack.shape[0])
         return solve(stack)
 
-    def recorded_moves(stack, f0):
+    def recorded_moves(stack, f0, classes):
         # Two release moves per boundary node facing a free neighbour, one
-        # capture move per free node facing a boundary neighbour.
+        # capture move per free node facing a boundary neighbour; the round's
+        # tie classes are those a fresh classification finds.
         ties = batch_field(stack.reshape(-1, 1), kset)[2].reshape(stack.shape[:2])
+        assert np.array_equal(ties, classes != None)
         faced = ties[:, 1:-1, None] != np.stack([ties[:, :-2], ties[:, 2:]], axis=2)
         candidates.append(int(np.sum(np.where(ties[:, 1:-1, None], 2, 1) * faced)))
         rounds.append([])
-        winners.append(trial_moves(stack, f0))
+        winners.append(trial_moves(stack, f0, classes))
         return winners[-1]
 
     engine.solve, engine._trial_moves = counted_solve, recorded_moves
@@ -1213,7 +1241,7 @@ def test_constrained_verdict_is_the_engine_final_entry(name, monkeypatch):
     chord = Path.from_line(x0, x1, 1.0, meshes[0]).nodes
     _, ((nodes, _, converged, residual),) = action_module._descend_stages(
         engine, chord[None].copy(), np.array(x0, float), np.array(x1, float), meshes)
-    _, _, g_eff, _ = engine.value(nodes[None])
+    g_eff = engine.value(nodes[None])[2]
     dt = 1.0 / (nodes.shape[0] - 1)
     assert residual == float(np.max(np.linalg.norm(g_eff[0], axis=1))) / dt
 
@@ -1237,7 +1265,7 @@ def test_face_pins_project_the_gradient_onto_the_tangent_cone(center):
     roof = _halfspaces((-0.2, 1, 1), (0.2, 1, 1), (1, 0, 1), (-1, 0, 1), (0, -1, 1))
     apex = np.array([0.0, 1.0])
     engine = _Descent(PointSet([center]), Shape.identity(), 1.0, QUICK, roof)
-    _, _, g_eff, _ = engine.value(np.array([[apex, apex, apex]]))
+    g_eff = engine.value(np.array([[apex, apex, apex]]))[2]
     g = action_gradient(Path(1.0, [apex, apex, apex]), PointSet([center]), Shape.identity())
     r = 1e-3
     mapping = (apex - roof.project(apex - r * g[0], tol=1e-14)) / r

@@ -139,6 +139,16 @@ def test_detect_window_validation(line_k):
         detect_shocks(p, line_k, window=64)
 
 
+def test_analysis_rejects_a_path_of_another_dimension(line_k, triangle_k, identity_shape):
+    for path, kset in ((Path(1.0, crossing_nodes(64)), triangle_k),
+                       (Path(1.0, axis_arrival_nodes(64)), line_k)):
+        for analyse in (lambda: detect_shocks(path, kset),
+                        lambda: energy_profile(path, kset, identity_shape),
+                        lambda: regularity_report(path, kset, identity_shape)):
+            with pytest.raises(AnalysisError, match="-D path against"):
+                analyse()
+
+
 def test_shock_times_stable_under_refinement(line_k):
     coarse = Path(1.0, waiting_nodes(0.2, 256))
     fine = Path(1.0, waiting_nodes(0.2, 512))

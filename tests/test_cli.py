@@ -344,6 +344,30 @@ def test_oracle_input_errors_exit_2(grid, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+LINE_CSV = "t,x1\n" + "".join(f"{k / 8},{0.05 * k - 0.2}\n" for k in range(9))
+
+
+@pytest.mark.parametrize("csv, sites, message", [
+    (LINE_CSV, "[[-1.0,0.0],[1.0,0.0]]", "1-D path"),  # AnalysisError, not a matmul error
+    ("t,x1,action_density,slope_sq,class_id\n", "[[-1.0],[1.0]]", "no data rows"),
+    (LINE_CSV.replace("0.0,", "abc,"), "[[-1.0],[1.0]]", "abc"),
+], ids=["dimension-mismatch", "header-only", "non-numeric"])
+def test_analyze_input_errors_exit_2(csv, sites, message, tmp_path, capsys):
+    traj = tmp_path / "trajectory.csv"
+    traj.write_text(csv)
+    assert main(["analyze", "--trajectory", str(traj), "--inline", sites,
+                 "--out", str(tmp_path / "analysis")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("extra", [["--probes", "-5"], ["--seed", "-1"]])
+def test_zones_input_errors_exit_2(extra, capsys):
+    assert main(["zones", "--inline", "[[-1.0],[1.0]]", "--box-lo", "[-3]", "--box-hi", "[3]",
+                 *extra]) == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
 def test_error_classes_share_one_base():
     for cls in (GeometryError, ActionError, AnalysisError, MagError, ConfigError):
         assert issubclass(cls, VoractError)

@@ -108,6 +108,13 @@ def test_lattice_verdict_of_four_particles_on_the_circle():
     assert interior_balance_verdict(sys, probe_count=1200, seed=0) == (True, None, 70)
 
 
+@pytest.mark.parametrize("probe_count, seed", [(-5, 0), (10, -1)])
+def test_verdict_rejects_a_negative_probe_count_or_seed(probe_count, seed):
+    sys = build_mag([[0.0, 0.0], [0.5, 0.5]], n=2, m=2, window=2)
+    with pytest.raises(GeometryError, match="must be nonnegative"):
+        interior_balance_verdict(sys, probe_count=probe_count, seed=seed)
+
+
 def test_verdict_names_the_first_sorted_pair_sharing_a_zone():
     # The triangle's full class (0, 1, 2) and its edge class (0, 2) both
     # project to the origin; with every site inert the verdict is unbalanced.
