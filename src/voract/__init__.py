@@ -21,18 +21,15 @@ from .geometry import (
     VoractError,
     cell_frame,
     load_point_set,
-    load_polytope,
     min_norm_point,
     opt_class,
     polytope_distance_ratio,
-    save_point_set,
 )
 from .potential import (
     GradientInfo,
     ZoneTable,
     extended_gradient,
     f_eval,
-    g_eval,
     in_p_eta,
     slope_sup_oracle,
     zone_table,
@@ -78,10 +75,10 @@ __version__ = "0.1.0"
 __all__ = [
     "PointSet", "OptClass", "CellFrame", "Polytope",
     "opt_class", "min_norm_point", "cell_frame", "polytope_distance_ratio",
-    "load_point_set", "save_point_set", "load_polytope",
+    "load_point_set",
     "VoractError", "GeometryError", "MinNormError", "FrameError", "PolytopeError",
     "GradientInfo", "ZoneTable",
-    "f_eval", "g_eval", "extended_gradient", "slope_sup_oracle", "zone_table", "in_p_eta",
+    "f_eval", "extended_gradient", "slope_sup_oracle", "zone_table", "in_p_eta",
     "Shape", "Path", "ActionBreakdown", "SolverConfig", "GridSpec",
     "MinimizeResult", "ActionError", "GridBudgetError",
     "evaluate_action", "action_gradient", "minimize", "dp_oracle", "constrained_minimize",

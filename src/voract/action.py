@@ -252,7 +252,6 @@ class MinimizeResult:
     grad_norm: float
     starts: tuple[StartSummary, ...]
     prev_path: Path
-    prev_breakdown: ActionBreakdown
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +333,9 @@ class _Descent:
     call, so each path's iterates are those it would have alone.
     :meth:`descend` is the only loop over release/capture rounds: it
     descends a mesh stage's stack once, then each path adopts its round's
-    relaxed winner from :meth:`_trial_moves`, which reads the tie classes
-    :meth:`value` found on the round's nodes, without descending it again.
+    relaxed winner from :meth:`_trial_moves` by index, without descending it
+    again; the round reads the tie classes :meth:`value` found on its nodes.
+    Per-path state is plain arrays, one row per path.
 
     Pinned nodes (tie classes) move only along their boundary's
     equidistance directions (:meth:`_direction`). With a ``polytope``,
@@ -359,9 +359,10 @@ class _Descent:
         projected onto their rows' tangents ``(B, n - 2, d)``, the tangent
         projectors ``B^T B`` ``(B, n - 2, d, d)`` and the node tie classes
         ``(B, n)`` (class tuple, or None) of the stack, from its one kernel
-        call. Tie-class rows pin to their equidistance directions and, with a
-        polytope, rows on active faces to their null space
-        (:meth:`_face_groups`); free rows get the identity."""
+        call. Tie-class rows pin to their equidistance directions
+        (``class_frame(cls).basis_b``) and, with a polytope, rows on active
+        faces to their null space (:meth:`_face_groups`); free rows get the
+        identity."""
         b, n, d = stack.shape
         etas, s, _, groups = batch_field(stack.reshape(-1, d), self.kset)
         f = np.add(*_action_terms(stack, s, self.delta, self.shape))
@@ -376,32 +377,23 @@ class _Descent:
             k = rows % n
             rows = rows[(k >= 1) & (k <= n - 2)]
             if rows.size:
-                pins.append((cls, rows - 2 * (rows // n) - 1))
+                pins.append((class_frame(cls, self.kset).basis_b, rows - 2 * (rows // n) - 1))
         flat = g.reshape(-1, d)
         if self.polytope is not None:
             pins += self._face_groups(stack[:, 1:-1].reshape(-1, d), flat)
         proj = np.tile(np.eye(d), (b * (n - 2), 1, 1))
-        for key, rows in pins:
-            basis = self._tangent(key)
+        for basis, rows in pins:
             # Row by row: a BLAS product would round a row by its place in the call.
             coef = np.sum(flat[rows][:, None] * basis, axis=2)
             flat[rows] = np.sum(coef[:, :, None] * basis, axis=1)
             proj[rows] = basis.T @ basis
         return f, s, g, proj.reshape(b, n - 2, d, d), classes.reshape(b, n)
 
-    def _tangent(self, key: tuple) -> np.ndarray:
-        """Moves of a pinned group: a tie class's equidistance directions, or
-        the null space of the faces of a ``("faces", i, ...)`` key."""
-        if key[0] != "faces":
-            return class_frame(key, self.kset).basis_b
-        basis = self._faces.get(key)
-        if basis is None:
-            basis = self._faces[key] = split_span(self.polytope.normals[list(key[1:])])[1]
-        return basis
-
     def _face_groups(self, inner: np.ndarray, g: np.ndarray) -> list:
-        """Groups ``(("faces", i, ...), rows)`` of the stacked interior rows
-        ``inner`` pinned to polytope faces, given their gradients ``g``.
+        """Pins ``(basis, rows)`` of the stacked interior rows ``inner`` on
+        polytope faces, given their gradients ``g``: each group's rows share
+        their active faces, and ``basis`` spans the faces' null space
+        (memoized per face set).
 
         A row is pinned to the faces it lies on (``n_i·x >= b_i - FACE_EPS``)
         that carry a positive multiplier in the projection of ``-g`` onto
@@ -418,8 +410,13 @@ class _Descent:
             faces = np.flatnonzero(on[r])
             active[r, faces] = nnls(normals[faces].T, -g[r])[0] > 0.0
         rows = np.flatnonzero(np.any(active, axis=1))
-        return [(("faces", *np.flatnonzero(active[grp[0]]).tolist()), grp)
-                for grp in _split_by_bits(rows, np.packbits(active[rows], axis=1))]
+        pins = []
+        for grp in _split_by_bits(rows, np.packbits(active[rows], axis=1)):
+            faces = tuple(np.flatnonzero(active[grp[0]]).tolist())
+            if faces not in self._faces:
+                self._faces[faces] = split_span(normals[list(faces)])[1]
+            pins.append((self._faces[faces], grp))
+        return pins
 
     def _direction(self, g_eff: np.ndarray, proj, s: np.ndarray, dt: float) -> np.ndarray:
         """Newton step ``Z (Z^T H Z)^-1 Z^T g`` of the pinned problem for a stack.
@@ -468,14 +465,14 @@ class _Descent:
         halving a path's step until its trial passes the Armijo test, whose
         :meth:`value` entries then become the path's own: none is evaluated twice.
 
-        Returns ``(nodes, values, converged, grad_norm, stopped, classes)``,
-        one entry per path. ``grad_norm`` is the residual of the returned
-        nodes, their largest pinned, face-projected gradient over dt (the
-        discrete Euler-Lagrange residual), and ``converged`` means it is at
-        most ``grad_tol``: the package's one convergence test. A path leaves
-        on the first iteration that takes no step: its residual meets
-        ``grad_tol`` or is not finite, or its line search fails. ``stopped``
-        is false for the paths still stepping after ``cfg.max_iters`` steps.
+        Returns ``(nodes, values, grad_norm, stopped, classes)``, one row per
+        path. ``grad_norm`` is the residual of the returned nodes, their
+        largest pinned, face-projected gradient over dt (the discrete
+        Euler-Lagrange residual); the results judge a path converged where
+        it is at most ``grad_tol``. A path leaves on the first iteration that
+        takes no step: its residual meets ``grad_tol`` or is not finite, or
+        its line search fails. ``stopped`` is false for the paths still
+        stepping after ``cfg.max_iters`` steps.
         """
         stack = self._feasible(stack.copy())
         f, s, g_eff, proj, classes = self.value(stack)
@@ -511,36 +508,37 @@ class _Descent:
                 paths, step, slope = paths[~ok], step[~ok] * 0.5, slope[~ok]
                 direction = direction[~ok]
             live = np.flatnonzero(stepped)
-        return stack, f, grad_norm <= tol, grad_norm, ~np.isin(np.arange(f.size), live), classes
+        return stack, f, grad_norm, ~np.isin(np.arange(f.size), live), classes
 
     def descend(self, stack: np.ndarray):
         """Descend a stack of paths once, then run at most 64 lockstep rounds
         of release/capture moves; each path in the loop adopts its round's
         relaxed winner as it is. A path leaves where it would leave alone:
         no winner, or its descent or its winner's relaxation ran out of
-        iterations. Returns one ``(nodes, value, converged, grad_norm)`` per
-        path, the last as :meth:`solve` measured them on those nodes; each
+        iterations. Returns ``(nodes, values, grad_norm)``, one row per path,
+        the residuals as :meth:`solve` measured them on those nodes; each
         path's objective decreases strictly from round to round.
         """
-        nodes, value, conv, gnorm, stopped, classes = self.solve(stack)
+        nodes, value, gnorm, stopped, classes = self.solve(stack)
         live = np.flatnonzero(stopped)
         for _ in range(64):
             if not live.size:
                 break
-            winners = self._trial_moves(nodes[live], value[live], classes[live])
-            for j, best in zip(live, winners):
-                if best is not None:
-                    nodes[j], value[j], conv[j], gnorm[j], stopped[j], classes[j] = best
-            live = live[[best is not None and bool(best[4]) for best in winners]]
-        return list(zip(nodes, value.tolist(), conv.tolist(), gnorm.tolist()))
+            pick, relaxed = self._trial_moves(nodes[live], value[live], classes[live])
+            live, pick = live[pick >= 0], pick[pick >= 0]
+            for entry, new in zip((nodes, value, gnorm, stopped, classes), relaxed):
+                entry[live] = new[pick]
+            live = live[stopped[live]]
+        return nodes, value, gnorm
 
     # -- release / capture ------------------------------------------------------
 
     def _trial_moves(self, stack: np.ndarray, f0: np.ndarray, classes: np.ndarray):
         """One round of release/capture moves for the stack ``(B, n, d)`` with
-        values ``f0``: per path, the :meth:`solve` entry of its best relaxed
-        candidate that beats its ``f0`` by over 1e-12 relative, ties to the
-        earlier one, or None.
+        values ``f0``. Returns ``(pick, relaxed)``: ``relaxed`` is the
+        :meth:`solve` of every candidate (empty if there is none), and
+        ``pick[i]`` the index in it of path i's best candidate that beats its
+        ``f0`` by over 1e-12 relative, ties to the earlier one, or -1.
 
         Each candidate moves one node across the potential jump, read from
         ``classes``: the tie classes :meth:`value` found on these nodes. All
@@ -564,19 +562,21 @@ class _Descent:
                         rel = nodes[k] - frame.p_h
                         proj = frame.p_h + frame.basis_b.T @ (frame.basis_b @ rel)
                         candidates.append((i, k, proj))
-        best = [None] * n_paths
+        pick = np.full(n_paths, -1)
         if not candidates:
-            return best
-        trials = stack[[i for i, _, _ in candidates]]
+            return pick, ()
+        owner = np.array([i for i, _, _ in candidates])
+        trials = stack[owner]
         for j, (_, k, pos) in enumerate(candidates):
             trials[j, k] = pos
         relaxed = self.solve(trials)
-        threshold = f0 - 1e-12 * (1.0 + np.abs(f0))
-        for j, (i, _, _) in enumerate(candidates):
-            f_trial = relaxed[1][j]
-            if f_trial < threshold[i] and (best[i] is None or f_trial < best[i][1]):
-                best[i] = tuple(entry[j] for entry in relaxed)
-        return best
+        f = relaxed[1]
+        # Per path, its first candidate in (value, index) order under its threshold.
+        ok = np.flatnonzero(f < (f0 - 1e-12 * (1.0 + np.abs(f0)))[owner])
+        ok = ok[np.lexsort((ok, f[ok], owner[ok]))]
+        paths, first = np.unique(owner[ok], return_index=True)
+        pick[paths] = ok[first]
+        return pick, relaxed
 
 
 # ---------------------------------------------------------------------------
@@ -634,22 +634,21 @@ def _mesh_schedule(cfg: SolverConfig) -> list[int]:
 def _descend_stages(engine: _Descent, stack: np.ndarray, a, b, meshes: list[int]):
     """Descend a stack of starts through the mesh stages, one
     :meth:`_Descent.descend` per stage. A start whose nodes equal an earlier
-    start's (``np.array_equal``) takes that start's entries, which its own
+    start's (``np.array_equal``) takes that start's rows, which its own
     descent would repeat, instead of being descended. Returns the stack
-    after each stage and the last stage's entries, one per start."""
-    stages = []
+    after the stage before last (after the only one, if there is one), then
+    the last stage's ``(nodes, values, grad_norm)``, one row per start."""
+    prev = last = None
     for m in meshes:
         if stack.shape[1] != m + 1:
             stack = np.array([_interp_to_mesh(nodes, engine.delta, m) for nodes in stack])
         stack[:, 0], stack[:, -1] = a, b
         first = [next(i for i in range(j + 1) if np.array_equal(stack[i], stack[j]))
                  for j in range(len(stack))]
-        own = sorted(set(first))
-        descended = dict(zip(own, engine.descend(stack[own])))
-        entries = [descended[i] for i in first]
-        stack = np.array([entry[0] for entry in entries])
-        stages.append(stack)
-    return stages, entries
+        own, back = np.unique(first, return_inverse=True)
+        prev, last = last, [entry[back] for entry in engine.descend(stack[own])]
+        stack = last[0]
+    return (stack if prev is None else prev[0]), *last
 
 
 def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
@@ -661,9 +660,9 @@ def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     through the refinement stages as one stack per stage; a start that
     equals an earlier one bit for bit shares its later stages and keeps its
     own label in ``starts``. The result is the best final minimizer ordered
-    by (action, start index). Deterministic for a fixed seed. ``converged``
-    and ``grad_norm`` are the engine's verdict and residual for that start;
-    if it misses ``grad_tol`` the best iterate is returned flagged so.
+    by (action, start index). Deterministic for a fixed seed. ``grad_norm``
+    is the engine's residual for that start and ``converged`` means it is at
+    most ``grad_tol``; if not, the best iterate is returned flagged so.
     """
     a = _as_vector(x0, kset.dim)
     b = _as_vector(xdelta, kset.dim)
@@ -691,22 +690,22 @@ def minimize(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
         starts.append((f"perturb{i}", chord + scale * t_env * noise))
 
     engine = _Descent(kset, shape, delta, cfg)
-    stages, entries = _descend_stages(engine, np.array([st for _, st in starts]), a, b, meshes)
-    best = min(range(len(starts)), key=lambda j: entries[j][1])
-    best_path = Path(delta, stages[-1][best])
-    prev_path = Path(delta, stages[max(len(stages) - 2, 0)][best])
+    prev, nodes, values, grad_norm = _descend_stages(
+        engine, np.array([st for _, st in starts]), a, b, meshes)
+    actions, converged = values.tolist(), (grad_norm <= cfg.grad_tol).tolist()
+    best = min(range(len(starts)), key=lambda j: actions[j])
+    best_path = Path(delta, nodes[best])
     summaries = tuple(
         StartSummary(label=lab, action=act, converged=conv,
-                     dev_from_best=float(np.max(np.linalg.norm(st - stages[-1][best], axis=1))))
-        for (lab, _), st, (_, act, conv, _) in zip(starts, stages[-1], entries))
+                     dev_from_best=float(np.max(np.linalg.norm(st - nodes[best], axis=1))))
+        for (lab, _), st, act, conv in zip(starts, nodes, actions, converged))
     return MinimizeResult(
         path=best_path,
         breakdown=evaluate_action(best_path, kset, shape),
-        converged=entries[best][2],
-        grad_norm=entries[best][3],
+        converged=converged[best],
+        grad_norm=float(grad_norm[best]),
         starts=summaries,
-        prev_path=prev_path,
-        prev_breakdown=evaluate_action(prev_path, kset, shape),
+        prev_path=Path(delta, prev[best]),
     )
 
 
@@ -931,7 +930,8 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
 
 @dataclass(frozen=True)
 class ConstrainedResult:
-    """``converged``, ``pg_norm``: the engine's verdict and residual ``max|g|/dt``."""
+    """``pg_norm`` is the engine's residual ``max|g|/dt``; ``converged`` means
+    it is at most ``grad_tol``."""
 
     path: Path
     breakdown: ActionBreakdown
@@ -961,7 +961,7 @@ def constrained_minimize(x0, xdelta, delta: float, polytope: Polytope, psi_cente
     meshes = _mesh_schedule(cfg)
     engine = _Descent(kset, shape, delta, cfg, polytope)
     chord = Path.from_line(a, b, delta, meshes[0]).nodes
-    nodes, _, converged, pg_norm = _descend_stages(engine, chord[None].copy(), a, b, meshes)[1][0]
+    _, (nodes,), _, (pg_norm,) = _descend_stages(engine, chord[None].copy(), a, b, meshes)
     path = Path(delta, nodes)
     return ConstrainedResult(path=path, breakdown=evaluate_action(path, kset, shape),
-                             converged=bool(converged), pg_norm=float(pg_norm))
+                             converged=bool(pg_norm <= cfg.grad_tol), pg_norm=float(pg_norm))

@@ -81,6 +81,15 @@ def _number(spec: dict, key: str, context: str, default=None, integer: bool = Fa
                           "got an integer too large for a float") from None
 
 
+def _typed(spec: dict, key: str, kind: type, context: str, default=None):
+    """``spec[key]`` (``default`` when absent); a ConfigError unless it is a
+    ``kind`` (``str``, ``bool`` or ``list``)."""
+    if key in spec and not isinstance(spec[key], kind):
+        name = {str: "string", bool: "boolean", list: "array"}[kind]
+        raise ConfigError(f"{context} {key} must be a JSON {name}, got {spec[key]!r}")
+    return spec.get(key, default)
+
+
 def _array(value, context: str) -> np.ndarray:
     """``value`` as a float array, else a ConfigError naming ``context``."""
     try:
@@ -97,7 +106,7 @@ def _parse_points(spec: dict, tie_tolerance: float, *endpoints) -> PointSet:
     if "inline" in spec:
         return PointSet(_array(spec["inline"], "points.inline"), tie_tolerance=tie_tolerance)
     if "file" in spec:
-        return load_point_set(spec["file"], tie_tolerance=tie_tolerance)
+        return load_point_set(_typed(spec, "file", str, "points"), tie_tolerance=tie_tolerance)
     mag = spec["mag"]
     _require_keys(mag, {"base_points", "n", "m", "window"}, "points.mag", ("base_points", "n", "m"))
     base = _array(mag["base_points"], "points.mag base_points")
@@ -144,22 +153,22 @@ def load_run_config(path: str) -> dict:
                "solver", "oracle_grid", "output_dir", "checks", "plots"}
     _require_keys(raw, allowed, "run config", ("points", "endpoints", "delta"))
     _require_keys(raw["endpoints"], {"start", "end"}, "endpoints", ("start", "end"))
-    checks = raw.get("checks", ["energy", "regularity"])
-    bad = set(checks) - {"energy", "regularity"}
+    checks = _typed(raw, "checks", list, "run config", ["energy", "regularity"])
+    bad = [c for c in checks if c not in ("energy", "regularity")]
     if bad:
-        raise ConfigError(f"unknown checks: {sorted(bad)}")
+        raise ConfigError(f"unknown checks: {bad}")
     tie = _number(raw, "tie_tolerance", "run config", 1e-9)
     x0, x1 = (_array(raw["endpoints"][k], f"endpoints {k}") for k in ("start", "end"))
     return {
-        "scenario": raw.get("scenario", "run"),
+        "scenario": _typed(raw, "scenario", str, "run config", "run"),
         "kset": _parse_points(raw["points"], tie, x0, x1),
         "shape": _parse_shape(raw.get("shape")),
         "x0": x0, "x1": x1,
         "delta": _number(raw, "delta", "run config"),
         "solver": _parse_solver(raw.get("solver")),
-        "checks": list(checks),
-        "plots": bool(raw.get("plots", True)),
-        "output_dir": raw.get("output_dir"),
+        "checks": checks,
+        "plots": _typed(raw, "plots", bool, "run config", True),
+        "output_dir": _typed(raw, "output_dir", str, "run config"),
         "oracle_grid": raw.get("oracle_grid"),
     }
 
@@ -172,7 +181,8 @@ def _parse_grid(spec: dict | None, cfg: dict) -> GridSpec:
         hi = np.maximum(x0, x1) + margin
         res = float(np.max(hi - lo)) / 200.0
         return GridSpec(lo=lo, hi=hi, resolution=res, time_slices=100)
-    _require_keys(spec, {"lo", "hi", "resolution", "time_slices", "vmax"}, "oracle_grid")
+    _require_keys(spec, {"lo", "hi", "resolution", "time_slices", "vmax"}, "oracle_grid",
+                  ("lo", "hi", "resolution", "time_slices"))
     return GridSpec(lo=_array(spec["lo"], "oracle_grid lo"),
                     hi=_array(spec["hi"], "oracle_grid hi"),
                     resolution=_number(spec, "resolution", "oracle_grid"),
@@ -203,7 +213,7 @@ def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
         "converged": result.converged,
         "grad_norm": result.grad_norm,
         "action": asdict(result.breakdown),
-        "prev_stage_action": result.prev_breakdown.total,
+        "prev_stage_action": evaluate_action(result.prev_path, kset, shape).total,
         "starts": [
             {"label": s.label, "action": s.action, "converged": s.converged,
              "dev_from_best": s.dev_from_best}
@@ -346,7 +356,7 @@ def _cmd_stability(args) -> int:
     solver = _parse_solver(raw.get("solver"))
     delta = _number(raw, "delta", "stability config")
     ksets, ends = [], []
-    for i, entry in enumerate(raw["sequence"]):
+    for i, entry in enumerate(_typed(raw, "sequence", list, "stability config")):
         context = f"sequence[{i}]"
         _require_keys(entry, {"points", "tie_tolerance", "start", "end"}, context,
                       ("points", "start", "end"))

@@ -47,8 +47,6 @@ __all__ = [
     "cell_frame",
     "polytope_distance_ratio",
     "load_point_set",
-    "save_point_set",
-    "load_polytope",
 ]
 
 
@@ -508,38 +506,23 @@ def polytope_distance_ratio(a: Polytope, b: Polytope, samples: int, seed: int) -
 
 
 # ---------------------------------------------------------------------------
-# Text interchange formats
+# Point-set files
 
 
 def load_point_set(path, tie_tolerance: float = 1e-9) -> PointSet:
-    """Read a point set: first line ``d N``, then N rows of d coordinates."""
+    """Read a point set: first line ``d N`` (both at least 1), then N rows
+    of d coordinates. A malformed file raises GeometryError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise GeometryError(f"{path}: truncated point-set file")
-    d, n = int(tokens[0]), int(tokens[1])
-    vals = [float(t) for t in tokens[2:]]
+    try:
+        d, n = int(tokens[0]), int(tokens[1])
+        vals = [float(t) for t in tokens[2:]]
+    except ValueError as exc:
+        raise GeometryError(f"{path}: {exc}") from None
+    if d < 1 or n < 1:
+        raise GeometryError(f"{path}: the header needs d >= 1 and N >= 1, got {d} {n}")
     if len(vals) != d * n:
         raise GeometryError(f"{path}: expected {d * n} coordinates, found {len(vals)}")
     return PointSet(np.array(vals).reshape(n, d), tie_tolerance=tie_tolerance)
-
-
-def save_point_set(path, kset: PointSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{kset.dim} {kset.n}\n")
-        for row in kset.points:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_polytope(path) -> Polytope:
-    """Read a polytope: first line ``d m``, then m rows ``n_1 .. n_d b``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise PolytopeError(f"{path}: truncated polytope file")
-    d, m = int(tokens[0]), int(tokens[1])
-    vals = [float(t) for t in tokens[2:]]
-    if len(vals) != (d + 1) * m:
-        raise PolytopeError(f"{path}: expected {(d + 1) * m} numbers, found {len(vals)}")
-    rows = np.array(vals).reshape(m, d + 1)
-    return Polytope(rows[:, :d], rows[:, d])

@@ -4,8 +4,7 @@ The central object is the concave field ``f(x) = -dist^2(x, K)/2`` whose
 extended gradient (minimal-norm subgradient selection) drives the action
 functionals in :mod:`voract.action`. This module computes:
 
-- ``f_eval`` / ``g_eval``: the field and its convex companion
-  ``g(x) = f(x) + |x|^2/2``.
+- ``f_eval``: the field.
 - ``extended_gradient``: nearest-site class, its zone value
   ``eta(x)``, the gradient ``eta(x) - x`` and the squared slope.
 - ``batch_field``: the same data for a stack of points, the one field
@@ -25,8 +24,8 @@ functionals in :mod:`voract.action`. This module computes:
   and a balancedness verdict (does the nearest-site partition coincide
   with the zone partition on the witnessed cells?). Its passes ``_witness``
   and ``_zones`` also make the particle-lattice verdict of :mod:`voract.mag`.
-- ``in_p_eta``: membership of a zone value in the subgradient of ``g``
-  at a point.
+- ``in_p_eta``: membership of a zone value in the subgradient of the
+  convex companion ``g(x) = f(x) + |x|^2/2`` at a point.
 
 Everything is pure and immutable; zone discovery takes an explicit seed.
 """
@@ -54,7 +53,6 @@ __all__ = [
     "GradientInfo",
     "ZoneTable",
     "f_eval",
-    "g_eval",
     "extended_gradient",
     "slope_sup_oracle",
     "zone_table",
@@ -70,19 +68,13 @@ ETA_DEDUP_TOL = 1e-7  # radius of one zone; read only by same_zone
 KERNEL_CHUNK_ROW_SITES = 1_000_000
 TRIPLE_MAX_SITES = 40  # zone_table skips triple circumcenters above this many sites
 MAX_PAIRS = 20_000  # zone_table probes at most this many site pairs, drawn by its seed
+MAX_PROBE_COORDS = 10_000_000  # uniform probes x dimension, checked before drawing
 
 
 def f_eval(x, kset: PointSet) -> float:
     """-(squared distance to the nearest site)/2."""
     xv = _as_vector(x, kset.dim)
     return -0.5 * float(np.min(sq_dists_to_sites(xv, kset)))
-
-
-def g_eval(x, kset: PointSet) -> float:
-    """max_i (x·p_i - |p_i|^2/2); equals f(x) + |x|^2/2 identically."""
-    xv = _as_vector(x, kset.dim)
-    vals = kset.points @ xv - 0.5 * np.einsum("ij,ij->i", kset.points, kset.points)
-    return float(np.max(vals))
 
 
 @dataclass(frozen=True)
@@ -321,6 +313,9 @@ def _uniform_probes(lo: np.ndarray, hi: np.ndarray, probe_count: int, seed: int)
     """The generator of ``seed`` and ``probe_count`` uniform probes it draws in ``[lo, hi]``."""
     if probe_count < 0 or seed < 0:
         raise GeometryError(f"probe_count and seed must be nonnegative, got {probe_count}, {seed}")
+    if probe_count * lo.shape[0] > MAX_PROBE_COORDS:
+        raise GeometryError(f"{probe_count} probes in R^{lo.shape[0]} exceed the budget of "
+                            f"{MAX_PROBE_COORDS} probe coordinates")
     rng = np.random.default_rng(seed)
     return rng, lo + rng.random((probe_count, lo.shape[0])) * (hi - lo)
 
@@ -438,7 +433,7 @@ def zone_table(
 
 
 def in_p_eta(x, eta, kset: PointSet, tol: float = 1e-8) -> bool:
-    """True iff ``eta`` lies in the subgradient of ``g`` at ``x``.
+    """True iff ``eta`` lies in the subgradient of ``g = f + |x|^2/2`` at ``x``.
 
     Membership is distance of ``eta`` to the convex hull of the class
     sites of ``x`` being at most ``tol``.

@@ -28,6 +28,7 @@ from voract import (
     zone_table,
 )
 from voract.action import _Descent, seed_grid_spec
+from voract.geometry import class_frame
 from voract.potential import batch_field
 
 QUICK = SolverConfig(M=128, refinements=2, starts=3, seed=0, max_iters=2000)
@@ -202,7 +203,8 @@ def test_minimize_refinement_stability(line_k, identity_shape):
     cfg = SolverConfig(M=256, refinements=2, starts=2, seed=0)
     res = minimize([-0.2], [0.2], 1.0, line_k, identity_shape, cfg)
     assert res.converged
-    rel = abs(res.breakdown.total - res.prev_breakdown.total) / res.breakdown.total
+    prev_total = evaluate_action(res.prev_path, line_k, identity_shape).total
+    rel = abs(res.breakdown.total - prev_total) / res.breakdown.total
     assert rel <= 0.01
 
 
@@ -300,7 +302,7 @@ def test_descent_direction_is_the_reduced_newton_step(triangle_k):
             ((0, 1), np.array([5, 6, 7]), np.array([[1.0], [1.0]]) / np.sqrt(2.0))]
     s, g, proj, bases = _pinned_fixture(pins, b, n_int, d, 3)
     for key, _, tangent in pins:  # the engine's tangents span the same lines
-        basis = engine._tangent(key)
+        basis = class_frame(key, triangle_k).basis_b
         np.testing.assert_allclose(basis.T @ basis, tangent @ tangent.T, atol=1e-15)
     step = engine._direction(g, proj, s, dt)
     np.testing.assert_allclose(step, _dense_pinned_step(g, s, dt, shape, bases),
@@ -386,23 +388,22 @@ def test_lockstep_relaxation_matches_single_paths(case, line_k):
         kset, x0, x1 = PointSet(SITES_3D), [-2.0, 1.0, -1.0], [0.0, -0.5, 0.0]
     engine = _Descent(kset, Shape.power(2.0), 1.0, QUICK)
     stack = _candidate_stack(engine, x0, x1, 32)
-    nodes, values, converged, grad_norm, stopped, classes = engine.solve(stack)
+    nodes, values, grad_norm, stopped, classes = engine.solve(stack)
     assert stopped.all()
     for j in range(stack.shape[0]):
         # Alone, on the stack's engine and on a fresh one that meets every
         # class first in this path.
         for one in (engine.solve(stack[j:j + 1]), _fresh(engine).solve(stack[j:j + 1])):
             assert np.array_equal(one[0][0], nodes[j])
-            assert one[1][0] == values[j]
-            assert one[2][0] == converged[j] and one[3][0] == grad_norm[j]
-            assert one[5][0].tolist() == classes[j].tolist()
+            assert one[1][0] == values[j] and one[2][0] == grad_norm[j]
+            assert one[4][0].tolist() == classes[j].tolist()
     # The move rounds run in lockstep too, a duplicated path included.
     stack = np.concatenate([stack, stack[2:3]])
     descended = engine.descend(stack)
-    assert len(descended) == stack.shape[0]
-    for j, entry in enumerate(descended):
-        (alone,) = engine.descend(stack[j:j + 1])
-        assert np.array_equal(entry[0], alone[0]) and entry[1:] == alone[1:]
+    assert all(len(rows) == stack.shape[0] for rows in descended)
+    for j in range(stack.shape[0]):
+        alone = engine.descend(stack[j:j + 1])
+        assert all(np.array_equal(rows[j], one[0]) for rows, one in zip(descended, alone))
 
 
 def test_descend_of_a_permuted_stack_permutes_its_entries():
@@ -413,15 +414,16 @@ def test_descend_of_a_permuted_stack_permutes_its_entries():
     stack = _candidate_stack(engine, [-2.0, 1.0, -1.0], [0.0, -0.5, 0.0], 32)
     forward = _fresh(engine).descend(stack)
     perm = np.roll(np.arange(len(stack)), -1)
-    for j, entry in zip(perm, _fresh(engine).descend(stack[perm])):
-        assert np.array_equal(entry[0], forward[j][0]) and entry[1:] == forward[j][1:]
+    for rows, permuted in zip(forward, _fresh(engine).descend(stack[perm])):
+        assert np.array_equal(permuted, rows[perm])
 
 
 @pytest.mark.parametrize("case", ["line", "mag", "3d"])
 def test_descend_stages_of_a_permuted_stack_permute_its_stages(case, line_k):
     # Four starts, one of them a copy of another, in two orders on fresh
-    # engines: every stage and every entry is permuted bit for bit, whichever
-    # copy of the duplicate comes first and is descended.
+    # engines: the stage before last and every row of the last stage are
+    # permuted bit for bit, whichever copy of the duplicate comes first and
+    # is descended.
     if case == "line":
         kset, x0, x1 = line_k, [-0.2], [0.2]
     elif case == "mag":
@@ -435,13 +437,10 @@ def test_descend_stages_of_a_permuted_stack_permute_its_stages(case, line_k):
     noisy = [chord + amp * rng.standard_normal(chord.shape) for amp in (0.05, 0.3)]
     stack = np.array([chord, noisy[0], noisy[1], noisy[0]])
     perm = [3, 2, 0, 1]
-    stages, entries = action_module._descend_stages(_fresh(engine), stack.copy(), a, b,
-                                                    [8, 16, 32])
-    p_stages, p_entries = action_module._descend_stages(_fresh(engine), stack[perm], a, b,
-                                                        [8, 16, 32])
-    assert all(np.array_equal(p, s[perm]) for p, s in zip(p_stages, stages))
-    for j, entry in zip(perm, p_entries):
-        assert np.array_equal(entry[0], entries[j][0]) and entry[1:] == entries[j][1:]
+    forward = action_module._descend_stages(_fresh(engine), stack.copy(), a, b, [8, 16, 32])
+    permuted = action_module._descend_stages(_fresh(engine), stack[perm], a, b, [8, 16, 32])
+    for rows, p_rows in zip(forward, permuted):
+        assert np.array_equal(p_rows, rows[perm])
 
 
 def test_nan_gradient_ends_descent_like_a_failed_search(line_k, monkeypatch):
@@ -459,13 +458,14 @@ def test_nan_gradient_ends_descent_like_a_failed_search(line_k, monkeypatch):
     monkeypatch.setattr(action_module, "_interior_gradient", nan_on_sites)
     engine = _Descent(line_k, Shape.power(0.5), 1.0, replace(QUICK, max_iters=100))
     calls = []
-    engine._trial_moves = lambda stack, f0, _: calls.append(len(stack)) or [None] * len(stack)
+    engine._trial_moves = lambda stack, f0, _: (calls.append(len(stack))
+                                                or (np.full(len(stack), -1), ()))
     nodes = Path.from_line([-1.5], [0.5], 1.0, 8).nodes
     assert nodes[2, 0] == -1.0
     with np.errstate(invalid="ignore"):
-        ((_, _, converged, grad_norm),) = engine.descend(nodes[None])
+        _, _, (grad_norm,) = engine.descend(nodes[None])
     assert calls == [1]
-    assert np.isnan(grad_norm) and not converged
+    assert np.isnan(grad_norm) and not grad_norm <= engine.cfg.grad_tol
 
 
 def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
@@ -477,13 +477,13 @@ def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
     engine._trial_moves = no_moves
     chord = Path.from_line([-0.7], [0.9], 1.0, 32).nodes
     stack = np.array([chord, chord[::-1].copy()])
-    _, _, converged, _, stopped, _ = engine.solve(stack)
-    assert converged.all() and stopped.all()
+    _, _, grad_norm, stopped, _ = engine.solve(stack)
+    assert np.all(grad_norm <= QUICK.grad_tol) and stopped.all()
     # A descent still stepping at max_iters ends descend without a round.
     capped = _Descent(line_k, Shape.power(2.0), 1.0, replace(QUICK, max_iters=1))
     capped._trial_moves = no_moves
-    assert not capped.solve(chord[None])[4][0]
-    assert not any(entry[2] for entry in capped.descend(stack))
+    assert not capped.solve(chord[None])[3][0]
+    assert not np.any(capped.descend(stack)[2] <= QUICK.grad_tol)
 
     solve, solves, rounds = engine.solve, [], []
 
@@ -492,7 +492,8 @@ def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
         return solve(stack)
 
     engine.solve = counted_solve
-    engine._trial_moves = lambda stack, f0, _: rounds.append(f0.copy()) or [None] * len(stack)
+    engine._trial_moves = lambda stack, f0, _: (rounds.append(f0.copy())
+                                                or (np.full(len(stack), -1), ()))
     engine.descend(stack)
     assert len(rounds) == 1 and len(rounds[0]) == 2 and solves == [2]
 
@@ -501,13 +502,18 @@ def test_solve_only_descends_and_descend_runs_the_rounds(line_k):
     # winner as it is, without descending it again.
     rounds.clear()
     solves.clear()
-    engine._trial_moves = lambda stack, f0, classes: (
-        rounds.append(f0.copy()),
-        [None] * (len(stack) - 1) + [(stack[-1], f0[-1] - 1.0, True, 0.0, True, classes[-1])])[1]
-    first, second = engine.descend(stack)
+
+    def last_path_improves(stack, f0, classes):
+        rounds.append(f0.copy())
+        pick = np.full(len(stack), -1)
+        pick[-1] = 0
+        return pick, (stack[-1:], f0[-1:] - 1.0, np.zeros(1), np.ones(1, bool), classes[-1:])
+
+    engine._trial_moves = last_path_improves
+    _, values, grad_norm = engine.descend(stack)
     assert [len(f0) for f0 in rounds] == [2] + [1] * 63 and solves == [2]
-    assert first[1] == rounds[0][0]
-    assert second[2] and second[1] == rounds[-1][-1] - 1.0 and second[3] == 0.0
+    assert values[0] == rounds[0][0]
+    assert values[1] == rounds[-1][-1] - 1.0 and grad_norm[1] == 0.0
 
 
 @pytest.mark.parametrize("case", ["3d", "cube-corner", "example1-c02"])
@@ -549,10 +555,10 @@ def test_solve_classifies_each_evaluated_stack_once(case, monkeypatch):
         return batch_field(points, kset, *args, **kwargs)
 
     def recorded_moves(stack, f0, classes):
-        winners = trial_moves(stack, f0, classes)
-        tie_counts.extend((np.sum(before != None), np.sum(best[5] != None))
-                          for before, best in zip(classes, winners) if best is not None)
-        return winners
+        pick, relaxed = trial_moves(stack, f0, classes)
+        tie_counts.extend((np.sum(before != None), np.sum(relaxed[4][j] != None))
+                          for before, j in zip(classes, pick) if j >= 0)
+        return pick, relaxed
 
     engine._feasible, engine._trial_moves = recorded_feasible, recorded_moves
     monkeypatch.setattr(action_module, "batch_field", recorded_kernel)
@@ -561,7 +567,7 @@ def test_solve_classifies_each_evaluated_stack_once(case, monkeypatch):
         assert any(after > before for before, after in tie_counts)
         assert any(after < before for before, after in tie_counts)
     else:
-        assert engine.solve(stack)[4].all()
+        assert engine.solve(stack)[3].all()
     assert len(evaluated) > 2 * stack.shape[0]
     assert len(classified) == len(evaluated) and set(callers) == {"value"}
     for nodes, points in zip(evaluated, classified):
@@ -577,12 +583,11 @@ def test_solve_reports_the_scaled_residual_of_the_nodes_it_returns(line_k):
     chord = Path.from_line([-0.9], [-0.1], 1.0, 64).nodes.copy()
     chord[1:-1, 0] += 0.05 * np.sin(np.linspace(0.0, 3.0 * np.pi, 65))[1:-1]
     engine = _Descent(line_k, shape, 1.0, replace(QUICK, max_iters=1))
-    nodes, _, converged, grad_norm, stopped, _ = engine.solve(chord[None])
+    nodes, _, grad_norm, stopped, _ = engine.solve(chord[None])
     assert not stopped[0] and not np.array_equal(nodes[0], chord)
     g = action_gradient(Path(1.0, nodes[0]), line_k, shape)
     residual = float(np.max(np.linalg.norm(g, axis=1))) * 64
     assert grad_norm[0] == pytest.approx(residual, rel=1e-12, abs=0.0)
-    assert converged[0] == (residual <= QUICK.grad_tol)
     before = float(np.max(np.linalg.norm(action_gradient(Path(1.0, chord), line_k, shape),
                                          axis=1))) * 64
     assert before > 2.0 * residual
@@ -625,14 +630,15 @@ def test_descend_solves_each_path_once(monkeypatch):
     # Replay which paths were in each round; each leaves on its first round
     # without a winner and ends on its previous winner.
     live, last = [0, 1], {}
-    for round_winners in winners:
-        assert len(round_winners) == len(live)
-        last.update((j, w) for j, w in zip(live, round_winners) if w is not None)
-        live = [j for j, w in zip(live, round_winners) if w is not None and w[4]]
+    for pick, relaxed in winners:
+        assert len(pick) == len(live)
+        last.update((j, [entry[w] for entry in relaxed]) for j, w in zip(live, pick) if w >= 0)
+        live = [j for j, w in zip(live, pick) if w >= 0 and relaxed[3][w]]
     assert live == [] and sorted(last) == [0, 1] and len(winners) > 2
-    for j, (nodes, value, converged, grad_norm) in enumerate(descended):
-        assert np.array_equal(nodes, last[j][0]) and last[j][4]
-        assert (value, converged, grad_norm) == (last[j][1], last[j][2], last[j][3])
+    nodes, values, grad_norm = descended
+    for j in (0, 1):
+        assert np.array_equal(nodes[j], last[j][0]) and last[j][3]
+        assert (values[j], grad_norm[j]) == (last[j][1], last[j][2])
 
 
 def test_minimize_descends_a_duplicate_start_once(monkeypatch):
@@ -1239,7 +1245,7 @@ def test_constrained_verdict_is_the_engine_final_entry(name, monkeypatch):
     engine = _Descent(PointSet([center]), shape, 1.0, cfg, polytope)
     meshes = action_module._mesh_schedule(cfg)
     chord = Path.from_line(x0, x1, 1.0, meshes[0]).nodes
-    _, ((nodes, _, converged, residual),) = action_module._descend_stages(
+    _, (nodes,), _, (residual,) = action_module._descend_stages(
         engine, chord[None].copy(), np.array(x0, float), np.array(x1, float), meshes)
     g_eff = engine.value(nodes[None])[2]
     dt = 1.0 / (nodes.shape[0] - 1)
@@ -1251,7 +1257,7 @@ def test_constrained_verdict_is_the_engine_final_entry(name, monkeypatch):
     monkeypatch.setattr(action_module, "action_gradient", second_judge)
     con = constrained_minimize(x0, x1, 1.0, polytope, center, shape, cfg)
     assert np.array_equal(con.path.nodes, nodes)
-    assert type(con.converged) is bool and con.converged == converged
+    assert type(con.converged) is bool and con.converged == (residual <= cfg.grad_tol)
     assert type(con.pg_norm) is float and con.pg_norm == residual
 
 

@@ -368,6 +368,42 @@ def test_zones_input_errors_exit_2(extra, capsys):
     assert "must be nonnegative" in capsys.readouterr().err
 
 
+def test_zones_probe_budget_exits_2(capsys):
+    # 10^11 probes would take 745 GiB; the count is refused before drawing.
+    assert main(["zones", "--inline", "[[-1.0],[1.0]]", "--box-lo", "[-3]", "--box-hi", "[3]",
+                 "--probes", "100000000000"]) == 2
+    assert "exceed the budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    *(("oracle", {**BASE_CONFIG, "oracle_grid": {k: v for k, v in GRID.items() if k != key}},
+       f"oracle_grid is missing {key!r}") for key in ("lo", "hi", "resolution", "time_slices")),
+    ("solve", {**BASE_CONFIG, "checks": [["energy"]]}, "unknown checks: [['energy']]"),
+    ("solve", {**BASE_CONFIG, "checks": "energy"}, "checks must be a JSON array"),
+    ("solve", {**BASE_CONFIG, "output_dir": 5}, "output_dir must be a JSON string"),
+    ("solve", {**BASE_CONFIG, "points": {"file": 0}}, "points file must be a JSON string"),
+    ("solve", {**BASE_CONFIG, "scenario": ["a"]}, "scenario must be a JSON string"),
+    ("solve", {**BASE_CONFIG, "plots": "no"}, "plots must be a JSON boolean"),
+    ("stability", {**STABILITY, "sequence": 5}, "sequence must be a JSON array"),
+], ids=["grid-no-lo", "grid-no-hi", "grid-no-resolution", "grid-no-time_slices",
+        "checks-nested", "checks-string", "output_dir-number", "points-file-number",
+        "scenario-list", "plots-string", "sequence-number"])
+def test_run_config_field_of_the_wrong_json_type_exits_2(command, payload, message, tmp_path,
+                                                         capsys):
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_points_file_error_exits_2(tmp_path, capsys):
+    # The loader's GeometryError (test_geometry covers its cases), not a ValueError.
+    pts = tmp_path / "points.txt"
+    pts.write_text("1 2\n-1.0\nabc\n")
+    assert main(["zones", "--points", str(pts), "--box-lo", "[-3]", "--box-hi", "[3]"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {pts}: could not convert")
+
+
 def test_error_classes_share_one_base():
     for cls in (GeometryError, ActionError, AnalysisError, MagError, ConfigError):
         assert issubclass(cls, VoractError)

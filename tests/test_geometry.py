@@ -13,11 +13,9 @@ from voract import (
     PolytopeError,
     cell_frame,
     load_point_set,
-    load_polytope,
     min_norm_point,
     opt_class,
     polytope_distance_ratio,
-    save_point_set,
 )
 
 
@@ -336,15 +334,22 @@ def test_ratio_needs_at_least_one_sample(samples):
 
 def test_point_set_round_trip(tmp_path, triangle_k):
     path = tmp_path / "points.txt"
-    save_point_set(path, triangle_k)
+    rows = [" ".join(repr(float(v)) for v in row) for row in triangle_k.points]
+    path.write_text("\n".join([f"{triangle_k.dim} {triangle_k.n}", *rows]) + "\n")
     back = load_point_set(path)
     assert back.dim == 2 and back.n == 3
     assert np.array_equal(back.points, triangle_k.points)
 
 
-def test_polytope_loader(tmp_path):
-    path = tmp_path / "poly.txt"
-    path.write_text("2 4\n1 0 1\n-1 0 0\n0 1 1\n0 -1 0\n")
-    poly = load_polytope(path)
-    assert poly.contains([0.5, 0.5])
-    assert not poly.contains([2.0, 0.0])
+@pytest.mark.parametrize("text, message", [
+    ("1 two\n-1.0\n1.0\n", "invalid literal"),
+    ("1 2\n-1.0\nabc\n", "could not convert"),
+    ("1 -2\n", "d >= 1 and N >= 1"),
+    ("0 2\n", "d >= 1 and N >= 1"),
+], ids=["non-numeric-header", "non-numeric-cell", "negative-count", "zero-dimension"])
+def test_point_set_file_errors_name_the_file(text, message, tmp_path):
+    path = tmp_path / "points.txt"
+    path.write_text(text)
+    with pytest.raises(GeometryError, match=message) as exc:
+        load_point_set(path)
+    assert str(exc.value).startswith(f"{path}: ")

@@ -19,6 +19,7 @@ from voract import (
     stability_run,
     window_certificate,
 )
+from voract.potential import MAX_PROBE_COORDS
 
 
 def test_build_counts_two_particles():
@@ -113,6 +114,15 @@ def test_verdict_rejects_a_negative_probe_count_or_seed(probe_count, seed):
     sys = build_mag([[0.0, 0.0], [0.5, 0.5]], n=2, m=2, window=2)
     with pytest.raises(GeometryError, match="must be nonnegative"):
         interior_balance_verdict(sys, probe_count=probe_count, seed=seed)
+
+
+def test_verdict_rejects_more_probe_coordinates_than_the_budget(monkeypatch):
+    # 2.5 million probes in R^4 are 10^7 coordinates, 10 more are over: the
+    # count is refused before the generator draws anything.
+    sys = build_mag([[0.0, 0.0], [0.5, 0.5]], n=2, m=2, window=2)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew probes"))
+    with pytest.raises(GeometryError, match="exceed the budget"):
+        interior_balance_verdict(sys, probe_count=MAX_PROBE_COORDS // 4 + 10, seed=0)
 
 
 def test_verdict_names_the_first_sorted_pair_sharing_a_zone():

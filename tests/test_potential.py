@@ -10,7 +10,6 @@ from voract import (
     PointSet,
     extended_gradient,
     f_eval,
-    g_eval,
     in_p_eta,
     min_norm_point,
     slope_sup_oracle,
@@ -24,14 +23,6 @@ def test_field_values(line_k):
     assert f_eval([0.0], line_k) == pytest.approx(-0.5)
     assert f_eval([-0.3], line_k) == pytest.approx(-0.245)
     assert f_eval([1.0], line_k) == 0.0
-    assert g_eval([1.0], line_k) == pytest.approx(0.5)
-
-
-def test_f_g_identity_random(grid3_k):
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        x = rng.normal(size=2) * 3
-        assert g_eval(x, grid3_k) - f_eval(x, grid3_k) - 0.5 * float(x @ x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_extended_gradient_examples(line_k, triangle_k):
