@@ -334,7 +334,7 @@ class _Descent:
     :meth:`descend` is the only loop over release/capture rounds: it
     descends a mesh stage's stack once, then each path adopts its round's
     relaxed winner from :meth:`_trial_moves` by index, without descending it
-    again; the round reads the tie classes :meth:`value` found on its nodes.
+    again; the round reads the class ids :meth:`value` gave its nodes.
     Per-path state is plain arrays, one row per path.
 
     Pinned nodes (tie classes) move only along their boundary's
@@ -351,14 +351,15 @@ class _Descent:
         self.cfg = cfg
         self.polytope = polytope
         self._faces: dict[tuple, np.ndarray] = {}
+        self.registry: dict[tuple[int, ...], int] = {}  # class -> id, on first meeting
 
     # -- objective pieces ---------------------------------------------------
 
     def value(self, stack: np.ndarray):
         """Actions ``(B,)``, field slopes ``(B, n)``, interior gradients
         projected onto their rows' tangents ``(B, n - 2, d)``, the tangent
-        projectors ``B^T B`` ``(B, n - 2, d, d)`` and the node tie classes
-        ``(B, n)`` (class tuple, or None) of the stack, from its one kernel
+        projectors ``B^T B`` ``(B, n - 2, d, d)`` and the nodes' class ids
+        ``(B, n)``, numbered by :attr:`registry`, from the stack's one kernel
         call. Tie-class rows pin to their equidistance directions
         (``class_frame(cls).basis_b``) and, with a polytope, rows on active
         faces to their null space (:meth:`_face_groups`); free rows get the
@@ -369,11 +370,11 @@ class _Descent:
         s = s.reshape(b, n)
         g = _interior_gradient(stack, etas.reshape(b, n, d), s, self.delta / (n - 1), self.shape)
         # Pinned rows index the stacked interior rows: node k of path i is row i * (n - 2) + k - 1.
-        pins, classes = [], np.full(b * n, None)
+        pins, ids = [], np.empty(b * n, dtype=np.intp)
         for cls, rows in groups:
+            ids[rows] = self.registry.setdefault(cls, len(self.registry))
             if len(cls) < 2:
                 continue
-            classes[rows] = [cls] * rows.size
             k = rows % n
             rows = rows[(k >= 1) & (k <= n - 2)]
             if rows.size:
@@ -387,7 +388,7 @@ class _Descent:
             coef = np.sum(flat[rows][:, None] * basis, axis=2)
             flat[rows] = np.sum(coef[:, :, None] * basis, axis=1)
             proj[rows] = basis.T @ basis
-        return f, s, g, proj.reshape(b, n - 2, d, d), classes.reshape(b, n)
+        return f, s, g, proj.reshape(b, n - 2, d, d), ids.reshape(b, n)
 
     def _face_groups(self, inner: np.ndarray, g: np.ndarray) -> list:
         """Pins ``(basis, rows)`` of the stacked interior rows ``inner`` on
@@ -465,17 +466,18 @@ class _Descent:
         halving a path's step until its trial passes the Armijo test, whose
         :meth:`value` entries then become the path's own: none is evaluated twice.
 
-        Returns ``(nodes, values, grad_norm, stopped, classes)``, one row per
-        path. ``grad_norm`` is the residual of the returned nodes, their
-        largest pinned, face-projected gradient over dt (the discrete
-        Euler-Lagrange residual); the results judge a path converged where
-        it is at most ``grad_tol``. A path leaves on the first iteration that
-        takes no step: its residual meets ``grad_tol`` or is not finite, or
-        its line search fails. ``stopped`` is false for the paths still
-        stepping after ``cfg.max_iters`` steps.
+        Returns ``(nodes, values, grad_norm, stopped, ids)``, one row per
+        path, ``ids`` the nodes' :meth:`value` class ids. ``grad_norm`` is
+        the residual of the returned nodes, their largest pinned,
+        face-projected gradient over dt (the discrete Euler-Lagrange
+        residual); the results judge a path converged where it is at most
+        ``grad_tol``. A path leaves on the first iteration that takes no
+        step: its residual meets ``grad_tol`` or is not finite, or its line
+        search fails. ``stopped`` is false for the paths still stepping
+        after ``cfg.max_iters`` steps.
         """
         stack = self._feasible(stack.copy())
-        f, s, g_eff, proj, classes = self.value(stack)
+        f, s, g_eff, proj, ids = self.value(stack)
         dt = self.delta / (stack.shape[1] - 1)
         alpha = np.ones(f.size)  # first trial: the unit Newton step
         grad_norm = np.full(f.size, np.inf)
@@ -502,73 +504,77 @@ class _Descent:
                 ok = (f_trial <= f[paths] - 1e-4 * step * slope) & (slope > 0.0)
                 won = paths[ok]
                 stack[won], f[won] = trial[ok], f_trial[ok]
-                s[won], g_eff[won], proj[won], classes[won] = (entry[ok] for entry in state)
+                s[won], g_eff[won], proj[won], ids[won] = (entry[ok] for entry in state)
                 alpha[won] = np.minimum(step[ok] * 1.6, 16.0)
                 stepped[won] = True
                 paths, step, slope = paths[~ok], step[~ok] * 0.5, slope[~ok]
                 direction = direction[~ok]
             live = np.flatnonzero(stepped)
-        return stack, f, grad_norm, ~np.isin(np.arange(f.size), live), classes
+        return stack, f, grad_norm, ~np.isin(np.arange(f.size), live), ids
 
     def descend(self, stack: np.ndarray):
         """Descend a stack of paths once, then run at most 64 lockstep rounds
-        of release/capture moves; each path in the loop adopts its round's
-        relaxed winner as it is. A path leaves where it would leave alone:
-        no winner, or its descent or its winner's relaxation ran out of
+        of release/capture moves on the class ids :meth:`solve` returned;
+        each path in the loop adopts its round's relaxed winner, ids
+        included, as it is. A path leaves where it would leave alone: no
+        winner, or its descent or its winner's relaxation ran out of
         iterations. Returns ``(nodes, values, grad_norm)``, one row per path,
         the residuals as :meth:`solve` measured them on those nodes; each
         path's objective decreases strictly from round to round.
         """
-        nodes, value, gnorm, stopped, classes = self.solve(stack)
+        nodes, value, gnorm, stopped, ids = self.solve(stack)
         live = np.flatnonzero(stopped)
         for _ in range(64):
             if not live.size:
                 break
-            pick, relaxed = self._trial_moves(nodes[live], value[live], classes[live])
+            pick, relaxed = self._trial_moves(nodes[live], value[live], ids[live])
             live, pick = live[pick >= 0], pick[pick >= 0]
-            for entry, new in zip((nodes, value, gnorm, stopped, classes), relaxed):
+            for entry, new in zip((nodes, value, gnorm, stopped, ids), relaxed):
                 entry[live] = new[pick]
             live = live[stopped[live]]
         return nodes, value, gnorm
 
     # -- release / capture ------------------------------------------------------
 
-    def _trial_moves(self, stack: np.ndarray, f0: np.ndarray, classes: np.ndarray):
+    def _trial_moves(self, stack: np.ndarray, f0: np.ndarray, ids: np.ndarray):
         """One round of release/capture moves for the stack ``(B, n, d)`` with
-        values ``f0``. Returns ``(pick, relaxed)``: ``relaxed`` is the
-        :meth:`solve` of every candidate (empty if there is none), and
-        ``pick[i]`` the index in it of path i's best candidate that beats its
-        ``f0`` by over 1e-12 relative, ties to the earlier one, or -1.
+        values ``f0`` and :meth:`value` class ids ``ids``. Returns ``(pick,
+        relaxed)``: ``relaxed`` is the :meth:`solve` of every candidate (empty
+        if there is none), and ``pick[i]`` the index in it of path i's best
+        candidate that beats its ``f0`` by over 1e-12 relative, ties to the
+        earlier one, or -1.
 
-        Each candidate moves one node across the potential jump, read from
-        ``classes``: the tie classes :meth:`value` found on these nodes. All
-        paths' candidates relax together in one :meth:`solve`.
+        A candidate moves one node across the potential jump: a tied node
+        facing a free neighbour is released toward it by half and all of the
+        gap, a free node facing a tied one is captured onto that class's
+        boundary plane if the class has a frame. Candidates run by path, node,
+        neighbour k - 1 then k + 1, and weight; they relax in one :meth:`solve`.
         """
-        n_paths, n_total = stack.shape[:2]
-        candidates = []
-        for i, (nodes, ties) in enumerate(zip(stack, classes != None)):
-            for k in range(1, n_total - 1):
-                for nb in (k - 1, k + 1):
-                    if ties[k] and not ties[nb]:
-                        # Release: slide the boundary node toward the free side.
-                        candidates += [(i, k, nodes[k] + w * (nodes[nb] - nodes[k]))
-                                       for w in (0.5, 1.0)]
-                    elif not ties[k] and ties[nb]:
-                        # Capture: project the free node onto the neighbor's boundary plane.
-                        try:
-                            frame = class_frame(classes[i, nb], self.kset)
-                        except GeometryError:
-                            continue
-                        rel = nodes[k] - frame.p_h
-                        proj = frame.p_h + frame.basis_b.T @ (frame.basis_b @ rel)
-                        candidates.append((i, k, proj))
-        pick = np.full(n_paths, -1)
-        if not candidates:
+        registry = list(self.registry)
+        is_tie = np.array([len(cls) >= 2 for cls in registry])
+        tie, nb = is_tie[ids[:, 1:-1, None]], np.stack([ids[:, :-2], ids[:, 2:]], axis=2)
+        faced = tie != is_tie[nb]
+        # Two slots per node and neighbour: a capture or a half release, then a full release.
+        owner, k, side, full = np.nonzero(np.stack([faced, faced & tie], 3))
+        x = stack[owner, k + 1]
+        pos = x + np.where(full, 1.0, 0.5)[:, None] * (stack[owner, k + 2 * side] - x)
+        held = np.where(tie[owner, k, 0], -1, nb[owner, k, side])  # captured class, or -1
+        for c in set(held.tolist()) - {-1}:
+            at = held == c
+            try:
+                frame = class_frame(registry[c], self.kset)
+            except GeometryError:
+                held[at] = -2  # no frame: no capture
+                continue
+            # A stacked matmul makes one BLAS product per row: no row rounds by its place.
+            rel = (x[at] - frame.p_h)[:, :, None]
+            pos[at] = frame.p_h + (frame.basis_b.T @ (frame.basis_b @ rel))[:, :, 0]
+        owner, node, pos = (entry[held > -2] for entry in (owner, k + 1, pos))
+        pick = np.full(stack.shape[0], -1)
+        if not owner.size:
             return pick, ()
-        owner = np.array([i for i, _, _ in candidates])
         trials = stack[owner]
-        for j, (_, k, pos) in enumerate(candidates):
-            trials[j, k] = pos
+        trials[np.arange(owner.size), node] = pos
         relaxed = self.solve(trials)
         f = relaxed[1]
         # Per path, its first candidate in (value, index) order under its threshold.

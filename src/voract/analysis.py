@@ -31,7 +31,7 @@ import numpy as np
 
 from .action import Path, Shape
 from .geometry import GeometryError, PointSet, VoractError, class_frame
-from .potential import batch_field, row_classes, same_zone
+from .potential import batch_field, class_ids, same_zone
 
 __all__ = [
     "AnalysisError",
@@ -160,7 +160,7 @@ def detect_shocks(path: Path, kset: PointSet, window: int = 2) -> list[ShockEven
     """
     _check_window(path, window)
     etas, _, _, groups = _field(path, kset)
-    return _shock_events(path, etas, row_classes(etas.shape[0], groups), window)
+    return _shock_events(path, etas, *class_ids(etas.shape[0], groups), window)
 
 
 def _check_window(path: Path, window: int) -> None:
@@ -170,25 +170,23 @@ def _check_window(path: Path, window: int) -> None:
         raise AnalysisError("window exceeds the path length")
 
 
-def _shock_events(path: Path, etas: np.ndarray, classes: list, window: int) -> list[ShockEvent]:
-    """:func:`detect_shocks` from the nodes' zone values and classes."""
+def _shock_events(path: Path, etas: np.ndarray, ids, registry, window: int) -> list[ShockEvent]:
+    """:func:`detect_shocks` from the nodes' zone values and :func:`class_ids`."""
     nodes, dt, times = path.nodes, path.dt, path.times
 
-    # Runs [start, end, class, merged]: ``merged`` is the class of a
-    # coalesced single-node visit that directly follows the run. The merge
-    # test reads classes[s - 1], not runs[-2], whose successor may itself
-    # have been merged away.
+    # Runs [start, end, class, merged] of equal ids: ``merged`` is the class of a
+    # coalesced single-node visit right after the run. The merge test reads the
+    # class of node s - 1, not runs[-2], whose successor may have been merged away.
+    cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
     runs: list[list] = []
-    for k, cls in enumerate(classes):
-        if runs and cls == runs[-1][2]:
-            runs[-1][1] = k
-            continue
+    for k, end in zip([0] + cuts, [c - 1 for c in cuts] + [ids.size - 1]):
+        cls = registry[ids[k]]
         if len(runs) >= 2:
             s, e, mid, _ = runs[-1]
-            if s == e and _strict_subset(classes[s - 1], mid) and _strict_subset(cls, mid):
+            if s == e and _strict_subset(registry[ids[s - 1]], mid) and _strict_subset(cls, mid):
                 runs.pop()
                 runs[-1][3] = mid
-        runs.append([k, k, cls, None])
+        runs.append([k, end, cls, None])
 
     events: list[ShockEvent] = []
     for (s0, e0, cls_before, merged), (s1, e1, cls_after, _) in zip(runs, runs[1:]):
@@ -274,7 +272,7 @@ def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2)
         raise AnalysisError("energy profile needs at least 4 intervals")
     nodes = path.nodes
     etas, s, _, groups = _field(path, kset)
-    events = _shock_events(path, etas, row_classes(etas.shape[0], groups), window)
+    events = _shock_events(path, etas, *class_ids(etas.shape[0], groups), window)
     dt = path.dt
 
     nondeg_nodes = [ev.node_index for ev in events if ev.kind != "degenerate"]

@@ -16,7 +16,7 @@ import numpy as np
 from .action import ActionBreakdown, Path, Shape
 from .analysis import RegularityReport, ShockEvent
 from .geometry import PointSet, VoractError
-from .potential import batch_field
+from .potential import batch_field, class_ids
 from .svg import polyline_chart
 
 __all__ = [
@@ -68,10 +68,7 @@ def write_trajectory_csv(path, traj: Path, kset: PointSet, shape: Shape):
     difference speed squared (backward at the last node) plus h(slope_sq).
     """
     _, s, _, groups = batch_field(traj.nodes, kset)
-    registry = [cls for cls, _ in groups]
-    ids = np.empty(traj.nodes.shape[0], dtype=int)
-    for i, (_, rows) in enumerate(groups):
-        ids[rows] = i
+    ids, registry = class_ids(s.size, groups)
     dt = traj.dt
     diffs = np.diff(traj.nodes, axis=0)
     speed_sq = np.einsum("ij,ij->i", diffs, diffs) / dt**2
@@ -84,11 +81,7 @@ def write_trajectory_csv(path, traj: Path, kset: PointSet, shape: Shape):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for k in range(traj.nodes.shape[0]):
-            row = [_f(times[k])]
-            row.extend(_f(v) for v in traj.nodes[k])
-            row.append(_f(dens[k]))
-            row.append(_f(s[k]))
-            row.append(str(ids[k]))
+            row = [_f(times[k]), *map(_f, traj.nodes[k]), _f(dens[k]), _f(s[k]), str(ids[k])]
             fh.write(",".join(row) + "\n")
     return registry
 

@@ -245,10 +245,10 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     cfg = load_run_config(args.config)
     outdir = args.out or cfg.get("output_dir") or "oracle-output"
-    os.makedirs(outdir, exist_ok=True)
     grid = _parse_grid(cfg.get("oracle_grid"), cfg)
     path = dp_oracle(cfg["x0"], cfg["x1"], cfg["delta"], cfg["kset"], cfg["shape"], grid)
     breakdown = evaluate_action(path, cfg["kset"], cfg["shape"])
+    os.makedirs(outdir, exist_ok=True)
     artifacts.write_trajectory_csv(os.path.join(outdir, "oracle_trajectory.csv"),
                                    path, cfg["kset"], cfg["shape"])
     artifacts.write_json(os.path.join(outdir, "oracle_summary.json"), {

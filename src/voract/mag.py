@@ -198,7 +198,8 @@ def stability_run(k_sequence, endpoints_sequence, delta: float, shape: Shape,
     if len(k_sequence) != len(endpoints_sequence):
         raise MagError("site-set and endpoint sequences must have equal length")
     if len({k.dim for k in k_sequence}) != 1:
-        raise MagError("all site sets must share one dimension")
+        raise MagError("all site sets must share one dimension" if k_sequence
+                       else "the site-set sequence is empty")
     ends = [(_as_vector(x0, k.dim), _as_vector(x1, k.dim))
             for k, (x0, x1) in zip(k_sequence, endpoints_sequence)]
     return [minimize(a, b, delta, k, shape, cfg) for k, (a, b) in zip(k_sequence, ends)]

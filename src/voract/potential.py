@@ -12,8 +12,9 @@ functionals in :mod:`voract.action`. This module computes:
   particle-lattice verdict. It returns ``(etas, slope_sq, tie_mask,
   groups)``, where ``groups`` holds one ``(class, rows)`` entry for every
   distinct class (singletons included), ordered by first row, with rows
-  ascending. It classifies the rows in blocks of at most
-  ``KERNEL_CHUNK_ROW_SITES`` rows x sites, so no caller cuts its arrays.
+  ascending; ``class_ids`` turns them into one integer class id per row.
+  It classifies the rows in blocks of at most ``KERNEL_CHUNK_ROW_SITES``
+  rows x sites, so no caller cuts its arrays.
   Both take a class's ``eta`` from :func:`~voract.geometry.class_eta`, so
   it is constant on each cell and independent of row and call order.
 - ``slope_sup_oracle``: an independent sampled estimate of the slope via
@@ -58,7 +59,7 @@ __all__ = [
     "zone_table",
     "in_p_eta",
     "batch_field",
-    "row_classes",
+    "class_ids",
     "same_zone",
 ]
 
@@ -135,7 +136,7 @@ def batch_field(nodes: np.ndarray, kset: PointSet):
     sites, and ``groups`` lists ``(class_tuple, rows)`` for every distinct
     class, singletons included. Groups are ordered by their first row and
     ``rows`` ascend, so iterating the groups meets each class in order of
-    first appearance; :func:`row_classes` expands them per row.
+    first appearance; :func:`class_ids` numbers them per row.
 
     Every row of a multi-site class gets the class's zone value, as in
     :func:`extended_gradient`: the midpoint of a pair, the hull projection
@@ -197,13 +198,13 @@ def _split_by_bits(rows: np.ndarray, bits: np.ndarray) -> list[np.ndarray]:
     return _split_by_key(rows, bits.view(np.dtype((np.void, bits.shape[1]))).ravel())
 
 
-def row_classes(n: int, groups) -> list[tuple[int, ...]]:
-    """Per-row class tuples of ``n`` rows from :func:`batch_field` groups."""
-    classes: list[tuple[int, ...]] = [()] * n
-    for cls, rows in groups:
-        for r in rows.tolist():
-            classes[r] = cls
-    return classes
+def class_ids(n: int, groups):
+    """Per-row class ids ``(n,)`` of the :func:`batch_field` ``groups`` of
+    ``n`` rows, and the registry of class tuples they index, by first row."""
+    ids = np.empty(n, dtype=np.intp)
+    for i, (_, rows) in enumerate(groups):
+        ids[rows] = i
+    return ids, [cls for cls, _ in groups]
 
 
 def slope_sup_oracle(x, kset: PointSet, sample_count: int = 400, seed: int = 0) -> float:

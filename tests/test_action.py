@@ -28,7 +28,7 @@ from voract import (
     zone_table,
 )
 from voract.action import _Descent, seed_grid_spec
-from voract.geometry import class_frame
+from voract.geometry import GeometryError, class_frame, opt_class
 from voract.potential import batch_field
 
 QUICK = SolverConfig(M=128, refinements=2, starts=3, seed=0, max_iters=2000)
@@ -375,6 +375,17 @@ def _fresh(engine):
                     engine.delta, engine.cfg)
 
 
+def _classes(engine, ids):
+    """The class tuples that the class ids ``ids`` stand for in ``engine``'s registry."""
+    registry = list(engine.registry)
+    return [registry[i] for i in np.ravel(ids)]
+
+
+def _ties(engine, ids):
+    """Tie flags (several sites in the class) of the class ids ``ids`` of ``engine``."""
+    return np.array([len(cls) >= 2 for cls in engine.registry])[ids]
+
+
 @pytest.mark.parametrize("case", ["line", "mag", "3d"])
 def test_lockstep_relaxation_matches_single_paths(case, line_k):
     # h(s) = s^2 makes the line searches halve differently per path. In 3-D
@@ -391,12 +402,15 @@ def test_lockstep_relaxation_matches_single_paths(case, line_k):
     nodes, values, grad_norm, stopped, classes = engine.solve(stack)
     assert stopped.all()
     for j in range(stack.shape[0]):
+        # Each id stands for the node's nearest-site class.
+        assert _classes(engine, classes[j]) == [opt_class(x, kset).indices for x in nodes[j]]
         # Alone, on the stack's engine and on a fresh one that meets every
-        # class first in this path.
-        for one in (engine.solve(stack[j:j + 1]), _fresh(engine).solve(stack[j:j + 1])):
+        # class first in this path and so numbers the classes its own way.
+        for solver in (engine, _fresh(engine)):
+            one = solver.solve(stack[j:j + 1])
             assert np.array_equal(one[0][0], nodes[j])
             assert one[1][0] == values[j] and one[2][0] == grad_norm[j]
-            assert one[4][0].tolist() == classes[j].tolist()
+            assert _classes(solver, one[4][0]) == _classes(engine, classes[j])
     # The move rounds run in lockstep too, a duplicated path included.
     stack = np.concatenate([stack, stack[2:3]])
     descended = engine.descend(stack)
@@ -556,7 +570,7 @@ def test_solve_classifies_each_evaluated_stack_once(case, monkeypatch):
 
     def recorded_moves(stack, f0, classes):
         pick, relaxed = trial_moves(stack, f0, classes)
-        tie_counts.extend((np.sum(before != None), np.sum(relaxed[4][j] != None))
+        tie_counts.extend((np.sum(_ties(engine, before)), np.sum(_ties(engine, relaxed[4][j])))
                           for before, j in zip(classes, pick) if j >= 0)
         return pick, relaxed
 
@@ -613,7 +627,7 @@ def test_descend_solves_each_path_once(monkeypatch):
         # capture move per free node facing a boundary neighbour; the round's
         # tie classes are those a fresh classification finds.
         ties = batch_field(stack.reshape(-1, 1), kset)[2].reshape(stack.shape[:2])
-        assert np.array_equal(ties, classes != None)
+        assert np.array_equal(ties, _ties(engine, classes))
         faced = ties[:, 1:-1, None] != np.stack([ties[:, :-2], ties[:, 2:]], axis=2)
         candidates.append(int(np.sum(np.where(ties[:, 1:-1, None], 2, 1) * faced)))
         rounds.append([])
@@ -639,6 +653,82 @@ def test_descend_solves_each_path_once(monkeypatch):
     for j in (0, 1):
         assert np.array_equal(nodes[j], last[j][0]) and last[j][3]
         assert (values[j], grad_norm[j]) == (last[j][1], last[j][2])
+
+
+def _reference_trials(engine, stack, ids):
+    """Scalar reference of a round's candidate stack: the triple loop over
+    paths, interior nodes k and neighbours k - 1, k + 1, and the moves
+    ``(kind, path, k, neighbour)`` it makes."""
+    registry = list(engine.registry)
+    trials, moves = [], []
+    for i, nodes in enumerate(stack):
+        ties = [len(registry[c]) >= 2 for c in ids[i]]
+        for k in range(1, stack.shape[1] - 1):
+            for nb in (k - 1, k + 1):
+                if ties[k] and not ties[nb]:
+                    kind, positions = "release", [nodes[k] + w * (nodes[nb] - nodes[k])
+                                                  for w in (0.5, 1.0)]
+                elif not ties[k] and ties[nb]:
+                    try:
+                        frame = class_frame(registry[ids[i, nb]], engine.kset)
+                    except GeometryError:
+                        continue
+                    shift = frame.basis_b.T @ (frame.basis_b @ (nodes[k] - frame.p_h))
+                    kind, positions = "capture", [frame.p_h + shift]
+                else:
+                    continue
+                for pos in positions:
+                    trials.append(nodes.copy())
+                    trials[-1][k] = pos
+                    moves.append((kind, i, k, nb))
+    return np.array(trials).reshape(-1, *stack.shape[1:]), moves
+
+
+@pytest.mark.parametrize("case", ["line", "mag", "3d", "example1-c02", "tied-endpoint"])
+def test_trial_moves_build_the_reference_candidates(case, line_k, triangle_k):
+    # Every round of a descend relaxes the candidates of the scalar triple
+    # loop, in its order and bit for bit.
+    if case in ("line", "mag", "3d"):
+        kset, x0, x1 = {"line": (line_k, [-0.2], [0.2]),
+                        "mag": (build_mag([[0.0], [0.5]], 1, 2, 1).kset, [0.2, 0.3], [0.3, 0.2]),
+                        "3d": (PointSet(SITES_3D), [-2.0, 1.0, -1.0], [0.0, -0.5, 0.0])}[case]
+        engine = _Descent(kset, Shape.power(2.0), 1.0, QUICK)
+        stack = _candidate_stack(engine, x0, x1, 32)
+    elif case == "example1-c02":
+        sc = presets._scenario(case)
+        engine = _Descent(sc.kset, sc.shape, sc.delta, SolverConfig(M=16, refinements=0))
+        chord = Path.from_line(sc.x0, sc.x1, sc.delta, 16).nodes
+        waiting = chord.copy()
+        waiting[1:-1] = 0.0
+        stack = np.array([chord, waiting])
+    else:
+        # The start [0, -1] lies on the bisector of the sites (1, 0) and
+        # (-1, 0), so node 1 is captured onto its endpoint's boundary line.
+        engine = _Descent(triangle_k, Shape.identity(), 1.0, SolverConfig(M=16, refinements=0))
+        stack = Path.from_line([0.0, -1.0], [0.6, 0.4], 1.0, 16).nodes[None]
+    solve, trial_moves = engine.solve, engine._trial_moves
+    rounds, built = [], []
+
+    def recorded_solve(stack):
+        if len(rounds) > len(built):
+            built.append(stack.copy())
+        return solve(stack)
+
+    def recorded_moves(stack, f0, ids):
+        rounds.append(_reference_trials(engine, stack, ids))
+        out = trial_moves(stack, f0, ids)
+        if len(rounds) > len(built):  # no candidate, so no solve
+            built.append(np.empty((0, *stack.shape[1:])))
+        return out
+
+    engine.solve, engine._trial_moves = recorded_solve, recorded_moves
+    engine.descend(stack)
+    assert len(rounds) == len(built) > 0
+    for (reference, _), trials in zip(rounds, built):
+        assert trials.shape == reference.shape and trials.tobytes() == reference.tobytes()
+    assert {move[0] for _, moves in rounds for move in moves} == {"release", "capture"}
+    if case == "tied-endpoint":
+        assert ("capture", 0, 1, 0) in rounds[0][1]
 
 
 def test_minimize_descends_a_duplicate_start_once(monkeypatch):

@@ -103,8 +103,10 @@ def test_analyze_on_written_trajectory(tmp_path):
     code = main(["analyze", "--trajectory", str(run / "trajectory.csv"),
                  "--inline", "[[-1.0],[1.0]]", "--out", str(out)])
     assert code == 0
-    events = json.loads((out / "events.json").read_text())
-    assert [e["kind"] for e in events] == ["effective_left", "effective_right"]
+    events = (out / "events.json").read_text()
+    assert [e["kind"] for e in json.loads(events)] == ["effective_left", "effective_right"]
+    # The CSV round-trips the nodes and the horizon, so the analysis repeats the solve's.
+    assert events == (run / "events.json").read_text()
 
 
 def test_oracle_command(tmp_path):
@@ -342,6 +344,7 @@ def test_oracle_input_errors_exit_2(grid, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", payload)
     assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "orc")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "orc").exists()
 
 
 LINE_CSV = "t,x1\n" + "".join(f"{k / 8},{0.05 * k - 0.2}\n" for k in range(9))
@@ -385,9 +388,10 @@ def test_zones_probe_budget_exits_2(capsys):
     ("solve", {**BASE_CONFIG, "scenario": ["a"]}, "scenario must be a JSON string"),
     ("solve", {**BASE_CONFIG, "plots": "no"}, "plots must be a JSON boolean"),
     ("stability", {**STABILITY, "sequence": 5}, "sequence must be a JSON array"),
+    ("stability", {**STABILITY, "sequence": []}, "site-set sequence is empty"),
 ], ids=["grid-no-lo", "grid-no-hi", "grid-no-resolution", "grid-no-time_slices",
         "checks-nested", "checks-string", "output_dir-number", "points-file-number",
-        "scenario-list", "plots-string", "sequence-number"])
+        "scenario-list", "plots-string", "sequence-number", "sequence-empty"])
 def test_run_config_field_of_the_wrong_json_type_exits_2(command, payload, message, tmp_path,
                                                          capsys):
     cfg = _write(tmp_path / "cfg.json", payload)

@@ -16,7 +16,7 @@ from voract import (
     zone_table,
 )
 from voract import potential as potential_module
-from voract.potential import _circumcenter, batch_field, row_classes, same_zone
+from voract.potential import _circumcenter, batch_field, class_ids, same_zone
 
 
 def test_field_values(line_k):
@@ -60,7 +60,9 @@ def _assert_kernel_matches_scalar(probes, kset):
     assert len({cls for cls, _ in groups}) == len(groups)
     assert all(np.all(np.diff(rows) > 0) for _, rows in groups)
     assert np.array_equal(np.sort(np.concatenate([rows for _, rows in groups])), np.arange(n))
-    classes = row_classes(n, groups)
+    ids, registry = class_ids(n, groups)
+    assert registry == [cls for cls, _ in groups]
+    classes = [registry[i] for i in ids]
     for k in range(n):
         info = extended_gradient(probes[k], kset)
         assert classes[k] == info.opt.indices
