@@ -36,7 +36,10 @@ lower-fidelity solution used both as a solver seed and as a
 cross-validation oracle. Its edge cost is separable over the axes, so
 each time slice relaxes one axis at a time, ``d(2k + 1)`` shifted array
 operations instead of one per offset of the ``(2k + 1)^d`` step box, each
-on the one contiguous range of rows that can still reach the goal.
+on the one contiguous range of rows that can still reach the goal. The
+snapped chord's cost bounds the optimum, and only the cells that can still
+beat it get a field value or stay in the relaxation (the bounding step of
+A*), without changing the returned path by a bit.
 `constrained_minimize` runs the same engine on the convex-constrained
 companion problem, with nodes on active polytope faces pinned like ties.
 """
@@ -362,8 +365,8 @@ class _Descent:
         ``(B, n)``, numbered by :attr:`registry`, from the stack's one kernel
         call. Tie-class rows pin to their equidistance directions
         (``class_frame(cls).basis_b``) and, with a polytope, rows on active
-        faces to their null space (:meth:`_face_groups`); free rows get the
-        identity."""
+        faces to their null space (:meth:`_face_groups`); free rows, and
+        those of a class without a frame, get the identity."""
         b, n, d = stack.shape
         etas, s, _, groups = batch_field(stack.reshape(-1, d), self.kset)
         f = np.add(*_action_terms(stack, s, self.delta, self.shape))
@@ -377,8 +380,13 @@ class _Descent:
                 continue
             k = rows % n
             rows = rows[(k >= 1) & (k <= n - 2)]
-            if rows.size:
-                pins.append((class_frame(cls, self.kset).basis_b, rows - 2 * (rows // n) - 1))
+            if not rows.size:
+                continue
+            try:
+                basis = class_frame(cls, self.kset).basis_b
+            except GeometryError:
+                continue  # a tie only within the tolerance, with no locus: the rows stay free
+            pins.append((basis, rows - 2 * (rows // n) - 1))
         flat = g.reshape(-1, d)
         if self.polytope is not None:
             pins += self._face_groups(stack[:, 1:-1].reshape(-1, d), flat)
@@ -784,23 +792,51 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     array operations per slice instead of ``(2k + 1)^d``.
 
     The passes run from the last axis to the first. Each pass records its
-    step index (``0..2k`` for ``-k..k``) in a parent array of shape
-    ``(time_slices, d) + grid`` of the smallest unsigned dtype that holds
-    ``2k``; within a pass ties go to the first step in ``-k..k`` order, so
-    exact ties resolve to the lexicographically smallest offset, first axis
-    first. The backtrack undoes the passes in reverse, first axis first.
+    step index (``0..2k`` for ``-k..k``) for the cells it relaxes, in the
+    smallest unsigned dtype that holds ``2k``; within a pass ties go to the
+    first step in ``-k..k`` order, so exact ties resolve to the
+    lexicographically smallest offset, first axis first. The backtrack
+    undoes the passes in reverse, first axis first.
 
-    Each pass runs on one contiguous range of the C-ordered grid: a step of
-    ``o`` cells along an axis is a flat shift by ``o`` times the axis's
-    stride, and a target whose source would leave the axis gets an infinite
-    kinetic term. Only first-axis rows within ``t*k`` of the start row and
-    ``(T - t)*k`` of the goal row are relaxed at slice ``t`` (the passes
-    before the first axis's keep the source row); every other cell stays
-    infinite. A row outside that window either holds an infinite cost or
-    cannot reach the goal, so it feeds no cell of a later window: the
-    relaxed cells get the same costs in the same order of steps, and the
-    optimum, its ties and the returned path are those of relaxing the whole
-    grid.
+    Each pass runs on one contiguous range of first-axis rows of the
+    C-ordered grid: a step of ``o`` cells along an axis is a flat shift by
+    ``o`` times the axis's stride, and a target whose source would leave
+    the axis gets an infinite kinetic term. The passes of slice ``t`` before
+    the first axis's keep the rows of slice ``t``; the first axis's pass
+    relaxes the rows within ``k`` of them and within ``(T - t - 1) k`` of
+    the goal row. Every other cell stays infinite.
+
+    The relaxation is bounded as in A* (Hart, Nilsson & Raphael 1968) or
+    the bounding step of branch and bound (Morin & Marsten 1976). The chord
+    ``a + (b - a) t/T`` snapped to the grid is a grid path unless one of its
+    steps is longer than ``k`` cells; its cost U, in the edge formula above,
+    bounds the optimum, and ``cut = U + 1e-9 (1 + U)`` covers rounding
+    (without such a path U is inf and nothing is cut). Since ``h >= 0``, by
+    Cauchy-Schwarz the rest of any path from x at slice t costs at least
+    ``L_t(x) = |x - b|^2 / ((T - t) dt)``, and a path of cost at most
+    ``cut`` stays in the ellipse ``|x - a| + |x - b| <= sqrt(delta cut)``.
+    So the field is evaluated on the ellipse's cells only, every other cell
+    gets ``h = inf``, and the row ranges keep to the ellipse's rows. On
+    grids of two or more axes, slice ``t`` also ends by setting to inf every
+    cell with ``cost + L_{t+1} > cut`` and keeping the next slice's rows to
+    those that still hold a finite cell. One-axis grids skip this: their
+    slices are a few hundred cells, so the prune would cost more numpy calls
+    than it saves.
+
+    The returned path is the one of relaxing the whole grid, bit for bit.
+    Every step only adds and takes minima, and cutting turns a cost into inf,
+    so no cell's cost falls below its unbounded value. Call a cell
+    *critical* if it lies on the unbounded path or is a source of a step
+    that attains a critical cell's minimum (ties included). For a step from
+    s to y, ``L_t(s) <= |s - y|^2/dt + L_{t+1}(y)`` by convexity, and the
+    step costs at least ``|s - y|^2/dt``, so ``cost + L`` never increases
+    along a minimizing step; it is at most the optimum at the goal, which
+    is at most U. A critical cell therefore passes the cut, lies in the
+    ellipse (Cauchy-Schwarz on its two sides), and lies in a relaxed row.
+    By induction over the slices its candidates are unchanged where they
+    attain the minimum and no lower elsewhere, so it gets the same cost and,
+    ties going to the first step, the same step index: the backtrack reads
+    the same path.
     """
     d = kset.dim
     if d > 3:
@@ -846,23 +882,41 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     if np.any(np.minimum(a, b) < grid_spec.lo) or np.any(np.maximum(a, b) > grid_spec.hi):
         raise ActionError("endpoints must lie in the grid box")
 
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid_pts = np.stack([m.ravel() for m in mesh], axis=1)
-    _, s, _, _ = batch_field(grid_pts, kset)
-    hh = 0.5 * dt * shape.h(s)
-
     start = tuple(int(np.argmin(np.abs(axes[ax] - a[ax]))) for ax in range(d))
     goal = tuple(int(np.argmin(np.abs(axes[ax] - b[ax]))) for ax in range(d))
-
-    # The first-axis rows [lo, hi) that can hold a finite cost at slice t and
-    # still reach the goal: within t*k0 rows of the start, (T - t)*k0 of the goal.
-    n0 = shape_g[0]
-    k0 = min(k_off, n0 - 1)
-    windows = [(max(start[0] - t * k0, goal[0] - (t_slices - t) * k0, 0),
-                min(start[0] + t * k0, goal[0] + (t_slices - t) * k0, n0 - 1) + 1)
-               for t in range(t_slices + 1)]
-    if windows[0][0] >= windows[0][1]:
+    k0 = min(k_off, shape_g[0] - 1)
+    if abs(start[0] - goal[0]) > t_slices * k0:
         raise ActionError("endpoint unreachable on this grid (raise vmax or widen the box)")
+
+    # The bound: the snapped chord's cost, if its steps are at most k cells.
+    frac = np.arange(t_slices + 1) / t_slices
+    chord = np.empty((t_slices + 1, d), dtype=np.intp)
+    for ax, x in enumerate(axes):
+        v = a[ax] + (b[ax] - a[ax]) * frac
+        i = np.clip(np.searchsorted(x, v), 1, len(x) - 1)
+        chord[:, ax] = i - (v - x[i - 1] <= x[i] - v)  # the nearest point, the lower on a tie
+    chord[0], chord[-1] = start, goal
+    cut = np.inf
+    if np.max(np.abs(np.diff(chord, axis=0))) <= k_off:
+        pts = np.stack([x[chord[:, ax]] for ax, x in enumerate(axes)], axis=1)
+        hc = 0.5 * dt * shape.h(batch_field(pts, kset)[1])
+        bound = float(np.sum((pts[1:] - pts[:-1]) ** 2 / dt) + np.sum(hc[:-1] + hc[1:]))
+        cut = bound + 1e-9 * (1.0 + bound)
+
+    # Squared distances to a and b per cell; the field only inside the ellipse.
+    def sq_dist(p):
+        out = np.zeros(shape_g)
+        for ax, x in enumerate(axes):
+            out += ((x - p[ax]) ** 2).reshape([-1 if i == ax else 1 for i in range(d)])
+        return out.reshape(-1)
+
+    to_goal = sq_dist(b)
+    cells = np.arange(g_total)
+    if np.isfinite(cut):
+        cells = np.flatnonzero(np.sqrt(sq_dist(a)) + np.sqrt(to_goal) <= math.sqrt(delta * cut))
+    hh = np.full(g_total, np.inf)
+    grid_pts = np.stack([x[i] for x, i in zip(axes, np.unravel_index(cells, shape_g))], axis=1)
+    hh[cells] = 0.5 * dt * shape.h(batch_field(grid_pts, kset)[1])
 
     # Costs live in two flat C-ordered buffers with k0 rows of inf at each
     # end, so a step of o cells along an axis reads one contiguous range
@@ -886,44 +940,68 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     bufs = [np.full(g_total + 2 * pad, np.inf) for _ in range(2)]
     bufs[0][pad + int(np.ravel_multi_index(start, shape_g))] = 0.0
     # Each buffer is inf outside its span, the range its last pass wrote.
-    span = [(pad + windows[0][0] * row, pad + windows[0][1] * row), (pad, pad)]
-    parents = np.zeros((t_slices, d) + shape_g, dtype=np.min_scalar_type(2 * k_off))
-    flat_parents = parents.reshape(t_slices, d, g_total)
+    span = [(pad + start[0] * row, pad + (start[0] + 1) * row), (pad, pad)]
+    # The rows [r0, r1) of slice t that can hold a finite cost, within the
+    # ellipse's rows [e0, e1).
+    r0, r1 = start[0], start[0] + 1
+    e0, e1 = int(cells[0]) // row, int(cells[-1]) // row + 1
+    step_dtype = np.min_scalar_type(2 * k_off)
+    parents = []  # per slice and pass: (axis, first flat cell, step indices of its cells)
     cand = np.empty(g_total)
     better = np.empty(g_total, dtype=bool)
+    prune = d > 1 and np.isfinite(cut)
     cur = 0
     for t in range(t_slices):
-        lo, hi = span[cur]
+        left = t_slices - t - 1
+        q0 = max(r0 - k0, goal[0] - left * k0, e0)
+        rows_next = (q0, max(q0, min(r1 + k0, goal[0] + left * k0 + 1, e1)))
+        lo, hi = pad + r0 * row, pad + r1 * row
         np.add(bufs[cur][lo:hi], hh[lo - pad:hi - pad], out=bufs[cur][lo:hi])
         for ax, n, stride, steps in passes:
             # Every pass but the first axis's keeps the rows of slice t.
-            r0, r1 = windows[t + 1] if ax == 0 else windows[t]
-            lo, hi = pad + r0 * row, pad + r1 * row
-            view = (-1, n, stride) if ax else (r1 - r0, stride)
-            rows = slice(None) if ax else slice(r0, r1)
+            p0, p1 = rows_next if ax == 0 else (r0, r1)
+            lo, hi = pad + p0 * row, pad + p1 * row
+            view = (-1, n, stride) if ax else (p1 - p0, stride)
+            rows = slice(None) if ax else slice(p0, p1)
             src, out = bufs[cur], bufs[1 - cur]
             out[min(lo, span[1 - cur][0]):max(hi, span[1 - cur][1])] = np.inf
             span[1 - cur] = (lo, hi)
             new = out[lo:hi].reshape(view)
             c = cand[:hi - lo].reshape(view)
             m = better[:hi - lo].reshape(view)
-            parent = flat_parents[t, ax, lo - pad:hi - pad].reshape(view)
-            for oid, shift, kin in steps:
+            # The first step's candidates start the running minimum; a later
+            # step takes a cell only where it is strictly lower.
+            oid, shift, kin = steps[0]
+            np.add(src[lo - shift:hi - shift].reshape(view), kin[rows], out=new)
+            parent = np.full(hi - lo, oid, dtype=step_dtype)
+            parents.append((ax, lo - pad, parent))
+            parent = parent.reshape(view)
+            for oid, shift, kin in steps[1:]:
                 np.add(src[lo - shift:hi - shift].reshape(view), kin[rows], out=c)
                 np.less(c, new, out=m)
                 np.copyto(parent, oid, where=m)
                 np.minimum(new, c, out=new)
             cur = 1 - cur
+        r0, r1 = rows_next
         lo, hi = span[cur]
-        np.add(bufs[cur][lo:hi], hh[lo - pad:hi - pad], out=bufs[cur][lo:hi])
-    if not np.isfinite(bufs[cur][pad + int(np.ravel_multi_index(goal, shape_g))]):
+        cost = bufs[cur][lo:hi]
+        np.add(cost, hh[lo - pad:hi - pad], out=cost)
+        if prune and left:
+            keep = cost + to_goal[lo - pad:hi - pad] / (left * dt) <= cut
+            np.copyto(cost, np.inf, where=~keep)
+            kept = np.flatnonzero(np.any(keep.reshape(r1 - r0, row), axis=1))
+            r0, r1 = (r0 + int(kept[0]), r0 + int(kept[-1]) + 1) if kept.size else (r0, r0)
+    flat = int(np.ravel_multi_index(goal, shape_g))
+    if not np.isfinite(bufs[cur][pad + flat]):
         raise ActionError("endpoint unreachable on this grid (raise vmax or widen the box)")
 
     idx = list(goal)
     rev = [tuple(idx)]
     for t in range(t_slices - 1, -1, -1):
-        for ax in range(d):
-            idx[ax] -= int(parents[(t, ax, *idx)]) - k_off
+        for ax, first, steps in reversed(parents[t * d:(t + 1) * d]):
+            o = int(steps[flat - first]) - k_off
+            idx[ax] -= o
+            flat -= o * strides[ax]
         rev.append(tuple(idx))
     rev.reverse()
     nodes = np.array([[axes[ax][i[ax]] for ax in range(d)] for i in rev])

@@ -766,6 +766,20 @@ def test_gradient_on_a_site_is_finite_for_power_below_one():
     assert np.all(np.isfinite(g)) and g[1, 0] == 0.0
 
 
+def test_a_tie_without_an_equidistance_locus_leaves_its_nodes_free():
+    # Far above three collinear sites every node ties all three within the
+    # relative tolerance, but no point is equidistant from them: value leaves
+    # such nodes free, as the trial moves skip the class, and the solve ends.
+    kset = PointSet([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], tie_tolerance=1e-3)
+    engine = _Descent(kset, Shape.identity(), 1.0, SolverConfig(M=4, refinements=0))
+    *_, proj, ids = engine.value(Path.from_line([-0.5, 100.0], [0.5, 100.0], 1.0, 4).nodes[None])
+    assert _classes(engine, ids[:, 1:-1]) == [(0, 1, 2)] * 3
+    assert np.array_equal(proj[0], np.tile(np.eye(2), (3, 1, 1)))
+    res = minimize([-0.5, 100.0], [0.5, 100.0], 1.0, kset, Shape.identity(),
+                   SolverConfig(M=16, refinements=1, starts=1))
+    assert res.converged and np.isfinite(res.breakdown.total)
+
+
 @pytest.mark.parametrize("bound", [1, 2 * 129 * 2])
 def test_minimize_independent_of_relaxation_blocks(bound, line_k, grid3_k, identity_shape,
                                                    monkeypatch):
@@ -1125,6 +1139,244 @@ def test_dp_separable_relaxation_matches_full_offset_reference(problem):
     tol = 1e-12 * max(1.0, ref_cost)
     assert abs(evaluate_action(path, kset, shape).total - ref_cost) <= tol
     assert abs(evaluate_action(Path(delta, ref_nodes), kset, shape).total - ref_cost) <= tol
+
+
+# The bounded relaxation against the unbounded one: the same path, bit for bit.
+
+def _reference_dp_oracle(x0, xdelta, delta, kset, shape, grid_spec):
+    """`dp_oracle` before its bound, kept verbatim: the separable relaxation of
+    every first-axis row that can still reach the goal, on the whole grid's
+    field, with a ``(T, d) + grid`` parent array."""
+    import math
+
+    from voract.action import (EDGE_BUDGET, NODE_BUDGET, GridBudgetError, _as_vector,
+                               _axis_coords, _check_number)
+
+    d = kset.dim
+    if d > 3:
+        raise ActionError("dp_oracle supports dimension <= 3")
+    a = _as_vector(x0, d)
+    b = _as_vector(xdelta, d)
+    _check_number("delta", delta, 0.0)
+    if grid_spec.lo.shape[0] != d or (grid_spec.snap_axes is not None
+                                      and len(grid_spec.snap_axes) != d):
+        raise ActionError(f"grid dimension {grid_spec.lo.shape[0]} does not match "
+                          f"the point set's dimension {d}")
+    t_slices = grid_spec.time_slices
+    dt = delta / t_slices
+    res = grid_spec.resolution
+    if grid_spec.vmax is None:
+        vmax = 4.0 * max(1.0, float(np.linalg.norm(b - a)) / delta)
+    else:
+        vmax = grid_spec.vmax
+    # Snapping only adds points to the uniform axes, which hold at least
+    # (hi - lo)/res + 1/2 points each, and k is at least vmax*dt/res: both
+    # budgets are first checked on these Python floats, which overflow to
+    # inf rather than raise, before any count or array is made.
+    g_least = math.prod(max((hi - lo) / res + 0.5, 2.0)
+                        for lo, hi in zip(grid_spec.lo.tolist(), grid_spec.hi.tolist()))
+    if g_least * (t_slices + 1) > NODE_BUDGET:
+        raise GridBudgetError(f"{g_least:.3g} grid points x {t_slices + 1} slices "
+                              "exceeds the budget")
+    if g_least * t_slices * math.prod([2.0 * max(1.0, vmax * dt / res) + 1.0] * d) > EDGE_BUDGET:
+        raise GridBudgetError("edge relaxation budget exceeded; coarsen the grid")
+
+    snap_axes = grid_spec.snap_axes or tuple(() for _ in range(d))
+    axes = []
+    for ax in range(d):
+        snap = tuple(snap_axes[ax]) + (float(a[ax]), float(b[ax]))
+        axes.append(_axis_coords(float(grid_spec.lo[ax]), float(grid_spec.hi[ax]), res, snap))
+    shape_g = tuple(len(c) for c in axes)
+    g_total = int(np.prod(shape_g))
+    if g_total * (t_slices + 1) > NODE_BUDGET:
+        raise GridBudgetError(f"{g_total} grid points x {t_slices + 1} slices exceeds the budget")
+    k_off = max(1, int(np.ceil(vmax * dt / res)))
+    if g_total * t_slices * (2 * k_off + 1) ** d > EDGE_BUDGET:
+        raise GridBudgetError("edge relaxation budget exceeded; coarsen the grid")
+    if np.any(np.minimum(a, b) < grid_spec.lo) or np.any(np.maximum(a, b) > grid_spec.hi):
+        raise ActionError("endpoints must lie in the grid box")
+
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid_pts = np.stack([m.ravel() for m in mesh], axis=1)
+    _, s, _, _ = batch_field(grid_pts, kset)
+    hh = 0.5 * dt * shape.h(s)
+
+    start = tuple(int(np.argmin(np.abs(axes[ax] - a[ax]))) for ax in range(d))
+    goal = tuple(int(np.argmin(np.abs(axes[ax] - b[ax]))) for ax in range(d))
+
+    # The first-axis rows [lo, hi) that can hold a finite cost at slice t and
+    # still reach the goal: within t*k0 rows of the start, (T - t)*k0 of the goal.
+    n0 = shape_g[0]
+    k0 = min(k_off, n0 - 1)
+    windows = [(max(start[0] - t * k0, goal[0] - (t_slices - t) * k0, 0),
+                min(start[0] + t * k0, goal[0] + (t_slices - t) * k0, n0 - 1) + 1)
+               for t in range(t_slices + 1)]
+    if windows[0][0] >= windows[0][1]:
+        raise ActionError("endpoint unreachable on this grid (raise vmax or widen the box)")
+
+    # Costs live in two flat C-ordered buffers with k0 rows of inf at each
+    # end, so a step of o cells along an axis reads one contiguous range
+    # shifted by o * stride. Per axis, the steps -k..k (clamped to the axis
+    # length: longer steps reach nothing) as (step index, flat shift,
+    # kinetic term by target coordinate, inf where the source is off the axis).
+    strides = [int(np.prod(shape_g[ax + 1:])) for ax in range(d)]
+    row = strides[0]
+    pad = k0 * row
+    passes = []
+    for ax in reversed(range(d)):
+        n, x = shape_g[ax], axes[ax]
+        steps = []
+        for o in range(-min(k_off, n - 1), min(k_off, n - 1) + 1):
+            dst, src = slice(max(0, o), n + min(0, o)), slice(max(0, -o), n - max(0, o))
+            kin = np.full((n, 1), np.inf)
+            kin[dst, 0] = (x[dst] - x[src]) ** 2 / dt
+            steps.append((o + k_off, o * strides[ax], kin))
+        passes.append((ax, n, strides[ax], steps))
+
+    bufs = [np.full(g_total + 2 * pad, np.inf) for _ in range(2)]
+    bufs[0][pad + int(np.ravel_multi_index(start, shape_g))] = 0.0
+    # Each buffer is inf outside its span, the range its last pass wrote.
+    span = [(pad + windows[0][0] * row, pad + windows[0][1] * row), (pad, pad)]
+    parents = np.zeros((t_slices, d) + shape_g, dtype=np.min_scalar_type(2 * k_off))
+    flat_parents = parents.reshape(t_slices, d, g_total)
+    cand = np.empty(g_total)
+    better = np.empty(g_total, dtype=bool)
+    cur = 0
+    for t in range(t_slices):
+        lo, hi = span[cur]
+        np.add(bufs[cur][lo:hi], hh[lo - pad:hi - pad], out=bufs[cur][lo:hi])
+        for ax, n, stride, steps in passes:
+            # Every pass but the first axis's keeps the rows of slice t.
+            r0, r1 = windows[t + 1] if ax == 0 else windows[t]
+            lo, hi = pad + r0 * row, pad + r1 * row
+            view = (-1, n, stride) if ax else (r1 - r0, stride)
+            rows = slice(None) if ax else slice(r0, r1)
+            src, out = bufs[cur], bufs[1 - cur]
+            out[min(lo, span[1 - cur][0]):max(hi, span[1 - cur][1])] = np.inf
+            span[1 - cur] = (lo, hi)
+            new = out[lo:hi].reshape(view)
+            c = cand[:hi - lo].reshape(view)
+            m = better[:hi - lo].reshape(view)
+            parent = flat_parents[t, ax, lo - pad:hi - pad].reshape(view)
+            for oid, shift, kin in steps:
+                np.add(src[lo - shift:hi - shift].reshape(view), kin[rows], out=c)
+                np.less(c, new, out=m)
+                np.copyto(parent, oid, where=m)
+                np.minimum(new, c, out=new)
+            cur = 1 - cur
+        lo, hi = span[cur]
+        np.add(bufs[cur][lo:hi], hh[lo - pad:hi - pad], out=bufs[cur][lo:hi])
+    if not np.isfinite(bufs[cur][pad + int(np.ravel_multi_index(goal, shape_g))]):
+        raise ActionError("endpoint unreachable on this grid (raise vmax or widen the box)")
+
+    idx = list(goal)
+    rev = [tuple(idx)]
+    for t in range(t_slices - 1, -1, -1):
+        for ax in range(d):
+            idx[ax] -= int(parents[(t, ax, *idx)]) - k_off
+        rev.append(tuple(idx))
+    rev.reverse()
+    nodes = np.array([[axes[ax][i[ax]] for ax in range(d)] for i in rev])
+    return Path(delta, nodes)
+
+
+@st.composite
+def _mirrored_dp_problems(draw):
+    """Dyadic grids, sites and endpoints symmetric under x_0 -> -x_0 (the
+    endpoints mirror each other or lie on x_0 = 0), so mirrored grid paths
+    cost the same to the last bit and the DP meets exact ties."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    res = draw(st.sampled_from({1: [0.125, 0.25], 2: [0.25, 0.5], 3: [0.5]}[d]))
+    half = draw(st.integers(1, {1: 6, 2: 4, 3: 2}[d])) * 0.5
+    lo = [-half] + [draw(st.integers(-4, 0)) * 0.5 for _ in range(d - 1)]
+    hi = [half] + [low + draw(st.integers(1, {2: 4, 3: 3}[d])) * 0.5 for low in lo[1:]]
+    lattice = [np.linspace(low, high, int(round((high - low) / res)) + 1)
+               for low, high in zip(lo, hi)]
+    rest = [[draw(st.sampled_from(c.tolist())) for c in lattice[1:]] for _ in range(2)]
+    p = draw(st.sampled_from(lattice[0].tolist()))
+    p = draw(st.sampled_from([p, 0.0]))
+    x0, x1 = [-p] + rest[0], [p] + rest[1]
+    quarter = st.integers(-8, 8).map(lambda i: 0.25 * i)
+    base = draw(st.lists(st.tuples(*[quarter] * d), min_size=1, max_size=4, unique=True))
+    sites = sorted(set(base) | {(-s[0], *s[1:]) for s in base})
+    snap = draw(st.one_of(st.none(), st.lists(quarter, max_size=2).map(
+        lambda vals: (tuple(sorted({v for w in vals for v in (w, -w)})),)
+        + tuple(() for _ in range(d - 1)))))
+    gs = GridSpec(lo=lo, hi=hi, resolution=res, time_slices=draw(st.integers(2, 8)),
+                  vmax=draw(st.sampled_from([None, 1.0, 2.5, 6.0])), snap_axes=snap)
+    shape = draw(st.sampled_from([Shape.identity(), Shape.power(0.5), Shape.power(2.0)]))
+    delta = draw(st.sampled_from([0.5, 1.0]))
+    return x0, x1, delta, PointSet(sites, tie_tolerance=1e-9), shape, gs
+
+
+def _assert_dp_matches_unbounded(problem):
+    try:
+        reference = _reference_dp_oracle(*problem)
+    except ActionError as err:
+        with pytest.raises(type(err)) as raised:
+            dp_oracle(*problem)
+        assert str(raised.value) == str(err)
+        return None
+    path = dp_oracle(*problem)
+    assert path.nodes.tobytes() == reference.nodes.tobytes()
+    return path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_mirrored_dp_problems())
+def test_dp_bound_returns_the_unbounded_path(problem):
+    _assert_dp_matches_unbounded(problem)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dp_snapped_chord_optimum_survives_the_tightest_cut(d):
+    # A site on every cell of the snapped chord gives it zero potential, so it
+    # is the optimum and U is its cost: every chord cell meets the ellipse and
+    # the per-slice cut with equality up to rounding.
+    lo, hi, res, t_slices = -0.2, 1.2, 0.1, 10
+    axis = action_module._axis_coords(lo, hi, res, (0.0, 1.0))
+    chord = np.repeat(axis[2:2 + t_slices + 1, None], d, axis=1)
+    gs = GridSpec(lo=[lo] * d, hi=[hi] * d, resolution=res, time_slices=t_slices, vmax=2.0)
+    path = _assert_dp_matches_unbounded((chord[0], chord[-1], 1.0, PointSet(chord),
+                                         Shape.identity(), gs))
+    assert np.array_equal(path.nodes, chord)
+
+
+def test_dp_without_a_snapped_chord_path_relaxes_the_whole_grid(monkeypatch, triangle_k):
+    # The first axis is -1, -0.5, 0.15, 0.2, 0.5, 1: the chord's slices 2 and 3
+    # snap to -0.5 and 0.2, two cells apart where k = 1, so U is inf and the
+    # field is evaluated once, on every cell.
+    problem = ([-1.0, 0.0], [1.0, 0.0], 1.0, triangle_k, Shape.identity(),
+               GridSpec(lo=[-1.0, -1.0], hi=[1.0, 1.0], resolution=0.5, time_slices=5,
+                        vmax=2.0, snap_axes=((0.15, 0.2), ())))
+    rows = []
+
+    def counted(nodes, kset):
+        rows.append(len(nodes))
+        return batch_field(nodes, kset)
+
+    monkeypatch.setattr(action_module, "batch_field", counted)
+    assert _assert_dp_matches_unbounded(problem) is not None
+    assert rows == [6 * 5]
+
+
+@pytest.mark.parametrize("case", ["vmax", "axis-1", "resolution", "step-box", "nodes"])
+def test_dp_raises_where_the_unbounded_relaxation_raises(case, line_k, triangle_k):
+    # "endpoint unreachable" and GridBudgetError for the same inputs as before.
+    grid = {"lo": [-1.5], "hi": [1.5], "resolution": 0.05, "time_slices": 10}
+    problem = {
+        "vmax": ([-1.0], [1.0], line_k, {"vmax": 0.01}),
+        "axis-1": ([0.0, -1.0], [0.0, 1.0], triangle_k,
+                   {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "resolution": 0.25, "time_slices": 4,
+                    "vmax": 0.5}),
+        "resolution": ([-0.2], [0.2], line_k, {"resolution": 1e-300}),
+        "step-box": ([-0.2], [0.2], line_k, {"vmax": 1e308}),
+        "nodes": ([0.0] * 3, [0.0] * 3, PointSet(np.eye(3)),
+                  {"lo": [-1.0] * 3, "hi": [1.0] * 3, "resolution": 0.002, "time_slices": 400}),
+    }[case]
+    x0, x1, kset, fields = problem
+    assert _assert_dp_matches_unbounded(
+        (x0, x1, 1.0, kset, Shape.identity(), GridSpec(**{**grid, **fields}))) is None
 
 
 # ---------------------------------------------------------------------------
