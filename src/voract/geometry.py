@@ -19,7 +19,8 @@ built on:
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to call concurrently: a ``PointSet``'s class
-memo holds pure values, and a race at worst computes an entry twice.
+memo holds pure values, and a race at worst computes an entry twice; its
+k-d tree is built once, at construction, and only read after.
 Sampling operations take explicit seeds.
 """
 
@@ -109,6 +110,8 @@ class PointSet:
     tie_tolerance: float = 1e-9
     # Memo of class_frame and class_eta: pure functions of the sites and a class.
     _classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # k-d tree of the sites: the distinctness check's, kept for the field kernel.
+    _tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _as_points(self.points)
@@ -118,7 +121,8 @@ class PointSet:
             raise GeometryError(f"tie_tolerance must be a finite number >= 0, got {tol!r}")
         scale = 1.0 + float(np.max(np.linalg.norm(pts, axis=1)))
         floor = 10.0 * self.tie_tolerance * scale
-        pairs = cKDTree(pts).query_pairs(floor, output_type="ndarray")
+        object.__setattr__(self, "_tree", cKDTree(pts))
+        pairs = self._tree.query_pairs(floor, output_type="ndarray")
         if pairs.size:
             gap = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1).min()
             raise GeometryError(f"points are not pairwise distinct: min gap {gap:g} <= {floor:g}")

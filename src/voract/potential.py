@@ -14,12 +14,15 @@ functionals in :mod:`voract.action`. This module computes:
   distinct class (singletons included), ordered by first row, with rows
   ascending; ``class_ids`` turns them into one integer class id per row.
   It classifies the rows in blocks of at most ``KERNEL_CHUNK_ROW_SITES``
-  rows x sites, so no caller cuts its arrays.
+  rows x sites, so no caller cuts its arrays. From ``TREE_MIN_SITES`` sites
+  up it takes each row's candidate sites from the point set's k-d tree
+  instead, with the same formula and tie rule (``_classify_tree``).
   Both take a class's ``eta`` from :func:`~voract.geometry.class_eta`, so
   it is constant on each cell and independent of row and call order.
 - ``slope_sup_oracle``: an independent sampled estimate of the slope via
   difference quotients, used to cross-validate the gradient formula.
-- ``same_zone``: the one test that two zone values are one zone.
+- ``same_zone``: the one test that two zone values are one zone, also of
+  one value against a stack of known zones.
 - ``zone_table``: sampled discovery of the distinct ``eta`` values (the
   potential zones), the minimal squared separation ``beta`` between them,
   and a balancedness verdict (does the nearest-site partition coincide
@@ -67,6 +70,13 @@ ETA_DEDUP_TOL = 1e-7  # radius of one zone; read only by same_zone
 # Rows x sites per block of batch_field: a block's distance matrix and tie
 # mask cost about 9 bytes per row-site.
 KERNEL_CHUNK_ROW_SITES = 1_000_000
+# From this many sites up, _classify takes each row's candidates from the site
+# set's k-d tree; below it the dense block is faster (measured crossover).
+TREE_MIN_SITES = 512
+TREE_K = 4  # first candidate count per row of the tree path, doubled as needed
+# Row-candidates per k-d tree query: about 1.5 MB of arrays at d = 4, so the
+# tree path adds little to a process's peak memory.
+TREE_QUERY_CANDIDATES = 16_384
 TRIPLE_MAX_SITES = 40  # zone_table skips triple circumcenters above this many sites
 MAX_PAIRS = 20_000  # zone_table probes at most this many site pairs, drawn by its seed
 MAX_PROBE_COORDS = 10_000_000  # uniform probes x dimension, checked before drawing
@@ -145,9 +155,13 @@ def batch_field(nodes: np.ndarray, kset: PointSet):
     sites) falls back to each row's own hull projection. Rows are classified
     in blocks of at most :data:`KERNEL_CHUNK_ROW_SITES` row-sites, so a call
     of any size holds one block's distance matrix; no result depends on it.
+    From :data:`TREE_MIN_SITES` sites up, the call is one block whose rows
+    take their candidates from the k-d tree (:func:`_classify_tree`).
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    chunk = max(1, KERNEL_CHUNK_ROW_SITES // kset.n)
+    # The tree path bounds each of its queries itself, so it takes the call whole.
+    chunk = nodes.shape[0] if kset.n >= TREE_MIN_SITES else KERNEL_CHUNK_ROW_SITES // kset.n
+    chunk = max(1, chunk)
     # At least one block, so zero rows still give arrays of the right shape.
     blocks = [_classify(nodes[lo:lo + chunk], kset)
               for lo in range(0, max(nodes.shape[0], 1), chunk)]
@@ -171,7 +185,15 @@ def batch_field(nodes: np.ndarray, kset: PointSet):
 
 def _classify(nodes: np.ndarray, kset: PointSet):
     """Nearest site, tie flag and the tied rows' bit-packed site masks of one
-    block of rows; the block's distance matrix dies on return."""
+    block of rows.
+
+    Below :data:`TREE_MIN_SITES` sites the block's rows x sites distance
+    matrix is built and dies on return. From that many sites up, each row's
+    candidates come from the site set's k-d tree instead (:func:`_classify_tree`),
+    under the same formula and tie rule.
+    """
+    if kset.n >= TREE_MIN_SITES:
+        return _classify_tree(nodes, kset)
     pts = kset.points
     d2 = np.einsum("ij,ij->i", nodes, nodes)[:, None] + np.einsum("ij,ij->i", pts, pts)
     d2 -= 2.0 * nodes @ pts.T
@@ -179,6 +201,76 @@ def _classify(nodes: np.ndarray, kset: PointSet):
     ties = d2 <= (1.0 + kset.tie_tolerance) * dmin[:, None]
     tie = np.sum(ties, axis=1) >= 2
     return np.argmin(d2, axis=1), tie, np.packbits(ties[tie], axis=1)
+
+
+def _classify_tree(nodes: np.ndarray, kset: PointSet):
+    """:func:`_classify` of a block of rows from each row's nearest candidates.
+
+    A row's ``k`` candidates (``TREE_K`` at first) come from a k-nearest query
+    on ``kset``'s k-d tree, sorted by site index. On them the row takes the
+    dense path's formula, ``d2 = |x|^2 + |p|^2 - 2 x.p`` clamped at 0, its
+    ``dmin``, its ties ``d2 <= (1 + tie_tolerance) dmin`` and, as ``argmin``
+    does, the lowest site index among the minima. A row is done once every
+    other site provably fails that tie test; the others query again with
+    ``2k`` candidates, up to all sites.
+
+    Why the margin suffices: let ``u = eps/2`` be the unit roundoff and ``S =
+    |x|^2 + max|p|^2``. The two squared norms together and the doubled dot product
+    are d-term sums, each within ``d u S`` of its exact value; the sum and
+    the difference round once more, by at most ``u S`` and ``2u S``. So a
+    site's ``d2``, clamped or not, is within ``(2d + 3) u S + O(u^2) <= (d + 2)
+    eps S`` of its exact squared distance ``D``. The tree's distances and
+    pruning bounds are sums of ``d`` rounded squares, within ``(d + 2) u`` of
+    exact relative to ``D``, and the returned distance squared adds ``2u``;
+    with ``r_k^2 <= 2S``, a site the query leaves out has ``D >= r_k^2 -
+    (d + 5) eps S``, hence ``d2 >= r_k^2 - (2d + 7) eps S``. A row stops when
+    ``r_k^2 - m > (1 + tie_tolerance) dmin + m`` with ``m = 2 (d + 4) eps S``:
+    ``2m`` covers that bound and the two roundings of the test itself (at
+    most ``eps S`` each), so no left-out site is a minimum or a tie, and the
+    row's outputs are those of the dense path on the same ``d2``.
+
+    The cross term is an elementwise sum here and a BLAS product there, so a
+    ``d2`` can differ from the dense one by a few ulps. That moves only a row
+    within rounding of the tie bound, where the dense path already depends
+    on its block, and the ``nearest`` among exact minima of a tied row, which
+    :func:`batch_field` overwrites with the class's zone value. Each query
+    holds at most :data:`TREE_QUERY_CANDIDATES` row-candidates.
+    """
+    pts, n, d = kset.points, kset.n, kset.dim
+    sq_pts = np.einsum("ij,ij->i", pts, pts)
+    sq_rows = np.einsum("ij,ij->i", nodes, nodes)
+    margin = 2.0 * (d + 4) * np.finfo(float).eps * (sq_rows + np.max(sq_pts))
+    nearest = np.empty(nodes.shape[0], dtype=np.intp)
+    tie = np.zeros(nodes.shape[0], dtype=bool)
+    tie_rows, tie_sites = [], []
+    todo, k = np.arange(nodes.shape[0]), min(TREE_K, n)
+    while todo.size:
+        step, again = max(1, TREE_QUERY_CANDIDATES // k), []
+        for at in (todo[lo:lo + step] for lo in range(0, todo.size, step)):
+            dist, cand = kset._tree.query(nodes[at], k)
+            cand = np.sort(cand.reshape(at.size, k), axis=1)
+            d2 = sq_rows[at, None] + sq_pts[cand]
+            d2 -= 2.0 * np.einsum("ikj,ij->ik", pts[cand], nodes[at])
+            dmin = np.min(np.maximum(d2, 0.0, out=d2), axis=1)
+            bound = (1.0 + kset.tie_tolerance) * dmin
+            if k < n:
+                done = np.reshape(dist, (at.size, k))[:, -1] ** 2 - margin[at] > bound + margin[at]
+                again.append(at[~done])
+                at, cand, d2, bound = at[done], cand[done], d2[done], bound[done]
+            ties = d2 <= bound[:, None]
+            tied = np.sum(ties, axis=1) >= 2
+            nearest[at] = cand[np.arange(at.size), np.argmin(d2, axis=1)]
+            tie[at] = tied
+            rows, cols = np.nonzero(ties[tied])
+            tie_rows.append(at[tied][rows])
+            tie_sites.append(cand[tied][rows, cols])
+        todo, k = np.concatenate(again or [todo[:0]]), min(2 * k, n)
+    bits = np.zeros((np.count_nonzero(tie), (n + 7) // 8), dtype=np.uint8)
+    if tie_rows:
+        sites = np.concatenate(tie_sites)
+        at = np.searchsorted(np.flatnonzero(tie), np.concatenate(tie_rows))
+        np.bitwise_or.at(bits, (at, sites >> 3), (128 >> (sites & 7)).astype(np.uint8))
+    return nearest, tie, bits
 
 
 def _split_by_key(rows: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
@@ -277,9 +369,21 @@ class ZoneTable:
         return len(self.cell_to_zone)
 
 
-def same_zone(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff zone values ``a`` and ``b`` are within :data:`ETA_DEDUP_TOL`."""
-    return float(np.linalg.norm(a - b)) <= ETA_DEDUP_TOL
+def same_zone(eta: np.ndarray, known: np.ndarray):
+    """Whether zone value ``eta`` and ``known`` are one zone: within
+    :data:`ETA_DEDUP_TOL` of each other, in the Euclidean norm.
+
+    ``known`` is one zone value (d,), giving a bool, or a stack (m, d), giving
+    the index of its first row within the radius (None if none is). matmul
+    takes each norm as the 1-D dot product ``np.linalg.norm`` uses, so the
+    stack's answers equal the pairwise ones.
+    """
+    gaps = np.reshape(known, (-1, np.size(eta))) - eta
+    close = np.flatnonzero(np.sqrt((gaps[:, None, :] @ gaps[:, :, None]).reshape(-1))
+                           <= ETA_DEDUP_TOL)
+    if np.ndim(known) == 1:
+        return close.size > 0
+    return int(close[0]) if close.size else None
 
 
 def _witness(kset: PointSet, pts: np.ndarray, cells: dict, keep=None) -> dict:
@@ -298,9 +402,9 @@ def _zones(cells: dict):
     that share a zone (None if none do)."""
     etas, cell_to_zone = [], {}
     for cls, (eta, _) in cells.items():
-        cell_to_zone[cls] = next((i for i, known in enumerate(etas) if same_zone(known, eta)),
-                                 len(etas))
-        if cell_to_zone[cls] == len(etas):
+        zone = same_zone(eta, np.reshape(etas, (-1, eta.size)))
+        cell_to_zone[cls] = len(etas) if zone is None else zone
+        if zone is None:
             etas.append(eta)
     first: dict[int, tuple[int, ...]] = {}
     for cls in sorted(cell_to_zone):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -16,7 +17,15 @@ from voract import (
     zone_table,
 )
 from voract import potential as potential_module
-from voract.potential import _circumcenter, batch_field, class_ids, same_zone
+from voract.mag import build_mag, interior_balance_verdict
+from voract.potential import (
+    _circumcenter,
+    _classify,
+    _pair_probes,
+    batch_field,
+    class_ids,
+    same_zone,
+)
 
 
 def test_field_values(line_k):
@@ -165,19 +174,142 @@ def test_batch_field_independent_of_its_block_size(case):
             (cls, r.tolist()) for cls, r in ref_groups]
 
 
+def _traced_peak(rows, kset) -> int:
+    """Peak bytes ``tracemalloc`` sees during one ``batch_field`` call."""
+    tracemalloc.start()
+    try:
+        batch_field(rows, kset)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_batch_field_memory_is_one_block():
     # 200,000 rows x 50 sites is ten million row-sites; the kernel holds one
     # block of distance matrix at a time, not the whole call's.
     rng = np.random.default_rng(0)
     kset = PointSet(rng.integers(-20, 21, size=(50, 3)) / 4.0 + rng.random((50, 3)) * 1e-3)
     rows = rng.uniform(-6.0, 6.0, size=(200_000, 3))
-    tracemalloc.start()
-    try:
-        batch_field(rows, kset)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 8 * potential_module.KERNEL_CHUNK_ROW_SITES
+    assert _traced_peak(rows, kset) < 4 * 8 * potential_module.KERNEL_CHUNK_ROW_SITES
+
+
+def _on_tree(monkeypatch, on: bool) -> None:
+    monkeypatch.setattr(potential_module, "TREE_MIN_SITES", 1 if on else 10**9)
+
+
+def _assert_tree_matches_dense(rows, kset):
+    """The tree path's ``batch_field`` and ``_classify`` equal the dense
+    path's: byte for byte, except ``nearest`` of a tied row."""
+    out = {}
+    for on in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            _on_tree(patch, on)
+            out[on] = batch_field(rows, kset), _classify(rows, kset)
+    (dense, (near, tie, bits)), (tree, (t_near, t_tie, t_bits)) = out[False], out[True]
+    for a, b in zip(dense[:3], tree[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert [(cls, r.tolist()) for cls, r in dense[3]] == [(cls, r.tolist()) for cls, r in tree[3]]
+    assert tie.tobytes() == t_tie.tobytes() and bits.tobytes() == t_bits.tobytes()
+    assert near[~tie].tobytes() == t_near[~tie].tobytes()
+    return tree
+
+
+@st.composite
+def _tree_cases(draw):
+    kset, rows = draw(_sites_and_tie_rows())
+    sites, d = kset.points, kset.dim
+    centers = [_circumcenter(sites[list(t)]) for t in itertools.combinations(range(kset.n), 3)]
+    offsets = _pair_probes(sites, np.stack(np.triu_indices(kset.n, 1), axis=1))[1]
+    tol = draw(st.sampled_from([1e-9, 1e-3]))
+    probes = [rows, np.array([c for c in centers if c is not None]).reshape(-1, d), offsets,
+              1e3 + rows]
+    return PointSet(sites, tie_tolerance=tol), np.vstack(probes)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_tree_cases())
+def test_tree_path_matches_the_dense_path(case):
+    # Random rows, pair midpoints, circumcenters, bisector offsets, rows on
+    # the sites and rows near 1e3, at two tie tolerances: the k-d tree path
+    # classifies every row as the dense block does, in a block of one row
+    # per query too.
+    kset, rows = case
+    tree = _assert_tree_matches_dense(rows, kset)
+    with pytest.MonkeyPatch.context() as patch:
+        _on_tree(patch, True)
+        patch.setattr(potential_module, "TREE_QUERY_CANDIDATES", 1)
+        small = batch_field(rows, kset)
+    for a, b in zip(tree[:3], small[:3]):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_tree_path_doubles_k_at_a_sixteen_way_tie():
+    # The centre of the 4-D unit cube is equidistant from its 16 corners:
+    # the first 4 and then 8 candidates all tie, so k doubles twice, to all 16.
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=4)))
+    rows = np.vstack([np.full(4, 0.5), corners, [[0.5, 0.5, 0.5, 2.0]]])
+    tree = _assert_tree_matches_dense(rows, PointSet(corners))
+    cls, first = tree[3][0]
+    assert cls == tuple(range(16)) and first.tolist() == [0]
+
+
+def test_tree_path_margin_covers_the_rounding_of_d2():
+    # Twelve sites on a circle of radius 0.05 around a centre near 1e3: the
+    # rounding of |x|^2 + |p|^2 - 2 x.p (about 1e-10) exceeds the tie slack
+    # (1e-9 * 0.0025), so rounding decides which sites tie with the centre.
+    # The tree path must find every site its own d2 puts in the tie, as it
+    # does with all sites as candidates; without the margin it stops short.
+    ring = np.exp(2j * np.pi * np.arange(12) / 12)
+    ring = 0.05 * np.stack([ring.real, ring.imag], axis=1)
+    for c in range(40):
+        centre = np.array([1000.0 + 0.37 * c, 1000.0 - 0.11 * c])
+        kset = PointSet(centre + ring)
+        out = []
+        for k in (potential_module.TREE_K, 12):
+            with pytest.MonkeyPatch.context() as patch:
+                _on_tree(patch, True)
+                patch.setattr(potential_module, "TREE_K", k)
+                out.append(_classify(centre[None, :], kset))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*out))
+
+
+def test_tree_path_on_the_lattice_verdict_probes(monkeypatch):
+    # The 1,944-site lattice in R^4 takes the tree path at the default
+    # threshold; its verdict probes classify as on the dense path.
+    system = build_mag([[0.0], [0.2], [0.45], [0.7]], 1, 4, 1)
+    assert system.kset.n >= potential_module.TREE_MIN_SITES
+    seen, kernel = [], potential_module.batch_field
+    monkeypatch.setattr(potential_module, "batch_field",
+                        lambda rows, kset: seen.append(rows) or kernel(rows, kset))
+    assert interior_balance_verdict(system, probe_count=2000, seed=0) == (True, None, 70)
+    monkeypatch.undo()
+    _assert_tree_matches_dense(seen[0], system.kset)
+
+
+def test_tree_of_each_point_set_is_its_own(monkeypatch):
+    # Point sets of alternating dimension are built and dropped; each is
+    # classified with the tree built from its own sites.
+    _on_tree(monkeypatch, True)
+    rng = np.random.default_rng(5)
+    for i in range(12):
+        d = 1 + i % 3
+        sites = np.unique(rng.integers(-8, 9, size=(12, d)), axis=0) / 4.0
+        rows = rng.uniform(-3.0, 3.0, size=(40, d))
+        kset = PointSet(sites)
+        nearest = np.argmin(((rows[:, None, :] - sites[None]) ** 2).sum(axis=2), axis=1)
+        assert np.array_equal(batch_field(rows, kset)[0], sites[nearest])
+        del kset
+        gc.collect()
+
+
+def test_tree_path_memory_is_below_one_dense_block():
+    # 200,000 rows x 2,048 sites on the tree path: each query holds a bounded
+    # number of row-candidates, below the dense path's one-block bound.
+    rng = np.random.default_rng(0)
+    kset = PointSet(rng.random((2048, 3)) * 8.0 - 4.0)
+    assert kset.n >= potential_module.TREE_MIN_SITES
+    rows = rng.uniform(-6.0, 6.0, size=(200_000, 3))
+    assert _traced_peak(rows, kset) < 4 * 8 * potential_module.KERNEL_CHUNK_ROW_SITES
 
 
 def test_slope_sup_examples(line_k):
