@@ -51,6 +51,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import solveh_banded
 from scipy.optimize import nnls
 
@@ -788,23 +789,37 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     the steps ``-k..k`` (per-axis squared coordinate differences over dt,
     exact on snapped, non-uniform axes), then add the target half. The
     intermediate points of a step stay in the grid box, so the optimum is
-    that of relaxing every offset of the box, at ``d(2k + 1)`` shifted
-    array operations per slice instead of ``(2k + 1)^d``.
+    that of relaxing every offset of the box, at ``d`` passes per slice
+    instead of ``(2k + 1)^d`` shifted relaxations.
 
-    The passes run from the last axis to the first. Each pass records its
-    step index (``0..2k`` for ``-k..k``) for the cells it relaxes, in the
-    smallest unsigned dtype that holds ``2k``; within a pass ties go to the
-    first step in ``-k..k`` order, so exact ties resolve to the
-    lexicographically smallest offset, first axis first. The backtrack
-    undoes the passes in reverse, first axis first.
-
-    Each pass runs on one contiguous range of first-axis rows of the
-    C-ordered grid: a step of ``o`` cells along an axis is a flat shift by
-    ``o`` times the axis's stride, and a target whose source would leave
-    the axis gets an infinite kinetic term. The passes of slice ``t`` before
-    the first axis's keep the rows of slice ``t``; the first axis's pass
+    Each pass runs on one contiguous range ``[lo, hi)`` of first-axis rows
+    of the C-ordered grid: a step of ``o`` cells along an axis is a flat
+    shift by ``o`` times the axis's stride, and a target whose source would
+    leave the axis gets an infinite kinetic term. With ``m = min(k, n - 1)``
+    for an axis of ``n`` points (longer steps reach nothing), a pass is one
+    add and one minimum: a read-only strided view of the source buffer,
+    shape ``(2m + 1, hi - lo)`` with row ``i`` the source shifted by
+    ``(i - m)`` strides, plus the pass's ``(2m + 1, n)`` kinetic table fill
+    one reused candidate block, and its minimum over the steps is the
+    pass's costs. The view reads ``[lo - m stride, hi + m stride)``, inside
+    the buffer: the buffers hold ``k0 = min(k, n_0 - 1)`` rows of inf before
+    and after the grid, on the first axis ``m stride = k0 row``, and on any
+    other axis ``m stride <= (n - 1) stride < row <= k0 row``, since every
+    axis has at least two points. The passes of slice ``t`` before the
+    first axis's keep the rows of slice ``t``; the first axis's pass
     relaxes the rows within ``k`` of them and within ``(T - t - 1) k`` of
     the goal row. Every other cell stays infinite.
+
+    The passes run from the last axis to the first and record no steps:
+    each keeps the finite cells of the range it read, as offsets and
+    costs. The backtrack undoes the passes in reverse, first axis first,
+    and re-derives each node's step: it rebuilds the node's ``2m + 1``
+    candidates from the kept costs with the same additions and takes the
+    first minimum in ``-m..m`` order. So exact ties resolve to the
+    lexicographically smallest offset, first axis first. The backtrack
+    rebuilds ``2m + 1`` candidates per node and pass, while numpy's argmin
+    over the short step axis of every relaxed cell takes two to four times
+    as long as the pass's add and minimum.
 
     The relaxation is bounded as in A* (Hart, Nilsson & Raphael 1968) or
     the bounding step of branch and bound (Morin & Marsten 1976). The chord
@@ -835,8 +850,9 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     ellipse (Cauchy-Schwarz on its two sides), and lies in a relaxed row.
     By induction over the slices its candidates are unchanged where they
     attain the minimum and no lower elsewhere, so it gets the same cost and,
-    ties going to the first step, the same step index: the backtrack reads
-    the same path.
+    ties going to the first step, the same first minimizing step: the
+    backtrack, which rebuilds exactly the candidates the pass added,
+    re-derives the same path.
     """
     d = kset.dim
     if d > 3:
@@ -920,24 +936,30 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
 
     # Costs live in two flat C-ordered buffers with k0 rows of inf at each
     # end, so a step of o cells along an axis reads one contiguous range
-    # shifted by o * stride. Per axis, the steps -k..k (clamped to the axis
-    # length: longer steps reach nothing) as (step index, flat shift,
-    # kinetic term by target coordinate, inf where the source is off the axis).
+    # shifted by o * stride. Per axis, the steps -m..m with m = min(k, n - 1)
+    # (longer steps reach nothing) and their kinetic terms, row i for the
+    # step of i - m cells, by target coordinate, inf where the source is off
+    # the axis; and per buffer, the read-only view whose row i is the buffer
+    # shifted by (i - m) * stride, so that its columns [lo - m stride,
+    # hi - m stride) hold the candidates' sources of the cells [lo, hi).
     strides = [int(np.prod(shape_g[ax + 1:])) for ax in range(d)]
     row = strides[0]
     pad = k0 * row
+    bufs = [np.full(g_total + 2 * pad, np.inf) for _ in range(2)]
+    itemsize = bufs[0].itemsize
     passes = []
     for ax in reversed(range(d)):
-        n, x = shape_g[ax], axes[ax]
-        steps = []
-        for o in range(-min(k_off, n - 1), min(k_off, n - 1) + 1):
+        n, x, stride = shape_g[ax], axes[ax], strides[ax]
+        m = min(k_off, n - 1)
+        kin = np.full((2 * m + 1, n), np.inf)
+        for o in range(-m, m + 1):
             dst, src = slice(max(0, o), n + min(0, o)), slice(max(0, -o), n - max(0, o))
-            kin = np.full((n, 1), np.inf)
-            kin[dst, 0] = (x[dst] - x[src]) ** 2 / dt
-            steps.append((o + k_off, o * strides[ax], kin))
-        passes.append((ax, n, strides[ax], steps))
+            kin[o + m, dst] = (x[dst] - x[src]) ** 2 / dt
+        shifted = [as_strided(buf[2 * m * stride:], shape=(2 * m + 1, buf.size - 2 * m * stride),
+                              strides=(-stride * itemsize, itemsize), writeable=False)
+                   for buf in bufs]
+        passes.append((ax, n, stride, m, kin, shifted))
 
-    bufs = [np.full(g_total + 2 * pad, np.inf) for _ in range(2)]
     bufs[0][pad + int(np.ravel_multi_index(start, shape_g))] = 0.0
     # Each buffer is inf outside its span, the range its last pass wrote.
     span = [(pad + start[0] * row, pad + (start[0] + 1) * row), (pad, pad)]
@@ -945,10 +967,11 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     # ellipse's rows [e0, e1).
     r0, r1 = start[0], start[0] + 1
     e0, e1 = int(cells[0]) // row, int(cells[-1]) // row + 1
-    step_dtype = np.min_scalar_type(2 * k_off)
-    parents = []  # per slice and pass: (axis, first flat cell, step indices of its cells)
-    cand = np.empty(g_total)
-    better = np.empty(g_total, dtype=bool)
+    # One candidate block for every pass: no pass relaxes more than the
+    # ellipse's rows (slice 0's passes before the first axis's relax the
+    # start row).
+    block = np.empty(max(e1 - e0, 1) * row * max(2 * p[3] + 1 for p in passes))
+    sources = []  # per slice and pass: (first flat cell read, finite cells' offsets, costs)
     prune = d > 1 and np.isfinite(cut)
     cur = 0
     for t in range(t_slices):
@@ -957,30 +980,21 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
         rows_next = (q0, max(q0, min(r1 + k0, goal[0] + left * k0 + 1, e1)))
         lo, hi = pad + r0 * row, pad + r1 * row
         np.add(bufs[cur][lo:hi], hh[lo - pad:hi - pad], out=bufs[cur][lo:hi])
-        for ax, n, stride, steps in passes:
+        for ax, n, stride, m, kin, shifted in passes:
             # Every pass but the first axis's keeps the rows of slice t.
             p0, p1 = rows_next if ax == 0 else (r0, r1)
             lo, hi = pad + p0 * row, pad + p1 * row
-            view = (-1, n, stride) if ax else (p1 - p0, stride)
-            rows = slice(None) if ax else slice(p0, p1)
-            src, out = bufs[cur], bufs[1 - cur]
+            out = bufs[1 - cur]
             out[min(lo, span[1 - cur][0]):max(hi, span[1 - cur][1])] = np.inf
             span[1 - cur] = (lo, hi)
-            new = out[lo:hi].reshape(view)
-            c = cand[:hi - lo].reshape(view)
-            m = better[:hi - lo].reshape(view)
-            # The first step's candidates start the running minimum; a later
-            # step takes a cell only where it is strictly lower.
-            oid, shift, kin = steps[0]
-            np.add(src[lo - shift:hi - shift].reshape(view), kin[rows], out=new)
-            parent = np.full(hi - lo, oid, dtype=step_dtype)
-            parents.append((ax, lo - pad, parent))
-            parent = parent.reshape(view)
-            for oid, shift, kin in steps[1:]:
-                np.add(src[lo - shift:hi - shift].reshape(view), kin[rows], out=c)
-                np.less(c, new, out=m)
-                np.copyto(parent, oid, where=m)
-                np.minimum(new, c, out=new)
+            reach = bufs[cur][lo - m * stride:hi + m * stride]
+            finite = np.flatnonzero(reach < np.inf)
+            sources.append((lo - m * stride, finite.astype(np.int32), reach[finite]))
+            view = (2 * m + 1, -1, n, stride) if ax else (2 * m + 1, p1 - p0, stride)
+            cand = block[:(2 * m + 1) * (hi - lo)].reshape(view)
+            np.add(shifted[cur][:, lo - m * stride:hi - m * stride].reshape(view),
+                   kin[:, None, :, None] if ax else kin[:, p0:p1, None], out=cand)
+            np.minimum.reduce(cand, axis=0, out=out[lo:hi].reshape(view[1:]))
             cur = 1 - cur
         r0, r1 = rows_next
         lo, hi = span[cur]
@@ -991,17 +1005,23 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
             np.copyto(cost, np.inf, where=~keep)
             kept = np.flatnonzero(np.any(keep.reshape(r1 - r0, row), axis=1))
             r0, r1 = (r0 + int(kept[0]), r0 + int(kept[-1]) + 1) if kept.size else (r0, r0)
-    flat = int(np.ravel_multi_index(goal, shape_g))
-    if not np.isfinite(bufs[cur][pad + flat]):
+    flat = pad + int(np.ravel_multi_index(goal, shape_g))
+    if not np.isfinite(bufs[cur][flat]):
         raise ActionError("endpoint unreachable on this grid (raise vmax or widen the box)")
 
+    # Each node's step, pass by pass from the last: its candidates rebuilt
+    # from the kept sources with the forward pass's additions, the first
+    # minimum in -m..m order.
     idx = list(goal)
     rev = [tuple(idx)]
     for t in range(t_slices - 1, -1, -1):
-        for ax, first, steps in reversed(parents[t * d:(t + 1) * d]):
-            o = int(steps[flat - first]) - k_off
+        for (ax, _, stride, m, kin, _), (first, finite, costs) in zip(
+                reversed(passes), reversed(sources[t * d:(t + 1) * d])):
+            q = flat - first - stride * np.arange(-m, m + 1)
+            j = np.minimum(np.searchsorted(finite, q), finite.size - 1)
+            o = int(np.argmin(np.where(finite[j] == q, costs[j], np.inf) + kin[:, idx[ax]])) - m
             idx[ax] -= o
-            flat -= o * strides[ax]
+            flat -= o * stride
         rev.append(tuple(idx))
     rev.reverse()
     nodes = np.array([[axes[ax][i[ax]] for ax in range(d)] for i in rev])

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,9 +71,10 @@ class MagSystem:
     def dim(self) -> int:
         return self.n * self.m
 
-    def translate_sup(self, site_index: int) -> int:
-        """Max-norm of the integer translate generating the given site."""
-        return max(abs(z) for z in self.labels[site_index][1])
+    @cached_property
+    def translate_sups(self) -> np.ndarray:
+        """Max-norm of the integer translate generating each site."""
+        return np.max(np.abs(np.array([z for _, z in self.labels])), axis=1)
 
 
 def build_mag(base_points, n: int, m: int, window: int) -> MagSystem:
@@ -137,7 +139,8 @@ def window_certificate(system: MagSystem, path: Path) -> bool:
         raise MagError("path dimension does not match the lifted configuration space")
     _, _, _, groups = batch_field(path.nodes, system.kset)
     shell = system.window
-    return all(system.translate_sup(idx) < shell for cls, _ in groups for idx in cls)
+    sites = [idx for cls, _ in groups for idx in cls]
+    return bool(np.all(system.translate_sups[sites] < shell))
 
 
 def particle_paths(system: MagSystem, path: Path):
@@ -171,7 +174,7 @@ def interior_balance_verdict(system: MagSystem, probe_count: int = 2000, seed: i
     hi = np.full(d, 1.25)
     uniform = _uniform_probes(lo, hi, probe_count, seed)[1]
 
-    inert = np.array([system.translate_sup(i) < system.window for i in range(k.n)])
+    inert = system.translate_sups < system.window
     pts = k.points[inert]
     pairs = np.stack(np.triu_indices(pts.shape[0], 1), axis=1)
     a, b = pts[pairs[:, 0]], pts[pairs[:, 1]]

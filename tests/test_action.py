@@ -1379,6 +1379,80 @@ def test_dp_raises_where_the_unbounded_relaxation_raises(case, line_k, triangle_
         (x0, x1, 1.0, kset, Shape.identity(), GridSpec(**{**grid, **fields}))) is None
 
 
+# The benchmark's production grids and the backtrack's edge cases, bit for bit.
+
+@pytest.mark.parametrize("problem", [
+    # The stability j = 1 seed grid: T = 233, k = 8.
+    pytest.param(([-0.02], [0.02], 1.0, PointSet([[-2.0], [2.0]]), Shape.identity(),
+                  seed_grid_spec([-0.02], [0.02], 1.0, PointSet([[-2.0], [2.0]]))),
+                 id="stability-j1-seed-grid"),
+    pytest.param(([-0.2], [0.2], 1.0, PointSet([[-1.0], [1.0]]), Shape.identity(),
+                  GridSpec(lo=[-1.5], hi=[1.5], resolution=0.01, time_slices=100, vmax=4.0)),
+                 id="example1-c02-oracle-grid"),
+    pytest.param(([0.0, -1.0], [0.0, 0.0], 1.0, PointSet(_TRIANGLE), Shape.identity(),
+                  GridSpec(lo=[-1.0, -2.0], hi=[1.0, 1.0], resolution=3.0 / 200.0,
+                           time_slices=100)),
+                 id="dp-example2-oracle-grid"),
+])
+def test_dp_matches_the_unbounded_relaxation_on_production_grids(problem):
+    assert _assert_dp_matches_unbounded(problem) is not None
+
+
+@pytest.mark.parametrize("problem", [
+    # The 5-point axis is shorter than k = 25, so the steps are clamped to -4..4.
+    pytest.param(([-0.2], [0.1], 1.0, PointSet([[-1.0], [0.05]]), Shape.identity(),
+                  GridSpec(lo=[-0.2], hi=[0.2], resolution=0.1, time_slices=3, vmax=7.5)),
+                 id="short-first-axis"),
+    # The 3-point second axis clamps its steps to -2..2 while the first keeps -5..5.
+    pytest.param(([-0.6, 0.0], [0.4, 0.2], 1.0, PointSet([[0.0, 0.0], [0.5, 0.2]]),
+                  Shape.power(2.0),
+                  GridSpec(lo=[-1.0, 0.0], hi=[1.0, 0.2], resolution=0.1, time_slices=4,
+                           vmax=1.8)),
+                 id="short-second-axis"),
+    pytest.param(([-0.3], [0.4], 1.0, PointSet([[-1.0], [0.1]]), Shape.identity(),
+                  GridSpec(lo=[-1.0], hi=[1.0], resolution=0.1, time_slices=2)),
+                 id="two-slices-1d"),
+    pytest.param(([-0.5, 0.5], [0.5, 0.0], 1.0, PointSet(_TRIANGLE), Shape.identity(),
+                  GridSpec(lo=[-1.0, -1.0], hi=[1.0, 1.0], resolution=0.1, time_slices=2)),
+                 id="two-slices-2d"),
+])
+def test_dp_backtrack_edge_cases_match_the_unbounded_relaxation(problem):
+    assert _assert_dp_matches_unbounded(problem) is not None
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_dp_backtrack_takes_the_last_step_when_it_is_the_only_finite_one(d):
+    # The endpoints are T k cells apart on every axis, so each node of the
+    # path is reached only by the step of +k cells: the last of -k..k.
+    res, t_slices, vmax = 0.1, 4, 1.4  # k = ceil(1.4 * 0.25 / 0.1) = 4
+    gs = GridSpec(lo=[-1.0] * d, hi=[1.0] * d, resolution=res, time_slices=t_slices, vmax=vmax)
+    problem = ([-0.8] * d, [0.8] * d, 1.0, PointSet([[0.3] * d, [-0.5] * d]), Shape.identity(),
+               gs)
+    path = _assert_dp_matches_unbounded(problem)
+    axis = action_module._axis_coords(-1.0, 1.0, res, (-0.8, 0.8))
+    idx = np.searchsorted(axis, path.nodes)
+    assert np.all(np.diff(idx, axis=0) == 4)
+
+
+def test_dp_peak_memory_on_the_mag_exchange_oracle_grid():
+    # The `oracle` command's default grid for the exchange (200 cells a side,
+    # T = 100): the relaxation keeps no full-grid parent record and no
+    # candidate block of every cell times 2k + 1 steps.
+    import tracemalloc
+
+    x0, x1 = [0.2, 0.3], [0.3, 0.2]
+    kset = build_mag(_MAG_BASE, 1, 2, default_window(_MAG_BASE, 1, 2, x0, x1)).kset
+    gs = GridSpec(lo=[-0.8, -0.8], hi=[1.3, 1.3], resolution=2.1 / 200.0, time_slices=100)
+    dp_oracle(x0, x1, 1.0, kset, Shape.identity(), gs)
+    tracemalloc.start()
+    try:
+        dp_oracle(x0, x1, 1.0, kset, Shape.identity(), gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # comparison principle
 
