@@ -16,11 +16,12 @@ the boundary's equidistance directions, and no smooth line search crosses
 the potential jump. So that boundary-riding segments can shrink or grow
 across it, the starts of a mesh stage descend once, as one stack, then run
 rounds of release/capture trial moves in lockstep (a single-node move
-across the jump plus a relaxation; each start's best strict objective
-decrease wins) and adopt each round's relaxed winners as they are, until a
-start's round finds no improvement (at most 64 rounds). Every path is
-descended exactly once, and a start whose nodes equal an earlier start's
-bit for bit after a stage is not descended again.
+across the jump, or a run capture that can double a segment, plus a
+relaxation; each start's best strict objective decrease wins) and adopt
+each round's relaxed winners as they are, until a start's round finds no
+improvement (at most 64 rounds). Every path is descended exactly once, and
+a start whose nodes equal an earlier start's bit for bit after a stage is
+not descended again.
 
 One descent engine (`_Descent`) does all of this on stacks of paths.
 Its direction is the Newton step of the problem restricted to the pinned
@@ -324,6 +325,18 @@ FACE_EPS = 1e-9  # slack within which a node counts as on a polytope face
 PROJECT_TOL = 1e-10  # Dykstra tolerance of the constrained companion's projections
 
 
+def _run_lengths(a: np.ndarray):
+    """Lengths ``(left, right)`` of the runs of equal entries of ``a`` ``(B, n)``
+    along each row that end, and that start, at each entry."""
+    n = a.shape[1]
+    j = np.arange(n)
+    cut = np.ones((a.shape[0], n + 1), dtype=bool)
+    cut[:, 1:-1] = a[:, 1:] != a[:, :-1]
+    start = np.maximum.accumulate(np.where(cut[:, :-1], j, 0), axis=1)
+    stop = np.minimum.accumulate(np.where(cut[:, 1:], j, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    return j - start + 1, stop - j + 1
+
+
 class _Descent:
     """Newton descent on the interior nodes of a stack of paths.
 
@@ -523,13 +536,16 @@ class _Descent:
 
     def descend(self, stack: np.ndarray):
         """Descend a stack of paths once, then run at most 64 lockstep rounds
-        of release/capture moves on the class ids :meth:`solve` returned;
-        each path in the loop adopts its round's relaxed winner, ids
-        included, as it is. A path leaves where it would leave alone: no
-        winner, or its descent or its winner's relaxation ran out of
-        iterations. Returns ``(nodes, values, grad_norm)``, one row per path,
-        the residuals as :meth:`solve` measured them on those nodes; each
-        path's objective decreases strictly from round to round.
+        of release/capture moves (:meth:`_trial_moves`) on the class ids
+        :meth:`solve` returned; each path in the loop adopts its round's
+        relaxed winner, ids included, as it is. Since a run capture can
+        double a boundary-riding segment, a segment reaches L nodes in about
+        log2(L) rounds, not L, and single-node moves then trim its ends. A
+        path leaves where it would leave alone: no winner, or its descent or
+        its winner's relaxation ran out of iterations. Returns ``(nodes,
+        values, grad_norm)``, one row per path, the residuals as
+        :meth:`solve` measured them on those nodes; each path's objective
+        decreases strictly from round to round.
         """
         nodes, value, gnorm, stopped, ids = self.solve(stack)
         live = np.flatnonzero(stopped)
@@ -553,39 +569,70 @@ class _Descent:
         candidate that beats its ``f0`` by over 1e-12 relative, ties to the
         earlier one, or -1.
 
-        A candidate moves one node across the potential jump: a tied node
-        facing a free neighbour is released toward it by half and all of the
-        gap, a free node facing a tied one is captured onto that class's
-        boundary plane if the class has a frame. Candidates run by path, node,
-        neighbour k - 1 then k + 1, and weight; they relax in one :meth:`solve`.
+        A single-node candidate moves one node across the potential jump: a
+        tied node facing a free neighbour is released toward it by half and
+        all of the gap, a free node facing a tied one is captured onto that
+        class's boundary plane if the class has a frame. Each capture also
+        makes a run capture, which projects the free nodes from the captured
+        one on, away from its neighbour, onto the same plane: as many as the
+        neighbour's segment of that class has, up to the first tie node or
+        endpoint, and only if at least two move. A segment can so double in
+        a round (exponential search, Bentley & Yao 1976). A run whose
+        relaxation moves one of its nodes out of that class is no candidate
+        for ``pick``: such a jump tore the segment it was to extend. The
+        single-node candidates run by path, node, neighbour k - 1 then k + 1,
+        and weight; the run captures follow in the order of their captures.
+        All relax in one :meth:`solve`.
         """
         registry = list(self.registry)
         is_tie = np.array([len(cls) >= 2 for cls in registry])
-        tie, nb = is_tie[ids[:, 1:-1, None]], np.stack([ids[:, :-2], ids[:, 2:]], axis=2)
+        ties = is_tie[ids]
+        tie, nb = ties[:, 1:-1, None], np.stack([ids[:, :-2], ids[:, 2:]], axis=2)
         faced = tie != is_tie[nb]
         # Two slots per node and neighbour: a capture or a half release, then a full release.
         owner, k, side, full = np.nonzero(np.stack([faced, faced & tie], 3))
-        x = stack[owner, k + 1]
-        pos = x + np.where(full, 1.0, 0.5)[:, None] * (stack[owner, k + 2 * side] - x)
         held = np.where(tie[owner, k, 0], -1, nb[owner, k, side])  # captured class, or -1
+        frames = {}
         for c in set(held.tolist()) - {-1}:
-            at = held == c
             try:
-                frame = class_frame(registry[c], self.kset)
+                frames[c] = class_frame(registry[c], self.kset)
             except GeometryError:
-                held[at] = -2  # no frame: no capture
-                continue
-            # A stacked matmul makes one BLAS product per row: no row rounds by its place.
-            rel = (x[at] - frame.p_h)[:, :, None]
-            pos[at] = frame.p_h + (frame.basis_b.T @ (frame.basis_b @ rel))[:, :, 0]
-        owner, node, pos = (entry[held > -2] for entry in (owner, k + 1, pos))
+                held[held == c] = -2  # no frame: no capture
+        owner, k, side, full, held = (entry[held > -2] for entry in (owner, k, side, full, held))
         pick = np.full(stack.shape[0], -1)
         if not owner.size:
             return pick, ()
+        x = stack[owner, k + 1]
+        pos = x + np.where(full, 1.0, 0.5)[:, None] * (stack[owner, k + 2 * side] - x)
+        # A run's length: the neighbour's segment, clipped to the free interior nodes ahead.
+        fixed = ties.copy()
+        fixed[:, [0, -1]] = True
+        (same_l, same_r), (free_l, free_r) = _run_lengths(ids), _run_lengths(fixed)
+        length = np.where(side == 0, np.minimum(same_l[owner, k], free_r[owner, k + 1]),
+                          np.minimum(same_r[owner, k + 2], free_l[owner, k + 1]))
+        run = np.flatnonzero((held >= 0) & (length >= 2))
+        size = length[run]
+        at = np.repeat(run, size)  # the capture that each run row extends
+        step = np.arange(at.size) - np.repeat(np.cumsum(size) - size, size)
+        rows = k[at] + 1 + np.where(side[at] == 0, step, -step)
+        into = k.size + np.repeat(np.arange(run.size), size)  # the candidate of each run row
+        # One entry per moved node: the single-node candidates', then the runs'.
+        cand, node = np.concatenate([np.arange(k.size), into]), np.concatenate([k + 1, rows])
+        cls = np.concatenate([held, held[at]])
+        x = np.concatenate([x, stack[owner[at], rows]])
+        pos = np.concatenate([pos, x[k.size:]])
+        for c, frame in frames.items():
+            # A stacked matmul makes one BLAS product per row: no row rounds by its place.
+            on = cls == c
+            rel = (x[on] - frame.p_h)[:, :, None]
+            pos[on] = frame.p_h + (frame.basis_b.T @ (frame.basis_b @ rel))[:, :, 0]
+        owner = np.concatenate([owner, owner[run]])
         trials = stack[owner]
-        trials[np.arange(owner.size), node] = pos
+        trials[cand, node] = pos
         relaxed = self.solve(trials)
-        f = relaxed[1]
+        # A run counts only if the relaxation keeps each of its nodes in the class it captured.
+        f = relaxed[1].copy()
+        f[into[relaxed[4][into, rows] != held[at]]] = np.inf
         # Per path, its first candidate in (value, index) order under its threshold.
         ok = np.flatnonzero(f < (f0 - 1e-12 * (1.0 + np.abs(f0)))[owner])
         ok = ok[np.lexsort((ok, f[ok], owner[ok]))]

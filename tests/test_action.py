@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 from dataclasses import replace
@@ -623,13 +624,11 @@ def test_descend_solves_each_path_once(monkeypatch):
         return solve(stack)
 
     def recorded_moves(stack, f0, classes):
-        # Two release moves per boundary node facing a free neighbour, one
-        # capture move per free node facing a boundary neighbour; the round's
-        # tie classes are those a fresh classification finds.
+        # The scalar reference's candidates; the round's tie classes are
+        # those a fresh classification finds.
         ties = batch_field(stack.reshape(-1, 1), kset)[2].reshape(stack.shape[:2])
         assert np.array_equal(ties, _ties(engine, classes))
-        faced = ties[:, 1:-1, None] != np.stack([ties[:, :-2], ties[:, 2:]], axis=2)
-        candidates.append(int(np.sum(np.where(ties[:, 1:-1, None], 2, 1) * faced)))
+        candidates.append(len(_reference_trials(engine, stack, classes)[1]))
         rounds.append([])
         winners.append(trial_moves(stack, f0, classes))
         return winners[-1]
@@ -657,13 +656,15 @@ def test_descend_solves_each_path_once(monkeypatch):
 
 def _reference_trials(engine, stack, ids):
     """Scalar reference of a round's candidate stack: the triple loop over
-    paths, interior nodes k and neighbours k - 1, k + 1, and the moves
-    ``(kind, path, k, neighbour)`` it makes."""
+    paths, interior nodes k and neighbours k - 1, k + 1, then the run
+    captures of its captures in the same order, and the moves ``(kind,
+    path, k, neighbour)`` it makes."""
     registry = list(engine.registry)
-    trials, moves = [], []
+    n = stack.shape[1]
+    trials, moves, runs = [], [], []
     for i, nodes in enumerate(stack):
         ties = [len(registry[c]) >= 2 for c in ids[i]]
-        for k in range(1, stack.shape[1] - 1):
+        for k in range(1, n - 1):
             for nb in (k - 1, k + 1):
                 if ties[k] and not ties[nb]:
                     kind, positions = "release", [nodes[k] + w * (nodes[nb] - nodes[k])
@@ -673,41 +674,60 @@ def _reference_trials(engine, stack, ids):
                         frame = class_frame(registry[ids[i, nb]], engine.kset)
                     except GeometryError:
                         continue
-                    shift = frame.basis_b.T @ (frame.basis_b @ (nodes[k] - frame.p_h))
-                    kind, positions = "capture", [frame.p_h + shift]
+
+                    def project(p):
+                        return frame.p_h + frame.basis_b.T @ (frame.basis_b @ (p - frame.p_h))
+
+                    kind, positions = "capture", [project(nodes[k])]
+                    # The run: free interior nodes from k away from nb, as many
+                    # as nb's segment of its class has.
+                    seg, away = 0, k - nb
+                    while 0 <= nb - seg * away < n and ids[i, nb - seg * away] == ids[i, nb]:
+                        seg += 1
+                    run = nodes.copy()
+                    moved, m = 0, k
+                    while moved < seg and 0 < m < n - 1 and not ties[m]:
+                        run[m] = project(nodes[m])
+                        moved, m = moved + 1, m + away
+                    if moved >= 2:
+                        runs.append((run, ("run", i, k, nb)))
                 else:
                     continue
                 for pos in positions:
                     trials.append(nodes.copy())
                     trials[-1][k] = pos
                     moves.append((kind, i, k, nb))
+    trials += [run for run, _ in runs]
+    moves += [move for _, move in runs]
     return np.array(trials).reshape(-1, *stack.shape[1:]), moves
 
 
-@pytest.mark.parametrize("case", ["line", "mag", "3d", "example1-c02", "tied-endpoint"])
+@pytest.mark.parametrize("case", ["line", "mag", "3d", "example1-c02", "example1-c02-chord",
+                                  "tied-endpoint"])
 def test_trial_moves_build_the_reference_candidates(case, line_k, triangle_k):
     # Every round of a descend relaxes the candidates of the scalar triple
-    # loop, in its order and bit for bit.
+    # loop and its run captures, in their order and bit for bit.
     if case in ("line", "mag", "3d"):
         kset, x0, x1 = {"line": (line_k, [-0.2], [0.2]),
                         "mag": (build_mag([[0.0], [0.5]], 1, 2, 1).kset, [0.2, 0.3], [0.3, 0.2]),
                         "3d": (PointSet(SITES_3D), [-2.0, 1.0, -1.0], [0.0, -0.5, 0.0])}[case]
         engine = _Descent(kset, Shape.power(2.0), 1.0, QUICK)
         stack = _candidate_stack(engine, x0, x1, 32)
-    elif case == "example1-c02":
-        sc = presets._scenario(case)
+    elif case.startswith("example1-c02"):
+        sc = presets._scenario("example1-c02")
         engine = _Descent(sc.kset, sc.shape, sc.delta, SolverConfig(M=16, refinements=0))
         chord = Path.from_line(sc.x0, sc.x1, sc.delta, 16).nodes
         waiting = chord.copy()
         waiting[1:-1] = 0.0
-        stack = np.array([chord, waiting])
+        # The chord alone grows its waiting segment 1, 2, 4, 8 nodes by runs.
+        stack = np.array([chord, waiting]) if case == "example1-c02" else chord[None]
     else:
         # The start [0, -1] lies on the bisector of the sites (1, 0) and
         # (-1, 0), so node 1 is captured onto its endpoint's boundary line.
         engine = _Descent(triangle_k, Shape.identity(), 1.0, SolverConfig(M=16, refinements=0))
         stack = Path.from_line([0.0, -1.0], [0.6, 0.4], 1.0, 16).nodes[None]
     solve, trial_moves = engine.solve, engine._trial_moves
-    rounds, built = [], []
+    rounds, built, won = [], [], []
 
     def recorded_solve(stack):
         if len(rounds) > len(built):
@@ -719,6 +739,7 @@ def test_trial_moves_build_the_reference_candidates(case, line_k, triangle_k):
         out = trial_moves(stack, f0, ids)
         if len(rounds) > len(built):  # no candidate, so no solve
             built.append(np.empty((0, *stack.shape[1:])))
+        won.append([rounds[-1][1][j] for j in out[0] if j >= 0])
         return out
 
     engine.solve, engine._trial_moves = recorded_solve, recorded_moves
@@ -726,9 +747,116 @@ def test_trial_moves_build_the_reference_candidates(case, line_k, triangle_k):
     assert len(rounds) == len(built) > 0
     for (reference, _), trials in zip(rounds, built):
         assert trials.shape == reference.shape and trials.tobytes() == reference.tobytes()
-    assert {move[0] for _, moves in rounds for move in moves} == {"release", "capture"}
+    kinds = {"release", "capture"} | (set() if case in ("mag", "3d") else {"run"})
+    assert {move[0] for _, moves in rounds for move in moves} == kinds
+    if case == "example1-c02-chord":
+        # A capture, then two run captures: the segment grows 1, 2, 4, 8 nodes.
+        assert [moves[0][0] for moves in won[:3]] == ["capture", "run", "run"]
     if case == "tied-endpoint":
         assert ("capture", 0, 1, 0) in rounds[0][1]
+
+
+# Pinned solves: per name, the coarsest stage's round bound and the
+# winning action before run captures existed. The four solve presets at
+# M = 512, the benchmark's eight `stability` solves and its `example2`.
+# Before run captures the coarsest stages took 1, 37, 64 (the cap) and 37
+# rounds; 15 on each `stability.j*` solve, 9, 13 and 15 on the `stability.c*`
+# ones, and 16 on `example2` at M = 128.
+PINNED_SOLVES = {
+    "example1-c1": (1, 4.325956351532242),
+    "example1-c02": (17, 0.7180489109490991),
+    "example2": (7, 1.3130360266897274),
+    "mag-exchange": (21, 0.08975611386863737),
+    "stability.j1": (5, 0.11245625000000001),
+    "stability.j2": (5, 0.085425),
+    "stability.j4": (5, 0.0748390625),
+    "stability.j8": (5, 0.07027851562500001),
+    "stability.j16": (5, 0.06818134765625),
+    "stability.c0.2": (7, 0.7045371902222148),
+    "stability.c0.1": (7, 0.36465115756887256),
+    "stability.c0.05": (6, 0.18017212974539765),
+    "probe.example2": (5, 1.313047144516923),
+}
+
+
+@functools.cache
+def _staged_rounds(name):
+    """Release/capture rounds per mesh stage, coarsest first, and the
+    winning action of a pinned solve."""
+    if name in presets.PRESET_NAMES:
+        sc = presets._scenario(name)
+        problem = (sc.x0, sc.x1, sc.kset, sc.cfg)
+    elif name == "probe.example2":
+        problem = ([0.0, -1.0], [0.0, 0.0], PointSet([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
+                   SolverConfig(M=128, refinements=3, starts=3, seed=0))
+    else:
+        cfg = SolverConfig(M=64, refinements=2, starts=3, seed=0)
+        label = name.removeprefix("stability.")
+        if label.startswith("j"):
+            j = float(label[1:])
+            problem = ([-0.02], [0.02], PointSet([[-1.0 - 1.0 / j], [1.0 + 1.0 / j]]), cfg)
+        else:
+            c = float(label[1:])
+            problem = ([-c], [c], PointSet([[-1.0], [1.0]]), cfg)
+    descend, trial_moves, rounds = _Descent.descend, _Descent._trial_moves, []
+
+    def counted_descend(self, stack):
+        rounds.append(0)
+        return descend(self, stack)
+
+    def counted_moves(self, stack, f0, ids):
+        rounds[-1] += 1
+        return trial_moves(self, stack, f0, ids)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Descent, "descend", counted_descend)
+        patch.setattr(_Descent, "_trial_moves", counted_moves)
+        x0, x1, kset, cfg = problem
+        res = minimize(x0, x1, 1.0, kset, Shape.identity(), cfg)
+    return rounds, res.breakdown.total
+
+
+@pytest.mark.parametrize("name", list(PINNED_SOLVES))
+def test_run_captures_bound_the_rounds_per_stage(name):
+    # Run captures let a boundary-riding segment double in a round; no
+    # stage reaches the 64-round cap.
+    rounds, _ = _staged_rounds(name)
+    assert len(rounds) == (4 if name in presets.PRESET_NAMES or name == "probe.example2" else 3)
+    assert max(rounds) < 64 and rounds[0] <= PINNED_SOLVES[name][0]
+
+
+@pytest.mark.parametrize("name", list(PINNED_SOLVES))
+def test_run_captures_raise_no_pinned_action(name):
+    _, total = _staged_rounds(name)
+    before = PINNED_SOLVES[name][1]
+    assert total <= before + 1e-12 * abs(before)
+
+
+def test_a_run_that_leaves_its_class_is_no_candidate(monkeypatch):
+    # Seeded sweep case 128: 3-D sites, power 1.5. On the coarsest mesh the
+    # dp start's best relaxed candidate is a run onto the (0, 1) bisector
+    # plane whose relaxation pulls its nodes off it. Adopting it would end
+    # the start at 21.7525, the straight start's action, not at 21.6914.
+    kset = PointSet([[-2, -1, -2], [0, 1, 1], [2, -2, 1], [2, -1, 0], [1, -2, 1], [-2, 2, -1]])
+    trial_moves, passed_over = _Descent._trial_moves, []
+
+    def recorded_moves(self, stack, f0, ids):
+        pick, relaxed = trial_moves(self, stack, f0, ids)
+        trials, moves = _reference_trials(self, stack, ids)
+        f = relaxed[1] if len(relaxed) else np.empty(0)
+        for j, (kind, path, k, nb) in enumerate(moves):
+            if kind == "run" and f[j] < f0[path] and (pick[path] < 0 or f[j] < f[pick[path]]):
+                # The better run left: some node it moved is no longer in nb's class.
+                moved = np.any(trials[j] != stack[path], axis=1)
+                assert np.any(relaxed[4][j, moved] != ids[path, nb])
+                passed_over.append(j)
+        return pick, relaxed
+
+    monkeypatch.setattr(_Descent, "_trial_moves", recorded_moves)
+    res = minimize([1.455, -0.029, 1.103], [-1.978, -1.151, -1.013], 1.0, kset, Shape.power(1.5),
+                   SolverConfig(M=128, refinements=2, starts=2, seed=128, max_iters=1500))
+    assert passed_over
+    assert [st.action for st in res.starts] == [21.752483257254454, 21.691398901044277]
 
 
 def test_minimize_descends_a_duplicate_start_once(monkeypatch):
