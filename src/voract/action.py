@@ -53,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import solveh_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpbsv, dptsv
 from scipy.optimize import nnls
 
 from .geometry import (GeometryError, PointSet, Polytope, VoractError, _as_vector, class_frame,
@@ -404,7 +405,8 @@ class _Descent:
         flat = g.reshape(-1, d)
         if self.polytope is not None:
             pins += self._face_groups(stack[:, 1:-1].reshape(-1, d), flat)
-        proj = np.tile(np.eye(d), (b * (n - 2), 1, 1))
+        proj = np.zeros((b * (n - 2), d, d))
+        proj.reshape(-1, d * d)[:, ::d + 1] = 1.0
         for basis, rows in pins:
             # Row by row: a BLAS product would round a row by its place in the call.
             coef = np.sum(flat[rows][:, None] * basis, axis=2)
@@ -450,9 +452,12 @@ class _Descent:
         (Nocedal & Wright, ch. 16). In projector form, ``P_r = B^T B`` from
         :meth:`value`, the step solves the SPD system ``P H P + I - P``
         (diagonal blocks ``D_r P_r + I - P_r``, coupling ``-2/dt P_{r+1} P_r``),
-        whose solution lies in the tangent spaces: one ``solveh_banded`` call,
-        ``2d`` band rows. Rows with infinite ``h'`` (power p < 1 on its own
-        site) get ``P = 0`` and a zero step.
+        whose solution lies in the tangent spaces: one LAPACK call on ``2d``
+        band rows, ``dptsv`` if d = 1, else ``dpbsv``, the routines and band
+        ``solveh_banded`` would use, without its checks and copies. A band
+        that is not positive definite raises ``LinAlgError``. Rows with
+        infinite ``h'`` (power p < 1 on its own site) get ``P = 0`` and a
+        zero step.
         """
         b, n_int, d = g_eff.shape
         size = b * n_int
@@ -465,10 +470,18 @@ class _Descent:
         strip[:, :d] = diag[:, None, None] * proj + (np.eye(d) - proj)
         strip[:-1, d:2 * d] = (-2.0 / dt) * (proj[1:] @ proj[:-1])
         strip[n_int - 1::n_int, d:2 * d] = 0.0
-        # Lower band storage (?ptsv if d = 1, else ?pbsv): band[m, rd + c] = strip[r, c + m, c].
+        # Lower band storage, Fortran-ordered as LAPACK reads it:
+        # band[m, rd + c] = strip[r, c + m, c].
         k, c = np.ogrid[:2 * d, :d]
-        band = strip[:, k + c, c].transpose(1, 0, 2).reshape(2 * d, size * d)
-        step = solveh_banded(band, rhs.reshape(-1), lower=True, check_finite=False)
+        band = strip[:, k + c, c].transpose(0, 2, 1).reshape(size * d, 2 * d).T
+        if d == 1:
+            *_, step, info = dptsv(band[0], band[1, :-1], rhs.reshape(-1), overwrite_d=True,
+                                   overwrite_e=True, overwrite_b=True)
+        else:
+            _, step, info = dpbsv(band, rhs.reshape(-1), lower=True, overwrite_ab=True,
+                                  overwrite_b=True)
+        if info:
+            raise LinAlgError(f"Newton band solve failed: LAPACK info {info}")
         return step.reshape(b, n_int, d)
 
     def _feasible(self, stack: np.ndarray) -> np.ndarray:
@@ -859,8 +872,11 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
 
     The passes run from the last axis to the first and record no steps:
     each keeps the finite cells of the range it read, as offsets and
-    costs. The backtrack undoes the passes in reverse, first axis first,
-    and re-derives each node's step: it rebuilds the node's ``2m + 1``
+    costs. On a one-axis grid, whose read range is almost all finite, a
+    pass keeps the range whole instead, a smaller record than offsets plus
+    costs, and a node's candidates are one reversed slice of it. The
+    backtrack undoes the passes in reverse, first axis first, and
+    re-derives each node's step: it rebuilds the node's ``2m + 1``
     candidates from the kept costs with the same additions and takes the
     first minimum in ``-m..m`` order. So exact ties resolve to the
     lexicographically smallest offset, first axis first. The backtrack
@@ -1018,7 +1034,9 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     # ellipse's rows (slice 0's passes before the first axis's relax the
     # start row).
     block = np.empty(max(e1 - e0, 1) * row * max(2 * p[3] + 1 for p in passes))
-    sources = []  # per slice and pass: (first flat cell read, finite cells' offsets, costs)
+    # Per slice and pass: (first flat cell read, finite cells' offsets, their
+    # costs), or on a one-axis grid (first cell, None, every cost read).
+    sources = []
     prune = d > 1 and np.isfinite(cut)
     cur = 0
     for t in range(t_slices):
@@ -1035,8 +1053,11 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
             out[min(lo, span[1 - cur][0]):max(hi, span[1 - cur][1])] = np.inf
             span[1 - cur] = (lo, hi)
             reach = bufs[cur][lo - m * stride:hi + m * stride]
-            finite = np.flatnonzero(reach < np.inf)
-            sources.append((lo - m * stride, finite.astype(np.int32), reach[finite]))
+            if d == 1:  # the band is almost all finite: the range whole is the smaller record
+                sources.append((lo - m * stride, None, reach.copy()))
+            else:
+                finite = np.flatnonzero(reach < np.inf)
+                sources.append((lo - m * stride, finite.astype(np.int32), reach[finite]))
             view = (2 * m + 1, -1, n, stride) if ax else (2 * m + 1, p1 - p0, stride)
             cand = block[:(2 * m + 1) * (hi - lo)].reshape(view)
             np.add(shifted[cur][:, lo - m * stride:hi - m * stride].reshape(view),
@@ -1064,9 +1085,14 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     for t in range(t_slices - 1, -1, -1):
         for (ax, _, stride, m, kin, _), (first, finite, costs) in zip(
                 reversed(passes), reversed(sources[t * d:(t + 1) * d])):
-            q = flat - first - stride * np.arange(-m, m + 1)
-            j = np.minimum(np.searchsorted(finite, q), finite.size - 1)
-            o = int(np.argmin(np.where(finite[j] == q, costs[j], np.inf) + kin[:, idx[ax]])) - m
+            at = flat - first
+            if finite is None:  # the sources of the steps -m..m, read backwards
+                cand = costs[at - m:at + m + 1][::-1]
+            else:
+                q = at - stride * np.arange(-m, m + 1)
+                j = np.minimum(np.searchsorted(finite, q), finite.size - 1)
+                cand = np.where(finite[j] == q, costs[j], np.inf)
+            o = int(np.argmin(cand + kin[:, idx[ax]])) - m
             idx[ax] -= o
             flat -= o * stride
         rev.append(tuple(idx))

@@ -162,21 +162,23 @@ def batch_field(nodes: np.ndarray, kset: PointSet):
     # The tree path bounds each of its queries itself, so it takes the call whole.
     chunk = nodes.shape[0] if kset.n >= TREE_MIN_SITES else KERNEL_CHUNK_ROW_SITES // kset.n
     chunk = max(1, chunk)
-    # At least one block, so zero rows still give arrays of the right shape.
-    blocks = [_classify(nodes[lo:lo + chunk], kset)
-              for lo in range(0, max(nodes.shape[0], 1), chunk)]
-    nearest, tie_mask, tie_bits = (np.concatenate(parts) for parts in zip(*blocks))
+    if nodes.shape[0] <= chunk:  # zero rows too, so they still give arrays of the right shape
+        nearest, tie_mask, tie_bits = _classify(nodes, kset)
+    else:
+        blocks = [_classify(nodes[lo:lo + chunk], kset) for lo in range(0, nodes.shape[0], chunk)]
+        nearest, tie_mask, tie_bits = (np.concatenate(parts) for parts in zip(*blocks))
     etas = kset.points[nearest]
 
     single_rows = np.flatnonzero(~tie_mask)
     groups = [((int(nearest[rows[0]]),), rows)
               for rows in _split_by_key(single_rows, nearest[single_rows])]
     tie_rows = np.flatnonzero(tie_mask)
-    for at in _split_by_bits(np.arange(tie_rows.size), tie_bits):
-        idx = tuple(np.flatnonzero(np.unpackbits(tie_bits[at[0]], count=kset.n)).tolist())
-        rows = tie_rows[at]
-        etas[rows] = _zone_values(idx, nodes[rows], kset)
-        groups.append((idx, rows))
+    if tie_rows.size:
+        for at in _split_by_bits(np.arange(tie_rows.size), tie_bits):
+            idx = tuple(np.flatnonzero(np.unpackbits(tie_bits[at[0]], count=kset.n)).tolist())
+            rows = tie_rows[at]
+            etas[rows] = _zone_values(idx, nodes[rows], kset)
+            groups.append((idx, rows))
     groups.sort(key=lambda group: group[1][0])
     diff = etas - nodes
     slope_sq = np.einsum("ij,ij->i", diff, diff)
@@ -187,20 +189,30 @@ def _classify(nodes: np.ndarray, kset: PointSet):
     """Nearest site, tie flag and the tied rows' bit-packed site masks of one
     block of rows.
 
-    Below :data:`TREE_MIN_SITES` sites the block's rows x sites distance
-    matrix is built and dies on return. From that many sites up, each row's
-    candidates come from the site set's k-d tree instead (:func:`_classify_tree`),
-    under the same formula and tie rule.
+    Below :data:`TREE_MIN_SITES` sites the block's sites x rows distance
+    matrix ``d2 = |p|^2 + |x|^2 - 2 p.x``, clamped at 0, is built and dies on
+    return. Its minimum, tie count and ``argmin`` (the lowest site index
+    among the minima) over each row's sites run across the rows, one long
+    elementwise step per site rather than one short reduction per row; the
+    tests check the outputs against a rows x sites block, bit for bit. Each
+    tied row's column packs into its row of mask bits. From
+    :data:`TREE_MIN_SITES` sites up, each row's candidates come from the
+    site set's k-d tree instead (:func:`_classify_tree`), under the same
+    formula and tie rule.
     """
     if kset.n >= TREE_MIN_SITES:
         return _classify_tree(nodes, kset)
     pts = kset.points
-    d2 = np.einsum("ij,ij->i", nodes, nodes)[:, None] + np.einsum("ij,ij->i", pts, pts)
-    d2 -= 2.0 * nodes @ pts.T
-    dmin = np.min(np.maximum(d2, 0.0, out=d2), axis=1)
-    ties = d2 <= (1.0 + kset.tie_tolerance) * dmin[:, None]
-    tie = np.sum(ties, axis=1) >= 2
-    return np.argmin(d2, axis=1), tie, np.packbits(ties[tie], axis=1)
+    d2 = np.einsum("ij,ij->i", pts, pts)[:, None] + np.einsum("ij,ij->i", nodes, nodes)
+    prod = pts @ nodes.T
+    prod *= 2.0
+    d2 -= prod
+    del prod  # a full block holds one other block-sized array at a time
+    dmin = np.min(np.maximum(d2, 0.0, out=d2), axis=0)
+    ties = d2 <= (1.0 + kset.tie_tolerance) * dmin
+    tie = np.sum(ties, axis=0) >= 2
+    bits = np.ascontiguousarray(np.packbits(ties[:, tie], axis=0).T)
+    return np.argmin(d2, axis=0), tie, bits
 
 
 def _classify_tree(nodes: np.ndarray, kset: PointSet):

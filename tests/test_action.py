@@ -1,6 +1,7 @@
 import functools
 import itertools
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -289,37 +290,30 @@ def _pinned_fixture(pins, b, n_int, d, seed):
     return s, g, proj, bases
 
 
-def test_descent_direction_is_the_reduced_newton_step(triangle_k):
-    # Two stacked paths of 7 interior rows. Rows 0 and 10 sit at the
-    # circumcenter class (0-dimensional tangent), rows 3, 4 and 13 on the
-    # bisector of sites 0 and 2, rows 5, 6 (the path's last) and 7 (the
-    # next path's first) on the bisector of sites 0 and 1.
-    shape = Shape.power(2.0)
-    engine = _Descent(triangle_k, shape, 1.0, QUICK)
+def _triangle_direction_stack(triangle_k):
+    """Two stacked paths of 7 interior rows. Rows 0 and 10 sit at the
+    circumcenter class (0-dimensional tangent), rows 3, 4 and 13 on the
+    bisector of sites 0 and 2, rows 5, 6 (the path's last) and 7 (the next
+    path's first) on the bisector of sites 0 and 1. Returns the engine, the
+    :meth:`_Descent._direction` arguments, the rows' bases and the pins."""
+    engine = _Descent(triangle_k, Shape.power(2.0), 1.0, QUICK)
     b, n_int, d = 2, 7, 2
-    dt = 1.0 / (n_int + 1)
     pins = [((0, 1, 2), np.array([0, 10]), np.zeros((2, 0))),
             ((0, 2), np.array([3, 4, 13]), np.array([[0.0], [1.0]])),
             ((0, 1), np.array([5, 6, 7]), np.array([[1.0], [1.0]]) / np.sqrt(2.0))]
     s, g, proj, bases = _pinned_fixture(pins, b, n_int, d, 3)
-    for key, _, tangent in pins:  # the engine's tangents span the same lines
-        basis = class_frame(key, triangle_k).basis_b
-        np.testing.assert_allclose(basis.T @ basis, tangent @ tangent.T, atol=1e-15)
-    step = engine._direction(g, proj, s, dt)
-    np.testing.assert_allclose(step, _dense_pinned_step(g, s, dt, shape, bases),
-                               rtol=0.0, atol=1e-12)
+    return engine, (g, proj, s, 1.0 / (n_int + 1)), bases, pins
 
 
-def test_descent_direction_on_polytope_faces_and_infinite_curvature():
-    # 3-D, two stacked paths of 6 interior rows in the unit cube: rows on
-    # one face (2-dimensional tangent), on an edge (1-dimensional) and at a
-    # vertex (none). With h(s) = sqrt(s) the rows 2 and 9 sit on their own
-    # site, where h' is infinite: they must not move.
+def _cube_direction_stack():
+    """3-D, two stacked paths of 6 interior rows in the unit cube: rows on
+    one face (2-dimensional tangent), on an edge (1-dimensional) and at a
+    vertex (none). With h(s) = sqrt(s) the rows 2 and 9 sit on their own
+    site, where h' is infinite. Returned as :func:`_triangle_direction_stack`
+    returns its stack, without the pins."""
     cube = _halfspaces(*_CUBE)
-    shape = Shape.power(0.5)
-    engine = _Descent(PointSet([[0.0, 0.0, 0.0]]), shape, 1.0, QUICK, cube)
+    engine = _Descent(PointSet([[0.0, 0.0, 0.0]]), Shape.power(0.5), 1.0, QUICK, cube)
     b, n_int, d = 2, 6, 3
-    dt = 1.0 / (n_int + 1)
     null = {}
     for faces in ((0,), (0, 2), (0, 2, 4)):
         vt = np.linalg.svd(cube.normals[list(faces)], full_matrices=True)[2]
@@ -330,11 +324,91 @@ def test_descent_direction_on_polytope_faces_and_infinite_curvature():
     s, g, proj, bases = _pinned_fixture(pins, b, n_int, d, 5)
     s[0, 3] = s[1, 4] = 0.0  # interior rows 2 and 9, free: their projectors are the identity
     bases[2] = bases[9] = np.zeros((d, 0))
-    step = engine._direction(g, proj, s, dt)
+    return engine, (g, proj, s, 1.0 / (n_int + 1)), bases
+
+
+def _line_direction_stack(line_k):
+    """1-D, three stacked paths of 5 interior rows; rows 2, 3 and 11 wait on
+    the midpoint of the two sites (0-dimensional tangent). Returned as
+    :func:`_cube_direction_stack` returns its stack."""
+    engine = _Descent(line_k, Shape.power(2.0), 1.0, QUICK)
+    b, n_int, d = 3, 5, 1
+    s, g, proj, bases = _pinned_fixture([((0, 1), np.array([2, 3, 11]), np.zeros((1, 0)))],
+                                        b, n_int, d, 7)
+    return engine, (g, proj, s, 1.0 / (n_int + 1)), bases
+
+
+def test_descent_direction_is_the_reduced_newton_step(triangle_k):
+    engine, args, bases, pins = _triangle_direction_stack(triangle_k)
+    g, _, s, dt = args
+    for key, _, tangent in pins:  # the engine's tangents span the same lines
+        basis = class_frame(key, triangle_k).basis_b
+        np.testing.assert_allclose(basis.T @ basis, tangent @ tangent.T, atol=1e-15)
+    step = engine._direction(*args)
+    np.testing.assert_allclose(step, _dense_pinned_step(g, s, dt, engine.shape, bases),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_descent_direction_on_polytope_faces_and_infinite_curvature():
+    # The rows 2 and 9 on their own site, where h' is infinite, must not move.
+    engine, args, bases = _cube_direction_stack()
+    g, _, s, dt = args
+    shape, d = engine.shape, g.shape[2]
+    step = engine._direction(*args)
     assert np.all(np.isfinite(step))
     assert np.all(step.reshape(-1, d)[[2, 9]] == 0.0)
     np.testing.assert_allclose(step, _dense_pinned_step(g, s, dt, shape, bases),
                                rtol=0.0, atol=1e-12)
+
+
+def _reference_direction(engine, g_eff, proj, s, dt):
+    """`_Descent._direction` through scipy's ``solveh_banded``, kept verbatim."""
+    from scipy.linalg import solveh_banded
+
+    b, n_int, d = g_eff.shape
+    size = b * n_int
+    hp = engine.shape.h_prime(s[:, 1:-1]).ravel()
+    frozen = np.isinf(hp)
+    diag = 4.0 / dt + 2.0 * dt * np.maximum(np.where(frozen, 0.0, hp), 0.0) + 1e-12
+    proj = np.where(frozen[:, None, None], 0.0, proj.reshape(size, d, d))
+    rhs = np.where(frozen[:, None], 0.0, g_eff.reshape(size, d))
+    strip = np.zeros((size, 3 * d, d))  # (diagonal | coupling to the next row | 0) blocks
+    strip[:, :d] = diag[:, None, None] * proj + (np.eye(d) - proj)
+    strip[:-1, d:2 * d] = (-2.0 / dt) * (proj[1:] @ proj[:-1])
+    strip[n_int - 1::n_int, d:2 * d] = 0.0
+    # Lower band storage (?ptsv if d = 1, else ?pbsv): band[m, rd + c] = strip[r, c + m, c].
+    k, c = np.ogrid[:2 * d, :d]
+    band = strip[:, k + c, c].transpose(1, 0, 2).reshape(2 * d, size * d)
+    step = solveh_banded(band, rhs.reshape(-1), lower=True, check_finite=False)
+    return step.reshape(b, n_int, d)
+
+
+def _direction_stacks(line_k, triangle_k):
+    return {"line": _line_direction_stack(line_k)[:2],
+            "triangle": _triangle_direction_stack(triangle_k)[:2],
+            "cube": _cube_direction_stack()[:2]}
+
+
+@pytest.mark.parametrize("case", ["line", "triangle", "cube"])
+def test_direction_lapack_call_is_the_solveh_banded_step(case, line_k, triangle_k):
+    # dptsv (d = 1) and dpbsv (d = 2, 3) called directly give the step that
+    # solveh_banded gives on the same band, bit for bit.
+    engine, args = _direction_stacks(line_k, triangle_k)[case]
+    step = engine._direction(*args)
+    assert step.tobytes() == _reference_direction(engine, *args).tobytes()
+
+
+@pytest.mark.parametrize("case", ["line", "triangle", "cube"])
+def test_direction_of_a_band_that_is_not_positive_definite_raises(case, line_k, triangle_k):
+    # Projectors -I make every diagonal block 2 - D_r < 0: LAPACK reports a
+    # leading minor that is not positive definite, and both calls raise.
+    from scipy.linalg import LinAlgError
+
+    engine, (g, proj, s, dt) = _direction_stacks(line_k, triangle_k)[case]
+    bad = -np.broadcast_to(np.eye(g.shape[2]), proj.shape)
+    for direction in (engine._direction, functools.partial(_reference_direction, engine)):
+        with pytest.raises(LinAlgError):
+            direction(g, bad, s, dt)
 
 
 def test_mag_exchange_descent_converges_in_few_iterations():
@@ -1509,6 +1583,13 @@ def test_dp_raises_where_the_unbounded_relaxation_raises(case, line_k, triangle_
 
 # The benchmark's production grids and the backtrack's edge cases, bit for bit.
 
+
+def _seed_problem(a: float, sites) -> tuple:
+    """The ``dp`` seed of ``minimize`` from ``a`` to ``-a`` on a 1-D site set."""
+    kset = PointSet(sites)
+    return [a], [-a], 1.0, kset, Shape.identity(), seed_grid_spec([a], [-a], 1.0, kset)
+
+
 @pytest.mark.parametrize("problem", [
     # The stability j = 1 seed grid: T = 233, k = 8.
     pytest.param(([-0.02], [0.02], 1.0, PointSet([[-2.0], [2.0]]), Shape.identity(),
@@ -1521,6 +1602,13 @@ def test_dp_raises_where_the_unbounded_relaxation_raises(case, line_k, triangle_
                   GridSpec(lo=[-1.0, -2.0], hi=[1.0, 1.0], resolution=3.0 / 200.0,
                            time_slices=100)),
                  id="dp-example2-oracle-grid"),
+    # The other 1-D seed grids of the benchmark's solve-probe workload.
+    *(pytest.param(_seed_problem(-0.02, [[-1.0 - 1.0 / j], [1.0 + 1.0 / j]]),
+                   id=f"stability-j{j}-seed-grid") for j in (2, 4, 8, 16)),
+    *(pytest.param(_seed_problem(-c, [[-1.0], [1.0]]), id=f"stability-c{c}-seed-grid")
+      for c in (0.2, 0.1, 0.05)),
+    pytest.param(_seed_problem(-1.0, [[-1.0], [1.0]]), id="example1-c1-seed-grid"),
+    pytest.param(_seed_problem(-0.2, [[-1.0], [1.0]]), id="example1-c02-seed-grid"),
 ])
 def test_dp_matches_the_unbounded_relaxation_on_production_grids(problem):
     assert _assert_dp_matches_unbounded(problem) is not None
@@ -1543,6 +1631,21 @@ def test_dp_matches_the_unbounded_relaxation_on_production_grids(problem):
     pytest.param(([-0.5, 0.5], [0.5, 0.0], 1.0, PointSet(_TRIANGLE), Shape.identity(),
                   GridSpec(lo=[-1.0, -1.0], hi=[1.0, 1.0], resolution=0.1, time_slices=2)),
                  id="two-slices-2d"),
+    # Start on the first axis point, goal on the last, and the reverse.
+    pytest.param(([-1.0], [1.0], 1.0, PointSet([[-0.5], [0.3]]), Shape.identity(),
+                  GridSpec(lo=[-1.0], hi=[1.0], resolution=0.1, time_slices=5)),
+                 id="first-to-last-point"),
+    pytest.param(([1.0], [-1.0], 1.0, PointSet([[-0.5], [0.3]]), Shape.power(2.0),
+                  GridSpec(lo=[-1.0], hi=[1.0], resolution=0.1, time_slices=5)),
+                 id="last-to-first-point"),
+    # Both endpoints on the first point; steps clamped to the short axis.
+    pytest.param(([-0.3], [-0.3], 1.0, PointSet([[0.1], [0.2]]), Shape.identity(),
+                  GridSpec(lo=[-0.3], hi=[0.3], resolution=0.1, time_slices=4, vmax=30.0)),
+                 id="first-point-both-ends"),
+    # Two slices on a 3-point axis: m = n - 1 = 2, every node an endpoint or an axis end.
+    pytest.param(([-0.1], [0.1], 1.0, PointSet([[-1.0], [0.05]]), Shape.identity(),
+                  GridSpec(lo=[-0.1], hi=[0.1], resolution=0.1, time_slices=2, vmax=9.0)),
+                 id="two-slices-m-is-n-minus-1"),
 ])
 def test_dp_backtrack_edge_cases_match_the_unbounded_relaxation(problem):
     assert _assert_dp_matches_unbounded(problem) is not None
@@ -1562,23 +1665,35 @@ def test_dp_backtrack_takes_the_last_step_when_it_is_the_only_finite_one(d):
     assert np.all(np.diff(idx, axis=0) == 4)
 
 
+def _dp_peak(*problem) -> int:
+    """Peak bytes ``tracemalloc`` sees during a second ``dp_oracle`` call."""
+    dp_oracle(*problem)
+    tracemalloc.start()
+    try:
+        dp_oracle(*problem)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dp_peak_memory_on_a_400_slice_1d_seed_grid():
+    # Sites at +-4 and endpoints +-0.02 give the seed grid's cap of 400 slices
+    # on about 485 points. Each pass keeps its read range whole (8 B a cell):
+    # about 1.8 MiB in all, where int32 offsets plus costs (12 B a finite
+    # cell) took 2.4 MiB.
+    problem = _seed_problem(-0.02, [[-4.0], [4.0]])
+    assert problem[-1].time_slices == 400
+    assert _dp_peak(*problem) <= 2 * 2**20
+
+
 def test_dp_peak_memory_on_the_mag_exchange_oracle_grid():
     # The `oracle` command's default grid for the exchange (200 cells a side,
     # T = 100): the relaxation keeps no full-grid parent record and no
     # candidate block of every cell times 2k + 1 steps.
-    import tracemalloc
-
     x0, x1 = [0.2, 0.3], [0.3, 0.2]
     kset = build_mag(_MAG_BASE, 1, 2, default_window(_MAG_BASE, 1, 2, x0, x1)).kset
     gs = GridSpec(lo=[-0.8, -0.8], hi=[1.3, 1.3], resolution=2.1 / 200.0, time_slices=100)
-    dp_oracle(x0, x1, 1.0, kset, Shape.identity(), gs)
-    tracemalloc.start()
-    try:
-        dp_oracle(x0, x1, 1.0, kset, Shape.identity(), gs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * 2**20
+    assert _dp_peak(x0, x1, 1.0, kset, Shape.identity(), gs) <= 5 * 2**20
 
 
 # ---------------------------------------------------------------------------

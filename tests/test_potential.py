@@ -193,6 +193,56 @@ def test_batch_field_memory_is_one_block():
     assert _traced_peak(rows, kset) < 4 * 8 * potential_module.KERNEL_CHUNK_ROW_SITES
 
 
+def _reference_classify(nodes, kset):
+    """The dense ``_classify`` as a rows x sites block, kept verbatim: its
+    minimum, tie count and ``argmin`` run along each row's sites."""
+    pts = kset.points
+    d2 = np.einsum("ij,ij->i", nodes, nodes)[:, None] + np.einsum("ij,ij->i", pts, pts)
+    d2 -= 2.0 * nodes @ pts.T
+    dmin = np.min(np.maximum(d2, 0.0, out=d2), axis=1)
+    ties = d2 <= (1.0 + kset.tie_tolerance) * dmin[:, None]
+    tie = np.sum(ties, axis=1) >= 2
+    return np.argmin(d2, axis=1), tie, np.packbits(ties[tie], axis=1)
+
+
+def _assert_classify_matches_reference(rows, kset):
+    assert kset.n < potential_module.TREE_MIN_SITES  # the dense block, not the tree
+    out, ref = _classify(rows, kset), _reference_classify(rows, kset)
+    for a, b in zip(out, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _lattice_sites(rng, d, n):
+    """``n`` distinct random points of the quarter lattice around the origin."""
+    half = int(np.ceil(n ** (1.0 / d))) + 1
+    cells = np.array(list(itertools.product(range(-half, half + 1), repeat=d)))
+    return cells[np.sort(rng.choice(len(cells), size=n, replace=False))] / 4.0
+
+
+# 511 quarter-lattice sites on a line are too close for a tie tolerance of 1e-3.
+@pytest.mark.parametrize("d, n, tol", [
+    (d, n, tol) for d in (1, 2, 3, 4) for n in (2, 3, 40, 511) for tol in (1e-9, 1e-3)
+    if not (d == 1 and n == 511 and tol == 1e-3)])
+def test_classify_matches_the_row_major_reference(d, n, tol):
+    # Rows on the sites, on pair midpoints, on triple circumcenters, at the
+    # origin and at random: the sites x rows block gives every row the
+    # nearest site, tie flag and packed tie mask of the rows x sites block,
+    # bit for bit, in one call and in calls of zero and one row.
+    rng = np.random.default_rng(1000 * d + n)
+    kset = PointSet(_lattice_sites(rng, d, n), tie_tolerance=tol)
+    sites = kset.points
+    pairs = rng.integers(0, n, size=(600, 2))
+    mids = 0.5 * (sites[pairs[:, 0]] + sites[pairs[:, 1]])
+    triples = [rng.choice(n, size=3, replace=False) for _ in range(200 if n >= 3 else 0)]
+    centers = [c for c in (_circumcenter(sites[t]) for t in triples) if c is not None]
+    rows = np.vstack([sites, mids, np.reshape(centers, (-1, d)), np.zeros((1, d)),
+                      rng.uniform(-3.0, 3.0, size=(50, d))])
+    _assert_classify_matches_reference(rows, kset)
+    _assert_classify_matches_reference(rows[:0], kset)
+    for row in (sites[0], mids[0], np.zeros(d), rows[-1]):
+        _assert_classify_matches_reference(row[None, :], kset)
+
+
 def _on_tree(monkeypatch, on: bool) -> None:
     monkeypatch.setattr(potential_module, "TREE_MIN_SITES", 1 if on else 10**9)
 
@@ -241,6 +291,15 @@ def test_tree_path_matches_the_dense_path(case):
         small = batch_field(rows, kset)
     for a, b in zip(tree[:3], small[:3]):
         assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_tree_cases())
+def test_classify_matches_the_row_major_reference_property(case):
+    # The tree-path test's rows (midpoints, circumcenters, bisector offsets,
+    # sites, rows near 1e3, two tie tolerances) on the dense block.
+    kset, rows = case
+    _assert_classify_matches_reference(rows, kset)
 
 
 def test_tree_path_doubles_k_at_a_sixteen_way_tie():
