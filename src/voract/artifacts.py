@@ -16,6 +16,7 @@ import numpy as np
 from .action import ActionBreakdown, Path, Shape
 from .analysis import RegularityReport, ShockEvent
 from .geometry import PointSet, VoractError
+from .mag import MagSystem, particle_paths
 from .potential import batch_field, class_ids
 from .svg import polyline_chart
 
@@ -27,6 +28,7 @@ __all__ = [
     "report_payload",
     "write_standard_plots",
     "write_path_artifacts",
+    "write_particle_csvs",
 ]
 
 
@@ -152,3 +154,13 @@ def write_path_artifacts(outdir, traj: Path, kset: PointSet, shape: Shape,
     if plots:
         write_standard_plots(outdir, traj, report)
     return registry
+
+
+def write_particle_csvs(outdir, system: MagSystem, traj: Path) -> None:
+    """``particle{i}.csv`` per particle: columns t, y1..yn (lifted), torus1..torusn."""
+    header = ",".join(["t", *(f"{c}{j + 1}" for c in ("y", "torus") for j in range(system.n))])
+    for i, (lift, tor) in enumerate(zip(*particle_paths(system, traj))):
+        with open(os.path.join(outdir, f"particle{i + 1}.csv"), "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for row in np.column_stack([traj.times, lift, tor]):
+                fh.write(",".join(map(_f, row)) + "\n")

@@ -3,18 +3,20 @@
 Subcommands:
 
 - ``solve``      minimize a configured scenario; write trajectory CSV,
-                 events/report/summary JSON and SVG plots; exit 0 iff the
-                 solve converged and every enabled check passed.
+                 events/report/summary JSON and SVG plots, plus per-particle
+                 tracks and the window certificate check for a ``points.mag``
+                 particle system; exit 0 iff the solve converged and every
+                 check passed.
 - ``analyze``    re-analyze a trajectory CSV against a site set.
 - ``oracle``     run the dynamic-programming oracle for a scenario.
 - ``zones``      print the zone table of a site set as JSON.
-- ``mag``        build a particle system, solve an exchange scenario and
-                 write per-particle tracks plus the standard analysis.
-- ``stability``  solve a sequence of scenarios and report their actions.
+- ``stability``  solve a sequence of scenarios and report their actions;
+                 ``points.mag`` entries are window-certified.
 - ``preset``     run a named acceptance preset.
 
-Exit codes: 0 when the command succeeded, 1 when it ran but a check
-failed, 2 for invalid input or usage (an ``error:`` line on stderr).
+Exit codes: 0 when the command succeeded, 1 when it ran but a check (a
+window certificate included) failed, 2 for invalid input or usage (an
+``error:`` line on stderr).
 
 Configuration is strict JSON: unknown fields are rejected so presets and
 configs stay honest test fixtures. All artifacts are deterministic for a
@@ -28,7 +30,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .action import (
 )
 from .analysis import regularity_report
 from .geometry import PointSet, VoractError, load_point_set
-from .mag import build_mag, default_window, particle_paths, stability_run, window_certificate
+from .mag import MagSystem, build_mag, default_window, stability_run, window_certificate
 from .potential import zone_table
 from .presets import PRESET_NAMES, _energy_tol, run_preset
 
@@ -98,28 +100,35 @@ def _array(value, context: str) -> np.ndarray:
         raise ConfigError(f"{context} must be numbers, got {value!r}") from None
 
 
-def _parse_points(spec: dict, tie_tolerance: float, *endpoints) -> PointSet:
+def _parse_points(spec: dict, tie_tolerance: float,
+                  *endpoints) -> tuple[PointSet, MagSystem | None]:
+    """The site set of a ``points`` spec and, for ``mag`` points, its particle
+    system (whose ``kset`` is that site set), else None."""
     _require_keys(spec, {"inline", "file", "mag"}, "points")
     given = [k for k in ("inline", "file", "mag") if k in spec]
     if len(given) != 1:
         raise ConfigError("points needs exactly one of inline/file/mag")
     if "inline" in spec:
-        return PointSet(_array(spec["inline"], "points.inline"), tie_tolerance=tie_tolerance)
+        return PointSet(_array(spec["inline"], "points.inline"),
+                        tie_tolerance=tie_tolerance), None
     if "file" in spec:
-        return load_point_set(_typed(spec, "file", str, "points"), tie_tolerance=tie_tolerance)
+        return load_point_set(_typed(spec, "file", str, "points"),
+                              tie_tolerance=tie_tolerance), None
     mag = spec["mag"]
     _require_keys(mag, {"base_points", "n", "m", "window"}, "points.mag", ("base_points", "n", "m"))
     base = _array(mag["base_points"], "points.mag base_points")
     n, m = (_number(mag, k, "points.mag", integer=True) for k in ("n", "m"))
     window = (_number(mag, "window", "points.mag", integer=True) if "window" in mag
               else default_window(base, n, m, *endpoints))
-    return PointSet(build_mag(base, n, m, window).kset.points, tie_tolerance=tie_tolerance)
+    system = build_mag(base, n, m, window)
+    kset = PointSet(system.kset.points, tie_tolerance=tie_tolerance)
+    return kset, replace(system, kset=kset)
 
 
 def _cli_points(args) -> PointSet:
     """Site set of the ``--points`` file or the ``--inline`` JSON list."""
     spec = {"file": args.points} if args.points else {"inline": json.loads(args.inline)}
-    return _parse_points(spec, args.tie_tolerance)
+    return _parse_points(spec, args.tie_tolerance)[0]
 
 
 def _parse_shape(spec: dict | None) -> Shape:
@@ -159,9 +168,10 @@ def load_run_config(path: str) -> dict:
         raise ConfigError(f"unknown checks: {bad}")
     tie = _number(raw, "tie_tolerance", "run config", 1e-9)
     x0, x1 = (_array(raw["endpoints"][k], f"endpoints {k}") for k in ("start", "end"))
+    kset, system = _parse_points(raw["points"], tie, x0, x1)
     return {
         "scenario": _typed(raw, "scenario", str, "run config", "run"),
-        "kset": _parse_points(raw["points"], tie, x0, x1),
+        "kset": kset, "system": system,
         "shape": _parse_shape(raw.get("shape")),
         "x0": x0, "x1": x1,
         "delta": _number(raw, "delta", "run config"),
@@ -204,6 +214,12 @@ def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
                 "regularity": (len(report.second_diff_violations), 0)}
     check_results = {name: {"passed": value <= tol, "value": value, "tolerance": tol}
                      for name, (value, tol) in measured.items() if name in cfg["checks"]}
+    system = cfg["system"]
+    if system is not None:
+        check_results["window_certificate"] = {
+            "passed": window_certificate(system, result.path), "value": system.window,
+            "tolerance": "no window-shell site in any class"}
+        artifacts.write_particle_csvs(outdir, system, result.path)
     ok = result.converged and all(c["passed"] for c in check_results.values())
 
     registry = artifacts.write_path_artifacts(outdir, result.path, kset, shape, report,
@@ -304,76 +320,39 @@ def _cmd_zones(args) -> int:
     return 0
 
 
-def _cmd_mag(args) -> int:
-    base = _array(json.loads(args.base), "--base")
-    x0 = _array(json.loads(args.start), "--start")
-    x1 = _array(json.loads(args.end), "--end")
-    window = args.window
-    if window is None:
-        window = default_window(base, args.n, args.m, x0, x1)
-    system = build_mag(base, args.n, args.m, window)
-    cfg = SolverConfig(M=args.mesh, refinements=args.refinements, starts=args.starts,
-                       seed=args.seed)
-    shape = Shape.identity()
-    result = minimize(x0, x1, args.delta, system.kset, shape, cfg)
-    cert = window_certificate(system, result.path)
-    outdir = args.out or "mag-output"
-    os.makedirs(outdir, exist_ok=True)
-    report = regularity_report(result.path, system.kset, shape)
-    artifacts.write_path_artifacts(outdir, result.path, system.kset, shape, report,
-                                   result.breakdown, plots=False)
-    lifted, torus = particle_paths(system, result.path)
-    times = result.path.times
-    for i, (lift, tor) in enumerate(zip(lifted, torus)):
-        with open(os.path.join(outdir, f"particle{i + 1}.csv"), "w", encoding="utf-8") as fh:
-            cols = ",".join(f"y{j + 1}" for j in range(system.n))
-            tcols = ",".join(f"torus{j + 1}" for j in range(system.n))
-            fh.write(f"t,{cols},{tcols}\n")
-            for k in range(lift.shape[0]):
-                row = [times[k], *lift[k], *tor[k]]
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    artifacts.write_json(os.path.join(outdir, "summary.json"), {
-        "sites": system.kset.n,
-        "window": system.window,
-        "window_certificate": cert,
-        "action": result.breakdown.total,
-        "converged": result.converged,
-        "events": len(report.events),
-    })
-    print(f"[mag] sites={system.kset.n} action={result.breakdown.total!r} "
-          f"certificate={cert} events={len(report.events)}")
-    if not cert:
-        print("[mag] window certificate FAILED: raise the window and rerun", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_stability(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    _require_keys(raw, {"sequence", "delta", "shape", "solver"}, "stability config", ("sequence",))
+    _require_keys(raw, {"sequence", "delta", "shape", "solver"}, "stability config",
+                  ("sequence", "delta"))
     shape = _parse_shape(raw.get("shape"))
     solver = _parse_solver(raw.get("solver"))
     delta = _number(raw, "delta", "stability config")
-    ksets, ends = [], []
+    ksets, systems, ends = [], [], []
     for i, entry in enumerate(_typed(raw, "sequence", list, "stability config")):
         context = f"sequence[{i}]"
         _require_keys(entry, {"points", "tie_tolerance", "start", "end"}, context,
                       ("points", "start", "end"))
         x0, x1 = (_array(entry[k], f"{context} {k}") for k in ("start", "end"))
         tie = _number(entry, "tie_tolerance", context, 1e-9)
-        ksets.append(_parse_points(entry["points"], tie, x0, x1))
+        kset, system = _parse_points(entry["points"], tie, x0, x1)
+        ksets.append(kset)
+        systems.append(system)
         ends.append((x0, x1))
     actions = []
-    for i, res in enumerate(stability_run(ksets, ends, delta, shape, solver)):
-        actions.append({"index": i, "action": res.breakdown.total, "converged": res.converged})
-        print(f"[stability] {i}: action={res.breakdown.total!r} converged={res.converged}")
+    results = stability_run(ksets, ends, delta, shape, solver)
+    for i, (res, system) in enumerate(zip(results, systems)):
+        cert = None if system is None else window_certificate(system, res.path)
+        actions.append({"index": i, "action": res.breakdown.total, "converged": res.converged,
+                        "window_certificate": cert})
+        print(f"[stability] {i}: action={res.breakdown.total!r} converged={res.converged} "
+              f"window_certificate={cert}")
     gaps = [abs(actions[i]["action"] - actions[i + 1]["action"]) for i in range(len(actions) - 1)]
     payload = {"actions": actions, "gaps": gaps}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         artifacts.write_json(os.path.join(args.out, "stability.json"), payload)
-    return 0
+    return 1 if any(a["window_certificate"] is False for a in actions) else 0
 
 
 def _cmd_preset(args) -> int:
@@ -428,21 +407,6 @@ def main(argv=None) -> int:
     p.add_argument("--tie-tolerance", type=float, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_zones)
-
-    p = sub.add_parser("mag", help="particle system build + solve + analysis")
-    p.add_argument("--base", required=True, help="JSON base points, m rows of n coords")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--start", required=True, help="JSON lifted start configuration")
-    p.add_argument("--end", required=True, help="JSON lifted end configuration")
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--mesh", type=int, default=512)
-    p.add_argument("--refinements", type=int, default=3)
-    p.add_argument("--starts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_mag)
 
     p = sub.add_parser("stability", help="solve a sequence of scenarios")
     p.add_argument("--config", required=True)

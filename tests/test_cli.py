@@ -141,16 +141,64 @@ def test_zones_command(tmp_path, capsys):
     assert payload["witnessed_cells"] == 3
 
 
+MAG_RUN = {"points": {"mag": {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}},
+           "endpoints": {"start": [0.2, 0.3], "end": [0.3, 0.2]}, "delta": 1.0,
+           "solver": {"M": 64, "refinements": 1, "starts": 2, "seed": 0}, "plots": False}
+# Window 2 is too small for endpoints near 2.6: the solve converges and passes
+# the energy and regularity checks, but its path touches the window shell.
+SHELL_POINTS = {"mag": {"base_points": [[0.0], [0.5]], "n": 1, "m": 2, "window": 2}}
+SHELL_START, SHELL_END = [2.2, 0.3], [2.6, 0.2]
+SHELL_SOLVER = {"M": 32, "refinements": 1, "starts": 1}
+
+
 def test_mag_command(tmp_path):
     out = tmp_path / "mag"
-    code = main(["mag", "--base", "[[0.0],[0.5]]", "--n", "1", "--m", "2",
-                 "--start", "[0.2,0.3]", "--end", "[0.3,0.2]",
-                 "--mesh", "64", "--refinements", "1", "--starts", "2",
-                 "--out", str(out)])
-    assert code == 0
-    assert (out / "particle1.csv").exists() and (out / "particle2.csv").exists()
+    assert main(["solve", "--config", _write(tmp_path / "mag.json", MAG_RUN),
+                 "--out", str(out)]) == 0
+    assert not (out / "particle3.csv").exists()
+    _, nodes = read_trajectory_csv(str(out / "trajectory.csv"))
+    for i in range(2):  # lifted track and its reduction mod 1, per particle
+        lines = (out / f"particle{i + 1}.csv").read_text().splitlines()
+        assert lines[0] == "t,y1,torus1"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [r[1] for r in rows] == list(nodes[:, i])
+        assert [r[2] for r in rows] == [r[1] % 1.0 for r in rows]
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["window_certificate"] is True
+    assert summary["checks"]["window_certificate"] == {
+        "passed": True, "value": 2, "tolerance": "no window-shell site in any class"}
+
+
+def test_window_certificate_failure_exits_1(tmp_path):
+    run = {"points": SHELL_POINTS, "endpoints": {"start": SHELL_START, "end": SHELL_END},
+           "delta": 1.0, "solver": SHELL_SOLVER, "plots": False}
+    out = tmp_path / "shell"
+    assert main(["solve", "--config", _write(tmp_path / "run.json", run),
+                 "--out", str(out)]) == 1
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["converged"] is True
+    assert failure["failed_checks"] == ["window_certificate"]
+    assert (out / "particle1.csv").exists()
+
+
+def test_stability_entry_that_fails_the_certificate_exits_1(tmp_path):
+    wide = {"mag": {**SHELL_POINTS["mag"], "window": 4}}
+    payload = {"sequence": [{"points": points, "start": SHELL_START, "end": SHELL_END}
+                            for points in (wide, SHELL_POINTS)],
+               "delta": 1.0, "solver": SHELL_SOLVER}
+    out = tmp_path / "stab"
+    assert main(["stability", "--config", _write(tmp_path / "stab.json", payload),
+                 "--out", str(out)]) == 1
+    result = json.loads((out / "stability.json").read_text())
+    assert [a["window_certificate"] for a in result["actions"]] == [True, False]
+    assert all(a["converged"] for a in result["actions"])
+
+
+def test_mag_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mag", "--base", "[[0.0],[0.5]]", "--n", "1", "--m", "2",
+              "--start", "[0.2,0.3]", "--end", "[0.3,0.2]"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'mag'" in capsys.readouterr().err
 
 
 def test_stability_command(tmp_path):
@@ -169,11 +217,12 @@ def test_stability_command(tmp_path):
     result = json.loads((out / "stability.json").read_text())
     assert len(result["actions"]) == 2
     assert result["actions"][0]["action"] > result["actions"][1]["action"]
+    assert [a["window_certificate"] for a in result["actions"]] == [None, None]
 
 
 def test_mag_points_window_covers_the_endpoints(tmp_path, monkeypatch):
     # Base points alone give window 2; the endpoints near 2.6 need 4, as the
-    # `mag` command picks, or the solved path fails the window certificate.
+    # window policy picks, or the solved path fails the window certificate.
     windows, real_build = [], cli.build_mag
 
     def recording_build(*args):
@@ -187,7 +236,7 @@ def test_mag_points_window_covers_the_endpoints(tmp_path, monkeypatch):
            "solver": {"M": 32, "refinements": 1, "starts": 1}}
     cfg = load_run_config(_write(tmp_path / "run.json", run))
     res = minimize(cfg["x0"], cfg["x1"], cfg["delta"], cfg["kset"], cfg["shape"], cfg["solver"])
-    assert windows == [4]
+    assert windows == [4] and cfg["system"].window == 4
     assert window_certificate(build_mag([[0.0], [0.5]], 1, 2, 4), res.path)
     assert not window_certificate(build_mag([[0.0], [0.5]], 1, 2, 2), res.path)
     stability = {"sequence": [{"points": points, "start": start, "end": end}], "delta": 1.0,
@@ -200,9 +249,14 @@ def test_mag_points_keep_the_configured_tie_tolerance(tmp_path):
     run = {"points": {"mag": {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}},
            "tie_tolerance": 1e-6, "endpoints": {"start": [0.2, 0.3], "end": [0.3, 0.2]},
            "delta": 1.0}
-    assert load_run_config(_write(tmp_path / "run.json", run))["kset"].tie_tolerance == 1e-6
+    cfg = load_run_config(_write(tmp_path / "run.json", run))
+    assert cfg["kset"].tie_tolerance == 1e-6
+    assert cfg["system"].kset is cfg["kset"]
     entry = {"mag": {"base_points": [[0.0], [0.5]], "n": 1, "m": 2, "window": 1}}
-    assert cli._parse_points(entry, 1e-6).tie_tolerance == 1e-6  # as a stability entry loads
+    kset, system = cli._parse_points(entry, 1e-6)  # as a stability entry loads
+    assert kset.tie_tolerance == 1e-6 and system.kset is kset
+    assert system.window == 1 and system.kset.n == build_mag([[0.0], [0.5]], 1, 2, 1).kset.n
+    assert cli._parse_points({"inline": [[0.0]]}, 1e-6)[1] is None
 
 
 def test_preset_command(tmp_path):
@@ -285,6 +339,8 @@ MAG_POINTS = {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}
     ("solve", {**BASE_CONFIG, "solver": {**BASE_CONFIG["solver"], "M": 10**400}}, "M must be below"),
     ("solve", {**BASE_CONFIG, "solver": {**BASE_CONFIG["solver"], "M": NODE_BUDGET}},
      "M must be below"),
+    ("stability", {k: v for k, v in STABILITY.items() if k != "delta"},
+     "stability config is missing 'delta'"),
 ])
 def test_config_number_that_is_not_a_number_exits_2(command, payload, message, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", payload)
@@ -316,18 +372,15 @@ def test_missing_site_set_is_usage_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-MAG_ARGS = ["mag", "--base", "[[0.0],[0.5]]", "--n", "1", "--m", "2",
-            "--start", "[0.2,0.3]", "--end", "[0.3,0.2]"]
-
-
 @pytest.mark.parametrize("extra", [
-    ["--mesh", "8", "--refinements", "3"],  # ActionError: coarse mesh below 4
-    ["--delta", "-1"],                       # ActionError: nonpositive horizon
-    ["--m", "6"],                            # MagError: 6 particles, 2 base points
-    ["--start", '["a", 0.3]'],               # ConfigError: not numbers
+    {"solver": {"M": 8, "refinements": 3}},               # ActionError: coarse mesh below 4
+    {"delta": -1.0},                                      # ActionError: nonpositive horizon
+    {"points": {"mag": {**MAG_RUN["points"]["mag"], "m": 6}}},  # MagError: 2 base points
+    {"endpoints": {"start": ["a", 0.3], "end": [0.3, 0.2]}},    # ConfigError: not numbers
 ])
 def test_mag_input_errors_exit_2(extra, tmp_path, capsys):
-    assert main(MAG_ARGS + extra + ["--out", str(tmp_path / "mag")]) == 2
+    cfg = _write(tmp_path / "mag.json", {**MAG_RUN, **extra})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "mag")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -17,6 +17,7 @@ from voract import (
     opt_class,
     polytope_distance_ratio,
 )
+from voract.presets import _min_norm_grid_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -87,32 +88,6 @@ def test_min_norm_examples():
     assert np.allclose(min_norm_point([[-1.0], [1.0]], [0.0]), [0.0])
 
 
-def _grid_oracle(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
-    m = vertices.shape[0]
-    if m == 1:
-        return vertices[0]
-    center = np.full(m, 1.0 / m)
-    scale = 1.0
-    divs = 6
-    simplex = [np.array(c, dtype=float) / divs
-               for c in itertools.product(range(divs + 1), repeat=m) if sum(c) == divs]
-    best = center
-    for _ in range(26):
-        cands = []
-        for g in simplex:
-            lam = center + scale * (g - np.full(m, 1.0 / m))
-            lam = np.maximum(lam, 0.0)
-            s = lam.sum()
-            if s > 0:
-                cands.append(lam / s)
-        pts = np.array(cands) @ vertices
-        d2 = np.einsum("ij,ij->i", pts - x[None, :], pts - x[None, :])
-        best = np.array(cands)[int(np.argmin(d2))]
-        center = best
-        scale *= 0.5
-    return best @ vertices
-
-
 def test_min_norm_matches_grid_oracle():
     rng = np.random.default_rng(42)
     for _ in range(20):
@@ -121,7 +96,7 @@ def test_min_norm_matches_grid_oracle():
         verts = rng.normal(size=(m, d)) * 1.5
         x = rng.normal(size=d) * 1.5
         p = min_norm_point(verts, x)
-        q = _grid_oracle(verts, x)
+        q = _min_norm_grid_oracle(verts, x)
         assert np.linalg.norm(p - q) <= 1e-6
 
 
