@@ -51,11 +51,9 @@ from .action import (
 )
 from .analysis import (
     AnalysisError,
-    EnergyProfile,
     RegularityReport,
     ShockEvent,
     detect_shocks,
-    energy_profile,
     jump_residual,
     regularity_report,
 )
@@ -82,8 +80,8 @@ __all__ = [
     "Shape", "Path", "ActionBreakdown", "SolverConfig", "GridSpec",
     "MinimizeResult", "ActionError", "GridBudgetError",
     "evaluate_action", "action_gradient", "minimize", "dp_oracle", "constrained_minimize",
-    "ShockEvent", "EnergyProfile", "RegularityReport", "AnalysisError",
-    "energy_profile", "detect_shocks", "jump_residual", "regularity_report",
+    "ShockEvent", "RegularityReport", "AnalysisError",
+    "detect_shocks", "jump_residual", "regularity_report",
     "MagSystem", "MagError",
     "build_mag", "default_window", "window_certificate", "particle_paths",
     "stability_run", "interior_balance_verdict",

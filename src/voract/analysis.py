@@ -36,9 +36,7 @@ from .potential import batch_field, class_ids, same_zone
 __all__ = [
     "AnalysisError",
     "ShockEvent",
-    "EnergyProfile",
     "RegularityReport",
-    "energy_profile",
     "detect_shocks",
     "jump_residual",
     "regularity_report",
@@ -46,7 +44,7 @@ __all__ = [
 
 
 class AnalysisError(VoractError):
-    """Invalid analysis input (window too large, wrong event kind, ...)."""
+    """Invalid analysis input (path too short, wrong event kind, ...)."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ class ShockEvent:
     events, its predecessor for right events). Kinds: ``degenerate``
     (projection unchanged within tolerance), ``nondegenerate``,
     ``effective_left`` / ``effective_right`` (strictly nested classes with
-    a window-clean passage).
+    runs of at least 2 nodes on both sides).
     """
 
     node_index: int
@@ -95,34 +93,11 @@ def _strict_subset(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return set(a) < set(b)
 
 
-@dataclass(frozen=True)
-class EnergyProfile:
-    values: np.ndarray
-    constant: float
-
-
-def energy_profile(path: Path, kset: PointSet, shape: Shape) -> EnergyProfile:
-    """Per-interval energy: forward-difference speed squared minus h at
-    the interval's left node. The constant estimate is the median."""
-    if path.m_intervals < 4:
-        raise AnalysisError("energy profile needs at least 4 intervals")
-    return _energy_profile(path, _field(path, kset)[1], shape)
-
-
 def _field(path: Path, kset: PointSet):
     """:func:`batch_field` of the path's nodes, which must have the sites' dimension."""
     if path.dim != kset.dim:
         raise AnalysisError(f"a {path.dim}-D path against {kset.dim}-D sites")
     return batch_field(path.nodes, kset)
-
-
-def _energy_profile(path: Path, s: np.ndarray, shape: Shape) -> EnergyProfile:
-    """:func:`energy_profile` from the squared slopes ``s`` of the nodes."""
-    diffs = np.diff(path.nodes, axis=0)
-    speed_sq = np.einsum("ij,ij->i", diffs, diffs) / path.dt**2
-    values = speed_sq - shape.h(s[:-1])
-    constant = float(np.median(values))
-    return EnergyProfile(values=values, constant=constant)
 
 
 def _one_sided_velocity(nodes: np.ndarray, dt: float, boundary: int, side: str) -> np.ndarray:
@@ -149,28 +124,23 @@ def _one_sided_velocity(nodes: np.ndarray, dt: float, boundary: int, side: str) 
     return (nodes[k + 1] - nodes[k]) / dt
 
 
-def detect_shocks(path: Path, kset: PointSet, window: int = 2) -> list[ShockEvent]:
-    """Class-change events along the path, classified at node resolution.
+def detect_shocks(path: Path, kset: PointSet) -> list[ShockEvent]:
+    """Class-change events along a path of at least 3 intervals, classified
+    at node resolution.
 
     A single-node visit of a class strictly containing both neighbouring
     runs is coalesced into one crossing event (a transversal passage
     through a lower-dimensional cell) at that node. Effective
     classification requires strict class nesting, a projection jump and
-    runs of at least ``window`` nodes on both sides.
+    runs of at least 2 nodes on both sides.
     """
-    _check_window(path, window)
+    if path.m_intervals < 3:
+        raise AnalysisError("shock detection needs at least 3 intervals")
     etas, _, _, groups = _field(path, kset)
-    return _shock_events(path, etas, *class_ids(etas.shape[0], groups), window)
+    return _shock_events(path, etas, *class_ids(etas.shape[0], groups))
 
 
-def _check_window(path: Path, window: int) -> None:
-    if window < 2:
-        raise AnalysisError("window must be at least 2")
-    if window >= path.m_intervals:
-        raise AnalysisError("window exceeds the path length")
-
-
-def _shock_events(path: Path, etas: np.ndarray, ids, registry, window: int) -> list[ShockEvent]:
+def _shock_events(path: Path, etas: np.ndarray, ids, registry) -> list[ShockEvent]:
     """:func:`detect_shocks` from the nodes' zone values and :func:`class_ids`."""
     nodes, dt, times = path.nodes, path.dt, path.times
 
@@ -203,7 +173,7 @@ def _shock_events(path: Path, etas: np.ndarray, ids, registry, window: int) -> l
             kind = "degenerate"
         else:
             kind = "nondegenerate"
-            if merged is None and min(e0 - s0, e1 - s1) + 1 >= window:
+            if merged is None and min(e0 - s0, e1 - s1) >= 1:
                 if _strict_subset(cls_before, cls_after):
                     kind = "effective_left"
                 elif _strict_subset(cls_after, cls_before):
@@ -258,21 +228,23 @@ class RegularityReport:
     events: list[ShockEvent]
 
 
-def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2) -> RegularityReport:
-    """Second-difference bound, energy constancy and momentum continuity.
+def regularity_report(path: Path, kset: PointSet, shape: Shape) -> RegularityReport:
+    """Shocks, second-difference bound, energy constancy and momentum
+    continuity of a path of at least 4 intervals.
 
+    The per-interval energy is the forward-difference speed squared minus
+    h at the interval's left node; its constant estimate is the median.
     Central second differences at nodes at least 2 away from any
     nondegenerate shock are compared against
     ``h'(|x-eta|^2)|x-eta| + 20 dt``. Momentum
     residuals compare the one-sided velocities projected on the
     equidistance directions of the union class at every shock.
     """
-    _check_window(path, window)
     if path.m_intervals < 4:
-        raise AnalysisError("energy profile needs at least 4 intervals")
+        raise AnalysisError("a regularity report needs at least 4 intervals")
     nodes = path.nodes
     etas, s, _, groups = _field(path, kset)
-    events = _shock_events(path, etas, *class_ids(etas.shape[0], groups), window)
+    events = _shock_events(path, etas, *class_ids(etas.shape[0], groups))
     dt = path.dt
 
     nondeg_nodes = [ev.node_index for ev in events if ev.kind != "degenerate"]
@@ -294,9 +266,10 @@ def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2)
         if est > b + 20.0 * dt:
             violations.append((k, est, b))
 
-    prof = _energy_profile(path, s, shape)
+    diffs = np.diff(nodes, axis=0)
+    energy = np.einsum("ij,ij->i", diffs, diffs) / dt**2 - shape.h(s[:-1])
     interval_excluded = excluded[:-1] | excluded[1:]
-    kept = prof.values[~interval_excluded]
+    kept = energy[~interval_excluded]
     energy_std = float(np.std(kept)) if kept.size else 0.0
 
     counts: dict[str, int] = {}
@@ -314,9 +287,9 @@ def regularity_report(path: Path, kset: PointSet, shape: Shape, window: int = 2)
         momentum.append((ev.node_index, float(np.linalg.norm(jump))))
 
     return RegularityReport(
-        energy_values=prof.values,
+        energy_values=energy,
         slope_sq=s,
-        energy_constant=prof.constant,
+        energy_constant=float(np.median(energy)),
         energy_std_away_from_shocks=energy_std,
         second_diff_violations=violations,
         max_second_diff_excess=float(max_excess) if np.isfinite(max_excess) else 0.0,

@@ -89,8 +89,10 @@ def write_trajectory_csv(path, traj: Path, kset: PointSet, shape: Shape):
 
 
 def read_trajectory_csv(path):
-    """Read a trajectory CSV back; returns (delta, nodes). A file without
-    data rows, or with a missing or non-numeric cell, raises VoractError."""
+    """Read a trajectory CSV back; returns (delta, nodes), delta being the
+    last time. A file without data rows, with a missing or non-numeric
+    cell, or whose time column is not a uniform grid from 0 to a positive
+    delta raises VoractError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         d = sum(1 for name in header if name.startswith("x"))
@@ -102,7 +104,12 @@ def read_trajectory_csv(path):
         nodes = np.array([[float(v) for v in r[1:1 + d]] for r in rows])
     except ValueError as exc:
         raise VoractError(f"{path}: {exc}") from None
-    return float(times[-1]), nodes
+    delta = float(times[-1])
+    if not (delta > 0.0 and np.allclose(times, np.linspace(0.0, delta, times.size),
+                                        rtol=0.0, atol=1e-9 * delta)):
+        raise VoractError(f"{path}: the time column t must run uniformly from 0 to a "
+                          "final time > 0")
+    return delta, nodes
 
 
 def events_payload(events: list[ShockEvent]) -> list[dict]:
@@ -126,22 +133,16 @@ def report_payload(report: RegularityReport, breakdown: ActionBreakdown | None =
     return payload
 
 
-def write_standard_plots(outdir, traj: Path, report: RegularityReport) -> list[str]:
+def write_standard_plots(outdir, traj: Path, report: RegularityReport) -> None:
+    """``position.svg``, ``energy.svg`` and ``slope.svg`` of a path and its report."""
     times = traj.times
-    written = []
-    pos = os.path.join(outdir, "position.svg")
-    polyline_chart(pos, times,
+    polyline_chart(os.path.join(outdir, "position.svg"), times,
                    [(f"x{j + 1}", traj.nodes[:, j]) for j in range(traj.dim)],
                    "position vs time")
-    written.append(pos)
-    en = os.path.join(outdir, "energy.svg")
-    polyline_chart(en, times[:-1], [("interval energy", report.energy_values)],
-                   "interval energy vs time")
-    written.append(en)
-    sl = os.path.join(outdir, "slope.svg")
-    polyline_chart(sl, times, [("slope_sq", report.slope_sq)], "squared slope vs time")
-    written.append(sl)
-    return written
+    polyline_chart(os.path.join(outdir, "energy.svg"), times[:-1],
+                   [("interval energy", report.energy_values)], "interval energy vs time")
+    polyline_chart(os.path.join(outdir, "slope.svg"), times,
+                   [("slope_sq", report.slope_sq)], "squared slope vs time")
 
 
 def write_path_artifacts(outdir, traj: Path, kset: PointSet, shape: Shape,

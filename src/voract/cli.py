@@ -7,7 +7,8 @@ Subcommands:
                  tracks and the window certificate check for a ``points.mag``
                  particle system; exit 0 iff the solve converged and every
                  check passed.
-- ``analyze``    re-analyze a trajectory CSV against a site set.
+- ``analyze``    re-analyze a trajectory CSV against a site set; the
+                 horizon delta and the node times come from the CSV.
 - ``oracle``     run the dynamic-programming oracle for a scenario.
 - ``zones``      print the zone table of a site set as JSON.
 - ``stability``  solve a sequence of scenarios and report their actions;
@@ -281,8 +282,8 @@ def _cmd_analyze(args) -> int:
     delta, nodes = artifacts.read_trajectory_csv(args.trajectory)
     kset = _cli_points(args)
     shape = _parse_shape(json.loads(args.shape) if args.shape else None)
-    traj = Path(delta if args.delta is None else args.delta, nodes)
-    report = regularity_report(traj, kset, shape, window=args.window)
+    traj = Path(delta, nodes)
+    report = regularity_report(traj, kset, shape)
     outdir = args.out or "analysis-output"
     os.makedirs(outdir, exist_ok=True)
     artifacts.write_json(os.path.join(outdir, "events.json"),
@@ -389,8 +390,6 @@ def main(argv=None) -> int:
     sites.add_argument("--points", default=None, help="point-set file (d N header)")
     sites.add_argument("--inline", default=None, help="inline JSON point list")
     p.add_argument("--shape", default=None, help="shape JSON, e.g. '{\"kind\":\"identity\"}'")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--window", type=int, default=2)
     p.add_argument("--tie-tolerance", type=float, default=1e-9)
     p.add_argument("--plots", action="store_true")
     p.add_argument("--out", default=None)

@@ -7,7 +7,6 @@ from voract import (
     PointSet,
     Shape,
     detect_shocks,
-    energy_profile,
     jump_residual,
     opt_class,
     regularity_report,
@@ -36,39 +35,39 @@ def axis_arrival_nodes(m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# energy profiles
+# per-interval energy of regularity reports
 
 
 def test_energy_constant_path_at_site(line_k):
     shape = Shape.affine(1.0, 0.3)
     p = Path(1.0, np.full((33, 1), 1.0))
-    prof = energy_profile(p, line_k, shape)
-    assert np.allclose(prof.values, -0.3)
-    assert prof.constant == pytest.approx(-0.3)
+    rep = regularity_report(p, line_k, shape)
+    assert np.allclose(rep.energy_values, -0.3)
+    assert rep.energy_constant == pytest.approx(-0.3)
 
 
 def test_energy_zero_on_waiting_minimizer(line_k, identity_shape):
     p = Path(1.0, waiting_nodes(0.2, 512))
-    prof = energy_profile(p, line_k, identity_shape)
+    rep = regularity_report(p, line_k, identity_shape)
     # zero-energy branch: the median interval energy vanishes with dt
-    assert abs(prof.constant) <= 5.0 * p.dt
+    assert abs(rep.energy_constant) <= 5.0 * p.dt
 
 
 def test_energy_nonzero_constant_on_crossing(line_k, identity_shape):
     p = Path(1.0, crossing_nodes(512))
-    prof = energy_profile(p, line_k, identity_shape)
+    rep = regularity_report(p, line_k, identity_shape)
     exact = 1.0 / np.sinh(0.5) ** 2  # cosh^2 - sinh^2 on the branch
-    assert prof.constant == pytest.approx(exact, abs=0.05)
-    assert abs(prof.constant) > 1.0  # clearly away from zero
+    assert rep.energy_constant == pytest.approx(exact, abs=0.05)
+    assert abs(rep.energy_constant) > 1.0  # clearly away from zero
 
-    inner = prof.values[3:-3]
+    inner = rep.energy_values[3:-3]
     keep = np.abs(np.arange(3, 3 + inner.size) - 256) > 4
     assert np.std(inner[keep]) <= 5.0 * p.dt
 
 
 def test_energy_needs_four_intervals(line_k, identity_shape):
     with pytest.raises(AnalysisError):
-        energy_profile(Path(1.0, np.zeros((4, 1))), line_k, identity_shape)
+        regularity_report(Path(1.0, np.zeros((4, 1))), line_k, identity_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +130,20 @@ def test_detect_degenerate_arrival(triangle_k):
     assert np.linalg.norm(ev.eta_before - ev.eta_after) <= 1e-9
 
 
-def test_detect_window_validation(line_k):
-    p = Path(1.0, crossing_nodes(64))
-    with pytest.raises(AnalysisError):
-        detect_shocks(p, line_k, window=1)
-    with pytest.raises(AnalysisError):
-        detect_shocks(p, line_k, window=64)
+def test_analysis_rejects_short_paths(line_k, identity_shape):
+    # Shock detection needs 3 intervals, a regularity report 4.
+    with pytest.raises(AnalysisError, match="at least 3 intervals"):
+        detect_shocks(Path(1.0, crossing_nodes(2)), line_k)
+    assert len(detect_shocks(Path(1.0, crossing_nodes(3)), line_k)) == 1
+    with pytest.raises(AnalysisError, match="at least 4 intervals"):
+        regularity_report(Path(1.0, crossing_nodes(3)), line_k, identity_shape)
+    assert regularity_report(Path(1.0, crossing_nodes(4)), line_k, identity_shape).events
 
 
 def test_analysis_rejects_a_path_of_another_dimension(line_k, triangle_k, identity_shape):
     for path, kset in ((Path(1.0, crossing_nodes(64)), triangle_k),
                        (Path(1.0, axis_arrival_nodes(64)), line_k)):
         for analyse in (lambda: detect_shocks(path, kset),
-                        lambda: energy_profile(path, kset, identity_shape),
                         lambda: regularity_report(path, kset, identity_shape)):
             with pytest.raises(AnalysisError, match="-D path against"):
                 analyse()
@@ -246,10 +246,10 @@ def test_report_on_waiting_path(line_k, identity_shape):
 
 
 def test_report_evaluates_the_field_once(line_k, identity_shape, monkeypatch):
-    # One kernel call serves the events, the second-difference bound and the
-    # energy profile, which equal those of the public functions.
+    # One kernel call serves the events, which equal those of detect_shocks,
+    # the second-difference bound and the per-interval energy.
     p = Path(1.0, waiting_nodes(0.2, 512))
-    events, prof = detect_shocks(p, line_k), energy_profile(p, line_k, identity_shape)
+    events = detect_shocks(p, line_k)
     calls = []
     kernel = analysis_module.batch_field
 
@@ -261,8 +261,6 @@ def test_report_evaluates_the_field_once(line_k, identity_shape, monkeypatch):
     rep = regularity_report(p, line_k, identity_shape)
     assert calls == [513]
     assert [ev.node_index for ev in rep.events] == [ev.node_index for ev in events]
-    assert np.array_equal(rep.energy_values, prof.values)
-    assert rep.energy_constant == prof.constant
 
 
 def test_orthogonal_decomposition_at_left_effective_shock(identity_shape):

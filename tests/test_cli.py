@@ -109,6 +109,22 @@ def test_analyze_on_written_trajectory(tmp_path):
     assert events == (run / "events.json").read_text()
 
 
+def test_analyze_plots(tmp_path):
+    # --plots writes the solve's three charts, and the same bytes, from the CSV alone.
+    cfg = _write(tmp_path / "cfg.json", BASE_CONFIG)
+    run = tmp_path / "run"
+    main(["solve", "--config", cfg, "--out", str(run)])
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--trajectory", str(run / "trajectory.csv"),
+                 "--inline", "[[-1.0],[1.0]]", "--plots", "--out", str(out)]) == 0
+    for name in ("position.svg", "energy.svg", "slope.svg"):
+        assert (out / name).read_bytes() == (run / name).read_bytes(), name
+    bare = tmp_path / "bare"
+    main(["analyze", "--trajectory", str(run / "trajectory.csv"),
+          "--inline", "[[-1.0],[1.0]]", "--out", str(bare)])
+    assert not list(bare.glob("*.svg"))
+
+
 def test_oracle_command(tmp_path):
     cfg_payload = dict(BASE_CONFIG)
     cfg_payload["oracle_grid"] = {"lo": [-1.5], "hi": [1.5], "resolution": 0.01,
@@ -403,11 +419,22 @@ def test_oracle_input_errors_exit_2(grid, tmp_path, capsys):
 LINE_CSV = "t,x1\n" + "".join(f"{k / 8},{0.05 * k - 0.2}\n" for k in range(9))
 
 
+def _crossing_csv(times) -> str:
+    """A 1-D path crossing the bisector of the sites -1 and 1, at ``times``."""
+    nodes = [0.5 * (2.0 * k / (len(times) - 1) - 1.0) for k in range(len(times))]
+    return "t,x1\n" + "".join(f"{t!r},{x!r}\n" for t, x in zip(times, nodes))
+
+
 @pytest.mark.parametrize("csv, sites, message", [
     (LINE_CSV, "[[-1.0,0.0],[1.0,0.0]]", "1-D path"),  # AnalysisError, not a matmul error
     ("t,x1,action_density,slope_sq,class_id\n", "[[-1.0],[1.0]]", "no data rows"),
     (LINE_CSV.replace("0.0,", "abc,"), "[[-1.0],[1.0]]", "abc"),
-], ids=["dimension-mismatch", "header-only", "non-numeric"])
+    # The time column must be a uniform grid from 0: not shifted, not stretched, not reversed.
+    (_crossing_csv([5.0 + k / 64 for k in range(65)]), "[[-1.0],[1.0]]", "time column"),
+    (_crossing_csv([(k / 64) ** 2 for k in range(65)]), "[[-1.0],[1.0]]", "time column"),
+    (_crossing_csv([1.0 - k / 64 for k in range(65)]), "[[-1.0],[1.0]]", "time column"),
+], ids=["dimension-mismatch", "header-only", "non-numeric", "times-offset", "times-squared",
+        "times-reversed"])
 def test_analyze_input_errors_exit_2(csv, sites, message, tmp_path, capsys):
     traj = tmp_path / "trajectory.csv"
     traj.write_text(csv)
@@ -415,6 +442,18 @@ def test_analyze_input_errors_exit_2(csv, sites, message, tmp_path, capsys):
                  "--out", str(tmp_path / "analysis")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("flag", [["--window", "3"], ["--delta", "1"]])
+def test_analyze_takes_no_window_or_delta(flag, tmp_path, capsys):
+    # The classification rule is fixed and delta comes from the CSV's time column.
+    traj = tmp_path / "trajectory.csv"
+    traj.write_text(LINE_CSV)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--trajectory", str(traj), "--inline", "[[-1.0],[1.0]]",
+              "--out", str(tmp_path / "analysis"), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["--probes", "-5"], ["--seed", "-1"]])
