@@ -14,7 +14,6 @@ from .geometry import (
     FrameError,
     GeometryError,
     MinNormError,
-    OptClass,
     PointSet,
     Polytope,
     PolytopeError,
@@ -71,7 +70,7 @@ from .mag import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PointSet", "OptClass", "CellFrame", "Polytope",
+    "PointSet", "CellFrame", "Polytope",
     "opt_class", "min_norm_point", "cell_frame", "polytope_distance_ratio",
     "load_point_set",
     "VoractError", "GeometryError", "MinNormError", "FrameError", "PolytopeError",

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +95,12 @@ EDGE_BUDGET = 400_000_000
 
 def _check_number(name: str, value, low, integer: bool = False, closed: bool = False) -> None:
     """ActionError naming ``name`` unless ``value`` is a finite number (not a
-    bool) ``> low``, or ``>= low`` if ``closed``; an integer if ``integer``."""
+    bool, nor an int beyond the largest float) ``> low``, or ``>= low`` if
+    ``closed``; an integer if ``integer``."""
     kind = numbers.Integral if integer else numbers.Real
     if (isinstance(value, bool) or not isinstance(value, kind)
-            or not (integer or np.isfinite(value)) or value < low or (value == low and not closed)):
+            or not (integer or abs(value) <= sys.float_info.max)
+            or value < low or (value == low and not closed)):
         raise ActionError(f"{name} must be a finite {'integer' if integer else 'number'} "
                           f"{'>=' if closed else '>'} {low}, got {value!r}")
 

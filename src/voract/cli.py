@@ -6,11 +6,12 @@ Subcommands:
                  events/report/summary JSON and SVG plots, plus per-particle
                  tracks and the window certificate check for a ``points.mag``
                  particle system; exit 0 iff the solve converged and every
-                 check passed.
+                 check (energy, regularity, and the certificate) passed.
 - ``analyze``    re-analyze a trajectory CSV against a site set; the
                  horizon delta and the node times come from the CSV.
 - ``oracle``     run the dynamic-programming oracle for a scenario.
-- ``zones``      print the zone table of a site set as JSON.
+- ``zones``      print the zone table of a site set as JSON (``--out`` also
+                 writes it to ``zones.json``).
 - ``stability``  solve a sequence of scenarios and report their actions;
                  ``points.mag`` entries are window-certified.
 - ``preset``     run a named acceptance preset.
@@ -20,8 +21,9 @@ window certificate included) failed, 2 for invalid input or usage (an
 ``error:`` line on stderr).
 
 Configuration is strict JSON: unknown fields are rejected so presets and
-configs stay honest test fixtures. All artifacts are deterministic for a
-fixed config and seed; wall-clock timing is only logged, never stored.
+configs stay honest test fixtures; ``solve`` and ``oracle`` validate all of
+a run config. All artifacts are deterministic for a fixed config and seed;
+wall-clock timing is only logged, never stored.
 """
 
 from __future__ import annotations
@@ -155,38 +157,8 @@ def _parse_solver(spec: dict | None) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
-def load_run_config(path: str) -> dict:
-    """Read and validate a run configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    allowed = {"scenario", "points", "tie_tolerance", "shape", "endpoints", "delta",
-               "solver", "oracle_grid", "output_dir", "checks", "plots"}
-    _require_keys(raw, allowed, "run config", ("points", "endpoints", "delta"))
-    _require_keys(raw["endpoints"], {"start", "end"}, "endpoints", ("start", "end"))
-    checks = _typed(raw, "checks", list, "run config", ["energy", "regularity"])
-    bad = [c for c in checks if c not in ("energy", "regularity")]
-    if bad:
-        raise ConfigError(f"unknown checks: {bad}")
-    tie = _number(raw, "tie_tolerance", "run config", 1e-9)
-    x0, x1 = (_array(raw["endpoints"][k], f"endpoints {k}") for k in ("start", "end"))
-    kset, system = _parse_points(raw["points"], tie, x0, x1)
-    return {
-        "scenario": _typed(raw, "scenario", str, "run config", "run"),
-        "kset": kset, "system": system,
-        "shape": _parse_shape(raw.get("shape")),
-        "x0": x0, "x1": x1,
-        "delta": _number(raw, "delta", "run config"),
-        "solver": _parse_solver(raw.get("solver")),
-        "checks": checks,
-        "plots": _typed(raw, "plots", bool, "run config", True),
-        "output_dir": _typed(raw, "output_dir", str, "run config"),
-        "oracle_grid": raw.get("oracle_grid"),
-    }
-
-
-def _parse_grid(spec: dict | None, cfg: dict) -> GridSpec:
+def _parse_grid(spec: dict | None, x0: np.ndarray, x1: np.ndarray) -> GridSpec:
     if spec is None:
-        x0, x1 = cfg["x0"], cfg["x1"]
         margin = max(1.0, 0.5 * float(np.linalg.norm(x1 - x0)))
         lo = np.minimum(x0, x1) - margin
         hi = np.maximum(x0, x1) + margin
@@ -199,6 +171,34 @@ def _parse_grid(spec: dict | None, cfg: dict) -> GridSpec:
                     resolution=_number(spec, "resolution", "oracle_grid"),
                     time_slices=spec["time_slices"],
                     vmax=None if spec.get("vmax") is None else _number(spec, "vmax", "oracle_grid"))
+
+
+def load_run_config(path: str) -> dict:
+    """Read and validate a run configuration file: everything ``solve`` and
+    ``oracle`` read, the oracle's ``GridSpec`` included."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    allowed = {"scenario", "points", "tie_tolerance", "shape", "endpoints", "delta",
+               "solver", "oracle_grid", "plots"}
+    _require_keys(raw, allowed, "run config", ("points", "endpoints", "delta"))
+    _require_keys(raw["endpoints"], {"start", "end"}, "endpoints", ("start", "end"))
+    tie = _number(raw, "tie_tolerance", "run config", 1e-9)
+    x0, x1 = (_array(raw["endpoints"][k], f"endpoints {k}") for k in ("start", "end"))
+    kset, system = _parse_points(raw["points"], tie, x0, x1)
+    for k, x in (("start", x0), ("end", x1)):
+        if x.size != kset.dim or not np.all(np.isfinite(x)):
+            raise ConfigError(f"endpoints {k} must be {kset.dim} finite numbers, one per "
+                              f"site coordinate, got {x.tolist()!r}")
+    return {
+        "scenario": _typed(raw, "scenario", str, "run config", "run"),
+        "kset": kset, "system": system,
+        "shape": _parse_shape(raw.get("shape")),
+        "x0": x0, "x1": x1,
+        "delta": _number(raw, "delta", "run config"),
+        "solver": _parse_solver(raw.get("solver")),
+        "plots": _typed(raw, "plots", bool, "run config", True),
+        "oracle_grid": _parse_grid(raw.get("oracle_grid"), x0, x1),
+    }
 
 
 def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
@@ -214,7 +214,7 @@ def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
     measured = {"energy": (report.energy_std_away_from_shocks, _energy_tol(result.path)),
                 "regularity": (len(report.second_diff_violations), 0)}
     check_results = {name: {"passed": value <= tol, "value": value, "tolerance": tol}
-                     for name, (value, tol) in measured.items() if name in cfg["checks"]}
+                     for name, (value, tol) in measured.items()}
     system = cfg["system"]
     if system is not None:
         check_results["window_certificate"] = {
@@ -254,15 +254,14 @@ def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
 
 def _cmd_solve(args) -> int:
     cfg = load_run_config(args.config)
-    outdir = args.out or cfg.get("output_dir") or "run-output"
-    code, _ = execute_run(cfg, outdir)
+    code, _ = execute_run(cfg, args.out or "run-output")
     return code
 
 
 def _cmd_oracle(args) -> int:
     cfg = load_run_config(args.config)
-    outdir = args.out or cfg.get("output_dir") or "oracle-output"
-    grid = _parse_grid(cfg.get("oracle_grid"), cfg)
+    outdir = args.out or "oracle-output"
+    grid = cfg["oracle_grid"]
     path = dp_oracle(cfg["x0"], cfg["x1"], cfg["delta"], cfg["kset"], cfg["shape"], grid)
     breakdown = evaluate_action(path, cfg["kset"], cfg["shape"])
     os.makedirs(outdir, exist_ok=True)

@@ -5,7 +5,8 @@ built on:
 
 - ``PointSet``: an immutable finite set of sites in R^d with a relative
   tie tolerance controlling nearest-site tie detection.
-- ``opt_class``: the set of sites (co-)nearest to a query point.
+- ``opt_class``: the set of sites (co-)nearest to a query point, as the
+  ascending tuple of their indices (a class, everywhere in the package).
 - ``min_norm_point``: projection of a point onto the convex hull of a
   small vertex set (Wolfe's minimum-norm-point algorithm).
 - ``cell_frame``: the orthogonal splitting attached to a nearest-site
@@ -27,6 +28,7 @@ Sampling operations take explicit seeds.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +42,6 @@ __all__ = [
     "FrameError",
     "PolytopeError",
     "PointSet",
-    "OptClass",
     "CellFrame",
     "Polytope",
     "opt_class",
@@ -117,8 +118,13 @@ class PointSet:
         pts = _as_points(self.points)
         object.__setattr__(self, "points", pts)
         tol = self.tie_tolerance
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not 0 <= tol <= sys.float_info.max):
             raise GeometryError(f"tie_tolerance must be a finite number >= 0, got {tol!r}")
+        with np.errstate(over="ignore"):  # the k-d tree's box distances would overflow
+            span = np.ptp(pts, axis=0)
+            if not np.isfinite(span @ span):
+                raise GeometryError("points span too large a box: its squared diagonal overflows")
         scale = 1.0 + float(np.max(np.linalg.norm(pts, axis=1)))
         floor = 10.0 * self.tie_tolerance * scale
         object.__setattr__(self, "_tree", cKDTree(pts))
@@ -137,22 +143,6 @@ class PointSet:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class OptClass:
-    """Sorted indices of the sites (co-)nearest to a point."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.indices) == 0:
-            raise GeometryError("optimality class must be nonempty")
-        idx = tuple(sorted(int(i) for i in self.indices))
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
 def sq_dists_to_sites(x: np.ndarray, kset: PointSet) -> np.ndarray:
     diff = kset.points - x[None, :]
     return np.einsum("ij,ij->i", diff, diff)
@@ -164,8 +154,8 @@ def tie_indices(sq: np.ndarray, tie_tolerance: float) -> np.ndarray:
     return np.flatnonzero(sq <= (1.0 + tie_tolerance) * dmin + 0.0)
 
 
-def opt_class(x, kset: PointSet) -> OptClass:
-    """All site indices whose squared distance to ``x`` ties the minimum.
+def opt_class(x, kset: PointSet) -> tuple[int, ...]:
+    """Ascending indices of the sites whose squared distance to ``x`` ties the minimum.
 
     Deterministic: the result depends only on the distances and the point
     set's relative tie tolerance.
@@ -173,7 +163,7 @@ def opt_class(x, kset: PointSet) -> OptClass:
     xv = _as_vector(x, kset.dim)
     sq = sq_dists_to_sites(xv, kset)
     idx = tie_indices(sq, kset.tie_tolerance)
-    return OptClass(indices=tuple(int(i) for i in idx))
+    return tuple(int(i) for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +285,19 @@ def split_span(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vt[:rank], vt[rank:]
 
 
-def cell_frame(opt: OptClass, kset: PointSet) -> CellFrame:
-    """Frame of the class: site-span directions, equidistance directions, pivot.
+def cell_frame(indices: tuple[int, ...], kset: PointSet) -> CellFrame:
+    """Frame of the class ``indices`` (ascending site indices): site-span
+    directions, equidistance directions, pivot.
 
     Rank decisions use the SVD cutoff of :func:`split_span`. Raises
-    :class:`FrameError` when the equidistance system is inconsistent beyond
-    tolerance (the class has no equidistance locus).
+    :class:`GeometryError` for an empty class and :class:`FrameError` when
+    the equidistance system is inconsistent beyond tolerance (the class has
+    no equidistance locus).
     """
+    if not indices:
+        raise GeometryError("a nearest-site class must be nonempty")
     d = kset.dim
-    pts = kset.points[list(opt.indices)]
+    pts = kset.points[list(indices)]
     m = pts.shape[0]
     if m == 1:
         return CellFrame(basis_a=np.zeros((0, d)), basis_b=np.eye(d), p_h=pts[0].copy())
@@ -322,7 +316,7 @@ def cell_frame(opt: OptClass, kset: PointSet) -> CellFrame:
     resid = float(np.max(np.abs(lhs_full @ p_h - rhs)))
     if resid > 1e-7 * scale * scale:
         raise FrameError(
-            f"class {opt.indices} has no equidistance locus (residual {resid:g}); "
+            f"class {indices} has no equidistance locus (residual {resid:g}); "
             "near-degenerate site configuration"
         )
     return CellFrame(basis_a=basis_a, basis_b=basis_b, p_h=p_h)
@@ -334,7 +328,7 @@ def class_frame(indices: tuple[int, ...], kset: PointSet) -> CellFrame:
     entry = kset._classes.setdefault(indices, {})
     if "frame" not in entry:
         try:
-            entry["frame"] = cell_frame(OptClass(indices), kset)
+            entry["frame"] = cell_frame(indices, kset)
         except GeometryError as err:
             entry["frame"] = err
     if isinstance(entry["frame"], GeometryError):

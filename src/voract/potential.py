@@ -43,7 +43,6 @@ import numpy as np
 
 from .geometry import (
     GeometryError,
-    OptClass,
     PointSet,
     class_eta,
     class_frame,
@@ -92,13 +91,14 @@ def f_eval(x, kset: PointSet) -> float:
 class GradientInfo:
     """Extended-gradient data at a query point.
 
-    ``grad`` equals ``eta - x`` by construction; ``slope_sq`` is its
+    ``opt`` is the nearest-site class of ``x`` as :func:`opt_class` returns it
+    (ascending site indices). ``grad`` equals ``eta - x`` by construction; ``slope_sq`` is its
     squared norm and never exceeds ``-2 f_value`` times ``1 + tie_tolerance``
     (equality iff the nearest site is unique); :func:`extended_gradient` checks.
     """
 
     x: np.ndarray
-    opt: OptClass
+    opt: tuple[int, ...]
     eta: np.ndarray
     grad: np.ndarray
     f_value: float
@@ -126,7 +126,7 @@ def extended_gradient(x, kset: PointSet) -> GradientInfo:
     squared slope at ``x``."""
     xv = _as_vector(x, kset.dim)
     cls = opt_class(xv, kset)
-    eta = _zone_values(cls.indices, xv[None, :], kset).reshape(-1)
+    eta = _zone_values(cls, xv[None, :], kset).reshape(-1)
     grad = eta - xv
     f_value, slope_sq = f_eval(xv, kset), float(grad @ grad)
     # eta lies in the hull of the class sites, each within (1 + tie_tolerance) of the nearest.
@@ -492,6 +492,8 @@ def zone_table(
     d = kset.dim
     if lo.shape[0] != d or hi.shape[0] != d:
         raise GeometryError("probe_box dimension mismatch")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise GeometryError("probe_box corners must be finite")
     if np.any(kset.points < lo[None, :] - 1e-12) or np.any(kset.points > hi[None, :] + 1e-12):
         raise GeometryError("probe_box must contain every site")
 
@@ -558,5 +560,5 @@ def in_p_eta(x, eta, kset: PointSet, tol: float = 1e-8) -> bool:
     xv = _as_vector(x, kset.dim)
     ev = _as_vector(eta, kset.dim)
     cls = opt_class(xv, kset)
-    proj = min_norm_point(kset.points[list(cls.indices)], ev)
+    proj = min_norm_point(kset.points[list(cls)], ev)
     return float(np.linalg.norm(proj - ev)) <= tol

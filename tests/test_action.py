@@ -478,7 +478,7 @@ def test_lockstep_relaxation_matches_single_paths(case, line_k):
     assert stopped.all()
     for j in range(stack.shape[0]):
         # Each id stands for the node's nearest-site class.
-        assert _classes(engine, classes[j]) == [opt_class(x, kset).indices for x in nodes[j]]
+        assert _classes(engine, classes[j]) == [opt_class(x, kset) for x in nodes[j]]
         # Alone, on the stack's engine and on a fresh one that meets every
         # class first in this path and so numbers the classes its own way.
         for solver in (engine, _fresh(engine)):
@@ -1160,6 +1160,10 @@ _GRID = {"lo": [-1.5], "hi": [1.5], "resolution": 0.05, "time_slices": 20}
     ("power shape p", lambda: Shape.power(NAN)),
     ("affine shape a", lambda: Shape.affine(float("inf"), 0.0)),
     ("dimension", lambda: seed_grid_spec([0.0] * 4, [1.0] * 4, 1.0, PointSet(np.eye(4)))),
+    # An int too large for a float is not finite.
+    ("grad_tol", lambda: SolverConfig(grad_tol=10**400)),
+    ("resolution", lambda: GridSpec(**{**_GRID, "resolution": 10**400})),
+    ("delta", lambda: Path(10**400, [[0.0], [0.5], [1.0]])),
 ])
 def test_non_finite_or_non_integral_input_is_an_action_error(field, make):
     with pytest.raises(ActionError, match=field):

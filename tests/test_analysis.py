@@ -185,7 +185,7 @@ def test_detect_shocks_properties_on_snapped_paths():
     merged_seen = 0
     for seed in range(300):
         p, k = snapped_path(seed)
-        classes = [opt_class(x, k).indices for x in p.nodes]
+        classes = [opt_class(x, k) for x in p.nodes]
         events = detect_shocks(p, k)
         nodes = [e.node_index for e in events]
         assert all(a < b for a, b in zip(nodes, nodes[1:]))

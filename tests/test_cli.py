@@ -157,6 +157,13 @@ def test_zones_command(tmp_path, capsys):
     assert payload["witnessed_cells"] == 3
 
 
+def test_zones_out_writes_what_it_prints(tmp_path, capsys):
+    out = tmp_path / "zones"
+    assert main(["zones", "--inline", "[[-1.0],[1.0]]", "--box-lo", "[-3]", "--box-hi", "[3]",
+                 "--probes", "200", "--out", str(out)]) == 0
+    assert (out / "zones.json").read_text() == capsys.readouterr().out
+
+
 MAG_RUN = {"points": {"mag": {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}},
            "endpoints": {"start": [0.2, 0.3], "end": [0.3, 0.2]}, "delta": 1.0,
            "solver": {"M": 64, "refinements": 1, "starts": 2, "seed": 0}, "plots": False}
@@ -357,6 +364,8 @@ MAG_POINTS = {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}
      "M must be below"),
     ("stability", {k: v for k, v in STABILITY.items() if k != "delta"},
      "stability config is missing 'delta'"),
+    ("solve", {**BASE_CONFIG, "solver": {**BASE_CONFIG["solver"], "grad_tol": 10**400}},
+     "grad_tol must be a finite number"),
 ])
 def test_config_number_that_is_not_a_number_exits_2(command, payload, message, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", payload)
@@ -473,16 +482,13 @@ def test_zones_probe_budget_exits_2(capsys):
 @pytest.mark.parametrize("command,payload,message", [
     *(("oracle", {**BASE_CONFIG, "oracle_grid": {k: v for k, v in GRID.items() if k != key}},
        f"oracle_grid is missing {key!r}") for key in ("lo", "hi", "resolution", "time_slices")),
-    ("solve", {**BASE_CONFIG, "checks": [["energy"]]}, "unknown checks: [['energy']]"),
-    ("solve", {**BASE_CONFIG, "checks": "energy"}, "checks must be a JSON array"),
-    ("solve", {**BASE_CONFIG, "output_dir": 5}, "output_dir must be a JSON string"),
     ("solve", {**BASE_CONFIG, "points": {"file": 0}}, "points file must be a JSON string"),
     ("solve", {**BASE_CONFIG, "scenario": ["a"]}, "scenario must be a JSON string"),
     ("solve", {**BASE_CONFIG, "plots": "no"}, "plots must be a JSON boolean"),
     ("stability", {**STABILITY, "sequence": 5}, "sequence must be a JSON array"),
     ("stability", {**STABILITY, "sequence": []}, "site-set sequence is empty"),
 ], ids=["grid-no-lo", "grid-no-hi", "grid-no-resolution", "grid-no-time_slices",
-        "checks-nested", "checks-string", "output_dir-number", "points-file-number",
+        "points-file-number",
         "scenario-list", "plots-string", "sequence-number", "sequence-empty"])
 def test_run_config_field_of_the_wrong_json_type_exits_2(command, payload, message, tmp_path,
                                                          capsys):
@@ -490,6 +496,40 @@ def test_run_config_field_of_the_wrong_json_type_exits_2(command, payload, messa
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("field,value", [("checks", ["energy"]), ("output_dir", "out")])
+def test_run_config_has_no_checks_or_output_dir(field, value, tmp_path, capsys):
+    # solve always runs both checks; the output directory is --out or the default.
+    cfg = _write(tmp_path / "cfg.json", {**BASE_CONFIG, field: value})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: unknown fields in run config: {field}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("payload,message", [
+    ({**BASE_CONFIG, "points": {"inline": [[-1.0, 0.0], [1.0, 0.0]]},
+      "endpoints": {"start": [-0.2, 0.0], "end": [0.2, 0.0, 0.1]}}, "endpoints end must be 2"),
+    ({**BASE_CONFIG, "oracle_grid": [1]}, "oracle_grid must be a JSON object"),
+    ({**BASE_CONFIG, "oracle_grid": {**GRID, "time_slices": 10.5}}, "time_slices must be"),
+], ids=["endpoint-dimension", "grid-list", "grid-fractional-slices"])
+def test_solve_and_oracle_validate_one_config_alike(command, payload, message, tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sites,lo,hi,message", [
+    ("[[-1.0],[1.0]]", "null", "[3]", "probe_box corners must be finite"),
+    ("[[1e160],[-1e160]]", "[-1e161]", "[1e161]", "squared diagonal overflows"),
+], ids=["nan-corner", "huge-sites"])
+def test_zones_of_non_finite_boxes_exit_2(sites, lo, hi, message, capsys):
+    assert main(["zones", "--inline", sites, "--box-lo", lo, "--box-hi", hi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
 
 
 def test_points_file_error_exits_2(tmp_path, capsys):

@@ -35,7 +35,7 @@ def test_point_set_validation():
         k.points[0, 0] = 5.0  # immutable
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, "1e-9", None, True])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, "1e-9", None, True, 10**400])
 def test_point_set_rejects_a_tie_tolerance_that_is_not_a_finite_number(tol):
     # A NaN tolerance would detect no tie at all.
     with pytest.raises(GeometryError, match="tie_tolerance must be a finite number"):
@@ -52,10 +52,22 @@ def test_point_set_rejects_near_duplicates_that_are_not_sort_neighbours():
         PointSet(np.vstack([grid, [[1e-13, 7.0]]]))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_point_set_rejects_a_box_whose_squared_diagonal_overflows(dim):
+    # Sites at +-5e153 span a squared diagonal of 1e308; at +-1e154 it is 4e308, past
+    # the largest float, where the k-d tree's box distances overflow.
+    def pair(c):
+        return [[c] + [0.0] * (dim - 1), [-c] + [0.0] * (dim - 1)]
+
+    assert PointSet(pair(5e153)).n == 2
+    with pytest.raises(GeometryError, match="squared diagonal overflows"):
+        PointSet(pair(1e154))
+
+
 def test_opt_class_examples(line_k):
-    assert opt_class([-0.3], line_k).indices == (0,)
-    assert opt_class([0.0], line_k).indices == (0, 1)
-    assert opt_class([1.0], line_k).indices == (1,)
+    assert opt_class([-0.3], line_k) == (0,)
+    assert opt_class([0.0], line_k) == (0, 1)
+    assert opt_class([1.0], line_k) == (1,)
 
 
 def test_opt_class_dimension_mismatch(line_k):
@@ -73,10 +85,10 @@ def test_opt_class_tie_tolerance_rescaling_robustness():
         d2 = np.sort(np.sum((pts - x) ** 2, axis=1))
         if d2[1] - d2[0] < 1e-6:
             continue
-        got = opt_class(x, base).indices
+        got = opt_class(x, base)
         for factor in (0.5, 0.75, 1.0):
             other = PointSet(pts, tie_tolerance=1e-9 * factor)
-            assert opt_class(x, other).indices == got
+            assert opt_class(x, other) == got
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +224,7 @@ def test_cell_frame_invariants_random():
         if fr.basis_a.shape[0] and fr.basis_b.shape[0]:
             assert np.max(np.abs(fr.basis_a @ fr.basis_b.T)) <= 1e-10
         # every class site is equidistant from p_h and from p_h + B-basis rows
-        sites = k.points[list(cls.indices)]
+        sites = k.points[list(cls)]
         for probe in [fr.p_h] + [fr.p_h + b for b in fr.basis_b]:
             dists = np.linalg.norm(sites - probe, axis=1)
             assert np.max(dists) - np.min(dists) <= 1e-8
@@ -221,10 +233,13 @@ def test_cell_frame_invariants_random():
 def test_cell_frame_empty_equidistance_rejected():
     # three collinear sites cannot be co-equidistant
     k = PointSet([[0.0], [1.0], [2.0]])
-    cls = opt_class([0.5], k)
-    bogus = type(cls)(indices=(0, 1, 2))
     with pytest.raises(FrameError):
-        cell_frame(bogus, k)
+        cell_frame((0, 1, 2), k)
+
+
+def test_cell_frame_of_the_empty_class_rejected():
+    with pytest.raises(GeometryError, match="nonempty"):
+        cell_frame((), PointSet([[0.0], [1.0]]))
 
 
 # ---------------------------------------------------------------------------

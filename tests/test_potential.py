@@ -40,7 +40,7 @@ def test_extended_gradient_examples(line_k, triangle_k):
     assert info.slope_sq == 0.0
 
     info = extended_gradient([0.0, -1.0], triangle_k)
-    assert info.opt.indices == (0, 2)
+    assert info.opt == (0, 2)
     assert np.allclose(info.eta, [0.0, 0.0])
     assert np.allclose(info.grad, [0.0, 1.0])
 
@@ -74,7 +74,7 @@ def _assert_kernel_matches_scalar(probes, kset):
     classes = [registry[i] for i in ids]
     for k in range(n):
         info = extended_gradient(probes[k], kset)
-        assert classes[k] == info.opt.indices
+        assert classes[k] == info.opt
         assert np.allclose(etas[k], info.eta, rtol=0.0, atol=1e-9)
         # Both share the class's zone value; check it against the row's own projection.
         projection = min_norm_point(kset.points[list(classes[k])], probes[k])
@@ -483,7 +483,7 @@ def test_zone_constancy(grid3_k):
     for _ in range(400):
         x = rng.random(2) * 4 - 1
         info = extended_gradient(x, grid3_k)
-        key = info.opt.indices
+        key = info.opt
         if key in by_class:
             assert np.linalg.norm(by_class[key] - info.eta) <= 1e-9
         else:
