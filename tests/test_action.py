@@ -1160,12 +1160,19 @@ _GRID = {"lo": [-1.5], "hi": [1.5], "resolution": 0.05, "time_slices": 20}
     ("power shape p", lambda: Shape.power(NAN)),
     ("affine shape a", lambda: Shape.affine(float("inf"), 0.0)),
     ("dimension", lambda: seed_grid_spec([0.0] * 4, [1.0] * 4, 1.0, PointSet(np.eye(4)))),
-    # An int too large for a float is not finite.
+])
+def test_non_finite_or_non_integral_input_is_an_action_error(field, make):
+    with pytest.raises(ActionError, match=field):
+        make()
+
+
+@pytest.mark.parametrize("field,make", [
     ("grad_tol", lambda: SolverConfig(grad_tol=10**400)),
     ("resolution", lambda: GridSpec(**{**_GRID, "resolution": 10**400})),
     ("delta", lambda: Path(10**400, [[0.0], [0.5], [1.0]])),
-])
-def test_non_finite_or_non_integral_input_is_an_action_error(field, make):
+], ids=["grad_tol", "resolution", "delta"])
+def test_int_too_large_for_a_float_is_an_action_error(field, make):
+    # An int too large for a float is not finite.
     with pytest.raises(ActionError, match=field):
         make()
 
