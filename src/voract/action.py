@@ -56,7 +56,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpbsv, dptsv
-from scipy.optimize import nnls
 
 from .geometry import (GeometryError, PointSet, Polytope, VoractError, _as_vector, class_frame,
                        split_span)
@@ -431,6 +430,8 @@ class _Descent:
         normals, since ``-g`` can leave an obtuse corner through two faces
         and still slide along one.
         """
+        from scipy.optimize import nnls  # deferred: only polytopes need scipy.optimize (~11 MiB)
+
         normals = self.polytope.normals
         on = inner @ normals.T >= self.polytope.offsets - FACE_EPS
         active = on & (g @ normals.T < 0.0)

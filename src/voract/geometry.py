@@ -32,7 +32,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 __all__ = [
@@ -379,12 +378,16 @@ class Polytope:
         offsets = np.asarray(self.offsets, dtype=float).reshape(-1)
         if normals.shape[0] != offsets.shape[0]:
             raise PolytopeError("normals/offsets length mismatch")
+        if not (np.all(np.isfinite(normals)) and np.all(np.isfinite(offsets))):
+            raise PolytopeError("normals and offsets must be finite numbers")
         lengths = np.linalg.norm(normals, axis=1)
         if np.any(lengths <= 0):
             raise PolytopeError("zero normal vector")
         normals = normals / lengths[:, None]
         offsets = offsets / lengths
         d = normals.shape[1]
+
+        from scipy.optimize import linprog  # deferred: only polytopes need scipy.optimize (~11 MiB)
 
         res = linprog(np.zeros(d), A_ub=normals, b_ub=offsets, bounds=[(None, None)] * d,
                       method="highs")

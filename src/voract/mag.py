@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,6 +84,9 @@ def build_mag(base_points, n: int, m: int, window: int) -> MagSystem:
     ``base_points`` are m distinct points in [0,1)^n. Budgets: m <= 5 and
     at most 10^6 sites.
     """
+    for name, value in (("n", n), ("m", m), ("window", window)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise MagError(f"{name} must be an integer, got {value!r}")
     base = np.atleast_2d(np.asarray(base_points, dtype=float))
     if base.shape != (m, n):
         raise MagError(f"expected {m} base points of dimension {n}, got shape {base.shape}")
@@ -122,10 +126,11 @@ def default_window(base_points, n: int, m: int, *endpoints) -> int:
     the window shell; `window_certificate` verifies this after the fact and
     a failure means the window must be raised.
     """
-    coords = [np.asarray(e, dtype=float).reshape(-1) for e in endpoints]
-    coords.append(np.asarray(base_points, dtype=float).reshape(-1))
-    spread = max(float(np.max(np.abs(c))) for c in coords)
-    return int(np.ceil(spread)) + 1
+    coords = np.concatenate([np.asarray(c, dtype=float).reshape(-1)
+                             for c in (*endpoints, base_points)])
+    if not np.all(np.isfinite(coords)):
+        raise MagError("endpoints and base points must be finite numbers")
+    return int(np.ceil(np.max(np.abs(coords), initial=0.0))) + 1
 
 
 def window_certificate(system: MagSystem, path: Path) -> bool:

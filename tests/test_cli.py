@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import voract
 from voract import (ActionError, AnalysisError, GeometryError, MagError, PointSet, Shape,
                     SolverConfig, VoractError, artifacts, cli, minimize, regularity_report)
 from voract.action import NODE_BUDGET
@@ -366,6 +370,15 @@ MAG_POINTS = {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}
      "stability config is missing 'delta'"),
     ("solve", {**BASE_CONFIG, "solver": {**BASE_CONFIG["solver"], "grad_tol": 10**400}},
      "grad_tol must be a finite number"),
+    ("solve", {**MAG_RUN, "endpoints": {"start": [float("inf"), 0.3], "end": [0.3, 0.2]}},
+     "endpoints and base points must be finite numbers"),  # as 1e400 in the file reads
+    ("solve", {**MAG_RUN, "endpoints": {"start": [float("nan"), 0.3], "end": [0.3, 0.2]}},
+     "endpoints and base points must be finite numbers"),
+    ("stability", {**STABILITY, "sequence": [
+        {"points": {"mag": MAG_POINTS}, "start": [float("inf"), 0.3], "end": [0.3, 0.2]}]},
+     "endpoints and base points must be finite numbers"),
+    ("solve", {**MAG_RUN, "points": {"mag": {**MAG_POINTS, "base_points": []}}},
+     "expected 2 base points of dimension 1"),
 ])
 def test_config_number_that_is_not_a_number_exits_2(command, payload, message, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", payload)
@@ -554,3 +567,31 @@ def test_points_file_config(tmp_path):
     cfg = _write(tmp_path / "cfg.json", payload)
     parsed = load_run_config(cfg)
     assert parsed["kset"].n == 2
+
+
+# Runs in a fresh interpreter: this test process has loaded scipy.optimize already.
+IMPORT_CONTRACT = """
+import sys
+import voract, voract.cli
+from voract import (PointSet, Polytope, Shape, SolverConfig, build_mag, constrained_minimize,
+                    interior_balance_verdict, minimize, regularity_report, zone_table)
+line, shape = PointSet([[-1.0], [1.0]]), Shape.identity()
+res = minimize([-0.2], [0.2], 1.0, line, shape, SolverConfig(M=32, refinements=1, starts=3))
+assert [s.label for s in res.starts][:2] == ["straight", "dp"]
+regularity_report(res.path, line, shape)
+zone_table(line, ([-3.0], [3.0]), probe_count=200, seed=0)
+interior_balance_verdict(build_mag([[0.0], [0.5]], 1, 2, 1), probe_count=200, seed=0)
+assert "scipy.optimize" not in sys.modules, "scipy.optimize was loaded"
+box = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
+con = constrained_minimize([0.0, 0.2], [0.0, 0.8], 1.0, box, [-1.0, 0.5], shape,
+                           SolverConfig(M=64, refinements=1, starts=2, seed=0))
+assert con.converged and "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_polytopes_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(voract.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CONTRACT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -256,6 +256,18 @@ def test_polytope_certification():
         Polytope(np.array([[1.0, 0.0]]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("normals,offsets", [
+    ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, np.nan, 1.0, 1.0]),
+    ([[np.nan, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 1.0, 1.0]),
+    ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, np.inf, 1.0]),
+    ([[np.inf, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 1.0, 1.0]),
+], ids=["nan-offset", "nan-normal", "inf-offset", "inf-normal"])
+def test_polytope_rejects_non_finite_input(normals, offsets):
+    # Not linprog's ValueError: the check runs before the first LP.
+    with pytest.raises(PolytopeError, match="must be finite"):
+        Polytope(np.array(normals), np.array(offsets))
+
+
 def test_polytope_projection_and_distance():
     box = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
     assert np.allclose(box.project([2.0, 0.5]), [1.0, 0.5], atol=1e-8)

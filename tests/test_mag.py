@@ -48,6 +48,24 @@ def test_build_validation():
         build_mag([[0.0, 0.0], [0.5, 0.5]], n=2, m=2, window=13)  # site budget
 
 
+@pytest.mark.parametrize("n,m,window", [
+    (1, 2, True), (1, 2, 1.5), (1.0, 2, 1), (1, 2.0, 1), (True, 2, 1), (1, "2", 1),
+], ids=["bool-window", "float-window", "float-n", "float-m", "bool-n", "str-m"])
+def test_build_rejects_non_integral_sizes(n, m, window):
+    with pytest.raises(MagError, match="must be an integer"):
+        build_mag([[0.0], [0.5]], n=n, m=m, window=window)
+
+
+@pytest.mark.parametrize("base,endpoint", [
+    ([[0.0], [0.5]], [1e400, 0.3]),
+    ([[0.0], [0.5]], [np.nan, 0.3]),
+    ([[np.nan], [0.5]], [0.2, 0.3]),
+], ids=["inf-endpoint", "nan-endpoint", "nan-base"])
+def test_default_window_rejects_non_finite_coordinates(base, endpoint):
+    with pytest.raises(MagError, match="must be finite"):
+        default_window(base, 1, 2, endpoint, [0.3, 0.2])
+
+
 def test_default_window_policy():
     w = default_window([[0.0], [0.5]], 1, 2, [0.2, 0.3], [0.3, 0.2])
     assert w == 2
