@@ -37,7 +37,7 @@ lower-fidelity solution used both as a solver seed and as a
 cross-validation oracle. Its edge cost is separable over the axes, so
 each time slice relaxes one axis at a time, ``d(2k + 1)`` shifted array
 operations instead of one per offset of the ``(2k + 1)^d`` step box, each
-on the one contiguous range of rows that can still reach the goal. The
+on the rows, and the span within each row, that can still reach the goal. The
 snapped chord's cost bounds the optimum, and only the cells that can still
 beat it get a field value or stay in the relaxation (the bounding step of
 A*), without changing the returned path by a bit.
@@ -856,37 +856,41 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     that of relaxing every offset of the box, at ``d`` passes per slice
     instead of ``(2k + 1)^d`` shifted relaxations.
 
-    Each pass runs on one contiguous range ``[lo, hi)`` of first-axis rows
-    of the C-ordered grid: a step of ``o`` cells along an axis is a flat
-    shift by ``o`` times the axis's stride, and a target whose source would
-    leave the axis gets an infinite kinetic term. With ``m = min(k, n - 1)``
-    for an axis of ``n`` points (longer steps reach nothing), a pass is one
-    add and one minimum: a read-only strided view of the source buffer,
-    shape ``(2m + 1, hi - lo)`` with row ``i`` the source shifted by
-    ``(i - m)`` strides, plus the pass's ``(2m + 1, n)`` kinetic table fill
-    one reused candidate block, and its minimum over the steps is the
-    pass's costs. The view reads ``[lo - m stride, hi + m stride)``, inside
+    Each pass runs on one rectangle of the C-ordered grid seen as a matrix
+    of first-axis rows by offsets within a row: rows ``[r0, r1)``, offsets
+    ``[c0, c1)``. A step of ``o`` cells along an axis is a flat shift by
+    ``o`` times the axis's stride, and a target whose source would leave the
+    axis gets an infinite kinetic term. With ``m = min(k, n - 1)`` for an
+    axis of ``n`` points (longer steps reach nothing), a pass is one add and
+    one minimum: a basic slice of a read-only strided view of the source
+    buffer, shape ``(2m + 1, r1 - r0, c1 - c0)`` with entry ``[i, r, c]`` the
+    source of cell ``(r, c)`` shifted by ``(i - m)`` strides, plus the
+    pass's kinetic terms (by row on the first axis, by offset within the row
+    on the others) fill one reused candidate block, and its minimum over the
+    steps is the pass's costs. The views, built once per call, read inside
     the buffer: the buffers hold ``k0 = min(k, n_0 - 1)`` rows of inf before
     and after the grid, on the first axis ``m stride = k0 row``, and on any
     other axis ``m stride <= (n - 1) stride < row <= k0 row``, since every
-    axis has at least two points. The passes of slice ``t`` before the
-    first axis's keep the rows of slice ``t``; the first axis's pass
-    relaxes the rows within ``k`` of them and within ``(T - t - 1) k`` of
-    the goal row. Every other cell stays infinite.
+    axis has at least two points. Slice 0's rectangle is the start cell. A
+    pass along another axis keeps the rows and widens the offsets by
+    ``m stride`` each way, clipped to the row; the first axis's pass keeps
+    the offsets and relaxes the rows within ``k`` of the rows and within
+    ``(T - t - 1) k`` of the goal row. Every other cell stays infinite.
 
     The passes run from the last axis to the first and record no steps:
-    each keeps the finite cells of the range it read, as offsets and
-    costs. On a one-axis grid, whose read range is almost all finite, a
-    pass keeps the range whole instead, a smaller record than offsets plus
-    costs, and a node's candidates are one reversed slice of it. The
-    backtrack undoes the passes in reverse, first axis first, and
-    re-derives each node's step: it rebuilds the node's ``2m + 1``
-    candidates from the kept costs with the same additions and takes the
-    first minimum in ``-m..m`` order. So exact ties resolve to the
-    lexicographically smallest offset, first axis first. The backtrack
-    rebuilds ``2m + 1`` candidates per node and pass, while numpy's argmin
-    over the short step axis of every relaxed cell takes two to four times
-    as long as the pass's add and minimum.
+    each keeps the rectangle of sources it read, whole: the rows
+    ``[r0 - m, r1 + m)`` at the offsets ``[c0, c1)`` on the first axis, and
+    on the others the rows ``[r0, r1)`` at the offsets ``[c0 - m stride,
+    c1 + m stride)``, read across the row's ends. In that rectangle a
+    node's candidates are one strided slice, read backwards. The backtrack
+    undoes the passes in reverse, first axis first, and re-derives each
+    node's step: it rebuilds the node's ``2m + 1`` candidates from the kept
+    costs with the same additions and takes the first minimum in ``-m..m``
+    order. So exact ties resolve to the lexicographically smallest offset,
+    first axis first. The backtrack rebuilds ``2m + 1`` candidates per node
+    and pass, while numpy's argmin over the short step axis of every
+    relaxed cell takes two to four times as long as the pass's add and
+    minimum.
 
     The relaxation is bounded as in A* (Hart, Nilsson & Raphael 1968) or
     the bounding step of branch and bound (Morin & Marsten 1976). The chord
@@ -900,14 +904,21 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     So the field is evaluated on the ellipse's cells only, every other cell
     gets ``h = inf``, and the row ranges keep to the ellipse's rows. On
     grids of two or more axes, slice ``t`` also ends by setting to inf every
-    cell with ``cost + L_{t+1} > cut`` and keeping the next slice's rows to
-    those that still hold a finite cell. One-axis grids skip this: their
-    slices are a few hundred cells, so the prune would cost more numpy calls
-    than it saves.
+    cell with ``cost + L_{t+1} > cut`` and keeping the next slice's rows and
+    offsets to those that still hold a finite cell. One-axis grids skip
+    this: their slices are a few hundred cells, so the prune would cost more
+    numpy calls than it saves.
 
     The returned path is the one of relaxing the whole grid, bit for bit.
-    Every step only adds and takes minima, and cutting turns a cost into inf,
-    so no cell's cost falls below its unbounded value. Call a cell
+    The offsets alone change no cost: a cell of a relaxed row outside a
+    pass's offsets has no finite candidate, since each of its sources lies
+    either at an offset outside the source's rectangle, outside which the
+    source buffer is inf, or off the axis, where the kinetic term is inf; so
+    it stays inf, as when relaxing whole rows. A cell inside gets the same
+    additions in the same ``-m..m`` order, and the cut's rectangle drops
+    only cells it has set to inf. Every step only adds and takes minima, and
+    cutting turns a cost into inf, so no cell's cost falls below its
+    unbounded value. Call a cell
     *critical* if it lies on the unbounded path or is a source of a step
     that attains a critical cell's minimum (ties included). For a step from
     s to y, ``L_t(s) <= |s - y|^2/dt + L_{t+1}(y)`` by convexity, and the
@@ -1002,17 +1013,23 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
     hh[cells] = 0.5 * dt * shape.h(batch_field(grid_pts, kset)[1])
 
     # Costs live in two flat C-ordered buffers with k0 rows of inf at each
-    # end, so a step of o cells along an axis reads one contiguous range
-    # shifted by o * stride. Per axis, the steps -m..m with m = min(k, n - 1)
-    # (longer steps reach nothing) and their kinetic terms, row i for the
-    # step of i - m cells, by target coordinate, inf where the source is off
-    # the axis; and per buffer, the read-only view whose row i is the buffer
-    # shifted by (i - m) * stride, so that its columns [lo - m stride,
-    # hi - m stride) hold the candidates' sources of the cells [lo, hi).
+    # end, each also seen as its (first-axis row, offset in the row) grid.
+    # Per axis, the steps -m..m with m = min(k, n - 1) (longer steps reach
+    # nothing) and their kinetic terms, row i for the step of i - m cells,
+    # inf where the source is off the axis: by row on the first axis, by
+    # offset in the row on the others. Per buffer, two read-only views:
+    # `shifted`, whose [i, r, c] is the source of cell (r, c) for the step of
+    # i - m cells, a flat shift by (i - m) * stride; and `reads`, whose
+    # [r, c] is the cell m strides before cell (r, c) (on the other axes its
+    # rows run 2m strides past the row's end), so that the sources a pass
+    # reads for a rectangle of cells are one rectangle of it.
+    n0 = shape_g[0]
     strides = [int(np.prod(shape_g[ax + 1:])) for ax in range(d)]
     row = strides[0]
     pad = k0 * row
     bufs = [np.full(g_total + 2 * pad, np.inf) for _ in range(2)]
+    grids = [buf[pad:pad + g_total].reshape(n0, row) for buf in bufs]
+    hh, to_goal = hh.reshape(n0, row), to_goal.reshape(n0, row)
     itemsize = bufs[0].itemsize
     passes = []
     for ax in reversed(range(d)):
@@ -1022,24 +1039,31 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
         for o in range(-m, m + 1):
             dst, src = slice(max(0, o), n + min(0, o)), slice(max(0, -o), n - max(0, o))
             kin[o + m, dst] = (x[dst] - x[src]) ** 2 / dt
-        shifted = [as_strided(buf[2 * m * stride:], shape=(2 * m + 1, buf.size - 2 * m * stride),
-                              strides=(-stride * itemsize, itemsize), writeable=False)
-                   for buf in bufs]
-        passes.append((ax, n, stride, m, kin, shifted))
+        if ax:
+            kin = kin[:, np.arange(row) // stride % n]
+        shifted = [as_strided(buf[pad + m * stride:], shape=(2 * m + 1, n0, row),
+                              strides=(-stride * itemsize, row * itemsize, itemsize),
+                              writeable=False) for buf in bufs]
+        reads = [buf.reshape(-1, row) if ax == 0 else
+                 as_strided(buf[pad - m * stride:], shape=(n0, row + 2 * m * stride),
+                            strides=(row * itemsize, itemsize), writeable=False)
+                 for buf in bufs]
+        passes.append((ax, stride, m, kin, shifted, reads))
 
-    bufs[0][pad + int(np.ravel_multi_index(start, shape_g))] = 0.0
-    # Each buffer is inf outside its span, the range its last pass wrote.
-    span = [(pad + start[0] * row, pad + (start[0] + 1) * row), (pad, pad)]
-    # The rows [r0, r1) of slice t that can hold a finite cost, within the
-    # ellipse's rows [e0, e1).
-    r0, r1 = start[0], start[0] + 1
+    flat = int(np.ravel_multi_index(start, shape_g))
+    grids[0][start[0], flat % row] = 0.0
+    # The rows [r0, r1) and offsets in the row [c0, c1) of slice t that can
+    # hold a finite cost; the rows keep to the ellipse's rows [e0, e1).
+    r0, r1, c0, c1 = start[0], start[0] + 1, flat % row, flat % row + 1
     e0, e1 = int(cells[0]) // row, int(cells[-1]) // row + 1
+    # Each buffer is inf outside its span, the rectangle its last pass wrote.
+    span = [(r0, r1, c0, c1), (0, 0, 0, 0)]
     # One candidate block for every pass: no pass relaxes more than the
     # ellipse's rows (slice 0's passes before the first axis's relax the
     # start row).
-    block = np.empty(max(e1 - e0, 1) * row * max(2 * p[3] + 1 for p in passes))
-    # Per slice and pass: (first flat cell read, finite cells' offsets, their
-    # costs), or on a one-axis grid (first cell, None, every cost read).
+    block = np.empty(max(e1 - e0, 1) * row * max(2 * p[2] + 1 for p in passes))
+    # Per slice and pass: the first row and offset written, and the
+    # rectangle of `reads` holding every source read.
     sources = []
     prune = d > 1 and np.isfinite(cut)
     cur = 0
@@ -1047,56 +1071,57 @@ def dp_oracle(x0, xdelta, delta: float, kset: PointSet, shape: Shape,
         left = t_slices - t - 1
         q0 = max(r0 - k0, goal[0] - left * k0, e0)
         rows_next = (q0, max(q0, min(r1 + k0, goal[0] + left * k0 + 1, e1)))
-        lo, hi = pad + r0 * row, pad + r1 * row
-        np.add(bufs[cur][lo:hi], hh[lo - pad:hi - pad], out=bufs[cur][lo:hi])
-        for ax, n, stride, m, kin, shifted in passes:
-            # Every pass but the first axis's keeps the rows of slice t.
-            p0, p1 = rows_next if ax == 0 else (r0, r1)
-            lo, hi = pad + p0 * row, pad + p1 * row
-            out = bufs[1 - cur]
-            out[min(lo, span[1 - cur][0]):max(hi, span[1 - cur][1])] = np.inf
-            span[1 - cur] = (lo, hi)
-            reach = bufs[cur][lo - m * stride:hi + m * stride]
-            if d == 1:  # the band is almost all finite: the range whole is the smaller record
-                sources.append((lo - m * stride, None, reach.copy()))
+        cost = grids[cur][r0:r1, c0:c1]
+        np.add(cost, hh[r0:r1, c0:c1], out=cost)
+        for ax, stride, m, kin, shifted, reads in passes:
+            # The first axis's pass moves the rows and keeps the offsets; the
+            # others keep the rows and widen the offsets by m strides.
+            if ax:
+                c0, c1 = max(c0 - m * stride, 0), min(c1 + m * stride, row)
+                sources.append((r0, c0, reads[cur][r0:r1, c0:c1 + 2 * m * stride].copy()))
+                steps = kin[:, None, c0:c1]
             else:
-                finite = np.flatnonzero(reach < np.inf)
-                sources.append((lo - m * stride, finite.astype(np.int32), reach[finite]))
-            view = (2 * m + 1, -1, n, stride) if ax else (2 * m + 1, p1 - p0, stride)
-            cand = block[:(2 * m + 1) * (hi - lo)].reshape(view)
-            np.add(shifted[cur][:, lo - m * stride:hi - m * stride].reshape(view),
-                   kin[:, None, :, None] if ax else kin[:, p0:p1, None], out=cand)
-            np.minimum.reduce(cand, axis=0, out=out[lo:hi].reshape(view[1:]))
+                r0, r1 = rows_next
+                sources.append((r0, c0, reads[cur][r0:r1 + 2 * m, c0:c1].copy()))
+                steps = kin[:, r0:r1, None]
+            out = grids[1 - cur]
+            s0, s1, s2, s3 = span[1 - cur]
+            out[s0:s1, s2:s3] = np.inf
+            span[1 - cur] = (r0, r1, c0, c1)
+            cand = block[:(2 * m + 1) * (r1 - r0) * (c1 - c0)].reshape(2 * m + 1, r1 - r0, c1 - c0)
+            np.add(shifted[cur][:, r0:r1, c0:c1], steps, out=cand)
+            np.minimum.reduce(cand, axis=0, out=out[r0:r1, c0:c1])
             cur = 1 - cur
-        r0, r1 = rows_next
-        lo, hi = span[cur]
-        cost = bufs[cur][lo:hi]
-        np.add(cost, hh[lo - pad:hi - pad], out=cost)
+        cost = grids[cur][r0:r1, c0:c1]
+        np.add(cost, hh[r0:r1, c0:c1], out=cost)
         if prune and left:
-            keep = cost + to_goal[lo - pad:hi - pad] / (left * dt) <= cut
+            keep = cost + to_goal[r0:r1, c0:c1] / (left * dt) <= cut
             np.copyto(cost, np.inf, where=~keep)
-            kept = np.flatnonzero(np.any(keep.reshape(r1 - r0, row), axis=1))
-            r0, r1 = (r0 + int(kept[0]), r0 + int(kept[-1]) + 1) if kept.size else (r0, r0)
-    flat = pad + int(np.ravel_multi_index(goal, shape_g))
-    if not np.isfinite(bufs[cur][flat]):
+            kept_rows = np.flatnonzero(np.any(keep, axis=1))
+            if kept_rows.size:  # else the goal is unreachable: the rectangle stays, all inf
+                kept_cols = np.flatnonzero(np.any(keep, axis=0))
+                r0, r1 = r0 + int(kept_rows[0]), r0 + int(kept_rows[-1]) + 1
+                c0, c1 = c0 + int(kept_cols[0]), c0 + int(kept_cols[-1]) + 1
+    flat = int(np.ravel_multi_index(goal, shape_g))
+    if not np.isfinite(grids[cur][goal[0], flat % row]):
         raise ActionError("endpoint unreachable on this grid (raise vmax or widen the box)")
 
     # Each node's step, pass by pass from the last: its candidates rebuilt
     # from the kept sources with the forward pass's additions, the first
-    # minimum in -m..m order.
+    # minimum in -m..m order. A node's place in a pass's kept rectangle holds
+    # the source m strides before it, so the source of the step of m - j
+    # cells lies j strides further on (on the first axis, j rectangle rows).
     idx = list(goal)
     rev = [tuple(idx)]
     for t in range(t_slices - 1, -1, -1):
-        for (ax, _, stride, m, kin, _), (first, finite, costs) in zip(
+        for (ax, stride, m, kin, _, _), (first_row, first_col, costs) in zip(
                 reversed(passes), reversed(sources[t * d:(t + 1) * d])):
-            at = flat - first
-            if finite is None:  # the sources of the steps -m..m, read backwards
-                cand = costs[at - m:at + m + 1][::-1]
-            else:
-                q = at - stride * np.arange(-m, m + 1)
-                j = np.minimum(np.searchsorted(finite, q), finite.size - 1)
-                cand = np.where(finite[j] == q, costs[j], np.inf)
-            o = int(np.argmin(cand + kin[:, idx[ax]])) - m
+            r, c = divmod(flat, row)
+            width = costs.shape[1]
+            step = stride if ax else width
+            at = (r - first_row) * width + c - first_col
+            cand = costs.reshape(-1)[at:at + 2 * m * step + 1:step][::-1]
+            o = int(np.argmin(cand + kin[:, c if ax else r])) - m
             idx[ax] -= o
             flat -= o * stride
         rev.append(tuple(idx))

@@ -380,11 +380,19 @@ class Polytope:
             raise PolytopeError("normals/offsets length mismatch")
         if not (np.all(np.isfinite(normals)) and np.all(np.isfinite(offsets))):
             raise PolytopeError("normals and offsets must be finite numbers")
-        lengths = np.linalg.norm(normals, axis=1)
-        if np.any(lengths <= 0):
+        scale = np.max(np.abs(normals), axis=1, initial=0.0)
+        if np.any(scale == 0):
             raise PolytopeError("zero normal vector")
+        # A row whose squares would overflow or underflow is divided by its
+        # largest entry first; any other row keeps the plain norm, bit for bit.
+        scale = np.where((scale > 2.0 ** 500) | (scale < 2.0 ** -500), scale, 1.0)
+        normals = normals / scale[:, None]
+        lengths = np.linalg.norm(normals, axis=1)
         normals = normals / lengths[:, None]
-        offsets = offsets / lengths
+        with np.errstate(over="ignore"):
+            offsets = offsets / scale / lengths
+        if not np.all(np.isfinite(offsets)):
+            raise PolytopeError("an offset overflows once its normal has unit length")
         d = normals.shape[1]
 
         from scipy.optimize import linprog  # deferred: only polytopes need scipy.optimize (~11 MiB)

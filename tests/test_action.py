@@ -1595,6 +1595,16 @@ def test_dp_raises_where_the_unbounded_relaxation_raises(case, line_k, triangle_
 # The benchmark's production grids and the backtrack's edge cases, bit for bit.
 
 
+def _mag_exchange_problem(oracle_grid: bool) -> tuple:
+    """The exchange of two particles on the circle, on the `oracle` command's
+    default grid (200 cells a side, T = 100) or on the ``dp`` seed's grid."""
+    x0, x1 = [0.2, 0.3], [0.3, 0.2]
+    kset = build_mag(_MAG_BASE, 1, 2, default_window(_MAG_BASE, 1, 2, x0, x1)).kset
+    grid = (GridSpec(lo=[-0.8, -0.8], hi=[1.3, 1.3], resolution=2.1 / 200.0, time_slices=100)
+            if oracle_grid else seed_grid_spec(x0, x1, 1.0, kset))
+    return x0, x1, 1.0, kset, Shape.identity(), grid
+
+
 def _seed_problem(a: float, sites) -> tuple:
     """The ``dp`` seed of ``minimize`` from ``a`` to ``-a`` on a 1-D site set."""
     kset = PointSet(sites)
@@ -1620,6 +1630,16 @@ def _seed_problem(a: float, sites) -> tuple:
       for c in (0.2, 0.1, 0.05)),
     pytest.param(_seed_problem(-1.0, [[-1.0], [1.0]]), id="example1-c1-seed-grid"),
     pytest.param(_seed_problem(-0.2, [[-1.0], [1.0]]), id="example1-c02-seed-grid"),
+    pytest.param(_mag_exchange_problem(oracle_grid=True), id="dp-mag-exchange-oracle-grid"),
+    # The 2-D seed grids of the benchmark's solve-probe workload.
+    pytest.param(([0.0, -1.0], [0.0, 0.0], 1.0, PointSet(_TRIANGLE), Shape.identity(),
+                  seed_grid_spec([0.0, -1.0], [0.0, 0.0], 1.0, PointSet(_TRIANGLE))),
+                 id="example2-seed-grid"),
+    pytest.param(_mag_exchange_problem(oracle_grid=False), id="mag-exchange-seed-grid"),
+    # A 3-D seed grid: the sites and their pairwise midpoints snap every axis.
+    pytest.param(([0.0, 0.0, 0.0], [0.5, 0.5, 0.2], 1.0, PointSet(np.eye(3)), Shape.identity(),
+                  seed_grid_spec([0.0, 0.0, 0.0], [0.5, 0.5, 0.2], 1.0, PointSet(np.eye(3)))),
+                 id="unit-vectors-3d-seed-grid"),
 ])
 def test_dp_matches_the_unbounded_relaxation_on_production_grids(problem):
     assert _assert_dp_matches_unbounded(problem) is not None
@@ -1657,9 +1677,48 @@ def test_dp_matches_the_unbounded_relaxation_on_production_grids(problem):
     pytest.param(([-0.1], [0.1], 1.0, PointSet([[-1.0], [0.05]]), Shape.identity(),
                   GridSpec(lo=[-0.1], hi=[0.1], resolution=0.1, time_slices=2, vmax=9.0)),
                  id="two-slices-m-is-n-minus-1"),
+    # The 5-point second axis with k = 2: the offsets widen from the row's
+    # first cell, clipped there, to both ends of the row, and the path runs
+    # from one end to the other under a finite cut.
+    pytest.param(([-0.5, 0.0], [0.5, 0.4], 1.0, PointSet([[0.0, 0.2], [0.3, -0.5]]),
+                  Shape.identity(),
+                  GridSpec(lo=[-1.0, 0.0], hi=[1.0, 0.4], resolution=0.1, time_slices=6,
+                           vmax=1.1)),
+                 id="offsets-reach-both-row-ends-2d"),
+    # On a 7 x 7 x 7 grid with k = 1, a slice's offsets span up to 39 of a
+    # row's 49 cells: several second-axis rows, the first and last in part.
+    pytest.param(([0.0, 0.0, 0.0], [0.5, 0.5, 0.2], 1.0, PointSet(np.eye(3)), Shape.identity(),
+                  GridSpec(lo=[-0.5] * 3, hi=[1.0] * 3, resolution=0.25, time_slices=6,
+                           vmax=1.0)),
+                 id="offsets-span-second-axis-rows-3d"),
+    # Slice 0's cut drops the start row (13; rows 14..24 stay), which slice
+    # 1's first-axis pass still reads, k = 29 rows each way, in the buffer
+    # slice 0's second-axis pass wrote: it must read inf there, not slice
+    # 0's costs, or the path waits a slice at the start row for free.
+    pytest.param(([-0.25, 0.2], [0.2, 0.35], 2.0, PointSet([[0.3, 0.6]]), Shape.identity(),
+                  GridSpec(lo=[-0.9, -0.75], hi=[0.55, 0.6], resolution=0.05, time_slices=2)),
+                 id="cut-drops-the-start-row-2d"),
 ])
 def test_dp_backtrack_edge_cases_match_the_unbounded_relaxation(problem):
     assert _assert_dp_matches_unbounded(problem) is not None
+
+
+def test_dp_cut_that_empties_a_slice_reports_the_goal_unreachable(monkeypatch, triangle_k):
+    # A snapped chord path always passes the cut, so only a bound below the
+    # optimum can empty a slice: here the chord's cells read a zero field.
+    # Slice 8 keeps no cell, and the goal is reported unreachable.
+    calls = []
+
+    def chord_without_field(nodes, kset):
+        field = batch_field(nodes, kset)
+        calls.append(len(nodes))
+        return field if len(calls) > 1 else (field[0], np.zeros_like(field[1]), *field[2:])
+
+    monkeypatch.setattr(action_module, "batch_field", chord_without_field)
+    with pytest.raises(ActionError, match="endpoint unreachable"):
+        dp_oracle([0.0, -1.0], [0.0, 0.0], 1.0, triangle_k, Shape.identity(),
+                  GridSpec(lo=[-1.0, -1.0], hi=[1.0, 1.0], resolution=0.1, time_slices=10))
+    assert calls == [11, 11]
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -1701,10 +1760,7 @@ def test_dp_peak_memory_on_the_mag_exchange_oracle_grid():
     # The `oracle` command's default grid for the exchange (200 cells a side,
     # T = 100): the relaxation keeps no full-grid parent record and no
     # candidate block of every cell times 2k + 1 steps.
-    x0, x1 = [0.2, 0.3], [0.3, 0.2]
-    kset = build_mag(_MAG_BASE, 1, 2, default_window(_MAG_BASE, 1, 2, x0, x1)).kset
-    gs = GridSpec(lo=[-0.8, -0.8], hi=[1.3, 1.3], resolution=2.1 / 200.0, time_slices=100)
-    assert _dp_peak(x0, x1, 1.0, kset, Shape.identity(), gs) <= 5 * 2**20
+    assert _dp_peak(*_mag_exchange_problem(oracle_grid=True)) <= 5 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,36 @@ def test_polytope_rejects_non_finite_input(normals, offsets):
         Polytope(np.array(normals), np.array(offsets))
 
 
+@pytest.mark.parametrize("normals,offsets,unit_normal", [
+    # |n|^2 overflows: the first row used to read as 0 x <= 0, the set as unbounded.
+    ([[1e200, 1e200], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 1.0, 1.0],
+     [0.5 ** 0.5, 0.5 ** 0.5]),
+    # |n|^2 underflows: the first row used to read as a zero normal.
+    ([[1e-170, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1e-170, 1.0, 1.0, 1.0],
+     [1.0, 0.0]),
+], ids=["normal-squares-to-inf", "normal-squares-to-zero"])
+def test_polytope_normalizes_normals_whose_squares_leave_the_float_range(normals, offsets,
+                                                                          unit_normal):
+    poly = Polytope(np.array(normals), np.array(offsets))
+    assert np.allclose(poly.normals[0], unit_normal, rtol=0.0, atol=1e-15)
+    assert np.array_equal(poly.lo, [-1.0, -1.0]) and np.allclose(poly.hi, [1.0, 1.0])
+
+
+def test_polytope_keeps_the_plain_norm_of_an_ordinary_normal():
+    # Dividing [1, 3] by its largest entry first would move its first
+    # coordinate by an ulp, and with it every polytope result.
+    poly = Polytope(np.array([[1.0, 3.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                    np.array([1.0, 1.0, 1.0, 1.0]))
+    assert poly.normals[0].tobytes() == (np.array([1.0, 3.0]) / np.sqrt(10.0)).tobytes()
+    assert poly.offsets[0] == 1.0 / np.sqrt(10.0)
+
+
+def test_polytope_rejects_an_offset_that_overflows_once_normalized():
+    with pytest.raises(PolytopeError, match="offset overflows"):
+        Polytope(np.array([[1e-300, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                 np.array([1e300, 1.0, 1.0, 1.0]))
+
+
 def test_polytope_projection_and_distance():
     box = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
     assert np.allclose(box.project([2.0, 0.5]), [1.0, 0.5], atol=1e-8)
