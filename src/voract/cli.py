@@ -14,7 +14,9 @@ Subcommands:
                  writes it to ``zones.json``).
 - ``stability``  solve a sequence of scenarios and report their actions;
                  ``points.mag`` entries are window-certified.
-- ``preset``     run a named acceptance preset.
+- ``preset``     run a named acceptance preset; a solve preset is a run
+                 config (``presets.RUN_CONFIGS``) written by the same
+                 ``solve_run`` -> ``write_run`` pipeline as ``solve``.
 
 Exit codes: 0 when the command succeeded, 1 when it ran but a check (a
 window certificate included) failed, 2 for invalid input or usage (an
@@ -22,7 +24,8 @@ window certificate included) failed, 2 for invalid input or usage (an
 
 Configuration is strict JSON: unknown fields are rejected so presets and
 configs stay honest test fixtures; ``solve`` and ``oracle`` validate all of
-a run config. All artifacts are deterministic for a fixed config and seed;
+a run config, and ``load_run_config`` validates a parsed dict as it does a
+file. All artifacts are deterministic for a fixed config and seed;
 wall-clock timing is only logged, never stored.
 """
 
@@ -33,13 +36,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import artifacts
 from .action import (
     GridSpec,
+    MinimizeResult,
     Path,
     Shape,
     SolverConfig,
@@ -47,13 +51,12 @@ from .action import (
     evaluate_action,
     minimize,
 )
-from .analysis import regularity_report
+from .analysis import RegularityReport, regularity_report
 from .geometry import PointSet, VoractError, load_point_set
 from .mag import MagSystem, build_mag, default_window, stability_run, window_certificate
 from .potential import zone_table
-from .presets import PRESET_NAMES, _energy_tol, run_preset
 
-__all__ = ["main", "ConfigError", "load_run_config", "execute_run"]
+__all__ = ["main", "ConfigError", "Run", "load_run_config", "solve_run", "write_run"]
 
 
 class ConfigError(VoractError):
@@ -173,11 +176,15 @@ def _parse_grid(spec: dict | None, x0: np.ndarray, x1: np.ndarray) -> GridSpec:
                     vmax=None if spec.get("vmax") is None else _number(spec, "vmax", "oracle_grid"))
 
 
-def load_run_config(path: str) -> dict:
-    """Read and validate a run configuration file: everything ``solve`` and
-    ``oracle`` read, the oracle's ``GridSpec`` included."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+def load_run_config(config: str | dict) -> dict:
+    """Read and validate a run configuration, a file path or its parsed
+    JSON object: everything ``solve`` and ``oracle`` read, the oracle's
+    ``GridSpec`` included."""
+    if isinstance(config, dict):
+        raw = config
+    else:
+        with open(config, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
     allowed = {"scenario", "points", "tie_tolerance", "shape", "endpoints", "delta",
                "solver", "oracle_grid", "plots"}
     _require_keys(raw, allowed, "run config", ("points", "endpoints", "delta"))
@@ -201,30 +208,49 @@ def load_run_config(path: str) -> dict:
     }
 
 
-def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
-    """solve -> analyze -> report; returns (exit_code, summary payload)."""
-    os.makedirs(outdir, exist_ok=True)
+@dataclass(frozen=True)
+class Run:
+    """A solved run config: the minimizer, its regularity report and checks."""
+    cfg: dict
+    result: MinimizeResult
+    report: RegularityReport
+    checks: dict
+    elapsed: float
+
+
+def solve_run(cfg: dict) -> Run:
+    """Minimize a loaded run config, analyze the path and run its checks:
+    ``energy`` and ``regularity``, and ``window_certificate`` for a
+    ``points.mag`` system. ``elapsed`` is the wall time of ``minimize``."""
     t0 = time.perf_counter()
     result = minimize(cfg["x0"], cfg["x1"], cfg["delta"], cfg["kset"], cfg["shape"],
                       cfg["solver"])
     elapsed = time.perf_counter() - t0
-    kset, shape = cfg["kset"], cfg["shape"]
-    report = regularity_report(result.path, kset, shape)
-
-    measured = {"energy": (report.energy_std_away_from_shocks, _energy_tol(result.path)),
+    report = regularity_report(result.path, cfg["kset"], cfg["shape"])
+    measured = {"energy": (report.energy_std_away_from_shocks, max(1e-3, 5.0 * result.path.dt)),
                 "regularity": (len(report.second_diff_violations), 0)}
-    check_results = {name: {"passed": value <= tol, "value": value, "tolerance": tol}
-                     for name, (value, tol) in measured.items()}
+    checks = {name: {"passed": value <= tol, "value": value, "tolerance": tol}
+              for name, (value, tol) in measured.items()}
     system = cfg["system"]
     if system is not None:
-        check_results["window_certificate"] = {
+        checks["window_certificate"] = {
             "passed": window_certificate(system, result.path), "value": system.window,
             "tolerance": "no window-shell site in any class"}
-        artifacts.write_particle_csvs(outdir, system, result.path)
-    ok = result.converged and all(c["passed"] for c in check_results.values())
+    return Run(cfg, result, report, checks, elapsed)
 
-    registry = artifacts.write_path_artifacts(outdir, result.path, kset, shape, report,
+
+def write_run(run: Run, outdir: str) -> tuple[int, dict]:
+    """Write a run's artifacts and ``summary.json`` under ``outdir``, and
+    ``failure.json`` when it failed (a passing run removes a stale one);
+    returns (exit_code, summary payload)."""
+    cfg, result = run.cfg, run.result
+    kset, shape, system = cfg["kset"], cfg["shape"], cfg["system"]
+    os.makedirs(outdir, exist_ok=True)
+    if system is not None:
+        artifacts.write_particle_csvs(outdir, system, result.path)
+    registry = artifacts.write_path_artifacts(outdir, result.path, kset, shape, run.report,
                                               result.breakdown, cfg["plots"])
+    ok = result.converged and all(c["passed"] for c in run.checks.values())
     summary = {
         "scenario": cfg["scenario"],
         "converged": result.converged,
@@ -236,25 +262,28 @@ def execute_run(cfg: dict, outdir: str) -> tuple[int, dict]:
              "dev_from_best": s.dev_from_best}
             for s in result.starts
         ],
-        "checks": check_results,
+        "checks": run.checks,
         "class_registry": [list(c) for c in registry],
         "exit_ok": ok,
     }
     artifacts.write_json(os.path.join(outdir, "summary.json"), summary)
+    failure = os.path.join(outdir, "failure.json")
     if not ok:
-        artifacts.write_json(os.path.join(outdir, "failure.json"), {
+        artifacts.write_json(failure, {
             "scenario": cfg["scenario"],
             "converged": result.converged,
-            "failed_checks": [k for k, v in check_results.items() if not v["passed"]],
+            "failed_checks": [k for k, v in run.checks.items() if not v["passed"]],
         })
-    print(f"[solve] {cfg['scenario']}: action={result.breakdown.total!r} "
-          f"converged={result.converged} checks_ok={ok} ({elapsed:.1f}s)")
+    elif os.path.exists(failure):  # left by an earlier run into this directory
+        os.remove(failure)
     return (0 if ok else 1), summary
 
 
 def _cmd_solve(args) -> int:
-    cfg = load_run_config(args.config)
-    code, _ = execute_run(cfg, args.out or "run-output")
+    run = solve_run(load_run_config(args.config))
+    code, _ = write_run(run, args.out or "run-output")
+    print(f"[solve] {run.cfg['scenario']}: action={run.result.breakdown.total!r} "
+          f"converged={run.result.converged} checks_ok={code == 0} ({run.elapsed:.1f}s)")
     return code
 
 
@@ -355,8 +384,7 @@ def _cmd_stability(args) -> int:
     return 1 if any(a["window_certificate"] is False for a in actions) else 0
 
 
-def _cmd_preset(args) -> int:
-    outcome = run_preset(args.name, outdir=args.out)
+def _cmd_preset(outcome) -> int:
     for check in outcome.checks:
         status = "PASS" if check.passed else "FAIL"
         val = "" if check.value is None else f" value={check.value!r}"
@@ -367,6 +395,8 @@ def _cmd_preset(args) -> int:
 
 
 def main(argv=None) -> int:
+    from . import presets  # deferred: presets solves its scenarios through this module
+
     parser = argparse.ArgumentParser(
         prog="voract",
         description="Action minimization over site-set distance potentials.",
@@ -411,10 +441,10 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_stability)
 
-    p = sub.add_parser("preset", help=f"run a named preset: {', '.join(PRESET_NAMES)}")
-    p.add_argument("name", choices=list(PRESET_NAMES))
+    p = sub.add_parser("preset", help=f"run a named preset: {', '.join(presets.PRESET_NAMES)}")
+    p.add_argument("name", choices=list(presets.PRESET_NAMES))
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_preset)
+    p.set_defaults(func=lambda args: _cmd_preset(presets.run_preset(args.name, args.out)))
 
     args = parser.parse_args(argv)
     try:

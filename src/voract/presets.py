@@ -1,14 +1,19 @@
 """Named experiment presets, one per acceptance gate of the project.
 
 Each preset builds its scenario, runs the required computation and
-evaluates a fixed list of checks with pinned tolerances. The aggregate
-presets (energy constancy, regularity bound) reuse the solve presets
-through an in-process cache, so running the full battery solves each
-scenario once.
+evaluates a fixed list of checks with pinned tolerances. The four solve
+presets are run configs, `RUN_CONFIGS[name]`, solved and checked by the
+pipeline of `voract solve` (`cli.load_run_config` -> `cli.solve_run`);
+their gates read the run's checks. The aggregate presets (energy
+constancy, regularity bound) reuse the solve presets through an
+in-process cache, so running the full battery solves each scenario once.
 
-`run_preset(name, outdir)` optionally writes the standard artifacts
-(trajectory CSV, events/report/summary JSON, SVG plots). Wall-clock
-timings live only on the returned outcome object, never in artifacts.
+`run_preset(name, outdir)` optionally writes `checks.json` and
+`timing.json` under `outdir`, and for a solve preset the artifacts of
+`cli.write_run` (trajectory CSV, events/report/summary JSON, SVG plots,
+and `particle{i}.csv` for `mag-exchange`), the files `voract solve` writes
+for that config. Wall-clock timings live only on the returned outcome
+object and in `timing.json`.
 """
 
 from __future__ import annotations
@@ -21,19 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts
-from .action import (
-    GridSpec,
-    MinimizeResult,
-    Path,
-    Shape,
-    SolverConfig,
-    dp_oracle,
-    evaluate_action,
-    minimize,
-)
-from .analysis import RegularityReport, detect_shocks, jump_residual, regularity_report
+from .action import Shape, SolverConfig, dp_oracle, evaluate_action, minimize
+from .analysis import detect_shocks, jump_residual
+from .cli import Run, load_run_config, solve_run, write_run
 from .geometry import PointSet, Polytope, min_norm_point, polytope_distance_ratio
-from .mag import MagSystem, build_mag, default_window, stability_run, window_certificate
+from .mag import stability_run
 from .potential import extended_gradient, slope_sup_oracle, zone_table
 
 __all__ = ["PRESET_NAMES", "CheckResult", "PresetOutcome", "run_preset"]
@@ -87,72 +84,33 @@ def grid3_points() -> PointSet:
     return PointSet(pts)
 
 
-def exchange_system() -> MagSystem:
-    base = [[0.0], [0.5]]
-    w = default_window(base, 1, 2, [0.2, 0.3], [0.3, 0.2])
-    return build_mag(base, 1, 2, w)
-
+# The solve presets: run configs as `voract solve --config` reads them.
+RUN_CONFIGS = {
+    name: {"scenario": name, "points": points, "endpoints": {"start": x0, "end": x1},
+           "delta": 1.0, "solver": {"M": 512, "refinements": 3, "starts": 3, "seed": 0},
+           **extra}
+    for name, points, x0, x1, extra in (
+        ("example1-c1", {"inline": [[-1.0], [1.0]]}, [-1.0], [1.0], {}),
+        ("example1-c02", {"inline": [[-1.0], [1.0]]}, [-0.2], [0.2],
+         {"oracle_grid": {"lo": [-1.5], "hi": [1.5], "resolution": 0.01, "time_slices": 100,
+                          "vmax": 4.0}}),
+        ("example2", {"inline": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]}, [0.0, -1.0], [0.0, 0.0],
+         {}),
+        ("mag-exchange", {"mag": {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}},
+         [0.2, 0.3], [0.3, 0.2], {}),
+    )
+}
 
 SHIPPED_POINT_SETS = {
     "line": line_points,
     "triangle": triangle_points,
     "grid3": grid3_points,
-    "exchange": lambda: exchange_system().kset,
+    "exchange": lambda: load_run_config(RUN_CONFIGS["mag-exchange"])["kset"],
 }
 
 
-@dataclass(frozen=True)
-class SolveScenario:
-    name: str
-    kset: PointSet
-    shape: Shape
-    x0: np.ndarray
-    x1: np.ndarray
-    delta: float
-    cfg: SolverConfig
-
-
-def _scenario(name: str) -> SolveScenario:
-    points, x0, x1 = {
-        "example1-c1": (line_points, [-1.0], [1.0]),
-        "example1-c02": (line_points, [-0.2], [0.2]),
-        "example2": (triangle_points, [0.0, -1.0], [0.0, 0.0]),
-        "mag-exchange": (lambda: _cached("mag-system", exchange_system).kset,
-                         [0.2, 0.3], [0.3, 0.2]),
-    }[name]
-    return SolveScenario(name, points(), Shape.identity(), np.array(x0), np.array(x1), 1.0,
-                         SolverConfig(M=512, refinements=3, starts=3, seed=0))
-
-
-@dataclass
-class SolveRecord:
-    scenario: SolveScenario
-    result: MinimizeResult
-    report: RegularityReport
-    runtime: float
-
-    @property
-    def events(self) -> list:
-        return self.report.events
-
-
-def _solve_record(name: str) -> SolveRecord:
-    def build():
-        sc = _scenario(name)
-        t0 = time.perf_counter()
-        res = minimize(sc.x0, sc.x1, sc.delta, sc.kset, sc.shape, sc.cfg)
-        runtime = time.perf_counter() - t0
-        report = regularity_report(res.path, sc.kset, sc.shape)
-        return SolveRecord(sc, res, report, runtime)
-
-    return _cached(f"solve:{name}", build)
-
-
-SOLVE_PRESETS = ("example1-c1", "example1-c02", "example2", "mag-exchange")
-
-
-def _energy_tol(path: Path) -> float:
-    return max(1e-3, 5.0 * path.dt)
+def _solve_record(name: str) -> Run:
+    return _cached(f"solve:{name}", lambda: solve_run(load_run_config(RUN_CONFIGS[name])))
 
 
 # ---------------------------------------------------------------------------
@@ -161,35 +119,34 @@ def _energy_tol(path: Path) -> float:
 
 def _preset_example1_c1() -> PresetOutcome:
     rec = _solve_record("example1-c1")
-    prev_events = detect_shocks(rec.result.prev_path, rec.scenario.kset)
+    events = rec.report.events
+    prev_events = detect_shocks(rec.result.prev_path, rec.cfg["kset"])
     checks = [
-        CheckResult("one_shock", len(rec.events) == 1, float(len(rec.events)), "== 1"),
+        CheckResult("one_shock", len(events) == 1, float(len(events)), "== 1"),
         CheckResult("kind_nondegenerate",
-                    bool(rec.events) and rec.events[0].kind == "nondegenerate",
+                    bool(events) and events[0].kind == "nondegenerate",
                     tolerance="kind == nondegenerate (not effective)"),
         CheckResult("stable_under_refinement",
-                    len(prev_events) == len(rec.events)
+                    len(prev_events) == len(events)
                     and all(e.kind == "nondegenerate" for e in prev_events),
                     float(len(prev_events)), "same count/kind at M=256"),
-        CheckResult("runtime", rec.runtime < 30.0, None, "< 30 s"),
+        CheckResult("runtime", rec.elapsed < 30.0, None, "< 30 s"),
     ]
-    return PresetOutcome("example1-c1", 1, checks, rec.result.converged, rec.runtime,
+    return PresetOutcome("example1-c1", 1, checks, rec.result.converged, rec.elapsed,
                          payload={"action": rec.result.breakdown.total})
 
 
 def _preset_example1_c02() -> PresetOutcome:
     rec = _solve_record("example1-c02")
+    cfg = rec.cfg
     t0 = time.perf_counter()
     oracle_path = _cached("dp:example1-c02", lambda: dp_oracle(
-        rec.scenario.x0, rec.scenario.x1, rec.scenario.delta, rec.scenario.kset,
-        rec.scenario.shape,
-        GridSpec(lo=np.array([-1.5]), hi=np.array([1.5]), resolution=0.01,
-                 time_slices=100, vmax=4.0)))
-    oracle_action = evaluate_action(oracle_path, rec.scenario.kset, rec.scenario.shape).total
-    runtime = rec.runtime + (time.perf_counter() - t0)
+        cfg["x0"], cfg["x1"], cfg["delta"], cfg["kset"], cfg["shape"], cfg["oracle_grid"]))
+    oracle_action = evaluate_action(oracle_path, cfg["kset"], cfg["shape"]).total
+    runtime = rec.elapsed + (time.perf_counter() - t0)
 
-    left = [e for e in rec.events if e.kind == "effective_left"]
-    right = [e for e in rec.events if e.kind == "effective_right"]
+    left = [e for e in rec.report.events if e.kind == "effective_left"]
+    right = [e for e in rec.report.events if e.kind == "effective_right"]
     action = rec.result.breakdown.total
     t_left = left[0].time if left else np.nan
     waiting = (right[0].time - left[0].time) if (left and right) else 0.0
@@ -211,30 +168,29 @@ def _preset_example1_c02() -> PresetOutcome:
 def _preset_example2() -> PresetOutcome:
     rec = _solve_record("example2")
     max_x1 = float(np.max(np.abs(rec.result.path.nodes[:, 0])))
-    arrivals = [e for e in rec.events if e.class_after == (0, 1, 2)]
+    arrivals = [e for e in rec.report.events if e.class_after == (0, 1, 2)]
     first_deg = bool(arrivals) and arrivals[0].kind == "degenerate"
     checks = [
         CheckResult("axis_confinement", max_x1 <= 1e-4, max_x1, "max |x1| <= 1e-4 at M=512"),
-        CheckResult("degenerate_arrival", first_deg, float(len(rec.events)),
+        CheckResult("degenerate_arrival", first_deg, float(len(rec.report.events)),
                     "first origin arrival classified degenerate"),
     ]
-    return PresetOutcome("example2", 3, checks, rec.result.converged, rec.runtime,
+    return PresetOutcome("example2", 3, checks, rec.result.converged, rec.elapsed,
                          payload={"action": rec.result.breakdown.total, "max_x1": max_x1})
 
 
 def _per_solve_preset(name: str, criterion: int, check) -> PresetOutcome:
-    """``check(record)`` on every solve preset, converged when every solve is."""
-    recs = [_solve_record(preset) for preset in SOLVE_PRESETS]
+    """``check(run)`` on every solve preset, converged when every solve is."""
+    recs = [_solve_record(preset) for preset in RUN_CONFIGS]
     return PresetOutcome(name, criterion, [check(rec) for rec in recs],
-                         all(rec.result.converged for rec in recs), sum(r.runtime for r in recs))
+                         all(rec.result.converged for rec in recs), sum(r.elapsed for r in recs))
 
 
 def _preset_energy_constancy() -> PresetOutcome:
-    def check(rec: SolveRecord) -> CheckResult:
-        tol = _energy_tol(rec.result.path)
-        std = rec.report.energy_std_away_from_shocks
-        return CheckResult(f"energy_std:{rec.scenario.name}", std <= tol, std,
-                           f"<= max(1e-3, 5*dt) = {tol:.3g}")
+    def check(rec: Run) -> CheckResult:
+        energy = rec.checks["energy"]
+        return CheckResult(f"energy_std:{rec.cfg['scenario']}", energy["passed"], energy["value"],
+                           f"<= max(1e-3, 5*dt) = {energy['tolerance']:.3g}")
 
     return _per_solve_preset("energy-constancy", 4, check)
 
@@ -243,21 +199,21 @@ def _preset_jump_identity() -> PresetOutcome:
     rec = _solve_record("example1-c02")
     dt = rec.result.path.dt
     tol = max(1e-2, 10.0 * dt)
-    eff = [e for e in rec.events if e.kind.startswith("effective")]
+    eff = [e for e in rec.report.events if e.kind.startswith("effective")]
     checks = [CheckResult("two_effective", len(eff) == 2, float(len(eff)), "== 2")]
     for ev in eff:
-        res = jump_residual(ev, rec.scenario.shape)
+        res = jump_residual(ev, rec.cfg["shape"])
         checks.append(CheckResult(f"jump_residual:{ev.kind}", res <= tol, res,
                                   f"<= max(1e-2, 10*dt) = {tol:.3g}"))
         checks.append(CheckResult(f"jump_floor:{ev.kind}", ev.jump_sq >= 1.0 - 1e-2,
                                   ev.jump_sq, ">= h(beta) - 1e-2 = 0.99"))
-    return PresetOutcome("jump-identity", 5, checks, rec.result.converged, rec.runtime)
+    return PresetOutcome("jump-identity", 5, checks, rec.result.converged, rec.elapsed)
 
 
 def _preset_regularity_bound() -> PresetOutcome:
     return _per_solve_preset("regularity-bound", 6, lambda rec: CheckResult(
-        f"second_diff:{rec.scenario.name}", not rec.report.second_diff_violations,
-        float(len(rec.report.second_diff_violations)), "no excess over h'(s)*sqrt(s) + 20*dt"))
+        f"second_diff:{rec.cfg['scenario']}", rec.checks["regularity"]["passed"],
+        float(rec.checks["regularity"]["value"]), "no excess over h'(s)*sqrt(s) + 20*dt"))
 
 
 def _min_norm_grid_oracle(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -411,22 +367,20 @@ def _preset_stability() -> PresetOutcome:
 
 def _preset_mag_exchange() -> PresetOutcome:
     rec = _solve_record("mag-exchange")
-    sys = _cached("mag-system", exchange_system)
     dt = rec.result.path.dt
-    eff = [e for e in rec.events if e.kind.startswith("effective")]
+    eff = [e for e in rec.report.events if e.kind.startswith("effective")]
     mom = dict(rec.report.momentum_residuals)
     mom_worst = max((mom.get(e.node_index, np.inf) for e in eff), default=np.inf)
-    tol_e = _energy_tol(rec.result.path)
+    energy, cert = rec.checks["energy"], rec.checks["window_certificate"]
     checks = [
         CheckResult("effective_shock", len(eff) >= 1, float(len(eff)), ">= 1"),
-        CheckResult("energy_std", rec.report.energy_std_away_from_shocks <= tol_e,
-                    rec.report.energy_std_away_from_shocks, f"<= {tol_e:.3g}"),
+        CheckResult("energy_std", energy["passed"], energy["value"],
+                    f"<= {energy['tolerance']:.3g}"),
         CheckResult("momentum_residual", mom_worst <= 5.0 * dt, mom_worst,
                     f"<= 5*dt = {5 * dt:.3g}"),
-        CheckResult("window_certificate", window_certificate(sys, rec.result.path),
-                    tolerance="no window-shell site in any class"),
+        CheckResult("window_certificate", cert["passed"], tolerance=cert["tolerance"]),
     ]
-    return PresetOutcome("mag-exchange", 11, checks, rec.result.converged, rec.runtime,
+    return PresetOutcome("mag-exchange", 11, checks, rec.result.converged, rec.elapsed,
                          payload={"action": rec.result.breakdown.total})
 
 
@@ -494,9 +448,6 @@ def run_preset(name: str, outdir: str | None = None) -> PresetOutcome:
         artifacts.write_json(os.path.join(outdir, "timing.json"),
                              {"runtime_seconds": round(outcome.runtime, 3),
                               "note": "wall clock; not reproducible bit-for-bit"})
-        if name in SOLVE_PRESETS:
-            rec = _solve_record(name)
-            sc = rec.scenario
-            artifacts.write_path_artifacts(outdir, rec.result.path, sc.kset, sc.shape, rec.report,
-                                           rec.result.breakdown)
+        if name in RUN_CONFIGS:
+            write_run(_solve_record(name), outdir)
     return outcome

@@ -30,6 +30,7 @@ from voract import (
     zone_table,
 )
 from voract.action import _Descent, seed_grid_spec
+from voract.cli import load_run_config
 from voract.geometry import GeometryError, class_frame, opt_class
 from voract.potential import batch_field
 
@@ -414,9 +415,9 @@ def test_direction_of_a_band_that_is_not_positive_definite_raises(case, line_k, 
 def test_mag_exchange_descent_converges_in_few_iterations():
     # The Newton step of the pinned problem converges in a few iterations
     # per stage at every mesh; five per stage suffice for every start.
-    sc = presets._scenario("mag-exchange")
+    sc = load_run_config(presets.RUN_CONFIGS["mag-exchange"])
     cfg = SolverConfig(M=256, refinements=3, starts=1, max_iters=5)
-    res = minimize(sc.x0, sc.x1, sc.delta, sc.kset, sc.shape, cfg)
+    res = minimize(sc["x0"], sc["x1"], sc["delta"], sc["kset"], sc["shape"], cfg)
     assert res.converged and res.grad_norm <= cfg.grad_tol
     assert len(res.starts) == 2 and all(st.converged for st in res.starts)
 
@@ -625,9 +626,9 @@ def test_solve_classifies_each_evaluated_stack_once(case, monkeypatch):
     else:
         # The chord captures one node per round; a start waiting on the
         # bisector at every interior node releases one.
-        sc = presets._scenario(case)
-        engine = _Descent(sc.kset, sc.shape, sc.delta, SolverConfig(M=16, refinements=0))
-        chord = Path.from_line(sc.x0, sc.x1, sc.delta, 16).nodes
+        sc = load_run_config(presets.RUN_CONFIGS[case])
+        engine = _Descent(sc["kset"], sc["shape"], sc["delta"], SolverConfig(M=16, refinements=0))
+        chord = Path.from_line(sc["x0"], sc["x1"], sc["delta"], 16).nodes
         waiting = chord.copy()
         waiting[1:-1] = 0.0
         stack = np.array([chord, waiting])
@@ -788,9 +789,9 @@ def test_trial_moves_build_the_reference_candidates(case, line_k, triangle_k):
         engine = _Descent(kset, Shape.power(2.0), 1.0, QUICK)
         stack = _candidate_stack(engine, x0, x1, 32)
     elif case.startswith("example1-c02"):
-        sc = presets._scenario("example1-c02")
-        engine = _Descent(sc.kset, sc.shape, sc.delta, SolverConfig(M=16, refinements=0))
-        chord = Path.from_line(sc.x0, sc.x1, sc.delta, 16).nodes
+        sc = load_run_config(presets.RUN_CONFIGS["example1-c02"])
+        engine = _Descent(sc["kset"], sc["shape"], sc["delta"], SolverConfig(M=16, refinements=0))
+        chord = Path.from_line(sc["x0"], sc["x1"], sc["delta"], 16).nodes
         waiting = chord.copy()
         waiting[1:-1] = 0.0
         # The chord alone grows its waiting segment 1, 2, 4, 8 nodes by runs.
@@ -858,8 +859,8 @@ def _staged_rounds(name):
     """Release/capture rounds per mesh stage, coarsest first, and the
     winning action of a pinned solve."""
     if name in presets.PRESET_NAMES:
-        sc = presets._scenario(name)
-        problem = (sc.x0, sc.x1, sc.kset, sc.cfg)
+        sc = load_run_config(presets.RUN_CONFIGS[name])
+        problem = (sc["x0"], sc["x1"], sc["kset"], sc["solver"])
     elif name == "probe.example2":
         problem = ([0.0, -1.0], [0.0, 0.0], PointSet([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
                    SolverConfig(M=128, refinements=3, starts=3, seed=0))
@@ -1181,7 +1182,7 @@ def _seed_grid_cases():
     rng = np.random.default_rng(7)
     yield [-0.0, 0.5], [0.5, -0.0], PointSet([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     yield [-0.0], [0.2], PointSet([[-1.0], [1.0]])
-    yield [0.2, 0.3], [0.3, 0.2], presets.exchange_system().kset
+    yield [0.2, 0.3], [0.3, 0.2], load_run_config(presets.RUN_CONFIGS["mag-exchange"])["kset"]
     for d in (1, 2, 3) * 4:
         pts = np.round(rng.uniform(-2.0, 2.0, (int(rng.integers(1, 40)), d)), 2)
         x0 = np.where(rng.random(d) < 0.3, -0.0, rng.uniform(-1.0, 1.0, d))

@@ -7,7 +7,8 @@ import pytest
 
 import voract
 from voract import (ActionError, AnalysisError, GeometryError, MagError, PointSet, Shape,
-                    SolverConfig, VoractError, artifacts, cli, minimize, regularity_report)
+                    SolverConfig, VoractError, artifacts, cli, minimize, presets,
+                    regularity_report)
 from voract.action import NODE_BUDGET
 from voract.artifacts import read_trajectory_csv
 from voract.cli import ConfigError, load_run_config, main
@@ -207,6 +208,42 @@ def test_window_certificate_failure_exits_1(tmp_path):
     assert (out / "particle1.csv").exists()
 
 
+def test_passing_rerun_removes_a_stale_failure(tmp_path):
+    shell = {"points": SHELL_POINTS, "endpoints": {"start": SHELL_START, "end": SHELL_END},
+             "delta": 1.0, "solver": SHELL_SOLVER, "plots": False}
+    out = tmp_path / "shell"
+    assert main(["solve", "--config", _write(tmp_path / "shell.json", shell),
+                 "--out", str(out)]) == 1
+    assert (out / "failure.json").exists()
+    # Without the window the default one covers the endpoints and the run passes.
+    wide = {**shell, "points": {"mag": {k: v for k, v in SHELL_POINTS["mag"].items()
+                                        if k != "window"}}}
+    assert main(["solve", "--config", _write(tmp_path / "wide.json", wide),
+                 "--out", str(out)]) == 0
+    assert not (out / "failure.json").exists()
+    assert json.loads((out / "summary.json").read_text())["exit_ok"] is True
+
+
+@pytest.mark.parametrize("name", sorted(presets.RUN_CONFIGS))
+def test_solve_presets_are_run_configs(name, tmp_path):
+    # voract solve on a solve preset's run config writes the preset's directory,
+    # less the preset's own checks.json and timing.json.
+    cfg = _write(tmp_path / "cfg.json", presets.RUN_CONFIGS[name])
+    solved, preset = tmp_path / "solve", tmp_path / "preset"
+    assert main(["solve", "--config", cfg, "--out", str(solved)]) == 0
+    outcome = presets.run_preset(name, str(preset))
+    assert outcome.passed
+    written = sorted(p.name for p in solved.iterdir())
+    assert written == sorted(p.name for p in preset.iterdir()
+                             if p.name not in ("checks.json", "timing.json"))
+    for file in written:
+        assert (solved / file).read_bytes() == (preset / file).read_bytes(), file
+    if name == "example1-c02":
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "oracle")]) == 0
+        oracle = json.loads((tmp_path / "oracle" / "oracle_summary.json").read_text())
+        assert oracle["action"]["total"] == outcome.payload["oracle_action"]
+
+
 def test_stability_entry_that_fails_the_certificate_exits_1(tmp_path):
     wide = {"mag": {**SHELL_POINTS["mag"], "window": 4}}
     payload = {"sequence": [{"points": points, "start": SHELL_START, "end": SHELL_END}
@@ -308,8 +345,9 @@ def test_config_error_exit_code(tmp_path):
 def test_config_section_of_the_wrong_json_type_is_a_config_error(section, value, tmp_path,
                                                                   capsys):
     cfg = _write(tmp_path / "cfg.json", {**BASE_CONFIG, section: value})
-    with pytest.raises(ConfigError, match=f"{section} must be a JSON object"):
-        load_run_config(cfg)
+    for config in (cfg, {**BASE_CONFIG, section: value}):  # a file and a parsed dict alike
+        with pytest.raises(ConfigError, match=f"{section} must be a JSON object"):
+            load_run_config(config)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -526,13 +564,24 @@ def test_run_config_has_no_checks_or_output_dir(field, value, tmp_path, capsys):
       "endpoints": {"start": [-0.2, 0.0], "end": [0.2, 0.0, 0.1]}}, "endpoints end must be 2"),
     ({**BASE_CONFIG, "oracle_grid": [1]}, "oracle_grid must be a JSON object"),
     ({**BASE_CONFIG, "oracle_grid": {**GRID, "time_slices": 10.5}}, "time_slices must be"),
-], ids=["endpoint-dimension", "grid-list", "grid-fractional-slices"])
+    ({**BASE_CONFIG, "surprise": 1}, "unknown fields in run config: surprise"),
+    ({k: v for k, v in BASE_CONFIG.items() if k != "endpoints"},
+     "run config is missing 'endpoints'"),
+], ids=["endpoint-dimension", "grid-list", "grid-fractional-slices", "unknown-field",
+        "missing-key"])
 def test_solve_and_oracle_validate_one_config_alike(command, payload, message, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+    # load_run_config raises the same error from the parsed dict as from the file.
+    raised = []
+    for config in (cfg, payload):
+        with pytest.raises(VoractError) as exc:
+            load_run_config(config)
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[0] == raised[1]
 
 
 @pytest.mark.parametrize("sites,lo,hi,message", [
