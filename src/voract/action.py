@@ -27,7 +27,12 @@ One descent engine (`_Descent`) does all of this on stacks of paths.
 Its direction is the Newton step of the problem restricted to the pinned
 nodes' tangent spaces (the active-set step of projected Newton, Bertsekas
 1982): one banded LAPACK solve for the whole stack, with zero coupling
-between paths. The candidates of a round relax together in one stack.
+between paths. Its backtracking line search tries the unit step first and
+then grows a path's step by 1.6 per accepted step, up to 1 for shapes
+affine in the squared slope, whose pinned objective is quadratic between
+class or face changes so that the Newton step is exact, and up to 16 for
+power shapes, whose Newton model leaves out the curvature of h.
+The candidates of a round relax together in one stack.
 Paths in a stack never interact and each row's arithmetic is its own, so
 results depend neither on the field kernel's block size nor on which
 starts share a stack.
@@ -370,6 +375,7 @@ class _Descent:
         self.delta = delta
         self.cfg = cfg
         self.polytope = polytope
+        self.max_step = 16.0 if shape.kind == "power" else 1.0  # longest trial step: see solve
         self._faces: dict[tuple, np.ndarray] = {}
         self.registry: dict[tuple[int, ...], int] = {}  # class -> id, on first meeting
 
@@ -504,6 +510,14 @@ class _Descent:
         Each iteration steps the searching paths along :meth:`_direction`,
         halving a path's step until its trial passes the Armijo test, whose
         :meth:`value` entries then become the path's own: none is evaluated twice.
+        A path's first line search starts at the unit step and each later one
+        at 1.6 times its last accepted step, capped at :attr:`max_step`. For
+        ``identity`` and ``affine`` shapes (h'' = 0) the objective is
+        quadratic between class and face changes, so the Newton step 1 is
+        exact there and the cap is 1: a longer step only overshoots and
+        backtracks. A ``power`` shape's Newton model leaves out the
+        ``4 h'' (x - eta)(x - eta)^T`` curvature term, its steps may need to
+        grow, and the cap is 16.
 
         Returns ``(nodes, values, grad_norm, stopped, ids)``, one row per
         path, ``ids`` the nodes' :meth:`value` class ids. ``grad_norm`` is
@@ -544,7 +558,7 @@ class _Descent:
                 won = paths[ok]
                 stack[won], f[won] = trial[ok], f_trial[ok]
                 s[won], g_eff[won], proj[won], ids[won] = (entry[ok] for entry in state)
-                alpha[won] = np.minimum(step[ok] * 1.6, 16.0)
+                alpha[won] = np.minimum(step[ok] * 1.6, self.max_step)
                 stepped[won] = True
                 paths, step, slope = paths[~ok], step[~ok] * 0.5, slope[~ok]
                 direction = direction[~ok]

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -239,13 +240,22 @@ def solve_run(cfg: dict) -> Run:
     return Run(cfg, result, report, checks, elapsed)
 
 
+# The files only some runs write: plots, per-particle CSVs, the failure record.
+_OPTIONAL_OUTPUT = re.compile(
+    r"(position|energy|slope)\.svg|particle[1-9][0-9]*\.csv|failure\.json")
+
+
 def write_run(run: Run, outdir: str) -> tuple[int, dict]:
     """Write a run's artifacts and ``summary.json`` under ``outdir``, and
-    ``failure.json`` when it failed (a passing run removes a stale one);
-    returns (exit_code, summary payload)."""
+    ``failure.json`` when it failed; returns (exit_code, summary payload).
+    The plots, particle CSVs and ``failure.json`` an earlier run left in
+    ``outdir`` are removed first, so none outlives the run that wrote it."""
     cfg, result = run.cfg, run.result
     kset, shape, system = cfg["kset"], cfg["shape"], cfg["system"]
     os.makedirs(outdir, exist_ok=True)
+    for name in os.listdir(outdir):
+        if _OPTIONAL_OUTPUT.fullmatch(name):
+            os.remove(os.path.join(outdir, name))
     if system is not None:
         artifacts.write_particle_csvs(outdir, system, result.path)
     registry = artifacts.write_path_artifacts(outdir, result.path, kset, shape, run.report,
@@ -267,15 +277,12 @@ def write_run(run: Run, outdir: str) -> tuple[int, dict]:
         "exit_ok": ok,
     }
     artifacts.write_json(os.path.join(outdir, "summary.json"), summary)
-    failure = os.path.join(outdir, "failure.json")
     if not ok:
-        artifacts.write_json(failure, {
+        artifacts.write_json(os.path.join(outdir, "failure.json"), {
             "scenario": cfg["scenario"],
             "converged": result.converged,
             "failed_checks": [k for k, v in run.checks.items() if not v["passed"]],
         })
-    elif os.path.exists(failure):  # left by an earlier run into this directory
-        os.remove(failure)
     return (0 if ok else 1), summary
 
 

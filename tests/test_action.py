@@ -1962,6 +1962,54 @@ def test_constrained_matches_projected_gradient_reference(name):
     assert con.breakdown.total <= ref_action * (1.0 + 1e-9)
 
 
+def _count_engine_calls(monkeypatch):
+    """Live counts of the Newton directions and objective evaluations of `_Descent`."""
+    calls = {"_direction": 0, "value": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(_Descent, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(_Descent, name, counted)
+    return calls
+
+
+def test_unit_step_cap_ends_the_overshoots_of_an_identity_bend(monkeypatch):
+    # The companion benchmark's bend case. Its pinned objective is quadratic
+    # between face changes, so the unit Newton step is exact; growing it to
+    # 1.6 and beyond overshot and backtracked (26 directions, 44 evaluations).
+    calls = _count_engine_calls(monkeypatch)
+    con = constrained_minimize([0, 0.2], [0.3, 0.8], 1.0, Polytope.from_box([0, 0], [1, 1]),
+                               [-1, 0.5], Shape.identity(), SolverConfig(M=64, refinements=2))
+    assert calls["_direction"] <= 8 and calls["value"] <= 11
+    assert con.converged
+    assert con.breakdown.total <= 1.7129802824646272 * (1.0 + 1e-12)
+
+
+def test_unit_step_cap_keeps_the_example2_action(monkeypatch):
+    calls = _count_engine_calls(monkeypatch)
+    res = minimize([0.0, -1.0], [0.0, 0.0], 1.0, PointSet(_TRIANGLE), Shape.identity(),
+                   SolverConfig(M=128, refinements=3, starts=3, seed=0))
+    assert calls["_direction"] <= 9  # 17 with steps grown past 1
+    assert res.breakdown.total == PINNED_SOLVES["probe.example2"][1]
+
+
+def test_power_shape_steps_still_grow_on_a_stiff_corner(monkeypatch):
+    # Rows riding the edge of two cuts, Shape.power(2): the Newton model
+    # leaves out the h'' curvature term and accepted steps must grow past 1.
+    # Capping them at 1 took 1,818 directions; the unit step first on every
+    # iteration took 8,024 and ended unconverged.
+    corner = _halfspaces((1, 0, 0, 1.639), (0, 1, 0, 1.835), (0, 0, 1, 1.977),
+                         (-1, 0, 0, 1.082), (0, -1, 0, 1.931), (0, 0, -1, 1.287),
+                         (-0.618, -0.675, 0.404, 0.935), (0.169, -0.418, -0.893, -0.002))
+    calls = _count_engine_calls(monkeypatch)
+    con = constrained_minimize([-0.641, -0.06, 1.052], [-0.157, 1.626, -0.73], 1.0, corner,
+                               [0.77, -5.698, 1.374], Shape.power(2.0),
+                               SolverConfig(M=32, refinements=2))
+    assert con.converged
+    assert calls["_direction"] <= 1175
+    assert con.breakdown.total <= 555.0413894529738
+
+
 @pytest.mark.parametrize("name", ["square-vertex", "square-oblique"])
 def test_constrained_verdict_is_the_engine_final_entry(name, monkeypatch):
     # `constrained_minimize` reports the engine's entry for its one start,

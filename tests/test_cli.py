@@ -224,6 +224,27 @@ def test_passing_rerun_removes_a_stale_failure(tmp_path):
     assert json.loads((out / "summary.json").read_text())["exit_ok"] is True
 
 
+@pytest.mark.parametrize("first, second, stale", [
+    (BASE_CONFIG, {**BASE_CONFIG, "plots": False},
+     ("position.svg", "energy.svg", "slope.svg")),
+    (MAG_RUN, BASE_CONFIG, ("particle1.csv", "particle2.csv")),
+], ids=["plots-off", "mag-then-inline"])
+def test_rerun_removes_the_files_it_does_not_write(first, second, stale, tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("not the run's")
+
+    def solve(cfg):
+        assert main(["solve", "--config", _write(tmp_path / "cfg.json", cfg),
+                     "--out", str(out)]) == 0
+        return set(os.listdir(out))
+
+    assert set(stale) <= solve(first)
+    files = solve(second)
+    assert not files & set(stale)
+    assert {"trajectory.csv", "summary.json", "notes.txt"} <= files
+
+
 @pytest.mark.parametrize("name", sorted(presets.RUN_CONFIGS))
 def test_solve_presets_are_run_configs(name, tmp_path):
     # voract solve on a solve preset's run config writes the preset's directory,
