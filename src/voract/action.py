@@ -64,7 +64,7 @@ from scipy.linalg.lapack import dpbsv, dptsv
 
 from .geometry import (GeometryError, PointSet, Polytope, VoractError, _as_vector, class_frame,
                        split_span)
-from .potential import _split_by_bits, batch_field
+from .potential import _run_starts, batch_field
 
 __all__ = [
     "ActionError",
@@ -147,22 +147,22 @@ class Shape:
             raise ActionError("shape derivative disagrees with finite differences")
 
     def h(self, s):
-        s = np.asarray(s, dtype=float)
         if self.kind == "identity":
-            return s.copy()
+            return np.array(s, dtype=float)
+        s = np.asarray(s, dtype=float)
         if self.kind == "power":
             return np.power(s, self.p)
         return self.a * s + self.b
 
     def h_prime(self, s):
         s = np.asarray(s, dtype=float)
-        if self.kind == "identity":
-            return np.ones_like(s)
         if self.kind == "power":
             with np.errstate(divide="ignore"):
                 out = self.p * np.power(s, self.p - 1.0)
             return out
-        return np.full_like(s, self.a)
+        out = np.empty(s.shape)
+        out.fill(1.0 if self.kind == "identity" else self.a)
+        return out
 
     @classmethod
     def identity(cls) -> "Shape":
@@ -278,10 +278,10 @@ def _action_terms(stack: np.ndarray, slope_sq: np.ndarray, delta: float, shape: 
     discrete action; each path's sums are its own, whatever the stack."""
     b, n, _ = stack.shape
     dt = delta / (n - 1)
-    diffs = np.diff(stack, axis=1)
-    kin = np.sum(np.einsum("bij,bij->bi", diffs, diffs), axis=1) / dt
+    diffs = stack[:, 1:] - stack[:, :-1]
+    kin = np.add.reduce(np.einsum("bij,bij->bi", diffs, diffs), axis=1) / dt
     h = shape.h(slope_sq).reshape(b, n)
-    return kin, dt * (0.5 * h[:, 0] + np.sum(h[:, 1:-1], axis=1) + 0.5 * h[:, -1])
+    return kin, dt * (0.5 * h[:, 0] + np.add.reduce(h[:, 1:-1], axis=1) + 0.5 * h[:, -1])
 
 
 def evaluate_action(path: Path, kset: PointSet, shape: Shape) -> ActionBreakdown:
@@ -304,7 +304,8 @@ def _interior_gradient(nodes: np.ndarray, etas: np.ndarray, slope_sq: np.ndarray
     """
     kin = 2.0 * (2.0 * nodes[..., 1:-1, :] - nodes[..., :-2, :] - nodes[..., 2:, :]) / dt
     s = slope_sq[..., 1:-1]
-    hp = np.where(s == 0.0, 0.0, shape.h_prime(s))
+    hp = shape.h_prime(s)
+    hp[s == 0.0] = 0.0
     pot = dt * hp[..., None] * 2.0 * (nodes[..., 1:-1, :] - etas[..., 1:-1, :])
     return kin + pot
 
@@ -333,12 +334,23 @@ FACE_EPS = 1e-9  # slack within which a node counts as on a polytope face
 PROJECT_TOL = 1e-10  # Dykstra tolerance of the constrained companion's projections
 
 
+def _split_by_bits(rows: np.ndarray, bits: np.ndarray) -> list[np.ndarray]:
+    """Split ``rows`` into runs of equal packed boolean rows ``bits`` (one
+    per row of ``rows``), each run in ascending row order."""
+    keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+    order = keys.argsort(kind="stable")
+    lo = _run_starts(keys[order]).nonzero()[0].tolist()
+    sorted_rows = rows[order]
+    return [sorted_rows[a:b] for a, b in zip(lo, lo[1:] + [rows.size])]
+
+
 def _run_lengths(a: np.ndarray):
     """Lengths ``(left, right)`` of the runs of equal entries of ``a`` ``(B, n)``
     along each row that end, and that start, at each entry."""
     n = a.shape[1]
     j = np.arange(n)
-    cut = np.ones((a.shape[0], n + 1), dtype=bool)
+    cut = np.empty((a.shape[0], n + 1), dtype=bool)
+    cut[:, 0] = cut[:, -1] = True
     cut[:, 1:-1] = a[:, 1:] != a[:, :-1]
     start = np.maximum.accumulate(np.where(cut[:, :-1], j, 0), axis=1)
     stop = np.minimum.accumulate(np.where(cut[:, 1:], j, n - 1)[:, ::-1], axis=1)[:, ::-1]
@@ -355,7 +367,10 @@ class _Descent:
     A path leaves on its first iteration without a step.
     Class frames and zone values are pure functions of the class, memoized
     on the point set, and no row's rounding depends on the other rows of a
-    call, so each path's iterates are those it would have alone.
+    call, so each path's iterates are those it would have alone. The
+    engine numbers classes in :attr:`registry` and keeps, per id, the
+    class's tie flag, frame and pin (:meth:`_register`), which
+    :meth:`value` and :meth:`_trial_moves` read.
     :meth:`descend` is the only loop over release/capture rounds: it
     descends a mesh stage's stack once, then each path adopts its round's
     relaxed winner from :meth:`_trial_moves` by index, without descending it
@@ -376,8 +391,19 @@ class _Descent:
         self.cfg = cfg
         self.polytope = polytope
         self.max_step = 16.0 if shape.kind == "power" else 1.0  # longest trial step: see solve
-        self._faces: dict[tuple, np.ndarray] = {}
+        self._faces: dict[tuple, tuple] = {}  # active faces -> (null-space basis, B^T B)
         self.registry: dict[tuple[int, ...], int] = {}  # class -> id, on first meeting
+        # Per class id, filled on first meeting: is it a tie class, its CellFrame
+        # (None for a singleton or a class without a frame), and its pin
+        # (basis_b, B^T B), None where the rows stay free.
+        self._tie: list[bool] = []
+        self._frame: list = []
+        self._pin: list = []
+        self._slots: dict[int, np.ndarray] = {}  # n -> interior slot of each stacked row, see value
+        d = kset.dim
+        self._eye = np.eye(d)
+        k, c = np.ogrid[:2 * d, :d]
+        self._band = (k + c, c)  # strip entries of each row's band columns, see _direction
 
     # -- objective pieces ---------------------------------------------------
 
@@ -389,44 +415,67 @@ class _Descent:
         call. Tie-class rows pin to their equidistance directions
         (``class_frame(cls).basis_b``) and, with a polytope, rows on active
         faces to their null space (:meth:`_face_groups`); free rows, and
-        those of a class without a frame, get the identity."""
+        those of a class without a frame, get the identity.
+
+        The kernel's groups are read as they come: a class met for the first
+        time gets its id and its table entries (:meth:`_register`: tie flag,
+        frame, ``basis_b`` and ``B^T B``); after that a group costs one id
+        assignment and, for a tie class with a frame, a lookup of its
+        interior rows and its pin projection. Zone values stay the kernel's,
+        memoized on the point set."""
         b, n, d = stack.shape
         etas, s, _, groups = batch_field(stack.reshape(-1, d), self.kset)
-        f = np.add(*_action_terms(stack, s, self.delta, self.shape))
+        kin, pot = _action_terms(stack, s, self.delta, self.shape)
         s = s.reshape(b, n)
         g = _interior_gradient(stack, etas.reshape(b, n, d), s, self.delta / (n - 1), self.shape)
-        # Pinned rows index the stacked interior rows: node k of path i is row i * (n - 2) + k - 1.
+        if n not in self._slots or self._slots[n].size < b * n:
+            # Node k of path i is stacked interior row i * (n - 2) + k - 1; endpoints get -1.
+            # A stack of fewer paths reads a prefix.
+            k = np.arange(b * n)
+            slot = k - 2 * (k // n) - 1
+            slot[(k % n == 0) | (k % n == n - 1)] = -1
+            self._slots[n] = slot
+        slot, registry, pin = self._slots[n], self.registry, self._pin
         pins, ids = [], np.empty(b * n, dtype=np.intp)
         for cls, rows in groups:
-            ids[rows] = self.registry.setdefault(cls, len(self.registry))
-            if len(cls) < 2:
-                continue
-            k = rows % n
-            rows = rows[(k >= 1) & (k <= n - 2)]
-            if not rows.size:
-                continue
-            try:
-                basis = class_frame(cls, self.kset).basis_b
-            except GeometryError:
-                continue  # a tie only within the tolerance, with no locus: the rows stay free
-            pins.append((basis, rows - 2 * (rows // n) - 1))
+            if cls not in registry:
+                self._register(cls)
+            ids[rows] = c = registry[cls]
+            if pin[c] is not None:
+                rows = slot[rows]
+                rows = rows[rows >= 0]
+                if rows.size:
+                    pins.append((pin[c], rows))
         flat = g.reshape(-1, d)
         if self.polytope is not None:
             pins += self._face_groups(stack[:, 1:-1].reshape(-1, d), flat)
-        proj = np.zeros((b * (n - 2), d, d))
-        proj.reshape(-1, d * d)[:, ::d + 1] = 1.0
-        for basis, rows in pins:
+        proj = np.empty((b * (n - 2), d, d))
+        proj[:] = self._eye
+        for (basis, btb), rows in pins:
             # Row by row: a BLAS product would round a row by its place in the call.
-            coef = np.sum(flat[rows][:, None] * basis, axis=2)
-            flat[rows] = np.sum(coef[:, :, None] * basis, axis=1)
-            proj[rows] = basis.T @ basis
-        return f, s, g, proj.reshape(b, n - 2, d, d), ids.reshape(b, n)
+            coef = np.add.reduce(flat[rows][:, None] * basis, axis=2)
+            flat[rows] = np.add.reduce(coef[:, :, None] * basis, axis=1)
+            proj[rows] = btb
+        return kin + pot, s, g, proj.reshape(b, n - 2, d, d), ids.reshape(b, n)
+
+    def _register(self, cls: tuple[int, ...]) -> None:
+        """Give class ``cls`` the next id and fill its table entries."""
+        frame = None
+        if len(cls) >= 2:
+            try:
+                frame = class_frame(cls, self.kset)
+            except GeometryError:
+                pass  # a tie only within the tolerance, with no locus: no pin, no capture
+        self.registry[cls] = len(self.registry)
+        self._tie.append(len(cls) >= 2)
+        self._frame.append(frame)
+        self._pin.append(None if frame is None else (frame.basis_b, frame.basis_b.T @ frame.basis_b))
 
     def _face_groups(self, inner: np.ndarray, g: np.ndarray) -> list:
-        """Pins ``(basis, rows)`` of the stacked interior rows ``inner`` on
-        polytope faces, given their gradients ``g``: each group's rows share
-        their active faces, and ``basis`` spans the faces' null space
-        (memoized per face set).
+        """Pins ``((basis, B^T B), rows)`` of the stacked interior rows
+        ``inner`` on polytope faces, given their gradients ``g``: each group's
+        rows share their active faces, and ``basis`` spans the faces' null
+        space (both memoized per face set).
 
         A row is pinned to the faces it lies on (``n_i·x >= b_i - FACE_EPS``)
         that carry a positive multiplier in the projection of ``-g`` onto
@@ -449,7 +498,8 @@ class _Descent:
         for grp in _split_by_bits(rows, np.packbits(active[rows], axis=1)):
             faces = tuple(np.flatnonzero(active[grp[0]]).tolist())
             if faces not in self._faces:
-                self._faces[faces] = split_span(normals[list(faces)])[1]
+                basis = split_span(normals[list(faces)])[1]
+                self._faces[faces] = (basis, basis.T @ basis)
             pins.append((self._faces[faces], grp))
         return pins
 
@@ -471,25 +521,26 @@ class _Descent:
         """
         b, n_int, d = g_eff.shape
         size = b * n_int
-        hp = self.shape.h_prime(s[:, 1:-1]).ravel()
+        hp = self.shape.h_prime(s[:, 1:-1]).reshape(size)
         frozen = np.isinf(hp)
-        diag = 4.0 / dt + 2.0 * dt * np.maximum(np.where(frozen, 0.0, hp), 0.0) + 1e-12
-        proj = np.where(frozen[:, None, None], 0.0, proj.reshape(size, d, d))
-        rhs = np.where(frozen[:, None], 0.0, g_eff.reshape(size, d))
+        hp[frozen] = 0.0
+        diag = 4.0 / dt + 2.0 * dt * np.maximum(hp, 0.0) + 1e-12
+        proj = proj.reshape(size, d, d).copy()
+        proj[frozen] = 0.0
+        rhs = g_eff.reshape(size * d).copy()
+        rhs.reshape(size, d)[frozen] = 0.0
         strip = np.zeros((size, 3 * d, d))  # (diagonal | coupling to the next row | 0) blocks
-        strip[:, :d] = diag[:, None, None] * proj + (np.eye(d) - proj)
+        strip[:, :d] = diag[:, None, None] * proj + (self._eye - proj)
         strip[:-1, d:2 * d] = (-2.0 / dt) * (proj[1:] @ proj[:-1])
         strip[n_int - 1::n_int, d:2 * d] = 0.0
         # Lower band storage, Fortran-ordered as LAPACK reads it:
         # band[m, rd + c] = strip[r, c + m, c].
-        k, c = np.ogrid[:2 * d, :d]
-        band = strip[:, k + c, c].transpose(0, 2, 1).reshape(size * d, 2 * d).T
+        band = strip[:, self._band[0], self._band[1]].transpose(0, 2, 1).reshape(size * d, 2 * d).T
         if d == 1:
-            *_, step, info = dptsv(band[0], band[1, :-1], rhs.reshape(-1), overwrite_d=True,
+            *_, step, info = dptsv(band[0], band[1, :-1], rhs, overwrite_d=True,
                                    overwrite_e=True, overwrite_b=True)
         else:
-            _, step, info = dpbsv(band, rhs.reshape(-1), lower=True, overwrite_ab=True,
-                                  overwrite_b=True)
+            _, step, info = dpbsv(band, rhs, lower=True, overwrite_ab=True, overwrite_b=True)
         if info:
             raise LinAlgError(f"Newton band solve failed: LAPACK info {info}")
         return step.reshape(b, n_int, d)
@@ -539,31 +590,36 @@ class _Descent:
         for it in range(self.cfg.max_iters + 1):
             if not live.size:
                 break
-            grad_norm[live] = np.max(np.linalg.norm(g_eff[live], axis=2), axis=1, initial=0.0) / dt
+            # The largest row norm, as np.linalg.norm takes it: sqrt of the row's sum of squares.
+            g = g_eff[live]
+            grad_norm[live] = np.maximum.reduce(np.sqrt(np.add.reduce(g * g, axis=2)), axis=1,
+                                                initial=0.0) / dt
             if it == self.cfg.max_iters:
                 break
             paths = live[np.isfinite(grad_norm[live]) & (grad_norm[live] > tol)]
             stepped = np.zeros(f.size, dtype=bool)
             g = g_eff[paths]
             direction = self._direction(g, proj[paths], s[paths], dt) if paths.size else g
-            slope = np.sum(g * direction, axis=(1, 2))
+            slope = np.add.reduce(g * direction, axis=(1, 2))
             step = alpha[paths]
             for _ in range(45):
                 if not paths.size:
                     break
                 trial = stack[paths]
                 trial[:, 1:-1] -= step[:, None, None] * direction
-                f_trial, *state = self.value(self._feasible(trial))
+                f_trial, s_trial, g_trial, proj_trial, ids_trial = self.value(self._feasible(trial))
                 ok = (f_trial <= f[paths] - 1e-4 * step * slope) & (slope > 0.0)
                 won = paths[ok]
-                stack[won], f[won] = trial[ok], f_trial[ok]
-                s[won], g_eff[won], proj[won], ids[won] = (entry[ok] for entry in state)
+                stack[won], f[won], s[won] = trial[ok], f_trial[ok], s_trial[ok]
+                g_eff[won], proj[won], ids[won] = g_trial[ok], proj_trial[ok], ids_trial[ok]
                 alpha[won] = np.minimum(step[ok] * 1.6, self.max_step)
                 stepped[won] = True
                 paths, step, slope = paths[~ok], step[~ok] * 0.5, slope[~ok]
                 direction = direction[~ok]
-            live = np.flatnonzero(stepped)
-        return stack, f, grad_norm, ~np.isin(np.arange(f.size), live), ids
+            live = stepped.nonzero()[0]
+        stopped = np.ones(f.size, dtype=bool)
+        stopped[live] = False
+        return stack, f, grad_norm, stopped, ids
 
     def descend(self, stack: np.ndarray):
         """Descend a stack of paths once, then run at most 64 lockstep rounds
@@ -615,21 +671,26 @@ class _Descent:
         and weight; the run captures follow in the order of their captures.
         All relax in one :meth:`solve`.
         """
-        registry = list(self.registry)
-        is_tie = np.array([len(cls) >= 2 for cls in registry])
+        is_tie = np.array(self._tie)
         ties = is_tie[ids]
-        tie, nb = ties[:, 1:-1, None], np.stack([ids[:, :-2], ids[:, 2:]], axis=2)
+        # Each interior node's neighbours' classes: nb[i, k - 1] = ids[i, (k - 1, k + 1)].
+        nb = np.empty((ids.shape[0], ids.shape[1] - 2, 2), dtype=ids.dtype)
+        nb[..., 0], nb[..., 1] = ids[:, :-2], ids[:, 2:]
+        tie = ties[:, 1:-1, None]
         faced = tie != is_tie[nb]
         # Two slots per node and neighbour: a capture or a half release, then a full release.
-        owner, k, side, full = np.nonzero(np.stack([faced, faced & tie], 3))
+        slots = np.empty(faced.shape + (2,), dtype=bool)
+        slots[..., 0], slots[..., 1] = faced, faced & tie
+        owner, k, side, full = slots.nonzero()
         held = np.where(tie[owner, k, 0], -1, nb[owner, k, side])  # captured class, or -1
         frames = {}
         for c in set(held.tolist()) - {-1}:
-            try:
-                frames[c] = class_frame(registry[c], self.kset)
-            except GeometryError:
+            if self._frame[c] is None:
                 held[held == c] = -2  # no frame: no capture
-        owner, k, side, full, held = (entry[held > -2] for entry in (owner, k, side, full, held))
+            else:
+                frames[c] = self._frame[c]
+        keep = held > -2
+        owner, k, side, full, held = owner[keep], k[keep], side[keep], full[keep], held[keep]
         pick = np.full(stack.shape[0], -1)
         if not owner.size:
             return pick, ()
@@ -641,12 +702,12 @@ class _Descent:
         (same_l, same_r), (free_l, free_r) = _run_lengths(ids), _run_lengths(fixed)
         length = np.where(side == 0, np.minimum(same_l[owner, k], free_r[owner, k + 1]),
                           np.minimum(same_r[owner, k + 2], free_l[owner, k + 1]))
-        run = np.flatnonzero((held >= 0) & (length >= 2))
+        run = ((held >= 0) & (length >= 2)).nonzero()[0]
         size = length[run]
-        at = np.repeat(run, size)  # the capture that each run row extends
-        step = np.arange(at.size) - np.repeat(np.cumsum(size) - size, size)
+        at = run.repeat(size)  # the capture that each run row extends
+        step = np.arange(at.size) - (size.cumsum() - size).repeat(size)
         rows = k[at] + 1 + np.where(side[at] == 0, step, -step)
-        into = k.size + np.repeat(np.arange(run.size), size)  # the candidate of each run row
+        into = k.size + np.arange(run.size).repeat(size)  # the candidate of each run row
         # One entry per moved node: the single-node candidates', then the runs'.
         cand, node = np.concatenate([np.arange(k.size), into]), np.concatenate([k + 1, rows])
         cls = np.concatenate([held, held[at]])
@@ -665,10 +726,10 @@ class _Descent:
         f = relaxed[1].copy()
         f[into[relaxed[4][into, rows] != held[at]]] = np.inf
         # Per path, its first candidate in (value, index) order under its threshold.
-        ok = np.flatnonzero(f < (f0 - 1e-12 * (1.0 + np.abs(f0)))[owner])
+        ok = (f < (f0 - 1e-12 * (1.0 + np.abs(f0)))[owner]).nonzero()[0]
         ok = ok[np.lexsort((ok, f[ok], owner[ok]))]
-        paths, first = np.unique(owner[ok], return_index=True)
-        pick[paths] = ok[first]
+        first = ok[_run_starts(owner[ok])]
+        pick[owner[first]] = first
         return pick, relaxed
 
 

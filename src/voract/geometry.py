@@ -20,8 +20,9 @@ built on:
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to call concurrently: a ``PointSet``'s class
-memo holds pure values, and a race at worst computes an entry twice; its
-k-d tree is built once, at construction, and only read after.
+and tie-pattern memos hold pure values, and a race at worst computes an
+entry twice; its k-d tree and squared site norms are built once, at
+construction, and only read after.
 Sampling operations take explicit seeds.
 """
 
@@ -112,6 +113,10 @@ class PointSet:
     _classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # k-d tree of the sites: the distinctness check's, kept for the field kernel.
     _tree: cKDTree = field(init=False, repr=False, compare=False)
+    # Squared site norms |p|^2 of the field kernel's distances, read-only.
+    _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    # Memo of the field kernel: a tie pattern's packed site mask (bytes) -> its class.
+    _patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _as_points(self.points)
@@ -132,6 +137,9 @@ class PointSet:
             gap = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1).min()
             raise GeometryError(f"points are not pairwise distinct: min gap {gap:g} <= {floor:g}")
         pts.flags.writeable = False
+        sq_norms = np.einsum("ij,ij->i", pts, pts)
+        sq_norms.flags.writeable = False
+        object.__setattr__(self, "_sq_norms", sq_norms)
 
     @property
     def n(self) -> int:
@@ -359,6 +367,32 @@ def class_eta(indices: tuple[int, ...], kset: PointSet) -> np.ndarray | None:
 # Polytopes
 
 
+def _halfspace_lp(c: np.ndarray, normals: np.ndarray, offsets: np.ndarray):
+    """``linprog`` (HiGHS) result of min ``c.x`` over ``normals x <= offsets``.
+
+    HiGHS reads an offset of 1e20 or more as no bound. A system with such
+    rows is first solved without them; that answer stands if the rest is
+    infeasible or its optimum meets the far rows (the full set lies inside
+    the rest's). Otherwise the full system is solved scaled by the power of
+    two that brings its largest offset below 1, and ``fun`` scaled back. A
+    system without far rows is solved as it is.
+    """
+    from scipy.optimize import linprog  # deferred: only polytopes need scipy.optimize (~11 MiB)
+
+    free = [(None, None)] * normals.shape[1]
+    far = np.abs(offsets) >= 1e20
+    if not far.any():
+        return linprog(c, A_ub=normals, b_ub=offsets, bounds=free, method="highs")
+    res = linprog(c, A_ub=normals[~far], b_ub=offsets[~far], bounds=free, method="highs")
+    if res.status == 2 or (res.success and np.all(normals[far] @ res.x <= offsets[far])):
+        return res
+    shift = np.frexp(np.max(np.abs(offsets)))[1]
+    res = linprog(c, A_ub=normals, b_ub=np.ldexp(offsets, -shift), bounds=free, method="highs")
+    if res.success:
+        res.fun = np.ldexp(res.fun, shift)
+    return res
+
+
 @dataclass(frozen=True)
 class Polytope:
     """Bounded intersection of halfspaces {x : n·x <= b} with unit normals.
@@ -394,11 +428,7 @@ class Polytope:
         if not np.all(np.isfinite(offsets)):
             raise PolytopeError("an offset overflows once its normal has unit length")
         d = normals.shape[1]
-
-        from scipy.optimize import linprog  # deferred: only polytopes need scipy.optimize (~11 MiB)
-
-        res = linprog(np.zeros(d), A_ub=normals, b_ub=offsets, bounds=[(None, None)] * d,
-                      method="highs")
+        res = _halfspace_lp(np.zeros(d), normals, offsets)
         if not res.success:
             raise PolytopeError("empty polytope (infeasible halfspace system)")
         lo = np.empty(d)
@@ -407,8 +437,7 @@ class Polytope:
             c = np.zeros(d)
             c[i] = 1.0
             for sign, store in ((1.0, lo), (-1.0, hi)):
-                r = linprog(sign * c, A_ub=normals, b_ub=offsets,
-                            bounds=[(None, None)] * d, method="highs")
+                r = _halfspace_lp(sign * c, normals, offsets)
                 if r.status == 3:
                     raise PolytopeError("unbounded polytope")
                 if not r.success:

@@ -13,6 +13,10 @@ functionals in :mod:`voract.action`. This module computes:
   groups)``, where ``groups`` holds one ``(class, rows)`` entry for every
   distinct class (singletons included), ordered by first row, with rows
   ascending; ``class_ids`` turns them into one integer class id per row.
+  The groups come from one stable argsort of a class key per row (the
+  nearest site, or the site count plus the index of the row's tie
+  pattern), and each tie pattern's class tuple is memoized on the point
+  set, as are its squared site norms.
   It classifies the rows in blocks of at most ``KERNEL_CHUNK_ROW_SITES``
   rows x sites, so no caller cuts its arrays. From ``TREE_MIN_SITES`` sites
   up it takes each row's candidate sites from the point set's k-d tree
@@ -148,6 +152,13 @@ def batch_field(nodes: np.ndarray, kset: PointSet):
     ``rows`` ascend, so iterating the groups meets each class in order of
     first appearance; :func:`class_ids` numbers them per row.
 
+    The groups come from one stable argsort of a class key per row: the
+    nearest site of an untied row, and the site count plus its tie
+    pattern's index among the call's distinct patterns (one stable argsort
+    of the tied rows' packed site masks) for a tied row. A pattern's class
+    tuple is memoized on the point set (``kset._patterns``), so only a
+    pattern new to the set is unpacked.
+
     Every row of a multi-site class gets the class's zone value, as in
     :func:`extended_gradient`: the midpoint of a pair, the hull projection
     of the frame pivot for three or more sites. A class without an
@@ -158,31 +169,55 @@ def batch_field(nodes: np.ndarray, kset: PointSet):
     From :data:`TREE_MIN_SITES` sites up, the call is one block whose rows
     take their candidates from the k-d tree (:func:`_classify_tree`).
     """
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim < 2:
+        nodes = nodes.reshape(1, -1)
+    n = kset.n
     # The tree path bounds each of its queries itself, so it takes the call whole.
-    chunk = nodes.shape[0] if kset.n >= TREE_MIN_SITES else KERNEL_CHUNK_ROW_SITES // kset.n
-    chunk = max(1, chunk)
+    chunk = max(1, nodes.shape[0] if n >= TREE_MIN_SITES else KERNEL_CHUNK_ROW_SITES // n)
     if nodes.shape[0] <= chunk:  # zero rows too, so they still give arrays of the right shape
-        nearest, tie_mask, tie_bits = _classify(nodes, kset)
+        key, tie_mask, tie_bits = _classify(nodes, kset)
     else:
         blocks = [_classify(nodes[lo:lo + chunk], kset) for lo in range(0, nodes.shape[0], chunk)]
-        nearest, tie_mask, tie_bits = (np.concatenate(parts) for parts in zip(*blocks))
-    etas = kset.points[nearest]
+        key, tie_mask, tie_bits = (np.concatenate(parts) for parts in zip(*blocks))
+    etas = kset.points[key]
 
-    single_rows = np.flatnonzero(~tie_mask)
-    groups = [((int(nearest[rows[0]]),), rows)
-              for rows in _split_by_key(single_rows, nearest[single_rows])]
-    tie_rows = np.flatnonzero(tie_mask)
-    if tie_rows.size:
-        for at in _split_by_bits(np.arange(tie_rows.size), tie_bits):
-            idx = tuple(np.flatnonzero(np.unpackbits(tie_bits[at[0]], count=kset.n)).tolist())
-            rows = tie_rows[at]
-            etas[rows] = _zone_values(idx, nodes[rows], kset)
-            groups.append((idx, rows))
-    groups.sort(key=lambda group: group[1][0])
+    # From here on key[i] is row i's class key: its nearest site, or n + its tie pattern's index.
+    width = tie_bits.shape[1]
+    masks = tie_bits.view(np.dtype((np.void, width))).ravel()
+    at = masks.argsort(kind="stable")
+    new = _run_starts(masks[at])
+    pattern = np.empty(at.size, dtype=np.intp)
+    pattern[at] = n - 1 + new.cumsum()
+    key[tie_mask] = pattern
+    raw, memo = masks[at[new]].tobytes(), kset._patterns
+    distinct = [raw[i:i + width] for i in range(0, len(raw), width)]
+    for mask in set(distinct).difference(memo):
+        bits = np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=n)
+        memo[mask] = tuple(bits.nonzero()[0].tolist())
+    tie_classes = [memo[mask] for mask in distinct]
+
+    order = key.argsort(kind="stable")
+    key = key[order]
+    lo = _run_starts(key).nonzero()[0]
+    bounds = lo.tolist() + [key.size]
+    runs = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+    singles = len(runs) - len(tie_classes)  # tie keys sort after the sites'
+    classes = [(k,) for k in key[lo[:singles]].tolist()] + tie_classes
+    for cls, rows in zip(tie_classes, runs[singles:]):
+        etas[rows] = _zone_values(cls, nodes[rows], kset)
+    groups = [(classes[g], runs[g]) for g in order[lo].argsort().tolist()]
     diff = etas - nodes
     slope_sq = np.einsum("ij,ij->i", diff, diff)
     return etas, slope_sq, tie_mask, groups
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Flags of the entries of the sorted ``keys`` that differ from the one before."""
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    new[1:] = keys[1:] != keys[:-1]
+    return new
 
 
 def _classify(nodes: np.ndarray, kset: PointSet):
@@ -191,28 +226,39 @@ def _classify(nodes: np.ndarray, kset: PointSet):
 
     Below :data:`TREE_MIN_SITES` sites the block's sites x rows distance
     matrix ``d2 = |p|^2 + |x|^2 - 2 p.x``, clamped at 0, is built and dies on
-    return. Its minimum, tie count and ``argmin`` (the lowest site index
-    among the minima) over each row's sites run across the rows, one long
-    elementwise step per site rather than one short reduction per row; the
-    tests check the outputs against a rows x sites block, bit for bit. Each
-    tied row's column packs into its row of mask bits. From
-    :data:`TREE_MIN_SITES` sites up, each row's candidates come from the
-    site set's k-d tree instead (:func:`_classify_tree`), under the same
-    formula and tie rule.
+    return (``|p|^2`` is cached on the point set). Its minimum and tie
+    count over each row's sites run across the rows, one long elementwise
+    step per site rather than one short reduction per row. The nearest
+    site is ``argmin`` over the row's sites (the lowest index among the
+    minima), found without copying the block into row order: it is the
+    row's first tied site (``argmax`` of the one-byte tie mask) unless
+    that site's distance is not the minimum, which only a tied row's or,
+    with a NaN distance, an overflowing row's can be; those few rows take
+    ``argmin`` over their own column. The tests check the outputs against
+    a rows x sites block, bit for bit. The tied rows' columns of the tie
+    mask, each padded to whole bytes, pack in one flat ``packbits`` into
+    one row of mask bits per tied row. From :data:`TREE_MIN_SITES` sites
+    up, each row's candidates come from the site set's k-d tree instead
+    (:func:`_classify_tree`), under the same formula and tie rule.
     """
     if kset.n >= TREE_MIN_SITES:
         return _classify_tree(nodes, kset)
-    pts = kset.points
-    d2 = np.einsum("ij,ij->i", pts, pts)[:, None] + np.einsum("ij,ij->i", nodes, nodes)
-    prod = pts @ nodes.T
+    d2 = kset._sq_norms[:, None] + np.einsum("ij,ij->i", nodes, nodes)
+    prod = kset.points @ nodes.T
     prod *= 2.0
     d2 -= prod
     del prod  # a full block holds one other block-sized array at a time
-    dmin = np.min(np.maximum(d2, 0.0, out=d2), axis=0)
+    dmin = np.minimum.reduce(np.maximum(d2, 0.0, out=d2), axis=0)
     ties = d2 <= (1.0 + kset.tie_tolerance) * dmin
-    tie = np.sum(ties, axis=0) >= 2
-    bits = np.ascontiguousarray(np.packbits(ties[:, tie], axis=0).T)
-    return np.argmin(d2, axis=0), tie, bits
+    tie = np.add.reduce(ties, axis=0) >= 2
+    nearest = ties.argmax(axis=0)
+    rows = (tie | (dmin != dmin)).nonzero()[0]  # tied, or a NaN distance: no tie, no minimum
+    rows = rows[d2[nearest[rows], rows] != dmin[rows]]
+    nearest[rows] = d2.T[rows].argmin(axis=1)
+    tied, width = ties.compress(tie, axis=1), (kset.n + 7) // 8
+    bits = np.zeros((tied.shape[1], 8 * width), dtype=bool)
+    bits[:, :kset.n] = tied.T
+    return nearest, tie, np.packbits(bits.reshape(-1)).reshape(-1, width)
 
 
 def _classify_tree(nodes: np.ndarray, kset: PointSet):
@@ -248,10 +294,9 @@ def _classify_tree(nodes: np.ndarray, kset: PointSet):
     :func:`batch_field` overwrites with the class's zone value. Each query
     holds at most :data:`TREE_QUERY_CANDIDATES` row-candidates.
     """
-    pts, n, d = kset.points, kset.n, kset.dim
-    sq_pts = np.einsum("ij,ij->i", pts, pts)
+    pts, n, d, sq_pts = kset.points, kset.n, kset.dim, kset._sq_norms
     sq_rows = np.einsum("ij,ij->i", nodes, nodes)
-    margin = 2.0 * (d + 4) * np.finfo(float).eps * (sq_rows + np.max(sq_pts))
+    margin = 2.0 * (d + 4) * np.finfo(float).eps * (sq_rows + np.maximum.reduce(sq_pts))
     nearest = np.empty(nodes.shape[0], dtype=np.intp)
     tie = np.zeros(nodes.shape[0], dtype=bool)
     tie_rows, tie_sites = [], []
@@ -283,23 +328,6 @@ def _classify_tree(nodes: np.ndarray, kset: PointSet):
         at = np.searchsorted(np.flatnonzero(tie), np.concatenate(tie_rows))
         np.bitwise_or.at(bits, (at, sites >> 3), (128 >> (sites & 7)).astype(np.uint8))
     return nearest, tie, bits
-
-
-def _split_by_key(rows: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
-    """Split ``rows`` into runs of equal key, each run in ascending row order."""
-    if rows.size == 0:
-        return []
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    cuts = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist()
-    sorted_rows = rows[order]
-    return [sorted_rows[a:b] for a, b in zip([0] + cuts, cuts + [rows.size])]
-
-
-def _split_by_bits(rows: np.ndarray, bits: np.ndarray) -> list[np.ndarray]:
-    """Split ``rows`` into runs of equal packed boolean rows ``bits`` (one
-    per row of ``rows``), each run in ascending row order."""
-    return _split_by_key(rows, bits.view(np.dtype((np.void, bits.shape[1]))).ravel())
 
 
 def class_ids(n: int, groups):

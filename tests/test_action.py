@@ -462,6 +462,127 @@ def _ties(engine, ids):
     return np.array([len(cls) >= 2 for cls in engine.registry])[ids]
 
 
+def _reference_action_terms(stack, slope_sq, delta, shape):
+    """``action._action_terms`` as it was written with numpy's wrappers."""
+    b, n, _ = stack.shape
+    dt = delta / (n - 1)
+    diffs = np.diff(stack, axis=1)
+    kin = np.sum(np.einsum("bij,bij->bi", diffs, diffs), axis=1) / dt
+    h = shape.h(slope_sq).reshape(b, n)
+    return kin, dt * (0.5 * h[:, 0] + np.sum(h[:, 1:-1], axis=1) + 0.5 * h[:, -1])
+
+
+def _reference_interior_gradient(nodes, etas, slope_sq, dt, shape):
+    """``action._interior_gradient`` as it was written with ``np.where``."""
+    kin = 2.0 * (2.0 * nodes[..., 1:-1, :] - nodes[..., :-2, :] - nodes[..., 2:, :]) / dt
+    s = slope_sq[..., 1:-1]
+    hp = np.where(s == 0.0, 0.0, shape.h_prime(s))
+    pot = dt * hp[..., None] * 2.0 * (nodes[..., 1:-1, :] - etas[..., 1:-1, :])
+    return kin + pot
+
+
+def _reference_value(engine, stack):
+    """``_Descent.value`` before its per-class tables, kept verbatim: every
+    evaluation registers each class by ``setdefault``, masks each tie
+    group's interior rows, takes its frame from ``class_frame`` and forms
+    ``B^T B`` anew. Face pins come from the engine's ``_face_groups``."""
+    b, n, d = stack.shape
+    etas, s, _, groups = batch_field(stack.reshape(-1, d), engine.kset)
+    f = np.add(*_reference_action_terms(stack, s, engine.delta, engine.shape))
+    s = s.reshape(b, n)
+    g = _reference_interior_gradient(stack, etas.reshape(b, n, d), s, engine.delta / (n - 1),
+                                     engine.shape)
+    pins, ids = [], np.empty(b * n, dtype=np.intp)
+    for cls, rows in groups:
+        ids[rows] = engine.registry.setdefault(cls, len(engine.registry))
+        if len(cls) < 2:
+            continue
+        k = rows % n
+        rows = rows[(k >= 1) & (k <= n - 2)]
+        if not rows.size:
+            continue
+        try:
+            basis = class_frame(cls, engine.kset).basis_b
+        except GeometryError:
+            continue
+        pins.append((basis, rows - 2 * (rows // n) - 1))
+    flat = g.reshape(-1, d)
+    if engine.polytope is not None:
+        pins += [(basis, rows) for (basis, _), rows in
+                 engine._face_groups(stack[:, 1:-1].reshape(-1, d), flat)]
+    proj = np.zeros((b * (n - 2), d, d))
+    proj.reshape(-1, d * d)[:, ::d + 1] = 1.0
+    for basis, rows in pins:
+        coef = np.sum(flat[rows][:, None] * basis, axis=2)
+        flat[rows] = np.sum(coef[:, :, None] * basis, axis=1)
+        proj[rows] = basis.T @ basis
+    return f, s, g, proj.reshape(b, n - 2, d, d), ids.reshape(b, n)
+
+
+@st.composite
+def _value_cases(draw):
+    """Sites, a shape, an optional box, a kernel path and two stacks whose
+    nodes are drawn from the sites, pair midpoints, points on pair
+    bisectors, triple circumcentres and random points, and clipped to the
+    box. The collinear sites with a 1e-3 tie tolerance tie far above their
+    line with no locus."""
+    from voract.potential import _circumcenter, _pair_probes
+
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if d >= 2 and draw(st.booleans()):
+        sites = np.zeros((3, d))
+        sites[:, 0] = [-1.0, 0.0, 1.0]
+        kset = PointSet(sites, tie_tolerance=1e-3)
+        far = np.zeros((4, d))
+        far[:, 0], far[:, 1] = rng.uniform(-0.5, 0.5, 4), 100.0
+        pool = [sites, far]
+    else:
+        cells = rng.choice(9 ** d, size=draw(st.integers(2, 6)), replace=False)
+        sites = (np.stack(np.unravel_index(cells, (9,) * d), axis=1) - 4) / 2.0
+        kset = PointSet(sites)
+        pool = [sites]
+    n_sites = kset.n
+    pairs = np.stack(np.triu_indices(n_sites, 1), axis=1)
+    mids, offsets = _pair_probes(kset.points, pairs)
+    centers = [_circumcenter(kset.points[list(t)]) for t in itertools.combinations(range(n_sites), 3)]
+    pool += [mids, offsets, np.array([c for c in centers if c is not None]).reshape(-1, d),
+             rng.uniform(-3.0, 3.0, size=(8, d))]
+    pool = np.vstack(pool)
+    b, n = draw(st.integers(1, 3)), draw(st.integers(3, 9))
+    stacks = [pool[rng.integers(0, len(pool), size=(b, n))] for _ in range(2)]
+    shape = draw(st.sampled_from([Shape.identity(), Shape.power(0.5), Shape.power(1.5),
+                                  Shape.affine(2.0, 0.5)]))
+    polytope = None
+    if draw(st.booleans()):  # a box the stacks are clipped to: many nodes sit on its faces
+        lo, hi = np.sort(rng.uniform(-2.0, 2.0, size=(2, d)), axis=0) + [[-0.5], [0.5]]
+        polytope = Polytope.from_box(lo, hi)
+        stacks = [np.clip(stack, lo, hi) for stack in stacks]
+    kernel = draw(st.sampled_from(["dense", "tree", "blocks"]))
+    return kset, shape, polytope, kernel, stacks
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_value_cases())
+def test_value_matches_the_reference_evaluation(case):
+    # Exact ties, ties with no locus, power 1/2 on a site, affine shapes,
+    # face pins, the tree and the blocked kernel: two evaluations in a row
+    # give the reference's outputs bit for bit and leave the same registry,
+    # entries and order.
+    kset, shape, polytope, kernel, stacks = case
+    engine, ref = (_Descent(kset, shape, 1.3, SolverConfig(), polytope) for _ in range(2))
+    with pytest.MonkeyPatch.context() as patch, np.errstate(divide="ignore"):
+        if kernel == "tree":
+            patch.setattr(potential_module, "TREE_MIN_SITES", 1)
+        elif kernel == "blocks":
+            patch.setattr(potential_module, "KERNEL_CHUNK_ROW_SITES", 5)
+        for stack in stacks:
+            out, want = engine.value(stack), _reference_value(ref, stack)
+            for a, b in zip(out, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert list(engine.registry.items()) == list(ref.registry.items())
+
+
 @pytest.mark.parametrize("case", ["line", "mag", "3d"])
 def test_lockstep_relaxation_matches_single_paths(case, line_k):
     # h(s) = s^2 makes the line searches halve differently per path. In 3-D

@@ -292,6 +292,26 @@ def test_polytope_keeps_the_plain_norm_of_an_ordinary_normal():
     assert poly.offsets[0] == 1.0 / np.sqrt(10.0)
 
 
+def test_polytope_bounds_a_set_with_an_offset_highs_reads_as_no_bound():
+    # x <= 1e170 once normalized: HiGHS reads an offset of 1e20 or more as
+    # none, so the plain LPs called this box unbounded. Here the far row
+    # binds only the largest x, and the other bounds are the near rows' own.
+    poly = Polytope(np.array([[1e-170, 0.0], [0, 1], [-1, 0], [0, -1]]), np.array([1.0, 1, 1, 1]))
+    assert np.all(np.isfinite(poly.lo)) and np.all(np.isfinite(poly.hi))
+    assert np.array_equal(poly.lo, [-1.0, -1.0]) and poly.hi[1] == 1.0
+    assert poly.hi[0] == pytest.approx(1e170, rel=1e-12)
+
+
+def test_polytope_bounds_without_far_offsets_are_unchanged():
+    # The constrained companion's box and segment ({0} x [-2, 0]), as the LPs
+    # gave them before far offsets were scaled: signed zeros included.
+    box = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
+    segment = Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.array([0.0, 0.0, 0.0, 2.0]))
+    for poly, lo, hi in ((box, [0.0, 0.0], [1.0, 1.0]), (segment, [0.0, -2.0], [-0.0, -0.0])):
+        assert poly.lo.tobytes() == np.array(lo).tobytes()
+        assert poly.hi.tobytes() == np.array(hi).tobytes()
+
+
 def test_polytope_rejects_an_offset_that_overflows_once_normalized():
     with pytest.raises(PolytopeError, match="offset overflows"):
         Polytope(np.array([[1e-300, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),

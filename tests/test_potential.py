@@ -243,6 +243,17 @@ def test_classify_matches_the_row_major_reference(d, n, tol):
         _assert_classify_matches_reference(row[None, :], kset)
 
 
+def test_classify_matches_the_row_major_reference_where_distances_overflow():
+    # |x|^2 and p.x overflow, so a row's distances mix inf and NaN (inf -
+    # inf): it has no minimum and no tie, and still gets argmin's site, the
+    # first NaN. A row of all-inf distances ties every site.
+    kset = PointSet([[-1e10, 0.0], [1e10, 0.0], [0.0, -1e10]])
+    rows = np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 1e300], [0.0, -1e300], [np.nan, 0.0],
+                     [0.0, 5e9]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_classify_matches_reference(rows, kset)
+
+
 def _on_tree(monkeypatch, on: bool) -> None:
     monkeypatch.setattr(potential_module, "TREE_MIN_SITES", 1 if on else 10**9)
 
@@ -291,6 +302,7 @@ def test_tree_path_matches_the_dense_path(case):
         small = batch_field(rows, kset)
     for a, b in zip(tree[:3], small[:3]):
         assert a.tobytes() == b.tobytes()
+    assert [(cls, r.tolist()) for cls, r in tree[3]] == [(cls, r.tolist()) for cls, r in small[3]]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
