@@ -136,14 +136,17 @@ class Shape:
             _check_number("affine shape a", self.a, 0.0)
             _check_number("affine shape b", self.b, 0.0, closed=True)
         grid = np.linspace(0.0, 10.0, 101)
-        vals = self.h(grid)
-        if vals[0] < 0 or np.any(np.diff(vals) <= 0):
-            raise ActionError("shape must be nonnegative at 0 and strictly increasing")
         s = np.linspace(0.05, 10.0, 64)
         eps = 1e-5 * (1.0 + s)
-        fd = (self.h(s + eps) - self.h(s - eps)) / (2.0 * eps)
-        rel = np.abs(fd - self.h_prime(s)) / np.maximum(np.abs(fd), 1e-12)
-        if float(np.max(rel)) > 1e-6:
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails a check below
+            vals, slope = self.h(grid), self.h_prime(s)
+            fd = (self.h(s + eps) - self.h(s - eps)) / (2.0 * eps)
+            rel = np.abs(fd - slope) / np.maximum(np.abs(fd), 1e-12)
+        if not np.isfinite(np.concatenate([vals, slope])).all():
+            raise ActionError("shape overflows on [0, 10]: h or h' is not finite there")
+        if vals[0] < 0 or np.any(np.diff(vals) <= 0):
+            raise ActionError("shape must be nonnegative at 0 and strictly increasing")
+        if not float(np.max(rel)) <= 1e-6:
             raise ActionError("shape derivative disagrees with finite differences")
 
     def h(self, s):

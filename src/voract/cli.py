@@ -37,7 +37,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -127,9 +127,8 @@ def _parse_points(spec: dict, tie_tolerance: float,
     n, m = (_number(mag, k, "points.mag", integer=True) for k in ("n", "m"))
     window = (_number(mag, "window", "points.mag", integer=True) if "window" in mag
               else default_window(base, n, m, *endpoints))
-    system = build_mag(base, n, m, window)
-    kset = PointSet(system.kset.points, tie_tolerance=tie_tolerance)
-    return kset, replace(system, kset=kset)
+    system = build_mag(base, n, m, window, tie_tolerance)
+    return system.kset, system
 
 
 def _cli_points(args) -> PointSet:

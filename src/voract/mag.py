@@ -20,7 +20,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +52,10 @@ class MagSystem:
 
     ``kset`` holds exactly the points (a_{sigma(1)}, ..., a_{sigma(m)}) + z
     over all permutations sigma and integer translates z with
-    ``max|z| <= window``; ``labels`` records (sigma, z) per site row.
+    ``max|z| <= window``: with T = (2*window + 1)^(n*m), row r is sigma of
+    rank ``r // T`` in ``itertools.permutations`` order and z + window the
+    base-(2*window + 1) digits of ``r % T``, most significant first.
+    ``translate_sups`` holds each row's ``max|z|``, read-only.
     """
 
     n: int
@@ -61,28 +63,28 @@ class MagSystem:
     base_points: np.ndarray
     window: int
     kset: PointSet
-    labels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    translate_sups: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.base_points, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "base_points", arr)
+        sups = np.array(self.translate_sups)
+        if sups.shape != (self.kset.n,) or sups.dtype.kind not in "iu":
+            raise MagError(f"translate_sups must be one integer per site ({self.kset.n}), "
+                           f"got {sups.dtype} of shape {sups.shape}")
+        for name, arr in (("base_points", np.array(self.base_points, dtype=float)),
+                          ("translate_sups", sups)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
         return self.n * self.m
 
-    @cached_property
-    def translate_sups(self) -> np.ndarray:
-        """Max-norm of the integer translate generating each site."""
-        return np.max(np.abs(np.array([z for _, z in self.labels])), axis=1)
 
-
-def build_mag(base_points, n: int, m: int, window: int) -> MagSystem:
+def build_mag(base_points, n: int, m: int, window: int, tie_tolerance: float = 1e-9) -> MagSystem:
     """Enumerate the truncated permutation lattice and validate it.
 
     ``base_points`` are m distinct points in [0,1)^n. Budgets: m <= 5 and
-    at most 10^6 sites.
+    at most 10^6 sites. ``tie_tolerance`` is the site set's (`PointSet`).
     """
     for name, value in (("n", n), ("m", m), ("window", window)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -104,18 +106,13 @@ def build_mag(base_points, n: int, m: int, window: int) -> MagSystem:
     if count > SITE_BUDGET:
         raise MagError(f"site budget exceeded: {count} > {SITE_BUDGET}")
 
-    translates = list(itertools.product(range(-window, window + 1), repeat=n * m))
-    rows = []
-    labels = []
-    for sigma in itertools.permutations(range(m)):
-        stacked = base[list(sigma)].reshape(-1)
-        for z in translates:
-            rows.append(stacked + np.array(z, dtype=float))
-            labels.append((sigma, z))
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    translates = np.array(list(itertools.product(range(-window, window + 1), repeat=n * m)))
+    sites = base[perms].reshape(len(perms), 1, n * m) + translates
     return MagSystem(
         n=n, m=m, base_points=base, window=window,
-        kset=PointSet(np.array(rows)),
-        labels=tuple(labels),
+        kset=PointSet(sites.reshape(-1, n * m), tie_tolerance=tie_tolerance),
+        translate_sups=np.tile(np.max(np.abs(translates), axis=1, initial=0), len(perms)),
     )
 
 

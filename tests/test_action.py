@@ -55,6 +55,15 @@ def test_shape_kinds():
         Shape("mystery")
 
 
+@pytest.mark.parametrize("make", [lambda: Shape.affine(1e308, 0.0), lambda: Shape.power(1000)],
+                         ids=["affine-1e308", "power-1000"])
+def test_shape_that_overflows_on_the_check_grid_is_refused(make):
+    # h is inf from s ~ 1.8 (affine) or s ~ 2.03 (power) on; the checks must
+    # not read the resulting NaNs as passing, and must warn nothing.
+    with pytest.raises(ActionError, match="not finite"):
+        make()
+
+
 def test_path_basics():
     p = Path.from_line([0.0], [1.0], 2.0, 8)
     assert p.m_intervals == 8 and p.dim == 1

@@ -446,6 +446,15 @@ def test_config_number_that_is_not_a_number_exits_2(command, payload, message, t
     assert err.startswith("error: ") and message in err
 
 
+def test_shape_that_overflows_exits_2(tmp_path, capsys):
+    payload = {**BASE_CONFIG, "shape": {"kind": "affine", "a": 1e308},
+               "solver": {**BASE_CONFIG["solver"], "M": 16}}
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "shape overflows" in err
+
+
 def test_stability_of_mixed_dimensions_exits_2_before_solving(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(mag_module, "minimize", lambda *args: pytest.fail("solved"))
     payload = {**STABILITY, "sequence": [

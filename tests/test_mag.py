@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from voract import geometry
 from voract import mag as mag_module
 from voract import (
     GeometryError,
@@ -19,6 +22,7 @@ from voract import (
     stability_run,
     window_certificate,
 )
+from voract.cli import load_run_config
 from voract.potential import MAX_PROBE_COORDS
 
 
@@ -26,8 +30,58 @@ def test_build_counts_two_particles():
     sys = build_mag([[0.0], [0.5]], n=1, m=2, window=1)
     assert sys.kset.n == 2 * 3**2 == 18
     assert sys.dim == 2
-    labels = set(sys.labels)
-    assert len(labels) == 18
+    assert len(np.unique(sys.kset.points, axis=0)) == 18
+
+
+def _enumerated(base, n, m, window):
+    """The lattice's rows and translate max-norms, one (sigma, z) at a time."""
+    base = np.asarray(base, dtype=float)
+    rows, sups = [], []
+    for sigma in itertools.permutations(range(m)):
+        stacked = base[list(sigma)].reshape(-1)
+        for z in itertools.product(range(-window, window + 1), repeat=n * m):
+            rows.append(stacked + np.array(z, dtype=float))
+            sups.append(max(abs(c) for c in z))
+    return np.array(rows), np.array(sups)
+
+
+@pytest.mark.parametrize("base,n,m,window", [
+    ([[0.3]], 1, 1, 1),
+    ([[0.0], [0.5]], 1, 2, 1),
+    ([[0.1], [0.35], [0.8]], 1, 3, 2),
+    ([[0.0, 0.25], [0.5, 0.7]], 2, 2, 1),
+    ([[0.0], [0.2], [0.45], [0.7]], 1, 4, 1),
+])
+def test_lattice_matches_the_explicit_enumeration(base, n, m, window):
+    sys = build_mag(base, n, m, window)
+    rows, sups = _enumerated(base, n, m, window)
+    assert sys.kset.points.tobytes() == rows.tobytes() and sys.kset.points.shape == rows.shape
+    np.testing.assert_array_equal(sys.translate_sups, sups)
+    with pytest.raises(ValueError, match="read-only"):
+        sys.translate_sups[0] = 0
+
+
+def test_translate_sups_must_be_one_integer_per_site():
+    kset = PointSet([[0.3, 0.0], [0.0, 0.3], [-0.3, 0.0]])
+    for sups in (np.zeros(2, dtype=int), np.zeros(3), np.zeros((3, 1), dtype=int)):
+        with pytest.raises(MagError, match="one integer per site"):
+            MagSystem(n=2, m=1, base_points=[[0.0, 0.0]], window=1, kset=kset,
+                      translate_sups=sups)
+
+
+def test_a_particle_config_loads_with_one_k_d_tree(monkeypatch):
+    built = []
+
+    class CountingTree(geometry.cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cKDTree", CountingTree)
+    cfg = load_run_config({"points": {"mag": {"base_points": [[0.0], [0.5]], "n": 1, "m": 2}},
+                           "tie_tolerance": 1e-6, "delta": 1.0,
+                           "endpoints": {"start": [0.2, 0.3], "end": [0.3, 0.2]}})
+    assert len(built) == 1 and cfg["kset"].tie_tolerance == 1e-6
 
 
 def test_build_single_particle_lattice():
@@ -148,7 +202,7 @@ def test_verdict_names_the_first_sorted_pair_sharing_a_zone():
     # project to the origin; with every site inert the verdict is unbalanced.
     sys = MagSystem(n=2, m=1, base_points=[[0.0, 0.0]], window=1,
                     kset=PointSet([[0.3, 0.0], [0.0, 0.3], [-0.3, 0.0]]),
-                    labels=(((0,), (0, 0)),) * 3)
+                    translate_sups=np.zeros(3, dtype=int))
     assert interior_balance_verdict(sys, probe_count=1200, seed=0) == (
         False, ((0, 1, 2), (0, 2)), 7)
 
